@@ -7,7 +7,7 @@ swaps back (revocation), so the very next access to the granule faults
 again.  An in-padding counter retires tripwires that fault too often.
 """
 
-from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program
+from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program, tripwire_armed
 
 TRACE = """\
 alloc r0 40
@@ -27,7 +27,7 @@ def dump(label):
     meta = sim.mem.read_byte(short + 15)
     print(f"  {label:<26} granule tag {tag:#3x}   last byte {meta:#04x} "
           f"(count {meta >> 4}, stashed tag {meta & 0xF:#x})   "
-          f"traps {sorted(sim.machine.traps)}   state {rec.tripwire.value}")
+          f"traps {sorted(sim.machine.traps)}   armed {tripwire_armed(sim.mem, rec)}")
 
 
 print("pc 0: alloc r0 40")
@@ -59,7 +59,7 @@ sim = Simulation(parse_program("\n".join(lines)),
 report = sim.run()
 rec = sim.allocator.records[-1]
 print(f"threshold 4: faults {report.counters['faults_delivered']} "
-      f"(then the tripwire is gone), final state {rec.tripwire.value}")
+      f"(then the tripwire is gone), armed {tripwire_armed(sim.mem, rec)}")
 short = rec.base + rec.usable_size - 16
 print(f"granule tag restored to the real tag {sim.mem.get_granule_tag(short):#x}, "
       f"metadata zeroed: {sim.mem.read_byte(short + 15):#04x}")

@@ -9,33 +9,21 @@ reproduces the stack's probabilistic detection guarantees.
 """
 
 from .allocator import (
-    AllocationRecord,
     Allocator,
     AllocatorConfig,
-    ShortGranuleMetadata,
-    TagMismatch,
-    TripwireState,
     generate_tag,
     size_class,
+    tripwire_armed,
 )
 from .cpu import (
-    AccessDescriptor,
-    Fault,
     Instruction,
     Machine,
     Mode,
     Opcode,
     TrapUnavailable,
 )
-from .detector import (
-    BugKind,
-    BugReport,
-    Detector,
-    DetectorConfig,
-    check_access,
-)
+from .detector import BugKind, check_access
 from .experiments import (
-    ExperimentResult,
     exp_collision_rate,
     exp_detection_rate,
     exp_recovery_transparency,
@@ -44,10 +32,9 @@ from .experiments import (
     wilson_95_ci,
 )
 from .memory import TaggedMemory, TaggedPointer, tag_storage_overhead
-from .runner import ALWAYS_ARM, RunReport, SimConfig, Simulation, run_program, substream
+from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program
 from .sampler import TripwireSampler
 from .trace import (
-    Program,
     TraceParseError,
     WorkloadSpec,
     check_program_bounds,
@@ -60,32 +47,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALWAYS_ARM",
-    "AccessDescriptor",
-    "AllocationRecord",
     "Allocator",
     "AllocatorConfig",
     "BugKind",
-    "BugReport",
-    "Detector",
-    "DetectorConfig",
-    "ExperimentResult",
-    "Fault",
     "Instruction",
     "Machine",
     "Mode",
     "Opcode",
-    "Program",
-    "RunReport",
-    "ShortGranuleMetadata",
     "SimConfig",
     "Simulation",
-    "TagMismatch",
     "TaggedMemory",
     "TaggedPointer",
     "TraceParseError",
     "TrapUnavailable",
     "TripwireSampler",
-    "TripwireState",
     "WorkloadSpec",
     "check_access",
     "check_program_bounds",
@@ -99,8 +74,8 @@ __all__ = [
     "render_program",
     "run_program",
     "size_class",
-    "substream",
     "tag_storage_overhead",
+    "tripwire_armed",
     "uniform_sizes",
     "wilson_95_ci",
 ]

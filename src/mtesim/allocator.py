@@ -17,12 +17,15 @@ so that runs with and without tripwires see identical tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  Freed regions queue
-in a FIFO per size class and are reused with their free-time tag unchanged.
+in a FIFO per size class and are reused with their free-time tag unchanged,
+except when that tag equals the new allocation's addressable count: the
+region then gets a fresh draw under the same exclusions as a new region.
+The tripwire state itself lives only in memory (see `tripwire_armed`);
+records keep `ever_armed`, a fact of history that memory cannot hold.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import random
@@ -53,16 +56,9 @@ class AllocState(enum.Enum):
     FREED = "freed"
 
 
-class TripwireState(enum.Enum):
-    NONE = "none"
-    ARMED = "armed"
-    DELEGATED = "delegated"
-    REMOVED = "removed"
-
-
 @dataclass
 class TagMismatch:
-    """Inputs for a bug report when a free or realloc rejects its pointer."""
+    """Inputs for a bug report when a free rejects its pointer."""
 
     address: int
     addrtag: int
@@ -78,7 +74,6 @@ class AllocationRecord:
     usable_size: int
     tag: int
     state: AllocState = AllocState.LIVE
-    tripwire: TripwireState = TripwireState.NONE
     ever_armed: bool = False
 
     @property
@@ -137,6 +132,21 @@ def store_short_granule_metadata(mem: TaggedMemory, granule_base: int,
                    ((access_count & 0xF) << 4) | (real_tag & 0xF))
     if addressable <= 14:
         mem.write_byte(granule_base + GRANULE_SIZE - 2, (access_count >> 4) & 0xFF)
+
+
+def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
+    """True when `rec`'s short granule currently holds an armed tripwire.
+
+    Memory is the only record of tripwire state: an armed granule wears the
+    addressable count as its memory tag and stashes the real tag in its
+    last byte's low nibble.  Delegated, retired and never-armed granules
+    all read false.
+    """
+    short_base = rec.short_granule_base
+    if short_base is None:
+        return False
+    return (mem.get_granule_tag(short_base) == rec.addressable_count
+            and mem.read_byte(short_base + GRANULE_SIZE - 1) & 0xF == rec.tag)
 
 
 def clear_short_granule_metadata(mem: TaggedMemory, granule_base: int,
@@ -203,31 +213,14 @@ class Allocator:
         self._bump = HEAP_BASE
         self._by_base: Dict[int, AllocationRecord] = {}
         self._by_end: Dict[int, AllocationRecord] = {}
-        self._bases: List[int] = []  # ascending; bump-order insertion keeps it sorted
         self._free_lists: Dict[int, deque] = {}
         self.records: List[AllocationRecord] = []  # full history, newest last
 
     # -- registry views ------------------------------------------------
 
-    def record_at(self, addr: int) -> Optional[AllocationRecord]:
-        """Current record whose [base, end) covers `addr`, live or freed."""
-        addr = untagged(addr)
-        i = bisect.bisect_right(self._bases, addr) - 1
-        if i < 0:
-            return None
-        rec = self._by_base[self._bases[i]]
-        return rec if addr < rec.end else None
-
-    def live_record_at(self, addr: int) -> Optional[AllocationRecord]:
-        rec = self.record_at(addr)
-        return rec if rec is not None and rec.state is AllocState.LIVE else None
-
     def is_live_tag(self, tag: int) -> bool:
         return any(r.state is AllocState.LIVE and r.tag == tag
                    for r in self._by_base.values())
-
-    def live_records(self) -> List[AllocationRecord]:
-        return [r for r in self._by_base.values() if r.state is AllocState.LIVE]
 
     # -- allocation ----------------------------------------------------
 
@@ -252,8 +245,6 @@ class Allocator:
         return base
 
     def _register(self, rec: AllocationRecord) -> None:
-        if rec.base not in self._by_base:
-            self._bases.append(rec.base)  # fresh bump base, already the maximum
         self._by_base[rec.base] = rec
         self._by_end[rec.end] = rec
         self.records.append(rec)
@@ -276,9 +267,10 @@ class Allocator:
         base = reused.base if reused is not None else self._reserve_fresh(usable)
 
         short = requested % GRANULE_SIZE
-        if reused is not None:
+        if reused is not None and reused.tag != short:
             tag = reused.tag  # free-time tag served unchanged, granules already carry it
         else:
+            # fresh region, or a free-time tag equal to the tripwire value
             exclude = self._neighbor_tags_and_parity(base, usable)
             if short:
                 exclude.add(short)  # tag == tripwire value would never fault
@@ -292,14 +284,13 @@ class Allocator:
             short_base = rec.short_granule_base
             self.mem.set_granule_tag(short_base, short)
             store_short_granule_metadata(self.mem, short_base, short, tag, 0)
-            rec.tripwire = TripwireState.ARMED
             rec.ever_armed = True
             self.stats.tripwires_armed += 1
 
         self._register(rec)
         return TaggedPointer.make(base, tag)
 
-    # -- free / realloc ------------------------------------------------
+    # -- free ----------------------------------------------------------
 
     def _validate_pointer(self, raw: int) -> Tuple[Optional[AllocationRecord], Optional[TagMismatch]]:
         addr = untagged(raw)
@@ -331,21 +322,4 @@ class Allocator:
             rec.tag = new_tag
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
         rec.state = AllocState.FREED
-        rec.tripwire = TripwireState.NONE
         return None
-
-    def reallocate(self, raw: int, new_size: int) -> Tuple[Optional[TaggedPointer], Optional[TagMismatch]]:
-        """Move an allocation to a new region of `new_size` bytes.
-
-        Copies min(old, new) requested bytes; short-granule metadata is
-        cleared with the old region and the arming decision is re-sampled
-        for the new one.
-        """
-        rec, mismatch = self._validate_pointer(raw)
-        if mismatch is not None:
-            return None, mismatch
-        new_ptr = self.allocate(new_size)
-        keep = min(rec.requested_size, new_size)
-        self.mem.write_bytes(new_ptr.address, self.mem.read_bytes(rec.base, keep))
-        self.free(raw)
-        return new_ptr, None

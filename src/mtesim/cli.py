@@ -1,8 +1,9 @@
 """Command line front end: run traces, generate corpora, run experiments.
 
 Exit codes: 0 for a clean halt, 1 when a bug is reported, 2 for usage,
-parse, or I/O errors.  The MTESIM_SEED environment variable supplies a
-default seed; an explicit --seed always wins.
+parse, configuration, or I/O errors, which print one `error:` line and no
+traceback.  The MTESIM_SEED environment variable supplies a default seed;
+an explicit --seed always wins.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def _config_from_args(args) -> SimConfig:
 
 def cmd_run(args) -> int:
     try:
+        config = _config_from_args(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         text = Path(args.trace).read_text()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -95,7 +101,7 @@ def cmd_run(args) -> int:
         print(f"error: {args.trace}: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = run_program(program, _config_from_args(args))
+        report = run_program(program, config)
     except (AllocationError, TraceRuntimeError, ProtocolError) as e:
         print(f"error: {args.trace}: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -146,21 +152,23 @@ def cmd_gen(args) -> int:
 
 def cmd_exp(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    config = _config_from_args(args)
+    try:
+        return _run_experiment(args, _config_from_args(args), seed)
+    except (WorkloadError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _run_experiment(args, config: SimConfig, seed: int) -> int:
     if args.experiment == "detection":
-        try:
-            spec = WorkloadSpec(
-                kind=args.kind,
-                size_distribution=_parse_sizes(args.sizes),
-                seed=seed,
-                adjacent=not args.non_adjacent,
-                reuse_cycles=args.reuse_cycles,
-            )
-            result = exp_detection_rate(args.kind, config, args.trials, seed, spec)
-        except (WorkloadError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        print(result.to_json())
+        spec = WorkloadSpec(
+            kind=args.kind,
+            size_distribution=_parse_sizes(args.sizes),
+            seed=seed,
+            adjacent=not args.non_adjacent,
+            reuse_cycles=args.reuse_cycles,
+        )
+        print(exp_detection_rate(args.kind, config, args.trials, seed, spec).to_json())
     elif args.experiment == "collision":
         result = exp_collision_rate(args.trials, seed, include_zero=args.include_zero_tag)
         print(result.to_json())

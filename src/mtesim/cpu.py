@@ -54,7 +54,6 @@ class Instruction:
     width: int = 8
     pair: int = 1
     imm: int = 0              # mov/add immediate, alloc size
-    atomic: bool = False
     overread_ok: bool = False
     line: int = field(default=0, compare=False)
 
@@ -74,7 +73,6 @@ class AccessDescriptor:
     addrtag: int          # bits [59:56] of the effective pointer
     pc: int
     is_store: bool
-    atomic: bool = False
     overread_ok: bool = False
 
 
@@ -102,8 +100,8 @@ class TraceRuntimeError(Exception):
 
 @dataclass(frozen=True)
 class RunEnd:
-    outcome: str                  # "clean_halt" | "bug"
-    report: Optional[object] = None  # BugReport when outcome == "bug"
+    outcome: str                  # "CleanHalt" | "BugReported"
+    report: Optional[object] = None  # BugReport when outcome == "BugReported"
 
 
 @dataclass
@@ -142,7 +140,6 @@ class Machine:
             addrtag=(effective >> TAG_SHIFT) & 0xF,
             pc=self.pc,
             is_store=instr.kind is Opcode.STORE,
-            atomic=instr.atomic,
             overread_ok=instr.overread_ok,
         )
 
@@ -190,7 +187,7 @@ class Machine:
         fault = self.pending_async[0]
         self.pending_async.clear()
         report = detector.report_async(fault, self.pc, mem, allocator)
-        return RunEnd("bug", report)
+        return RunEnd("BugReported", report)
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         """Execute one instruction; None means keep going."""
@@ -213,7 +210,7 @@ class Machine:
                 self.counters.faults_delivered += 1
                 report = detector.handle_tag_mismatch(fault, mem, allocator, self)
                 if report is not None:
-                    return RunEnd("bug", report)
+                    return RunEnd("BugReported", report)
                 self._execute_access(instr, desc, mem)  # resume: access commits fully
             else:
                 self.counters.faults_delivered += 1
@@ -229,7 +226,7 @@ class Machine:
             mismatch = allocator.free(self.regs[instr.src])
             if mismatch is not None:
                 report = detector.report_free_mismatch(mismatch, self.pc, tuple(self.regs))
-                return RunEnd("bug", report)
+                return RunEnd("BugReported", report)
         elif instr.kind is Opcode.SYSCALL:
             if self.mode is Mode.ASYNC:
                 end = self._drain_async(mem, allocator, detector)
@@ -242,7 +239,7 @@ class Machine:
                 end = self._drain_async(mem, allocator, detector)
                 if end is not None:
                     return end
-            return RunEnd("clean_halt")
+            return RunEnd("CleanHalt")
 
         self.pc += 1
         return None

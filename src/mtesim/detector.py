@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .allocator import (
-    TripwireState,
     clear_short_granule_metadata,
     load_short_granule_metadata,
     store_short_granule_metadata,
@@ -122,14 +121,14 @@ class DetectorStats:
 
 class Detector:
     """Per-machine mismatch handler.  All decisions use in-band data only;
-    the allocator registry, when present, is consulted solely to label bug
-    kinds and keep tripwire bookkeeping on records."""
+    the allocator registry, when present, is consulted only to label bug
+    kinds."""
 
     def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config or DetectorConfig()
         self.stats = DetectorStats()
-        # trap pc -> (granule base, record or None) for delegated tripwires
-        self.delegations: Dict[int, Tuple[int, Optional[object]]] = {}
+        # trap pc -> granule base for delegated tripwires
+        self.delegations: Dict[int, int] = {}
 
     # -- report construction -------------------------------------------
 
@@ -209,11 +208,9 @@ class Detector:
             return CounterState.REACHED_THRESHOLD
         return CounterState.BELOW
 
-    def _delegate(self, fault: Fault, mem: TaggedMemory, record, machine: Machine) -> None:
+    def _delegate(self, fault: Fault, mem: TaggedMemory, machine: Machine) -> None:
         granule = fault.fault_address & ~(GRANULE_SIZE - 1)
         self._swap_tag_and_metadata(mem, granule)  # granule now wears the real tag
-        if record is not None and record.tripwire is TripwireState.ARMED:
-            record.tripwire = TripwireState.DELEGATED
         try:
             machine.set_trap(fault.pc + 1)
         except TrapUnavailable:
@@ -223,11 +220,9 @@ class Detector:
             real_tag = mem.get_granule_tag(granule)
             last = mem.read_byte(granule + GRANULE_SIZE - 1)
             mem.write_byte(granule + GRANULE_SIZE - 1, (last & 0xF0) | real_tag)
-            if record is not None:
-                record.tripwire = TripwireState.REMOVED
             self.stats.tripwires_removed_by_ret_edge += 1
             return
-        self.delegations[fault.pc + 1] = (granule, record)
+        self.delegations[fault.pc + 1] = granule
 
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
                             machine: Machine) -> Optional[BugReport]:
@@ -246,8 +241,7 @@ class Detector:
                 and memtag != 0 and desc.addrtag != 0 and metadata == desc.addrtag):
             # allow-listed overread of a tripwire granule: delegate without
             # the bounds check and without advancing the counter
-            record = allocator.live_record_at(granule) if allocator is not None else None
-            self._delegate(fault, mem, record, machine)
+            self._delegate(fault, mem, machine)
             return None
 
         if not check_access(fault.fault_address, desc.start, desc.size,
@@ -256,30 +250,28 @@ class Detector:
             return self.make_bug_report(fault, kind, memtag)
 
         # benign tripwire hit: memtag is the addressable count here
-        record = allocator.live_record_at(granule) if allocator is not None else None
         state = self.bump_access_count(mem, granule, memtag)
         if state is not CounterState.BELOW:
             real_tag = mem.read_byte(granule + GRANULE_SIZE - 1) & 0xF
             mem.set_granule_tag(granule, real_tag)
             clear_short_granule_metadata(mem, granule, memtag)
-            if record is not None:
-                record.tripwire = TripwireState.REMOVED
             self.stats.tripwires_removed_by_threshold += 1
             return None
 
-        self._delegate(fault, mem, record, machine)
+        self._delegate(fault, mem, machine)
         return None
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
-        """Revocation: restore the tripwire and release the trap slot."""
-        entry = self.delegations.pop(machine.pc, None)
-        if entry is None:
+        """Revocation: restore the tripwire and release the trap slot.
+
+        Needs only the delegation entry and memory; `allocator` is unused
+        and kept so both handler entry points take the same arguments.
+        """
+        granule = self.delegations.pop(machine.pc, None)
+        if granule is None:
             raise ProtocolError(f"trap at pc {machine.pc} with no delegated tripwire")
-        granule, record = entry
         self._swap_tag_and_metadata(mem, granule)
         machine.clear_trap(machine.pc)
-        if record is not None and record.tripwire is TripwireState.DELEGATED:
-            record.tripwire = TripwireState.ARMED
 
     def quiescent(self) -> bool:
         """No delegation outstanding; true at any well-formed run boundary."""

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .allocator import generate_tag
 from .memory import GRANULE_SIZE
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program, substream
-from .trace import Program, WorkloadSpec, check_program_bounds, generate_program
+from .trace import Program, WorkloadSpec, generate_program
 
 Z_95 = 1.96
 
@@ -73,6 +73,8 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
     Each trial gets its own generated program and its own run seed, both
     derived from `seed`.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     base_spec = spec or WorkloadSpec(kind=kind)
     base_spec = replace(base_spec, kind=kind, seed=seed, count=1)
     detected = 0
@@ -115,6 +117,8 @@ def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,
     The default tag space {1..15} collides at 1/15; admitting tag zero
     models a full 16-tag space and collides at 1/16.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = substream(seed, "collision")
     collisions = 0
     for _ in range(trials):
@@ -204,7 +208,3 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
         warning=warning,
     )
 
-
-def oracle_clean(programs: Sequence[Program]) -> bool:
-    """True when the exact-bounds oracle flags nothing in any program."""
-    return all(not check_program_bounds(p) for p in programs)

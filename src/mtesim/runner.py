@@ -45,20 +45,15 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in ("off", "async", "sync"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.sampling_rate < 1:
+            raise ValueError("sampling_rate must be >= 1")
+        if self.alloc_threshold < 0:
+            raise ValueError("alloc_threshold must be >= 0")
+        if self.access_threshold < 1:
+            raise ValueError("access_threshold must be >= 1")
 
     def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "sampling_rate": self.sampling_rate,
-            "alloc_threshold": self.alloc_threshold,
-            "access_threshold": self.access_threshold,
-            "tripwires": self.tripwires,
-            "overread_skip": self.overread_skip,
-            "odd_even": self.odd_even,
-            "large_threshold": self.large_threshold,
-            "include_zero_tag": self.include_zero_tag,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -125,9 +120,8 @@ class Simulation:
                 break
         if end is None:
             raise RuntimeError(f"program did not halt within {max_steps} steps")
-        outcome = "BugReported" if end.outcome == "bug" else "CleanHalt"
         return RunReport(
-            outcome=outcome,
+            outcome=end.outcome,
             bug=end.report,
             counters=self.counters(),
             config_echo=self.config.echo(),

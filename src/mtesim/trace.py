@@ -6,8 +6,8 @@ One instruction per line, `#` starts a comment:
     free r<s>
     mov r<d> <imm>
     add r<d> r<a> <imm>
-    ld r<d> [r<b>, #<imm>|r<i>] w<1|2|4|8|16> p<1|2> [atomic] [overread_ok]
-    st r<s> [r<b>, #<imm>|r<i>] w<...> p<...> [atomic] [overread_ok]
+    ld r<d> [r<b>, #<imm>|r<i>] w<1|2|4|8|16> p<1|2> [overread_ok]
+    st r<s> [r<b>, #<imm>|r<i>] w<...> p<...> [overread_ok]
     syscall
     ret
     halt
@@ -80,7 +80,7 @@ def _parse_access(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
     else:
         offset_reg = _parse_reg(off_tok, line_no)
     width = pair = None
-    atomic = overread_ok = False
+    overread_ok = False
     for tok in tokens[4:]:
         if tok.startswith("w"):
             width = _parse_int(tok[1:], line_no, "width")
@@ -90,8 +90,6 @@ def _parse_access(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
             pair = _parse_int(tok[1:], line_no, "pair count")
             if pair not in PAIRS:
                 raise TraceParseError(line_no, f"invalid pair count {pair}")
-        elif tok == "atomic":
-            atomic = True
         elif tok == "overread_ok":
             overread_ok = True
         else:
@@ -101,7 +99,7 @@ def _parse_access(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
     if pair == 2 and reg >= 31:
         raise TraceParseError(line_no, f"pair transfer needs registers r{reg} and r{reg + 1}")
     common = dict(base=base, offset_reg=offset_reg, offset=offset, width=width,
-                  pair=pair, atomic=atomic, overread_ok=overread_ok, line=line_no)
+                  pair=pair, overread_ok=overread_ok, line=line_no)
     if kind is Opcode.LOAD:
         return Instruction(Opcode.LOAD, dst=reg, **common)
     return Instruction(Opcode.STORE, src=reg, **common)
@@ -175,8 +173,6 @@ def render_instruction(instr: Instruction) -> str:
         reg = instr.dst if k is Opcode.LOAD else instr.src
         off = f"r{instr.offset_reg}" if instr.offset_reg is not None else f"#{instr.offset}"
         out = f"{k.value} r{reg} [r{instr.base}, {off}] w{instr.width} p{instr.pair}"
-        if instr.atomic:
-            out += " atomic"
         if instr.overread_ok:
             out += " overread_ok"
         return out

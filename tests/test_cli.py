@@ -122,3 +122,23 @@ class TestExp:
         code = main(["exp", "transparency", "--trials", "20", "--seed", "2"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "TRACE", "--sampling-rate", "0"],
+    ["run", "TRACE", "--access-threshold", "0"],
+    ["run", "TRACE", "--alloc-threshold", "-1"],
+    ["exp", "collision", "--trials", "0"],
+    ["exp", "detection", "--trials", "0"],
+    ["exp", "collision", "--trials", "-3"],
+    ["exp", "vulnerable-fraction", "--trials", "0"],
+    ["exp", "transparency", "--trials", "0"],
+])
+def test_bad_arguments_exit_2_with_one_line(argv, trace_file, capsys):
+    argv = [trace_file(BENIGN) if a == "TRACE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -190,7 +190,7 @@ class TestStepSemantics:
         end = None
         while end is None:
             end = m.step(mem, None, det)
-        assert end.outcome == "clean_halt"
+        assert end.outcome == "CleanHalt"
         assert m.counters.faults_delivered == 0
 
     def test_sync_fault_commits_nothing_before_handler(self):
@@ -216,7 +216,7 @@ class TestStepSemantics:
         end = None
         while end is None:
             end = m.step(mem, None, det)
-        assert end.outcome == "bug"
+        assert end.outcome == "BugReported"
         assert mem.read_byte(0x1000) == 7  # silent corruption committed
         fault, drain_pc = det.drained
         assert fault.pc == 2 and drain_pc == 3
@@ -230,7 +230,7 @@ class TestStepSemantics:
         end = None
         while end is None:
             end = m.step(mem, alloc, det)
-        assert end.outcome == "clean_halt"
+        assert end.outcome == "CleanHalt"
         assert alloc.stats.allocations == 1 and alloc.stats.frees == 1
 
     def test_ret_falls_through(self):

@@ -7,9 +7,9 @@ from mtesim import (
     SimConfig,
     Simulation,
     TaggedMemory,
-    TripwireState,
     check_access,
     parse_program,
+    tripwire_armed,
 )
 from mtesim.detector import Detector, DetectorConfig, ProtocolError
 from mtesim.runner import ALWAYS_ARM
@@ -126,7 +126,7 @@ class TestRecoveryProtocol:
         assert report.counters["traps_delivered"] == 2
         assert sim.protocol_quiescent()
         rec = sim.allocator.records[-1]
-        assert rec.tripwire is TripwireState.ARMED
+        assert tripwire_armed(sim.mem, rec)
 
     def test_second_identical_access_faults_again(self):
         _, report = run_sim(
@@ -160,7 +160,7 @@ class TestRecoveryProtocol:
         assert report.counters["faults_delivered"] == 4
         assert report.counters["tripwires_removed_by_threshold"] == 1
         rec = sim.allocator.records[-1]
-        assert rec.tripwire is TripwireState.REMOVED
+        assert not tripwire_armed(sim.mem, rec)
         # metadata zeroed: granule indistinguishable from a never-armed one
         short = rec.base + rec.usable_size - 16
         assert sim.mem.read_byte(short + 15) == 0
@@ -189,7 +189,7 @@ class TestRecoveryProtocol:
         assert report.counters["tripwires_removed_by_ret_edge"] == 1
         assert report.counters["faults_delivered"] == 1
         rec = sim.allocator.records[-1]
-        assert rec.tripwire is TripwireState.REMOVED
+        assert not tripwire_armed(sim.mem, rec)
         short = rec.base + rec.usable_size - 16
         # granule wears the real tag; metadata nibble put back to the real tag
         assert sim.mem.get_granule_tag(short) == rec.tag
@@ -207,7 +207,7 @@ class TestReports:
         tags_before = dict(sim.mem.tags)
         regs_before = list(sim.machine.regs)
         end = sim.machine.step(sim.mem, sim.allocator, sim.detector)
-        assert end is not None and end.outcome == "bug"
+        assert end is not None and end.outcome == "BugReported"
         assert sim.mem.data == data_before
         assert sim.mem.tags == tags_before
         assert sim.machine.regs == regs_before
@@ -238,6 +238,14 @@ class TestReports:
         )
         assert report.bug.kind is BugKind.ZERO_TAG
 
+    def test_overflow_detected_on_reused_region_for_every_seed(self):
+        trace = "alloc r0 40\nfree r0\nalloc r1 40\nst r2 [r1, #36] w8 p1\nhalt"
+        program = parse_program(trace)
+        missed = [seed for seed in range(300)
+                  if Simulation(program, SimConfig(seed=seed, alloc_threshold=ALWAYS_ARM))
+                  .run().outcome != "BugReported"]
+        assert missed == []
+
     def test_report_json_is_golden(self):
         _, report = run_sim("alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt")
         regs = [0] * 32
@@ -251,27 +259,6 @@ class TestReports:
         )
         assert report.bug.to_json() == expected
         assert len(report.bug.to_json_dict()["regs"]) == 33
-
-
-class TestAtomicAccesses:
-    def test_atomic_benign_hit_commits_via_resume_not_emulation(self):
-        # the handler never emulates; after delegation the machine itself
-        # re-runs the access, atomic or not
-        sim, report = run_sim(
-            "alloc r0 40\n"
-            "mov r1 77\n"
-            "st r1 [r0, #32] w8 p1 atomic\n"
-            "mov r2 1\n"
-            "halt"
-        )
-        assert report.outcome == "CleanHalt"
-        assert report.counters["faults_delivered"] == 1
-        rec = sim.allocator.records[-1]
-        assert sim.mem.read_byte(rec.base + 32) == 77
-
-    def test_atomic_overflow_still_reported(self):
-        _, report = run_sim("alloc r0 40\nst r1 [r0, #36] w8 p1 atomic\nhalt")
-        assert report.bug.kind is BugKind.INTRA_GRANULE_OVERFLOW
 
 
 class TestSpanningStorePrecision:

@@ -44,6 +44,10 @@ def test_run_report_json_field_order():
         "tripwires_armed", "tripwires_removed_by_threshold",
         "tripwires_removed_by_ret_edge", "allocations", "frees",
     ]
+    assert list(d["config_echo"]) == [
+        "mode", "seed", "sampling_rate", "alloc_threshold", "access_threshold",
+        "tripwires", "overread_skip", "odd_even", "large_threshold", "include_zero_tag",
+    ]
     json.loads(r.to_json())  # valid JSON
 
 

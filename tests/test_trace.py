@@ -51,9 +51,13 @@ class TestParse:
         assert p.instructions[1].offset == -8
 
     def test_register_offset_and_flags(self):
-        p = parse_program("ld r2 [r1, r3] w8 p2 atomic overread_ok\nhalt")
+        p = parse_program("ld r2 [r1, r3] w8 p2 overread_ok\nhalt")
         i = p.instructions[0]
-        assert i.offset_reg == 3 and i.pair == 2 and i.atomic and i.overread_ok
+        assert i.offset_reg == 3 and i.pair == 2 and i.overread_ok
+
+    def test_atomic_flag_rejected(self):
+        with pytest.raises(TraceParseError, match="atomic"):
+            parse_program("st r2 [r1, #0] w8 p1 atomic\nhalt")
 
     def test_pair_needs_two_registers(self):
         with pytest.raises(TraceParseError, match="pair"):
