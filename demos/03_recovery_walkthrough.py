@@ -8,6 +8,7 @@ again.  An in-padding counter retires tripwires that fault too often.
 """
 
 from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program, tripwire_armed
+from mtesim.allocator import access_count, metadata_span, stashed_tag
 
 TRACE = """\
 alloc r0 40
@@ -20,13 +21,18 @@ halt
 sim = Simulation(parse_program(TRACE), SimConfig(seed=3, alloc_threshold=ALWAYS_ARM))
 
 
+def metadata_bytes(rec):
+    span = metadata_span(rec.short_granule_base, rec.addressable_count)
+    return " ".join(f"{sim.mem.read_byte(a):02x}" for a in span)
+
+
 def dump(label):
     rec = sim.allocator.records[-1]
-    short = rec.base + rec.usable_size - 16
-    tag = sim.mem.get_granule_tag(short)
-    meta = sim.mem.read_byte(short + 15)
-    print(f"  {label:<26} granule tag {tag:#3x}   last byte {meta:#04x} "
-          f"(count {meta >> 4}, stashed tag {meta & 0xF:#x})   "
+    short = rec.short_granule_base
+    print(f"  {label:<26} granule tag {sim.mem.get_granule_tag(short):#3x}   "
+          f"metadata {metadata_bytes(rec)} "
+          f"(count {access_count(sim.mem, short, rec.addressable_count)}, "
+          f"stashed tag {stashed_tag(sim.mem, short):#x})   "
           f"traps {sorted(sim.machine.traps)}   armed {tripwire_armed(sim.mem, rec)}")
 
 
@@ -60,6 +66,6 @@ report = sim.run()
 rec = sim.allocator.records[-1]
 print(f"threshold 4: faults {report.counters['faults_delivered']} "
       f"(then the tripwire is gone), armed {tripwire_armed(sim.mem, rec)}")
-short = rec.base + rec.usable_size - 16
+short = rec.short_granule_base
 print(f"granule tag restored to the real tag {sim.mem.get_granule_tag(short):#x}, "
-      f"metadata zeroed: {sim.mem.read_byte(short + 15):#04x}")
+      f"metadata zeroed: {metadata_bytes(rec)}")

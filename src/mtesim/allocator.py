@@ -8,12 +8,13 @@ threshold take an untagged large path (tag 0, never armed).
 
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
-count and the allocation's real tag is stashed in the low nibble of the
-granule's last byte, alongside an access counter in the remaining padding
-bits.  The real-tag draw for a short-granule allocation also excludes the
-addressable count itself; a tag equal to the tripwire value would make the
-tripwire silent, and the draw must not depend on whether the sampler armed
-so that runs with and without tripwires see identical tags.
+count and the allocation's real tag is stashed in the granule's padding,
+alongside an access counter (layout and states: README.md, "Short-granule
+metadata").  The real-tag draw for a short-granule allocation also
+excludes the addressable count itself; a tag equal to the tripwire value
+would make the tripwire silent, and the draw must not depend on whether
+the sampler armed so that runs with and without tripwires see identical
+tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  Freed regions queue
@@ -27,7 +28,6 @@ records keep `ever_armed`, a fact of history that memory cannot hold.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -68,7 +68,6 @@ class TagMismatch:
 
 @dataclass
 class AllocationRecord:
-    uid: int
     base: int
     requested_size: int
     usable_size: int
@@ -96,64 +95,91 @@ class AllocationRecord:
         return self.tag != 0
 
 
-@dataclass
-class ShortGranuleMetadata:
-    """In-band metadata decoded from a short granule's padding bytes."""
+# -- short-granule metadata: the only code that knows the padding layout ---
+# The last padding byte, plus the one before it when there are two or more,
+# read as one big-endian word: counter bits above a 4-bit stashed tag.
 
-    real_tag: int
-    access_count: int
-    capacity: int
+
+def metadata_span(granule: int, addressable: int) -> range:
+    """Addresses of the metadata bytes of the short granule at `granule`."""
+    last = granule + GRANULE_SIZE - 1
+    return range(last - 1 if addressable <= 14 else last, last + 1)
 
 
 def metadata_capacity(addressable: int) -> int:
-    """Counter capacity for a short granule with `addressable` useful bytes.
-
-    One byte of padding (addressable == 15) leaves only the high nibble of
-    the last byte: capacity 15.  Two or more padding bytes add the whole
-    second-to-last byte for 12 counter bits: capacity 4095.
-    """
+    """Counter capacity: 4 bits (15) with one padding byte, else 12 bits (4095)."""
     return 15 if addressable == 15 else 4095
 
 
-def load_short_granule_metadata(mem: TaggedMemory, granule_base: int,
-                                addressable: int) -> ShortGranuleMetadata:
-    last = mem.read_byte(granule_base + GRANULE_SIZE - 1)
-    count = last >> 4
+# The two word helpers spell out `metadata_span`: they run on every free and
+# every benign hit, where building a range costs more than the access itself.
+def _load_word(mem: TaggedMemory, granule: int, addressable: int) -> int:
+    last = granule + GRANULE_SIZE - 1
     if addressable <= 14:
-        count |= mem.read_byte(granule_base + GRANULE_SIZE - 2) << 4
-    return ShortGranuleMetadata(real_tag=last & 0xF, access_count=count,
-                                capacity=metadata_capacity(addressable))
+        return (mem.read_byte(last - 1) << 8) | mem.read_byte(last)
+    return mem.read_byte(last)
 
 
-def store_short_granule_metadata(mem: TaggedMemory, granule_base: int,
-                                 addressable: int, real_tag: int,
-                                 access_count: int) -> None:
-    mem.write_byte(granule_base + GRANULE_SIZE - 1,
-                   ((access_count & 0xF) << 4) | (real_tag & 0xF))
+def _store_word(mem: TaggedMemory, granule: int, addressable: int, word: int) -> None:
+    """Write `word` over the span; counter bits beyond the span are dropped."""
+    last = granule + GRANULE_SIZE - 1
+    mem.write_byte(last, word & 0xFF)
     if addressable <= 14:
-        mem.write_byte(granule_base + GRANULE_SIZE - 2, (access_count >> 4) & 0xFF)
+        mem.write_byte(last - 1, (word >> 8) & 0xFF)
+
+
+def stashed_tag(mem: TaggedMemory, granule: int) -> int:
+    """The low nibble of the granule's last byte: the real tag while armed."""
+    return mem.read_byte(granule + GRANULE_SIZE - 1) & 0xF
+
+
+def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
+    return _load_word(mem, granule, addressable) >> 4
+
+
+def arm_tripwire(mem: TaggedMemory, granule: int, addressable: int, real_tag: int) -> None:
+    """Tag the granule with its addressable count; stash the real tag, count 0."""
+    mem.set_granule_tag(granule, addressable)
+    _store_word(mem, granule, addressable, real_tag)
+
+
+def swap_tag_and_metadata(mem: TaggedMemory, granule: int) -> None:
+    """Exchange memory tag and stashed tag; self-inverse, so it delegates and revokes."""
+    tag = mem.get_granule_tag(granule)
+    last = granule + GRANULE_SIZE - 1
+    byte = mem.read_byte(last)
+    mem.set_granule_tag(granule, byte & 0xF)
+    mem.write_byte(last, (byte & 0xF0) | tag)
+
+
+def bump_access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
+    """Count one benign hit on an armed granule; returns the new count."""
+    word = _load_word(mem, granule, addressable) + (1 << 4)
+    _store_word(mem, granule, addressable, word)
+    return word >> 4
+
+
+def retire_tripwire(mem: TaggedMemory, granule: int) -> None:
+    """Put the stashed real tag back on the granule; the metadata stays."""
+    mem.set_granule_tag(granule, stashed_tag(mem, granule))
+
+
+def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
+    _store_word(mem, granule, addressable, 0)
 
 
 def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
     """True when `rec`'s short granule currently holds an armed tripwire.
 
     Memory is the only record of tripwire state: an armed granule wears the
-    addressable count as its memory tag and stashes the real tag in its
-    last byte's low nibble.  Delegated, retired and never-armed granules
-    all read false.
+    addressable count as its memory tag and stashes the real tag.
+    Delegated, retired and never-armed granules all read false.
     """
     short_base = rec.short_granule_base
     if short_base is None:
         return False
     return (mem.get_granule_tag(short_base) == rec.addressable_count
-            and mem.read_byte(short_base + GRANULE_SIZE - 1) & 0xF == rec.tag)
-
-
-def clear_short_granule_metadata(mem: TaggedMemory, granule_base: int,
-                                 addressable: int) -> None:
-    mem.write_byte(granule_base + GRANULE_SIZE - 1, 0)
-    if addressable <= 14:
-        mem.write_byte(granule_base + GRANULE_SIZE - 2, 0)
+            and stashed_tag(mem, short_base) == rec.tag)
 
 
 def size_class(requested: int) -> int:
@@ -209,7 +235,6 @@ class Allocator:
         self.config = config or AllocatorConfig()
         self.sampler = sampler
         self.stats = AllocatorStats()
-        self._next_uid = itertools.count(1)
         self._bump = HEAP_BASE
         self._by_base: Dict[int, AllocationRecord] = {}
         self._by_end: Dict[int, AllocationRecord] = {}
@@ -256,7 +281,7 @@ class Allocator:
         if usable > self.config.large_threshold:
             # Untagged large path: no tag draw, no tripwire.
             base = self._reserve_fresh(usable)
-            rec = AllocationRecord(next(self._next_uid), base, requested, usable, tag=0)
+            rec = AllocationRecord(base, requested, usable, tag=0)
             self._register(rec)
             return TaggedPointer.make(base, 0)
 
@@ -278,12 +303,10 @@ class Allocator:
             for g in range(base, base + usable, GRANULE_SIZE):
                 self.mem.set_granule_tag(g, tag)
 
-        rec = AllocationRecord(next(self._next_uid), base, requested, usable, tag=tag)
+        rec = AllocationRecord(base, requested, usable, tag=tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
-            short_base = rec.short_granule_base
-            self.mem.set_granule_tag(short_base, short)
-            store_short_granule_metadata(self.mem, short_base, short, tag, 0)
+            arm_tripwire(self.mem, rec.short_granule_base, short, tag)
             rec.ever_armed = True
             self.stats.tripwires_armed += 1
 

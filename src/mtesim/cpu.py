@@ -72,7 +72,6 @@ class AccessDescriptor:
     size: int             # width * pair bytes
     addrtag: int          # bits [59:56] of the effective pointer
     pc: int
-    is_store: bool
     overread_ok: bool = False
 
 
@@ -139,7 +138,6 @@ class Machine:
             size=instr.access_size,
             addrtag=(effective >> TAG_SHIFT) & 0xF,
             pc=self.pc,
-            is_store=instr.kind is Opcode.STORE,
             overread_ok=instr.overread_ok,
         )
 

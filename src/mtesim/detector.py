@@ -3,12 +3,12 @@
 `check_access` is the whole decision procedure and is a pure function of
 six values, all of which the handler recovers in-band: the fault address,
 the decoded access bounds, the pointer's address tag, the granule's memory
-tag, and the low nibble of the granule's last byte.  No side table exists.
+tag, and the tag stashed in the granule's padding.  No side table exists.
 
 A benign verdict starts the recovery dance:
 
-  delegation   swap the granule's memory tag with the metadata nibble, so
-               the granule now wears the real tag and the access can commit
+  delegation   swap the granule's memory tag with the stashed tag, so the
+               granule now wears the real tag and the access can commit
   escalation   arm a trap on the next instruction slot; if that slot cannot
                hold a trap (ret/halt/end of program) the tripwire is
                permanently retired instead, a known false-negative edge
@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .allocator import (
+    bump_access_count,
     clear_short_granule_metadata,
-    load_short_granule_metadata,
-    store_short_granule_metadata,
+    metadata_capacity,
+    retire_tripwire,
+    stashed_tag,
+    swap_tag_and_metadata,
 )
 from .cpu import Fault, Machine, TrapUnavailable
 from .memory import GRANULE_SIZE, TaggedMemory
@@ -44,12 +47,6 @@ class BugKind(enum.Enum):
     CROSS_GRANULE_OVERFLOW = "CrossGranuleOverflow"
     USE_AFTER_FREE_OR_WILD = "UseAfterFreeOrWild"
     ZERO_TAG = "ZeroTag"
-
-
-class CounterState(enum.Enum):
-    BELOW = "below"
-    REACHED_CAPACITY = "reached_capacity"
-    REACHED_THRESHOLD = "reached_threshold"
 
 
 def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
@@ -156,15 +153,14 @@ class Detector:
             report.accessed_bytes_in_granule = fault.access.start + fault.access.size - granule
         return report
 
-    def report_async(self, fault: Fault, drain_pc: int, mem: Optional[TaggedMemory] = None,
-                     allocator=None) -> BugReport:
+    def report_async(self, fault: Fault, drain_pc: int, mem: TaggedMemory, allocator) -> BugReport:
         """Imprecise report for a queued fault, surfaced at a kernel entry.
 
         Tripwires require sync mode, so an async mismatch is always a
         genuine bug under plain tag-check semantics; no benign analysis.
         The memory tag is read at drain time and may be stale.
         """
-        memtag = mem.get_granule_tag(fault.fault_address) if mem is not None else 0
+        memtag = mem.get_granule_tag(fault.fault_address)
         kind = self._classify(fault.access.addrtag, memtag, 0xFF, allocator)
         return BugReport(
             kind=kind,
@@ -187,41 +183,17 @@ class Detector:
 
     # -- recovery protocol ----------------------------------------------
 
-    @staticmethod
-    def _swap_tag_and_metadata(mem: TaggedMemory, granule: int) -> None:
-        """Exchange the granule's memory tag with its last byte's low nibble.
-
-        Self-inverse: delegation and revocation are the same operation.
-        """
-        tag = mem.get_granule_tag(granule)
-        last = mem.read_byte(granule + GRANULE_SIZE - 1)
-        mem.set_granule_tag(granule, last & 0xF)
-        mem.write_byte(granule + GRANULE_SIZE - 1, (last & 0xF0) | tag)
-
-    def bump_access_count(self, mem: TaggedMemory, granule: int, memtag: int) -> CounterState:
-        meta = load_short_granule_metadata(mem, granule, memtag)
-        count = meta.access_count + 1
-        store_short_granule_metadata(mem, granule, memtag, meta.real_tag, count)
-        if count >= meta.capacity:
-            return CounterState.REACHED_CAPACITY
-        if count >= self.config.access_threshold:
-            return CounterState.REACHED_THRESHOLD
-        return CounterState.BELOW
-
     def _delegate(self, fault: Fault, mem: TaggedMemory, machine: Machine) -> None:
         granule = fault.fault_address & ~(GRANULE_SIZE - 1)
-        self._swap_tag_and_metadata(mem, granule)  # granule now wears the real tag
         try:
             machine.set_trap(fault.pc + 1)
         except TrapUnavailable:
             # No slot for revocation: retire the tripwire instead of leaving
-            # an open delegation.  The granule keeps the real tag; the
-            # metadata nibble goes back to the real tag as well.
-            real_tag = mem.get_granule_tag(granule)
-            last = mem.read_byte(granule + GRANULE_SIZE - 1)
-            mem.write_byte(granule + GRANULE_SIZE - 1, (last & 0xF0) | real_tag)
+            # an open delegation.
+            retire_tripwire(mem, granule)
             self.stats.tripwires_removed_by_ret_edge += 1
             return
+        swap_tag_and_metadata(mem, granule)  # granule now wears the real tag
         self.delegations[fault.pc + 1] = granule
 
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
@@ -230,7 +202,7 @@ class Detector:
         desc = fault.access
         granule = fault.fault_address & ~(GRANULE_SIZE - 1)
         memtag = mem.get_granule_tag(fault.fault_address)
-        metadata = mem.read_byte(granule + GRANULE_SIZE - 1) & 0xF
+        metadata = stashed_tag(mem, granule)
 
         if not self.config.tripwires_enabled:
             # plain tag-check semantics: every mismatch is a bug
@@ -250,10 +222,9 @@ class Detector:
             return self.make_bug_report(fault, kind, memtag)
 
         # benign tripwire hit: memtag is the addressable count here
-        state = self.bump_access_count(mem, granule, memtag)
-        if state is not CounterState.BELOW:
-            real_tag = mem.read_byte(granule + GRANULE_SIZE - 1) & 0xF
-            mem.set_granule_tag(granule, real_tag)
+        count = bump_access_count(mem, granule, memtag)
+        if count >= min(metadata_capacity(memtag), self.config.access_threshold):
+            retire_tripwire(mem, granule)
             clear_short_granule_metadata(mem, granule, memtag)
             self.stats.tripwires_removed_by_threshold += 1
             return None
@@ -270,7 +241,7 @@ class Detector:
         granule = self.delegations.pop(machine.pc, None)
         if granule is None:
             raise ProtocolError(f"trap at pc {machine.pc} with no delegated tripwire")
-        self._swap_tag_and_metadata(mem, granule)
+        swap_tag_and_metadata(mem, granule)
         machine.clear_trap(machine.pc)
 
     def quiescent(self) -> bool:

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .allocator import generate_tag
+from .allocator import generate_tag, metadata_span
 from .memory import GRANULE_SIZE
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program, substream
-from .trace import Program, WorkloadSpec, generate_program
+from .trace import Program, WorkloadSpec, check_size_distribution, generate_program
 
 Z_95 = 1.96
 
@@ -98,6 +98,7 @@ def exp_vulnerable_fraction(size_distribution: Sequence[Tuple[int, float]],
     """Fraction of drawn allocation sizes that leave a short granule."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_size_distribution(size_distribution)
     rng = substream(seed, "vulnerable-fraction")
     sizes = [s for s, _ in size_distribution]
     weights = [w for _, w in size_distribution]
@@ -156,12 +157,8 @@ def _metadata_mask(sim: Simulation) -> set:
     """Byte addresses holding tripwire metadata in any ever-armed allocation."""
     mask = set()
     for rec in sim.allocator.records:
-        if not rec.ever_armed:
-            continue
-        short = rec.base + rec.usable_size - GRANULE_SIZE
-        mask.add(short + GRANULE_SIZE - 1)
-        if rec.addressable_count <= 14:
-            mask.add(short + GRANULE_SIZE - 2)
+        if rec.ever_armed:
+            mask.update(metadata_span(rec.short_granule_base, rec.addressable_count))
     return mask
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .allocator import size_class
 from .cpu import PAIRS, WIDTHS, Instruction, Opcode
@@ -267,6 +267,16 @@ class WorkloadError(Exception):
     pass
 
 
+def check_size_distribution(size_distribution: Sequence[Tuple[int, float]]) -> None:
+    """Reject a (size, weight) distribution that cannot be drawn from."""
+    if not size_distribution:
+        raise WorkloadError("empty size distribution")
+    if any(w <= 0 for _, w in size_distribution):
+        raise WorkloadError("size weights must be positive")
+    if any(s < 1 for s, _ in size_distribution):
+        raise WorkloadError("sizes must be >= 1")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     kind: str
@@ -282,19 +292,16 @@ class WorkloadSpec:
     reuse_cycles: int = 0
     # benign programs: number of random in-bounds accesses
     accesses: int = 8
-    large_spacer: int = 0  # 0 means just above the allocator's default threshold
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise WorkloadError(f"unknown workload kind {self.kind!r}")
         if self.count < 1:
             raise WorkloadError("count must be >= 1")
-        if not self.size_distribution:
-            raise WorkloadError("empty size distribution")
-        if any(w <= 0 for _, w in self.size_distribution):
-            raise WorkloadError("size weights must be positive")
-        if any(s < 1 for s, _ in self.size_distribution):
-            raise WorkloadError("sizes must be >= 1")
+        for name in ("preamble_allocs", "reuse_cycles", "accesses"):
+            if getattr(self, name) < 0:
+                raise WorkloadError(f"{name} must be >= 0")
+        check_size_distribution(self.size_distribution)
         if self.kind == "intra" and all(s % GRANULE_SIZE == 0 for s, _ in self.size_distribution):
             raise WorkloadError("intra-granule overflows need a size not divisible by 16")
 
@@ -366,7 +373,7 @@ def _gen_cross(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None
     lines.append(f"alloc r{_PTR} {attacker}")
     skip = size_class(attacker)
     if not spec.adjacent:
-        spacer = spec.large_spacer or 65537  # untagged path breaks the tag-exclusion chain
+        spacer = 65537  # untagged path breaks the tag-exclusion chain
         lines.append(f"alloc r{_VICTIM + 1} {spacer}")
         skip += size_class(spacer)
     lines.append(f"alloc r{_VICTIM} {victim}")

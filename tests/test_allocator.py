@@ -17,8 +17,10 @@ from mtesim import (
 from mtesim.allocator import (
     AllocState,
     TagSpaceExhausted,
-    load_short_granule_metadata,
+    access_count,
     metadata_capacity,
+    metadata_span,
+    stashed_tag,
 )
 
 
@@ -222,15 +224,19 @@ class TestMetadataInBand:
         del alloc
         count = mem.get_granule_tag(short_base)
         assert count == 8
-        meta = load_short_granule_metadata(mem, short_base, count)
-        assert meta.real_tag == expected_tag
-        assert meta.access_count == 0
-        assert meta.capacity == 4095
+        assert stashed_tag(mem, short_base) == expected_tag
+        assert access_count(mem, short_base, count) == 0
+        assert metadata_capacity(count) == 4095
 
     def test_capacity_for_single_byte_padding(self):
         assert metadata_capacity(15) == 15
         assert metadata_capacity(14) == 4095
         assert metadata_capacity(1) == 4095
+
+    def test_span_is_last_padding_byte_plus_one_when_there_is_room(self):
+        assert list(metadata_span(0x1000, 15)) == [0x100F]
+        assert list(metadata_span(0x1000, 14)) == [0x100E, 0x100F]
+        assert list(metadata_span(0x1000, 1)) == [0x100E, 0x100F]
 
 
 # no-overlap property over random alloc/free interleavings

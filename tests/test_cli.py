@@ -133,9 +133,15 @@ class TestExp:
     ["exp", "collision", "--trials", "-3"],
     ["exp", "vulnerable-fraction", "--trials", "0"],
     ["exp", "transparency", "--trials", "0"],
+    ["exp", "detection", "--kind", "uaf", "--reuse-cycles", "-2"],
+    ["exp", "vulnerable-fraction", "--uniform", "5:2"],
+    ["gen", "--kind", "benign", "--accesses", "-3", "--out", "OUT"],
+    ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
+    ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],
 ])
-def test_bad_arguments_exit_2_with_one_line(argv, trace_file, capsys):
-    argv = [trace_file(BENIGN) if a == "TRACE" else a for a in argv]
+def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
+    out = str(tmp_path / "corpus")
+    argv = [trace_file(BENIGN) if a == "TRACE" else out if a == "OUT" else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -34,7 +34,7 @@ class NullDetector:
     def handle_trap(self, machine, mem, allocator):
         raise AssertionError("no trap expected")
 
-    def report_async(self, fault, pc, mem=None, allocator=None):
+    def report_async(self, fault, pc, mem, allocator):
         self.drained = (fault, pc)
         return object()
 

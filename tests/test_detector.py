@@ -11,6 +11,13 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
+from mtesim.allocator import (
+    access_count,
+    bump_access_count,
+    metadata_span,
+    stashed_tag,
+    swap_tag_and_metadata,
+)
 from mtesim.detector import Detector, DetectorConfig, ProtocolError
 from mtesim.runner import ALWAYS_ARM
 
@@ -105,12 +112,19 @@ class TestRecoveryProtocol:
         mem = TaggedMemory()
         mem.set_granule_tag(GBASE, 8)
         mem.write_byte(GBASE + 15, 0x3A)
-        Detector._swap_tag_and_metadata(mem, GBASE)
+        swap_tag_and_metadata(mem, GBASE)
         assert mem.get_granule_tag(GBASE) == 0xA
         assert mem.read_byte(GBASE + 15) == 0x38
-        Detector._swap_tag_and_metadata(mem, GBASE)
+        swap_tag_and_metadata(mem, GBASE)
         assert mem.get_granule_tag(GBASE) == 8
         assert mem.read_byte(GBASE + 15) == 0x3A
+
+    def test_bump_carries_into_the_second_metadata_byte(self):
+        mem = TaggedMemory()
+        mem.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
+        assert bump_access_count(mem, GBASE, 8) == 16
+        assert (mem.read_byte(GBASE + 14), mem.read_byte(GBASE + 15)) == (0x01, 0x0A)
+        assert stashed_tag(mem, GBASE) == 0xA
 
     def test_benign_hit_delegates_then_revokes(self):
         sim, report = run_sim(
@@ -163,7 +177,7 @@ class TestRecoveryProtocol:
         assert not tripwire_armed(sim.mem, rec)
         # metadata zeroed: granule indistinguishable from a never-armed one
         short = rec.base + rec.usable_size - 16
-        assert sim.mem.read_byte(short + 15) == 0
+        assert all(sim.mem.read_byte(a) == 0 for a in metadata_span(short, 8))
         assert sim.mem.get_granule_tag(short) == rec.tag
 
     def test_threshold_one_removes_on_first_hit(self):
@@ -191,9 +205,10 @@ class TestRecoveryProtocol:
         rec = sim.allocator.records[-1]
         assert not tripwire_armed(sim.mem, rec)
         short = rec.base + rec.usable_size - 16
-        # granule wears the real tag; metadata nibble put back to the real tag
+        # granule wears the real tag; the metadata stays as the hit left it
         assert sim.mem.get_granule_tag(short) == rec.tag
-        assert sim.mem.read_byte(short + 15) & 0xF == rec.tag
+        assert stashed_tag(sim.mem, short) == rec.tag
+        assert access_count(sim.mem, short, 7) == 1
 
 
 class TestReports:
@@ -296,7 +311,7 @@ class TestOverreadSkip:
         rec = sim.allocator.records[-1]
         short = rec.base + rec.usable_size - 16
         # counter untouched, tripwire restored
-        assert sim.mem.read_byte(short + 15) >> 4 == 0
+        assert access_count(sim.mem, short, 8) == 0
         assert sim.mem.get_granule_tag(short) == 8
 
     def test_skip_does_not_cover_unmarked_accesses(self):

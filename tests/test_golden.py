@@ -1,12 +1,16 @@
-"""Golden digests: run reports and final registers must stay bit-identical.
+"""Golden digests: run reports, final registers and final memory must stay bit-identical.
 
 Each corpus runs under every configuration below with a per-program seed.
-A digest hashes the canonical JSON of every run report plus the run's final
-registers.  A refactor or optimisation that claims "no output change" must
-leave every digest untouched; a deliberate behaviour change updates only
-the digests it explains.
+The report digest hashes the canonical JSON of every run report plus the
+run's final registers.  The memory digest hashes each run's final memory
+image: nonzero data bytes and nonzero granule tags, sorted by address, so
+it does not depend on how memory stores untouched or zeroed locations.  A
+refactor or optimisation that claims "no output change" must leave every
+digest untouched; a deliberate behaviour change updates only the digests
+it explains.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -14,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from mtesim import ALWAYS_ARM, SimConfig, Simulation, WorkloadSpec, generate_workload, parse_program
+from mtesim.memory import GRANULE_SIZE
 
 PROGRAMS_PER_CORPUS = 20
 
@@ -70,6 +75,20 @@ EXPECTED = {
     "overread": "dd9dedd56fe7d4245d8de3a0426784239e362915f515f4c8039481f47ed0e1a3",
 }
 
+# final memory images, recorded before the short-granule metadata code was
+# gathered into one place; that refactor had to write exactly the same bytes
+EXPECTED_MEMORY = {
+    "intra": "4898d6c6d1a0bc9833629b5529306104fd5574a731d9543bcb7cd13ae8b5577c",
+    "cross_adjacent": "d9d5d42d8b6baf2c593312f82192398375743079dea7aa7d59ac4c688a9d1678",
+    "cross_non_adjacent": "0e9b7bc7e960befdebc784bfebd6d1d697a6ce80f39f3722837e6aa23a5b3902",
+    "uaf_reuse0": "85133ea5a44d3564cb41bd2e6ba1feae6ba907436dfedae302018be30d09ecb4",
+    "uaf_reuse3": "69dcbd25b925fc310eb58e5ecbca033b64f1fbe5aab2fe777849a042bf0a9579",
+    "double_free": "35d8a37aa2a72480452dd54dc8a4e98e290c441f7ac5c1aaec271172e056c705",
+    "benign48": "f588c41ddb7d595d88235ed790a3da075c45da4e4e337decb315fe9d6613427f",
+    "ret_edge": "47ae1d5ede484083cfe85d9f883fb00d1241e725182e877f0f3ce1f23082d0d0",
+    "overread": "1e6e48e658162736c1f38f2923c64b25d0cfb7ffd8df5b22f052c7c5ba3703e8",
+}
+
 
 def corpus(name):
     if name in GENERATED:
@@ -78,18 +97,35 @@ def corpus(name):
     return [parse_program(HANDWRITTEN[name])] * PROGRAMS_PER_CORPUS
 
 
-def corpus_digest(name):
-    h = hashlib.sha256()
+def memory_image(mem):
+    """Nonzero data bytes and nonzero granule tags, each sorted by address."""
+    data = sorted((a, b) for a, b in mem.data.items() if b)
+    tags = sorted((g * GRANULE_SIZE, t) for g, t in mem.tags.items() if t)
+    return data, tags
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_digests(name):
+    """(report digest, memory digest) of one corpus under every config."""
+    reports, memory = hashlib.sha256(), hashlib.sha256()
     for i, program in enumerate(corpus(name)):
         for cname, config in CONFIGS.items():
             sim = Simulation(program, replace(config, seed=f"golden/{name}/{i}"))
             report = sim.run()
-            h.update(f"{cname}/{i}\n".encode())
-            h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
-            h.update(repr(sim.machine.regs).encode())
-    return h.hexdigest()
+            label = f"{cname}/{i}\n".encode()
+            reports.update(label)
+            reports.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+            reports.update(repr(sim.machine.regs).encode())
+            memory.update(label)
+            memory.update(repr(memory_image(sim.mem)).encode())
+    return reports.hexdigest(), memory.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))
 def test_corpus_digest_unchanged(name):
-    assert corpus_digest(name) == EXPECTED[name]
+    assert corpus_digests(name)[0] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_MEMORY))
+def test_memory_digest_unchanged(name):
+    assert corpus_digests(name)[1] == EXPECTED_MEMORY[name]
