@@ -300,8 +300,7 @@ class Allocator:
             if short:
                 exclude.add(short)  # tag == tripwire value would never fault
             tag = generate_tag(exclude, self.rng, self.config.include_zero_tag)
-            for g in range(base, base + usable, GRANULE_SIZE):
-                self.mem.set_granule_tag(g, tag)
+            self.mem.set_tag_range(base, usable, tag)
 
         rec = AllocationRecord(base, requested, usable, tag=tag)
 
@@ -340,8 +339,7 @@ class Allocator:
 
         if rec.tagged:
             new_tag = generate_tag({0, rec.tag}, self.rng)
-            for g in range(rec.base, rec.end, GRANULE_SIZE):
-                self.mem.set_granule_tag(g, new_tag)
+            self.mem.set_tag_range(rec.base, rec.usable_size, new_tag)
             rec.tag = new_tag
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
         rec.state = AllocState.FREED

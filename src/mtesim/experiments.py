@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .allocator import generate_tag, metadata_span
 from .memory import GRANULE_SIZE
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program, substream
-from .trace import Program, WorkloadSpec, check_size_distribution, generate_program
+from .trace import (Program, WorkloadError, WorkloadSpec, check_size_distribution,
+                    generate_program)
 
 Z_95 = 1.96
 
@@ -93,22 +95,37 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
     )
 
 
-def exp_vulnerable_fraction(size_distribution: Sequence[Tuple[int, float]],
+def exp_vulnerable_fraction(size_distribution: Union[range, Sequence[Tuple[int, float]]],
                             n: int, seed: int) -> float:
-    """Fraction of drawn allocation sizes that leave a short granule."""
+    """Fraction of drawn allocation sizes that leave a short granule.
+
+    `size_distribution` is a sequence of (size, weight) pairs, or a range
+    of equally likely sizes (`uniform_sizes`), drawn from without listing it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_size_distribution(size_distribution)
     rng = substream(seed, "vulnerable-fraction")
-    sizes = [s for s, _ in size_distribution]
-    weights = [w for _, w in size_distribution]
-    short = sum(1 for s in rng.choices(sizes, weights=weights, k=n)
-                if s % GRANULE_SIZE != 0)
+    if isinstance(size_distribution, range):
+        if not size_distribution:
+            raise WorkloadError("empty size distribution")
+        if size_distribution[0] < 1:
+            raise WorkloadError("sizes must be >= 1")
+        if size_distribution[-1] > sys.maxsize:
+            raise WorkloadError(f"sizes must be <= {sys.maxsize}")
+        drawn = rng.choices(size_distribution, k=n)
+    else:
+        check_size_distribution(size_distribution)
+        sizes = [s for s, _ in size_distribution]
+        weights = [w for _, w in size_distribution]
+        drawn = rng.choices(sizes, weights=weights, k=n)
+    short = sum(1 for s in drawn if s % GRANULE_SIZE != 0)
     return short / n
 
 
-def uniform_sizes(lo: int, hi: int) -> List[Tuple[int, float]]:
-    return [(s, 1.0) for s in range(lo, hi + 1)]
+def uniform_sizes(lo: int, hi: int) -> range:
+    """Sizes lo..hi, equally likely.  `rng.choices` over the range draws
+    exactly what equal (size, 1.0) weights would, without a list of pairs."""
+    return range(lo, hi + 1)
 
 
 def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,

@@ -3,7 +3,9 @@
 Memory is a sparse byte store plus a parallel sparse store of 4-bit tags,
 one tag per 16-byte granule.  Untouched bytes read as 0 and untouched
 granules carry tag 0, so "never allocated" and "unprotected" fall out of
-the representation for free.
+the representation for free.  Tags are written one granule at a time
+(`set_granule_tag`) or for a whole region in one call (`set_tag_range`),
+as Scudo's `storeTags` tags an allocation.
 
 Pointers carry a 4-bit address tag in bits [59:56] (the low nibble of the
 top byte); the whole top byte is ignored when forming an address, mirroring
@@ -82,6 +84,15 @@ class TaggedMemory:
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
         self.tags[untagged(addr) // GRANULE_SIZE] = tag
+
+    def set_tag_range(self, addr: int, size: int, tag: int) -> None:
+        """Tag every granule that overlaps [addr, addr + size) with `tag`."""
+        if not 0 <= tag <= 0xF:
+            raise ValueError(f"tag out of range: {tag}")
+        start = untagged(addr)
+        tags = self.tags
+        for g in range(start // GRANULE_SIZE, (start + size + GRANULE_SIZE - 1) // GRANULE_SIZE):
+            tags[g] = tag
 
     def get_granule_tag(self, addr: int) -> int:
         return self.tags.get(untagged(addr) // GRANULE_SIZE, 0)

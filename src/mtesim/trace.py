@@ -18,7 +18,10 @@ form that parses back to the same program.
 The workload generator builds single-bug micro-programs (and benign
 stress programs) from a weighted size distribution, deterministically
 under a seed.  Every generated program carries a multi-allocation
-preamble so arming and sampling see more than one allocation.
+preamble so arming and sampling see more than one allocation.  The
+generator appends `Instruction`s directly, each with `line` = pc + 1,
+which is the program `parse_program(render_program(p))` gives back; text
+is only what `mtesim gen` writes.
 `check_program_bounds` is an independent exact-bounds oracle used to
 validate generated corpora: it tracks pointers symbolically and knows
 nothing about the allocator's layout or tags.
@@ -327,27 +330,32 @@ _CYCLE = 10     # reuse-cycle pointer
 _PREAMBLE = 20  # preamble pointers r20..
 
 
-def _preamble(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _emit(out: List[Instruction], kind: Opcode, **fields) -> None:
+    """Append one instruction; its line is the one `render_program` gives it."""
+    out.append(Instruction(kind, line=len(out) + 1, **fields))
+
+
+def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     for i in range(spec.preamble_allocs):
-        lines.append(f"alloc r{_PREAMBLE + (i % 8)} {_draw_size(spec, rng)}")
+        _emit(out, Opcode.ALLOC, dst=_PREAMBLE + (i % 8), imm=_draw_size(spec, rng))
 
 
-def _benign_access(rng: random.Random, size: int, reg: int, lines: List[str]) -> None:
+def _benign_access(rng: random.Random, size: int, reg: int, out: List[Instruction]) -> None:
     choices = [(w, p) for w in WIDTHS for p in PAIRS if w * p <= size]
     width, pair = rng.choice(choices)
     off = rng.randint(0, size - width * pair)
     if rng.random() < 0.5:
-        lines.append(f"mov r{_VAL} {rng.randint(0, 2**32)}")
+        _emit(out, Opcode.MOV, dst=_VAL, imm=rng.randint(0, 2**32))
         if pair == 2:
-            lines.append(f"mov r{_VAL + 1} {rng.randint(0, 2**32)}")
-        lines.append(f"st r{_VAL} [r{reg}, #{off}] w{width} p{pair}")
+            _emit(out, Opcode.MOV, dst=_VAL + 1, imm=rng.randint(0, 2**32))
+        _emit(out, Opcode.STORE, src=_VAL, base=reg, offset=off, width=width, pair=pair)
     else:
-        lines.append(f"ld r{_VAL + 2} [r{reg}, #{off}] w{width} p{pair}")
+        _emit(out, Opcode.LOAD, dst=_VAL + 2, base=reg, offset=off, width=width, pair=pair)
 
 
-def _gen_intra(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_short_size(spec, rng)
-    lines.append(f"alloc r{_PTR} {size}")
+    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
     last_granule = size // GRANULE_SIZE * GRANULE_SIZE
     # end must exceed the requested size but stay inside the short granule
     options = []
@@ -362,58 +370,58 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None
     width, pair, lo, hi = rng.choice(options)
     off = rng.randint(lo, hi)
     if rng.random() < 0.5:
-        lines.append(f"st r{_VAL} [r{_PTR}, #{off}] w{width} p{pair}")
+        _emit(out, Opcode.STORE, src=_VAL, base=_PTR, offset=off, width=width, pair=pair)
     else:
-        lines.append(f"ld r{_VAL} [r{_PTR}, #{off}] w{width} p{pair}")
+        _emit(out, Opcode.LOAD, dst=_VAL, base=_PTR, offset=off, width=width, pair=pair)
 
 
-def _gen_cross(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     attacker = _draw_size(spec, rng)
     victim = size_class(_draw_size(spec, rng))  # full granules only
-    lines.append(f"alloc r{_PTR} {attacker}")
+    _emit(out, Opcode.ALLOC, dst=_PTR, imm=attacker)
     skip = size_class(attacker)
     if not spec.adjacent:
         spacer = 65537  # untagged path breaks the tag-exclusion chain
-        lines.append(f"alloc r{_VICTIM + 1} {spacer}")
+        _emit(out, Opcode.ALLOC, dst=_VICTIM + 1, imm=spacer)
         skip += size_class(spacer)
-    lines.append(f"alloc r{_VICTIM} {victim}")
+    _emit(out, Opcode.ALLOC, dst=_VICTIM, imm=victim)
     width = rng.choice([w for w in WIDTHS if w <= GRANULE_SIZE])
     off = skip + rng.randint(0, GRANULE_SIZE - width)  # inside the victim's first granule
-    lines.append(f"st r{_VAL} [r{_PTR}, #{off}] w{width} p1")
+    _emit(out, Opcode.STORE, src=_VAL, base=_PTR, offset=off, width=width)
 
 
-def _gen_uaf(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    lines.append(f"alloc r{_PTR} {size}")
-    lines.append(f"mov r{_VAL} {rng.randint(0, 2**32)}")
-    lines.append(f"st r{_VAL} [r{_PTR}, #0] w1 p1")
-    lines.append(f"free r{_PTR}")
+    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
+    _emit(out, Opcode.MOV, dst=_VAL, imm=rng.randint(0, 2**32))
+    _emit(out, Opcode.STORE, src=_VAL, base=_PTR, width=1)
+    _emit(out, Opcode.FREE, src=_PTR)
     for _ in range(spec.reuse_cycles):
-        lines.append(f"alloc r{_CYCLE} {size}")
-        lines.append(f"free r{_CYCLE}")
-    lines.append(f"ld r{_VAL + 1} [r{_PTR}, #0] w1 p1")
+        _emit(out, Opcode.ALLOC, dst=_CYCLE, imm=size)
+        _emit(out, Opcode.FREE, src=_CYCLE)
+    _emit(out, Opcode.LOAD, dst=_VAL + 1, base=_PTR, width=1)
 
 
-def _gen_double_free(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _gen_double_free(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    lines.append(f"alloc r{_PTR} {size}")
-    lines.append(f"free r{_PTR}")
-    lines.append(f"free r{_PTR}")
+    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
+    _emit(out, Opcode.FREE, src=_PTR)
+    _emit(out, Opcode.FREE, src=_PTR)
 
 
-def _gen_benign(spec: WorkloadSpec, rng: random.Random, lines: List[str]) -> None:
+def _gen_benign(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     buffers = []
     for i in range(rng.randint(1, 3)):
         size = _draw_size(spec, rng)
         reg = 12 + i
         buffers.append((reg, size))
-        lines.append(f"alloc r{reg} {size}")
+        _emit(out, Opcode.ALLOC, dst=reg, imm=size)
     for _ in range(spec.accesses):
         reg, size = rng.choice(buffers)
-        _benign_access(rng, size, reg, lines)
+        _benign_access(rng, size, reg, out)
     for reg, _ in buffers:
         if rng.random() < 0.3:
-            lines.append(f"free r{reg}")
+            _emit(out, Opcode.FREE, src=reg)
 
 
 _GENERATORS = {
@@ -427,11 +435,11 @@ _GENERATORS = {
 
 def generate_program(spec: WorkloadSpec, index: int) -> Program:
     rng = random.Random(f"{spec.seed}/workload/{spec.kind}/{index}")
-    lines: List[str] = []
-    _preamble(spec, rng, lines)
-    _GENERATORS[spec.kind](spec, rng, lines)
-    lines.append("halt")
-    return parse_program("\n".join(lines) + "\n")
+    out: List[Instruction] = []
+    _preamble(spec, rng, out)
+    _GENERATORS[spec.kind](spec, rng, out)
+    _emit(out, Opcode.HALT)
+    return Program(tuple(out))
 
 
 def generate_workload(spec: WorkloadSpec) -> List[Program]:

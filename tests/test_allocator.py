@@ -150,6 +150,17 @@ class TestFree:
         for g in range(ptr.address, ptr.address + 48, 16):
             assert mem.get_granule_tag(g) != old
 
+    def test_free_retags_a_1023_byte_region_in_one_tag(self):
+        mem, alloc = make_allocator(seed=8)
+        ptr = alloc.allocate(1023)
+        right = alloc.allocate(16)
+        right_tag = mem.get_granule_tag(right.address)
+        assert alloc.free(ptr.raw) is None
+        tags = {mem.get_granule_tag(ptr.address + 16 * i) for i in range(64)}
+        assert len(tags) == 1 and tags != {ptr.tag} and tags != {0}
+        assert right.address == ptr.address + 1024
+        assert mem.get_granule_tag(right.address) == right_tag
+
     def test_double_free_is_mismatch(self):
         _, alloc = make_allocator(seed=9)
         ptr = alloc.allocate(40)

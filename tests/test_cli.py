@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +123,25 @@ class TestExp:
         payload = json.loads(capsys.readouterr().out)
         assert 0.9 < payload["fraction"] < 1.0
 
+    # A list of one entry per size would take minutes and gigabytes.  The
+    # address-space cap makes such a regression fail fast instead of swapping.
+    @pytest.mark.parametrize("uniform, code", [("1:99999999999", 0), (f"1:{2**64}", 2)])
+    def test_vulnerable_fraction_huge_uniform_range_returns_at_once(self, uniform, code):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtesim.cli", "exp", "vulnerable-fraction",
+             "--uniform", uniform, "--trials", "10"],
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap_memory,
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert 0.0 <= json.loads(proc.stdout)["fraction"] <= 1.0
+        else:
+            assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
     def test_transparency(self, capsys):
         code = main(["exp", "transparency", "--trials", "20", "--seed", "2"])
         assert code == 0
@@ -135,6 +159,7 @@ class TestExp:
     ["exp", "transparency", "--trials", "0"],
     ["exp", "detection", "--kind", "uaf", "--reuse-cycles", "-2"],
     ["exp", "vulnerable-fraction", "--uniform", "5:2"],
+    ["exp", "vulnerable-fraction", "--uniform", "0:8"],
     ["gen", "--kind", "benign", "--accesses", "-3", "--out", "OUT"],
     ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
     ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],

@@ -4,7 +4,8 @@ Each corpus runs under every configuration below with a per-program seed.
 The report digest hashes the canonical JSON of every run report plus the
 run's final registers.  The memory digest hashes each run's final memory
 image: nonzero data bytes and nonzero granule tags, sorted by address, so
-it does not depend on how memory stores untouched or zeroed locations.  A
+it does not depend on how memory stores untouched or zeroed locations.
+The program digest hashes the rendered text of each generated corpus.  A
 refactor or optimisation that claims "no output change" must leave every
 digest untouched; a deliberate behaviour change updates only the digests
 it explains.
@@ -17,7 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from mtesim import ALWAYS_ARM, SimConfig, Simulation, WorkloadSpec, generate_workload, parse_program
+from mtesim import (ALWAYS_ARM, SimConfig, Simulation, WorkloadSpec, generate_workload,
+                    parse_program, render_program)
 from mtesim.memory import GRANULE_SIZE
 
 PROGRAMS_PER_CORPUS = 20
@@ -30,6 +32,10 @@ GENERATED = {
     "uaf_reuse3": WorkloadSpec(kind="uaf", reuse_cycles=3),
     "double_free": WorkloadSpec(kind="double_free"),
     "benign48": WorkloadSpec(kind="benign", accesses=48),
+    # the benchmark's churn-uaf shape: every cycle retags regions of up to 64 granules
+    "uaf_churn32": WorkloadSpec(kind="uaf", reuse_cycles=32,
+                                size_distribution=((47, 1), (256, 1), (520, 1), (777, 1),
+                                                   (1023, 1))),
 }
 
 HANDWRITTEN = {
@@ -73,6 +79,7 @@ EXPECTED = {
     "benign48": "8dc2d66428610d40eecf05eb444dfb2b7038012e6f85ddedece89a8a0265f2d4",
     "ret_edge": "59af0e78c9e1b54d396dd0e272dad5cfa285cc301e1903a04f1e7ae59daca282",
     "overread": "dd9dedd56fe7d4245d8de3a0426784239e362915f515f4c8039481f47ed0e1a3",
+    "uaf_churn32": "c8801110cf50efb8e032c01512368d5c9645b493537de5ae0c51a2da0281bd2f",
 }
 
 # final memory images, recorded before the short-granule metadata code was
@@ -87,6 +94,21 @@ EXPECTED_MEMORY = {
     "benign48": "f588c41ddb7d595d88235ed790a3da075c45da4e4e337decb315fe9d6613427f",
     "ret_edge": "47ae1d5ede484083cfe85d9f883fb00d1241e725182e877f0f3ce1f23082d0d0",
     "overread": "1e6e48e658162736c1f38f2923c64b25d0cfb7ffd8df5b22f052c7c5ba3703e8",
+    "uaf_churn32": "cda5da474b4d4f9b207d37976d52f56182c610eff83e24cd7958a92a35e2692a",
+}
+
+# rendered text of each generated corpus, recorded while the generator still
+# rendered text and parsed it back; building instructions directly must not
+# change a single program
+EXPECTED_PROGRAMS = {
+    "intra": "ee8602bea7d6d1347bcdeffa3f9047564cc56e6907d616f2ed6564638e897a1d",
+    "cross_adjacent": "b3c2e67e05612052411adb8832b73ea0496d147e914f4dffd650fd8c1ec2f79f",
+    "cross_non_adjacent": "7870b7223309b0c1f143f3429b9238d45da11350ce5ab720f16c894acdf847aa",
+    "uaf_reuse0": "d0119a72bd293619780eadaaa9b862060f1986f570d2805e9f3dda2a484ffcd7",
+    "uaf_reuse3": "5926594260c4ba8e6fe9adf7ab956a3a7851077e5acf258e3931fdac5cb8db75",
+    "double_free": "98438841f3d2b29790739cbe168eda46a9c050e1d4f9d87665807599fee717bf",
+    "benign48": "327e23a2b318fb05897caca5ff916388c8049df93c65037ab6ad6ae23d004642",
+    "uaf_churn32": "d0f7cfd8f01743857a3c02dd7fc5151b220e398591d65d59961a881d36c728d0",
 }
 
 
@@ -119,6 +141,18 @@ def corpus_digests(name):
             memory.update(label)
             memory.update(repr(memory_image(sim.mem)).encode())
     return reports.hexdigest(), memory.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_PROGRAMS))
+def test_program_digest_unchanged(name):
+    programs = corpus(name)
+    digest = hashlib.sha256()
+    for program in programs:
+        digest.update(render_program(program).encode())
+    assert digest.hexdigest() == EXPECTED_PROGRAMS[name]
+    # line numbers are not in the text; they must be what parsing it would give
+    for program in programs:
+        assert [i.line for i in program.instructions] == list(range(1, len(program) + 1))
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))

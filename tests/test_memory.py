@@ -144,3 +144,45 @@ def test_set_tag_idempotent():
     snapshot = dict(mem.tags)
     mem.set_granule_tag(0x40, 9)
     assert mem.tags == snapshot
+
+
+class TestSetTagRange:
+    def test_tag_out_of_range_rejected(self):
+        mem = TaggedMemory()
+        for tag in (-1, 16):
+            with pytest.raises(ValueError):
+                mem.set_tag_range(0x1000, 32, tag)
+        assert mem.tags == {}
+
+    def test_tagged_address_is_masked(self):
+        mem = TaggedMemory()
+        mem.set_tag_range(TaggedPointer.make(0x1000, 0x5).raw, 32, 0xB)
+        assert mem.tags == {0x100: 0xB, 0x101: 0xB}
+
+    def test_partial_last_granule_is_covered(self):
+        mem = TaggedMemory()
+        mem.set_tag_range(0x1000, 33, 0x7)
+        assert [mem.get_granule_tag(0x1000 + 16 * i) for i in range(4)] == [7, 7, 7, 0]
+
+    def test_neighbours_and_data_untouched(self):
+        mem = TaggedMemory()
+        mem.set_granule_tag(0x0FF0, 0x3)
+        mem.set_granule_tag(0x1040, 0x4)
+        mem.write_bytes(0x0FF8, bytes(range(1, 0x50)))
+        data = dict(mem.data)
+        mem.set_tag_range(0x1000, 64, 0x9)
+        assert mem.get_granule_tag(0x0FF0) == 0x3
+        assert mem.get_granule_tag(0x1040) == 0x4
+        assert all(mem.get_granule_tag(0x1000 + 16 * i) == 0x9 for i in range(4))
+        assert mem.data == data
+
+
+@given(st.lists(st.tuples(st.integers(0, 0x4000), st.integers(0, 1100), st.integers(0, 15)),
+                max_size=20))
+def test_set_tag_range_equals_per_granule_loop(writes):
+    ranged, looped = TaggedMemory(), TaggedMemory()
+    for addr, size, tag in writes:
+        ranged.set_tag_range(addr, size, tag)
+        for g in range(addr // 16 * 16, addr + size, 16):
+            looped.set_granule_tag(g, tag)
+    assert ranged.tags == looped.tags

@@ -76,12 +76,22 @@ class TestRoundTrip:
         assert canonical == "alloc r0 40\nst r1 [r0, #8] w8 p1\nhalt\n"
         assert render_program(parse_program(canonical)) == canonical
 
-    @settings(max_examples=30, deadline=None)
+    # The generator builds instructions directly; this is what keeps every
+    # program it can build expressible in the text format `mtesim gen` writes.
+    @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["intra", "cross", "uaf", "double_free", "benign"]),
-           seed=st.integers(0, 10_000), index=st.integers(0, 20))
-    def test_parse_render_round_trips_generated_programs(self, kind, seed, index):
-        p = generate_program(WorkloadSpec(kind=kind, seed=seed), index)
-        assert parse_program(render_program(p)) == p
+           seed=st.integers(0, 10_000), index=st.integers(0, 20),
+           adjacent=st.booleans(), reuse_cycles=st.sampled_from([0, 1, 3, 32]),
+           accesses=st.sampled_from([0, 8, 48]), preamble_allocs=st.sampled_from([0, 4, 9]))
+    def test_parse_render_round_trips_generated_programs(self, kind, seed, index, adjacent,
+                                                         reuse_cycles, accesses,
+                                                         preamble_allocs):
+        spec = WorkloadSpec(kind=kind, seed=seed, adjacent=adjacent, reuse_cycles=reuse_cycles,
+                            accesses=accesses, preamble_allocs=preamble_allocs)
+        p = generate_program(spec, index)
+        parsed = parse_program(render_program(p))
+        assert parsed == p
+        assert [i.line for i in parsed.instructions] == [i.line for i in p.instructions]
 
 
 class TestWorkloadSpec:
