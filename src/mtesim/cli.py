@@ -40,9 +40,17 @@ EXIT_BUG = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed if given, else MTESIM_SEED, else 0; ValueError if the variable is not an integer."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("MTESIM_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"MTESIM_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_sizes(text: str) -> Tuple[Tuple[int, float], ...]:
@@ -69,10 +77,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> SimConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     return SimConfig(
         mode=args.mode,
-        seed=seed,
+        seed=_seed(args),
         sampling_rate=args.sampling_rate,
         alloc_threshold=ALWAYS_ARM if args.always_arm else args.alloc_threshold,
         access_threshold=args.access_threshold,
@@ -91,9 +98,12 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        text = Path(args.trace).read_text()
+        text = Path(args.trace).read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as e:
+        print(f"error: {args.trace}: not UTF-8 text: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
         program = parse_program(text)
@@ -114,13 +124,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         spec = WorkloadSpec(
             kind=args.kind,
             size_distribution=_parse_sizes(args.sizes),
             count=args.count,
-            seed=seed,
+            seed=_seed(args),
             preamble_allocs=args.preamble,
             adjacent=not args.non_adjacent,
             reuse_cycles=args.reuse_cycles,
@@ -151,9 +160,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        return _run_experiment(args, _config_from_args(args), seed)
+        return _run_experiment(args, _config_from_args(args), _seed(args))
     except (WorkloadError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

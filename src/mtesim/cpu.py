@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
-from .memory import ADDRESS_MASK, GRANULE_SIZE, MASK64, TAG_SHIFT, TaggedMemory
+from .memory import ADDRESS_MASK, GRANULE_SHIFT, MASK64, TAG_SHIFT, TaggedMemory
 
 NUM_REGS = 32
 SP = 31
@@ -58,16 +58,14 @@ class Instruction:
     line: int = field(default=0, compare=False)
 
     @property
-    def is_access(self) -> bool:
-        return self.kind in (Opcode.LOAD, Opcode.STORE)
-
-    @property
     def access_size(self) -> int:
         return self.width * self.pair
 
 
-@dataclass(frozen=True)
-class AccessDescriptor:
+# Every load and store builds an AccessDescriptor, so it is a named tuple
+# built with `tuple.__new__` directly: one C call, where a frozen dataclass
+# runs a Python `__init__` with one `object.__setattr__` per field.
+class AccessDescriptor(NamedTuple):
     start: int            # untagged start address
     size: int             # width * pair bytes
     addrtag: int          # bits [59:56] of the effective pointer
@@ -75,8 +73,10 @@ class AccessDescriptor:
     overread_ok: bool = False
 
 
-@dataclass(frozen=True)
-class Fault:
+_new_descriptor = tuple.__new__
+
+
+class Fault(NamedTuple):
     pc: int                       # faulting instruction (precise in sync mode)
     fault_address: int            # lowest accessed address in the first mismatching granule
     regs_snapshot: Tuple[int, ...]
@@ -87,6 +87,12 @@ class Mode(enum.Enum):
     OFF = "off"
     ASYNC = "async"
     SYNC = "sync"
+
+
+_LOAD, _STORE = Opcode.LOAD, Opcode.STORE
+_OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
+_ZERO_LANE = bytes(8)   # upper half of a width-16 store
+_GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
 
 
 class TrapUnavailable(Exception):
@@ -125,30 +131,40 @@ class Machine:
     def decode(self, instr: Instruction) -> AccessDescriptor:
         """Effective address and tag for a load/store.
 
-        The tag comes from bits [59:56] of the full 64-bit base+offset sum,
-        so a register offset with a tagged top byte participates in the
-        address tag, matching hardware address arithmetic.
+        The tag comes from bits [59:56] of the full base+offset sum, so a
+        register offset with a tagged top byte participates in the address
+        tag, matching hardware address arithmetic.  Those bits and the
+        address bits below them read the same with or without wrapping the
+        sum to 64 bits first, so the sum is not wrapped.
         """
-        if not instr.is_access:
-            raise TraceRuntimeError(f"decode of non-access instruction {instr.kind}")
-        off = self.regs[instr.offset_reg] if instr.offset_reg is not None else instr.offset
-        effective = (self.regs[instr.base] + off) & MASK64
-        return AccessDescriptor(
-            start=effective & ADDRESS_MASK,
-            size=instr.access_size,
-            addrtag=(effective >> TAG_SHIFT) & 0xF,
-            pc=self.pc,
-            overread_ok=instr.overread_ok,
-        )
+        kind = instr.kind
+        if kind is not _LOAD and kind is not _STORE:
+            raise TraceRuntimeError(f"decode of non-access instruction {kind}")
+        regs = self.regs
+        offset_reg = instr.offset_reg
+        effective = regs[instr.base] + (instr.offset if offset_reg is None else regs[offset_reg])
+        return _new_descriptor(AccessDescriptor, (
+            effective & ADDRESS_MASK,
+            instr.width * instr.pair,
+            (effective >> TAG_SHIFT) & 0xF,
+            self.pc,
+            instr.overread_ok,
+        ))
 
     def tag_check(self, desc: AccessDescriptor, mem: TaggedMemory) -> Optional[Fault]:
-        """First mismatching granule of the access, in ascending order."""
-        g = desc.start & ~(GRANULE_SIZE - 1)
-        end = desc.start + desc.size
-        while g < end:
-            if mem.get_granule_tag(g) != desc.addrtag:
-                return Fault(self.pc, max(desc.start, g), tuple(self.regs), desc)
-            g += GRANULE_SIZE
+        """First mismatching granule of the access, in ascending order.
+
+        Reads `mem.tags` (granule index -> tag) directly, once per granule.
+        The index is masked as `get_granule_tag` masks an address, so an
+        access running past the top of the address space checks granule 0.
+        """
+        start, size, addrtag = desc.start, desc.size, desc.addrtag
+        get_tag = mem.tags.get
+        first = start >> GRANULE_SHIFT
+        for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
+            if get_tag(g & _GRANULE_INDEX_MASK, 0) != addrtag:
+                address = start if g == first else g << GRANULE_SHIFT
+                return Fault(self.pc, address, tuple(self.regs), desc)
         return None
 
     # -- traps -----------------------------------------------------------
@@ -165,20 +181,6 @@ class Machine:
 
     # -- execution --------------------------------------------------------
 
-    def _execute_access(self, instr: Instruction, desc: AccessDescriptor,
-                        mem: TaggedMemory) -> None:
-        for i in range(instr.pair):
-            addr = desc.start + i * instr.width
-            if instr.kind is Opcode.LOAD:
-                chunk = mem.read_bytes(addr, instr.width)
-                # width 16 models a 128-bit register lane; ours are 64-bit,
-                # so the register gets the low 8 bytes
-                self.regs[instr.dst + i] = int.from_bytes(chunk[:8], "little")
-            else:
-                value = self.regs[instr.src + i].to_bytes(8, "little")
-                data = value[:instr.width] if instr.width <= 8 else value + bytes(8)
-                mem.write_bytes(addr, data)
-
     def _drain_async(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         if not self.pending_async:
             return None
@@ -189,55 +191,74 @@ class Machine:
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         """Execute one instruction; None means keep going."""
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise TraceRuntimeError(f"pc {self.pc} outside program")
+        pc = self.pc
+        instructions = self.program.instructions
+        if not 0 <= pc < len(instructions):
+            raise TraceRuntimeError(f"pc {pc} outside program")
 
-        if self.pc in self.traps:
-            self.counters.traps_delivered += 1
+        counters = self.counters
+        if pc in self.traps:
+            counters.traps_delivered += 1
             detector.handle_trap(self, mem, allocator)
 
-        instr = self.program.instructions[self.pc]
-        self.counters.instructions_executed += 1
+        instr = instructions[pc]
+        counters.instructions_executed += 1
+        kind = instr.kind
+        regs = self.regs
 
-        if instr.is_access:
+        if kind is _LOAD or kind is _STORE:
             desc = self.decode(instr)
-            fault = self.tag_check(desc, mem) if self.mode is not Mode.OFF else None
-            if fault is None:
-                self._execute_access(instr, desc, mem)
-            elif self.mode is Mode.SYNC:
-                self.counters.faults_delivered += 1
-                report = detector.handle_tag_mismatch(fault, mem, allocator, self)
-                if report is not None:
-                    return RunEnd("BugReported", report)
-                self._execute_access(instr, desc, mem)  # resume: access commits fully
+            mode = self.mode
+            if mode is not _OFF:
+                fault = self.tag_check(desc, mem)
+                if fault is not None:
+                    counters.faults_delivered += 1
+                    if mode is _SYNC:
+                        report = detector.handle_tag_mismatch(fault, mem, allocator, self)
+                        if report is not None:
+                            return RunEnd("BugReported", report)
+                        # resume: the access commits fully
+                    else:
+                        # silent corruption until drained
+                        self.pending_async.append(fault)
+            addr, width = desc.start, instr.width
+            if kind is _LOAD:
+                dst = instr.dst
+                for i in range(instr.pair):
+                    chunk = mem.read_bytes(addr + i * width, width)
+                    # width 16 models a 128-bit register lane; ours are
+                    # 64-bit, so the register gets the low 8 bytes
+                    regs[dst + i] = int.from_bytes(chunk[:8], "little")
             else:
-                self.counters.faults_delivered += 1
-                self.pending_async.append(fault)
-                self._execute_access(instr, desc, mem)  # silent corruption until drained
-        elif instr.kind is Opcode.MOV:
-            self.regs[instr.dst] = instr.imm & MASK64
-        elif instr.kind is Opcode.ADD:
-            self.regs[instr.dst] = (self.regs[instr.src] + instr.imm) & MASK64
-        elif instr.kind is Opcode.ALLOC:
-            self.regs[instr.dst] = allocator.allocate(instr.imm).raw
-        elif instr.kind is Opcode.FREE:
-            mismatch = allocator.free(self.regs[instr.src])
+                src = instr.src
+                for i in range(instr.pair):
+                    value = regs[src + i].to_bytes(8, "little")
+                    mem.write_bytes(addr + i * width,
+                                    value[:width] if width <= 8 else value + _ZERO_LANE)
+        elif kind is Opcode.MOV:
+            regs[instr.dst] = instr.imm & MASK64
+        elif kind is Opcode.ADD:
+            regs[instr.dst] = (regs[instr.src] + instr.imm) & MASK64
+        elif kind is Opcode.ALLOC:
+            regs[instr.dst] = allocator.allocate(instr.imm).raw
+        elif kind is Opcode.FREE:
+            mismatch = allocator.free(regs[instr.src])
             if mismatch is not None:
-                report = detector.report_free_mismatch(mismatch, self.pc, tuple(self.regs))
+                report = detector.report_free_mismatch(mismatch, pc, tuple(regs))
                 return RunEnd("BugReported", report)
-        elif instr.kind is Opcode.SYSCALL:
-            if self.mode is Mode.ASYNC:
+        elif kind is Opcode.SYSCALL:
+            if self.mode is _ASYNC:
                 end = self._drain_async(mem, allocator, detector)
                 if end is not None:
                     return end
-        elif instr.kind is Opcode.RET:
+        elif kind is Opcode.RET:
             pass  # function-boundary marker; execution falls through
-        elif instr.kind is Opcode.HALT:
-            if self.mode is Mode.ASYNC:
+        elif kind is Opcode.HALT:
+            if self.mode is _ASYNC:
                 end = self._drain_async(mem, allocator, detector)
                 if end is not None:
                     return end
             return RunEnd("CleanHalt")
 
-        self.pc += 1
+        self.pc = pc + 1
         return None

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
-GRANULE_SIZE = 16
+GRANULE_SHIFT = 4
+GRANULE_SIZE = 1 << GRANULE_SHIFT
 TAG_BITS = 4
 TAG_SHIFT = 56
 ADDRESS_MASK = (1 << TAG_SHIFT) - 1  # clears the whole top byte
@@ -74,43 +75,52 @@ class TaggedMemory:
     byte writes never disturb tags.  Reads of untouched locations return 0.
     All addresses are interpreted with the top byte masked off, so callers
     may pass tagged pointer values directly.
+
+    `data` maps byte address to byte and `tags` maps granule index
+    (address >> GRANULE_SHIFT) to tag; the machine's tag check reads `tags`
+    directly.
     """
 
     def __init__(self):
         self.data: Dict[int, int] = {}
         self.tags: Dict[int, int] = {}
 
+    # Addresses are masked inline (`& ADDRESS_MASK`, `>> GRANULE_SHIFT`)
+    # rather than through `untagged`: these methods run on every access.
+
     def set_granule_tag(self, addr: int, tag: int) -> None:
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
-        self.tags[untagged(addr) // GRANULE_SIZE] = tag
+        self.tags[(addr & ADDRESS_MASK) >> GRANULE_SHIFT] = tag
 
     def set_tag_range(self, addr: int, size: int, tag: int) -> None:
         """Tag every granule that overlaps [addr, addr + size) with `tag`."""
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
-        start = untagged(addr)
+        start = addr & ADDRESS_MASK
         tags = self.tags
-        for g in range(start // GRANULE_SIZE, (start + size + GRANULE_SIZE - 1) // GRANULE_SIZE):
+        for g in range(start >> GRANULE_SHIFT, (start + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT):
             tags[g] = tag
 
     def get_granule_tag(self, addr: int) -> int:
-        return self.tags.get(untagged(addr) // GRANULE_SIZE, 0)
+        return self.tags.get((addr & ADDRESS_MASK) >> GRANULE_SHIFT, 0)
 
     def read_bytes(self, addr: int, length: int) -> bytes:
-        base = untagged(addr)
-        return bytes(self.data.get(base + i, 0) for i in range(length))
+        base = addr & ADDRESS_MASK
+        get = self.data.get
+        return bytes([get(a, 0) for a in range(base, base + length)])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        base = untagged(addr)
+        base = addr & ADDRESS_MASK
+        store = self.data
         for i, b in enumerate(data):
-            self.data[base + i] = b
+            store[base + i] = b
 
     def read_byte(self, addr: int) -> int:
-        return self.data.get(untagged(addr), 0)
+        return self.data.get(addr & ADDRESS_MASK, 0)
 
     def write_byte(self, addr: int, value: int) -> None:
-        self.data[untagged(addr)] = value & 0xFF
+        self.data[addr & ADDRESS_MASK] = value & 0xFF
 
 
 def tag_storage_overhead(granule_size: int = GRANULE_SIZE, tag_bits: int = TAG_BITS) -> Fraction:

@@ -114,8 +114,9 @@ class Simulation:
 
     def run(self, max_steps: int = 10_000_000) -> RunReport:
         end: Optional[RunEnd] = None
+        step, mem, allocator, detector = self.machine.step, self.mem, self.allocator, self.detector
         for _ in range(max_steps):
-            end = self.machine.step(self.mem, self.allocator, self.detector)
+            end = step(mem, allocator, detector)
             if end is not None:
                 break
         if end is None:

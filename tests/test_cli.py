@@ -173,3 +173,31 @@ def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "TRACE"],
+    ["gen", "--kind", "benign", "--count", "2", "--out", "OUT"],
+    ["exp", "collision", "--trials", "5"],
+    ["exp", "detection", "--trials", "5"],
+])
+def test_non_integer_env_seed_exits_2_with_one_line(argv, trace_file, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("MTESIM_SEED", "abc")
+    out = tmp_path / "corpus"
+    argv = [trace_file(BENIGN) if a == "TRACE" else str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: MTESIM_SEED must be an integer, got 'abc'"]
+    assert not out.exists()
+
+
+def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "t.mtr"
+    path.write_bytes(b"\xff\xfe\x00halt\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtesim import (
     Allocator,
@@ -13,6 +15,8 @@ from mtesim import (
     TrapUnavailable,
     parse_program,
 )
+from mtesim.cpu import PAIRS, WIDTHS
+from mtesim.detector import Detector
 
 
 def machine_for(text, mode=Mode.SYNC):
@@ -121,6 +125,82 @@ class TestTagCheck:
         fault = m.tag_check(m.decode(ld(0, base=1, width=16)), mem)
         assert 0x0FF8 <= fault.fault_address < 0x0FF8 + 16
 
+    def test_access_past_top_of_address_space_checks_granule_0(self):
+        m = machine_for("halt")
+        mem = TaggedMemory()
+        mem.set_granule_tag(0xFF_FFFF_FFFF_FFF0, 0xA)
+        m.regs[1] = 0x0AFF_FFFF_FFFF_FFF8
+        desc = m.decode(ld(0, base=1, width=16))
+        mem.set_granule_tag(0x0, 0xA)
+        assert m.tag_check(desc, mem) is None
+        mem.set_granule_tag(0x0, 0x8)
+        assert m.tag_check(desc, mem).fault_address == 1 << 56  # address left unmasked
+
+
+# property: decode and tag_check match a reference that wraps the address
+# sum to 64 bits and walks the granules one at a time
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_fault_address(start, size, addrtag, mem):
+    g = start // 16 * 16
+    while g < start + size:
+        if mem.get_granule_tag(g) != addrtag:
+            return max(start, g)
+        g += 16
+    return None
+
+
+@given(base=st.integers(0, _MASK64), offset=st.integers(-64, 64),
+       offset_reg_value=st.one_of(st.none(), st.integers(0, _MASK64)),
+       width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
+       matches=st.lists(st.booleans(), min_size=3, max_size=3), other=st.integers(1, 15))
+def test_decode_and_tag_check_match_reference(base, offset, offset_reg_value, width, pair,
+                                              matches, other):
+    m = machine_for("halt")
+    m.regs[1] = base
+    offset_reg = None
+    if offset_reg_value is not None:
+        m.regs[2], offset_reg, offset = offset_reg_value, 2, 0
+    desc = m.decode(ld(0, base=1, offset=offset, width=width, pair=pair,
+                       offset_reg=offset_reg))
+    effective = (base + (offset if offset_reg is None else offset_reg_value)) & _MASK64
+    start = effective & ((1 << 56) - 1)
+    assert (desc.start, desc.size, desc.addrtag) == (start, width * pair,
+                                                     (effective >> 56) & 0xF)
+    # an access of at most 32 bytes touches at most 3 granules; the
+    # granules on either side never match
+    mem = TaggedMemory()
+    first = start // 16 * 16
+    for i, match in enumerate([False] + matches + [False]):
+        mem.set_granule_tag(first + 16 * (i - 1), desc.addrtag ^ (0 if match else other))
+    fault = m.tag_check(desc, mem)
+    expected = reference_fault_address(start, width * pair, desc.addrtag, mem)
+    assert (None if fault is None else fault.fault_address) == expected
+    if fault is not None:
+        assert fault.access == desc and fault.regs_snapshot == tuple(m.regs)
+
+
+@given(addr=st.integers(0x0FF0, 0x1040), top=st.integers(0, 0xFF),
+       width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
+       values=st.lists(st.integers(0, _MASK64), min_size=2, max_size=2))
+def test_store_then_load_matches_byte_reference(addr, top, width, pair, values):
+    """A store lays each register out little-endian, a width-16 lane
+    zero-extended; a load reads back each lane's low 8 bytes."""
+    mem = TaggedMemory()
+    m = machine_for(f"st r2 [r1, #0] w{width} p{pair}\n"
+                    f"ld r4 [r1, #0] w{width} p{pair}\nhalt", mode=Mode.OFF)
+    m.regs[1] = (top << 56) | addr
+    m.regs[2:4] = values
+    while m.step(mem, None, NullDetector()) is None:
+        pass
+    expected = b"".join(v.to_bytes(8, "little")[:width] + bytes(max(0, width - 8))
+                        for v in values[:pair])
+    assert mem.data == {addr + i: b for i, b in enumerate(expected)}
+    for i in range(pair):
+        assert m.regs[4 + i] == values[i] & ((1 << (8 * min(width, 8))) - 1)
+
 
 class TestTraps:
     def test_trap_on_ret_slot_unavailable(self):
@@ -221,6 +301,19 @@ class TestStepSemantics:
         fault, drain_pc = det.drained
         assert fault.pc == 2 and drain_pc == 3
         assert drain_pc >= fault.pc
+
+    def test_async_report_carries_registers_at_fault_time(self):
+        mem = TaggedMemory()
+        mem.set_granule_tag(0x1000, 5)
+        m = machine_for("mov r1 4096\nmov r2 7\nst r2 [r1, #0] w1 p1\n"
+                        "mov r3 99\nsyscall\nhalt", mode=Mode.ASYNC)
+        det = Detector()
+        end = None
+        while end is None:
+            end = m.step(mem, None, det)
+        assert end.outcome == "BugReported"
+        assert end.report.pc == 4 and m.regs[3] == 99
+        assert end.report.regs[2] == 7 and end.report.regs[3] == 0
 
     def test_alloc_and_free_route_to_allocator(self):
         mem = TaggedMemory()

@@ -186,3 +186,22 @@ def test_set_tag_range_equals_per_granule_loop(writes):
         for g in range(addr // 16 * 16, addr + size, 16):
             looped.set_granule_tag(g, tag)
     assert ranged.tags == looped.tags
+
+
+# property: the byte movers match a per-byte reference, whatever the top byte
+
+_top_byte = st.integers(0, 0xFF)
+
+
+@given(st.lists(st.tuples(_top_byte, st.integers(0x0FF0, 0x1040), st.binary(max_size=32)),
+                max_size=20),
+       _top_byte, st.integers(0x0FF0, 0x1040), st.integers(0, 40))
+def test_byte_moves_match_per_byte_reference(writes, read_top, read_addr, read_len):
+    mem, ref = TaggedMemory(), {}
+    for top, addr, data in writes:
+        mem.write_bytes((top << 56) | addr, data)
+        for i, b in enumerate(data):
+            ref[addr + i] = b
+    assert mem.data == ref
+    expected = bytes(ref.get(read_addr + i, 0) for i in range(read_len))
+    assert mem.read_bytes((read_top << 56) | read_addr, read_len) == expected
