@@ -10,18 +10,19 @@ probability of missing a stale access after reuse cycles comes from.
 import random
 
 from mtesim import Allocator, AllocatorConfig, SimConfig, TaggedMemory, parse_program, run_program
+from mtesim.memory import address_tag, untagged
 
 print("== retag at free, seen from the allocator ==")
 mem = TaggedMemory()
 alloc = Allocator(mem, random.Random(5), AllocatorConfig())
 ptr = alloc.allocate(48)
-print(f"allocated with tag {ptr.tag:#x}")
-alloc.free(ptr.raw)
-print(f"after free the granules wear   {mem.get_granule_tag(ptr.address):#x} "
+print(f"allocated with tag {address_tag(ptr):#x}")
+alloc.free(ptr)
+print(f"after free the granules wear   {mem.get_granule_tag(untagged(ptr)):#x} "
       "(drawn to differ from the old tag)")
 again = alloc.allocate(48)
-print(f"reuse serves the same region at {again.address:#x} "
-      f"with the free-time tag {again.tag:#x}, no retagging")
+print(f"reuse serves the same region at {untagged(again):#x} "
+      f"with the free-time tag {address_tag(again):#x}, no retagging")
 
 print()
 print("== use after free ==")

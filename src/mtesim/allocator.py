@@ -6,6 +6,8 @@ allocations are excluded and, with odd-even tagging on, the new tag's
 parity must differ from the left neighbor's.  Allocations above the
 threshold take an untagged large path (tag 0, never armed).
 
+Tag exclusions are 16-bit masks: bit t set means tag t may not be drawn.
+
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
 count and the allocation's real tag is stashed in the granule's padding,
@@ -31,9 +33,9 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .memory import GRANULE_SIZE, TaggedMemory, TaggedPointer, address_tag, untagged
+from .memory import GRANULE_SIZE, TAG_SHIFT, TaggedMemory, address_tag, untagged
 
 # Bump allocation starts here and grows upward; reused regions keep their
 # original base.  Must stay within the 56-bit addressable range.
@@ -66,7 +68,7 @@ class TagMismatch:
     reason: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationRecord:
     base: int
     requested_size: int
@@ -191,18 +193,29 @@ def size_class(requested: int) -> int:
     return (requested + GRANULE_SIZE - 1) // GRANULE_SIZE * GRANULE_SIZE
 
 
-def generate_tag(exclude: Iterable[int], rng: random.Random,
-                 include_zero: bool = False) -> int:
-    """Draw a tag uniformly from the usable tag space minus `exclude`.
+# Exclusion masks of the odd-even rule: every odd tag, every even nonzero tag.
+_ODD_TAGS = 0xAAAA
+_EVEN_TAGS = 0x5554
+ZERO_TAG = 1
 
-    The usable space is {1..15}; zero is reserved for unprotected memory.
-    `include_zero` widens it to the full {0..15}, used only by experiments
-    that model a 16-tag space.
+# Ascending pool of drawable tags per exclusion mask, filled on first use:
+# the full table of 2**16 masks would cost more to build than most runs draw.
+_TAG_POOLS: Dict[int, Tuple[int, ...]] = {}
+
+
+def generate_tag(exclude: int, rng: random.Random) -> int:
+    """Draw a tag uniformly from {0..15} minus the exclusion mask `exclude`.
+
+    Bit t of `exclude` set excludes tag t.  Zero is reserved for
+    unprotected memory, so callers set bit 0 (`ZERO_TAG`) unless they
+    model a full 16-tag space.  The pool is ascending, so the draw is the
+    one `rng.choice` makes from the listed remaining tags.
     """
-    lo = 0 if include_zero else 1
-    pool = [t for t in range(lo, 16) if t not in exclude]
+    pool = _TAG_POOLS.get(exclude)
+    if pool is None:
+        pool = _TAG_POOLS[exclude] = tuple(t for t in range(16) if not exclude >> t & 1)
     if not pool:
-        raise TagSpaceExhausted(f"no tag left outside exclusion set {sorted(set(exclude))}")
+        raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
     return rng.choice(pool)
 
 
@@ -249,17 +262,18 @@ class Allocator:
 
     # -- allocation ----------------------------------------------------
 
-    def _neighbor_tags_and_parity(self, base: int, usable: int) -> Set[int]:
-        exclude: Set[int] = set()
+    def _neighbor_tags_and_parity(self, base: int, usable: int) -> int:
+        """Exclusion mask of the live tagged neighbours' tags (and parity)."""
+        exclude = 0
         left = self._by_end.get(base)
         if left is not None and left.state is AllocState.LIVE and left.tagged:
-            exclude.add(left.tag)
+            exclude = 1 << left.tag
             if self.config.odd_even:
                 # new tag's parity must differ from the left neighbor's
-                exclude.update(t for t in range(1, 16) if (t & 1) == (left.tag & 1))
+                exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
         right = self._by_base.get(base + usable)
         if right is not None and right.state is AllocState.LIVE and right.tagged:
-            exclude.add(right.tag)
+            exclude |= 1 << right.tag
         return exclude
 
     def _reserve_fresh(self, usable: int) -> int:
@@ -274,7 +288,8 @@ class Allocator:
         self._by_end[rec.end] = rec
         self.records.append(rec)
 
-    def allocate(self, requested: int) -> TaggedPointer:
+    def allocate(self, requested: int) -> int:
+        """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
         usable = size_class(requested)
         self.stats.allocations += 1
 
@@ -283,7 +298,7 @@ class Allocator:
             base = self._reserve_fresh(usable)
             rec = AllocationRecord(base, requested, usable, tag=0)
             self._register(rec)
-            return TaggedPointer.make(base, 0)
+            return base
 
         reused: Optional[AllocationRecord] = None
         fifo = self._free_lists.get(usable)
@@ -298,19 +313,21 @@ class Allocator:
             # fresh region, or a free-time tag equal to the tripwire value
             exclude = self._neighbor_tags_and_parity(base, usable)
             if short:
-                exclude.add(short)  # tag == tripwire value would never fault
-            tag = generate_tag(exclude, self.rng, self.config.include_zero_tag)
+                exclude |= 1 << short  # tag == tripwire value would never fault
+            if not self.config.include_zero_tag:
+                exclude |= ZERO_TAG
+            tag = generate_tag(exclude, self.rng)
             self.mem.set_tag_range(base, usable, tag)
 
-        rec = AllocationRecord(base, requested, usable, tag=tag)
+        rec = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
-            arm_tripwire(self.mem, rec.short_granule_base, short, tag)
+            arm_tripwire(self.mem, base + usable - GRANULE_SIZE, short, tag)
             rec.ever_armed = True
             self.stats.tripwires_armed += 1
 
         self._register(rec)
-        return TaggedPointer.make(base, tag)
+        return base | tag << TAG_SHIFT
 
     # -- free ----------------------------------------------------------
 
@@ -338,7 +355,7 @@ class Allocator:
             clear_short_granule_metadata(self.mem, short_base, rec.addressable_count)
 
         if rec.tagged:
-            new_tag = generate_tag({0, rec.tag}, self.rng)
+            new_tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(rec.base, rec.usable_size, new_tag)
             rec.tag = new_tag
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)

@@ -117,7 +117,11 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     payload = report.to_json()
     if args.report:
-        Path(args.report).write_text(payload + "\n")
+        try:
+            Path(args.report).write_text(payload + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(payload)
     return report.exit_code

@@ -18,7 +18,7 @@ instruction runs normally afterwards.  Trap slots cannot be placed on
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .memory import ADDRESS_MASK, GRANULE_SHIFT, MASK64, TAG_SHIFT, TaggedMemory
@@ -43,8 +43,9 @@ WIDTHS = (1, 2, 4, 8, 16)
 PAIRS = (1, 2)
 
 
-@dataclass(frozen=True)
-class Instruction:
+# A named tuple: generated programs build one per instruction for every
+# trial, and a frozen dataclass costs several times as much to construct.
+class Instruction(NamedTuple):
     kind: Opcode
     dst: int = 0              # destination register (ld/mov/add/alloc)
     src: int = 0              # source register (st/free) or add's operand register
@@ -55,11 +56,22 @@ class Instruction:
     pair: int = 1
     imm: int = 0              # mov/add immediate, alloc size
     overread_ok: bool = False
-    line: int = field(default=0, compare=False)
+    line: int = 0             # source line; not part of equality or hash
 
     @property
     def access_size(self) -> int:
         return self.width * self.pair
+
+    # Compare as instructions, not as tuples: `line` is left out, and an
+    # instruction never equals a plain tuple of the same fields.
+    def __eq__(self, other):
+        return isinstance(other, Instruction) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 # Every load and store builds an AccessDescriptor, so it is a named tuple
@@ -240,7 +252,7 @@ class Machine:
         elif kind is Opcode.ADD:
             regs[instr.dst] = (regs[instr.src] + instr.imm) & MASK64
         elif kind is Opcode.ALLOC:
-            regs[instr.dst] = allocator.allocate(instr.imm).raw
+            regs[instr.dst] = allocator.allocate(instr.imm)
         elif kind is Opcode.FREE:
             mismatch = allocator.free(regs[instr.src])
             if mismatch is not None:

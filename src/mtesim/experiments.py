@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .allocator import generate_tag, metadata_span
+from .allocator import ZERO_TAG, generate_tag, metadata_span
 from .memory import GRANULE_SIZE
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program, substream
 from .trace import (Program, WorkloadError, WorkloadSpec, check_size_distribution,
@@ -138,10 +138,13 @@ def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = substream(seed, "collision")
+    mask = 0 if include_zero else ZERO_TAG
+    for t in exclude:
+        mask |= 1 << t
     collisions = 0
     for _ in range(trials):
-        a = generate_tag(exclude, rng, include_zero)
-        b = generate_tag(exclude, rng, include_zero)
+        a = generate_tag(mask, rng)
+        b = generate_tag(mask, rng)
         if a == b:
             collisions += 1
     return ExperimentResult(

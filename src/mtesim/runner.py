@@ -90,8 +90,9 @@ class Simulation:
         arming = self.config.tripwires and mode is Mode.SYNC
         sampler = None
         if arming:
+            seed = self.config.seed
             sampler = TripwireSampler(
-                substream(self.config.seed, "sampler"),
+                lambda: substream(seed, "sampler"),
                 alloc_threshold=self.config.alloc_threshold,
                 sampling_rate=self.config.sampling_rate,
             )

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .allocator import size_class
@@ -295,6 +296,9 @@ class WorkloadSpec:
     reuse_cycles: int = 0
     # benign programs: number of random in-bounds accesses
     accesses: int = 8
+    # the distribution as `rng.choices` arguments, derived once per spec
+    _sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cum_weights: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
@@ -307,12 +311,15 @@ class WorkloadSpec:
         check_size_distribution(self.size_distribution)
         if self.kind == "intra" and all(s % GRANULE_SIZE == 0 for s, _ in self.size_distribution):
             raise WorkloadError("intra-granule overflows need a size not divisible by 16")
+        object.__setattr__(self, "_sizes", tuple(s for s, _ in self.size_distribution))
+        object.__setattr__(self, "_cum_weights",
+                           tuple(accumulate(w for _, w in self.size_distribution)))
 
 
 def _draw_size(spec: WorkloadSpec, rng: random.Random) -> int:
-    sizes = [s for s, _ in spec.size_distribution]
-    weights = [w for _, w in spec.size_distribution]
-    return rng.choices(sizes, weights=weights)[0]
+    # `weights=w` draws with cum_weights=accumulate(w); passing those
+    # directly gives the same draw without summing them on every call
+    return rng.choices(spec._sizes, cum_weights=spec._cum_weights)[0]
 
 
 def _draw_short_size(spec: WorkloadSpec, rng: random.Random) -> int:
@@ -329,6 +336,14 @@ _VAL = 4        # scratch value registers r4..r7
 _CYCLE = 10     # reuse-cycle pointer
 _PREAMBLE = 20  # preamble pointers r20..
 
+# (width, pair) access shapes in drawing order, and for each buffer size up
+# to the largest access the shapes that fit in it (all of them fit above)
+_SHAPES = tuple((w, p) for w in WIDTHS for p in PAIRS)
+_MAX_ACCESS = max(w * p for w, p in _SHAPES)
+_SHAPES_FITTING = tuple(tuple((w, p) for w, p in _SHAPES if w * p <= n)
+                        for n in range(_MAX_ACCESS + 1))
+_GRANULE_WIDTHS = tuple(w for w in WIDTHS if w <= GRANULE_SIZE)
+
 
 def _emit(out: List[Instruction], kind: Opcode, **fields) -> None:
     """Append one instruction; its line is the one `render_program` gives it."""
@@ -341,8 +356,7 @@ def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) ->
 
 
 def _benign_access(rng: random.Random, size: int, reg: int, out: List[Instruction]) -> None:
-    choices = [(w, p) for w in WIDTHS for p in PAIRS if w * p <= size]
-    width, pair = rng.choice(choices)
+    width, pair = rng.choice(_SHAPES_FITTING[min(size, _MAX_ACCESS)])
     off = rng.randint(0, size - width * pair)
     if rng.random() < 0.5:
         _emit(out, Opcode.MOV, dst=_VAL, imm=rng.randint(0, 2**32))
@@ -359,7 +373,7 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
     last_granule = size // GRANULE_SIZE * GRANULE_SIZE
     # end must exceed the requested size but stay inside the short granule
     options = []
-    for width, pair in [(w, p) for w in WIDTHS for p in PAIRS]:
+    for width, pair in _SHAPES:
         a = width * pair
         if a > GRANULE_SIZE:
             continue
@@ -385,7 +399,7 @@ def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
         _emit(out, Opcode.ALLOC, dst=_VICTIM + 1, imm=spacer)
         skip += size_class(spacer)
     _emit(out, Opcode.ALLOC, dst=_VICTIM, imm=victim)
-    width = rng.choice([w for w in WIDTHS if w <= GRANULE_SIZE])
+    width = rng.choice(_GRANULE_WIDTHS)
     off = skip + rng.randint(0, GRANULE_SIZE - width)  # inside the victim's first granule
     _emit(out, Opcode.STORE, src=_VAL, base=_PTR, offset=off, width=width)
 

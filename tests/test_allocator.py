@@ -15,6 +15,9 @@ from mtesim import (
     tripwire_armed,
 )
 from mtesim.allocator import (
+    HEAP_BASE,
+    ZERO_TAG,
+    AllocationRecord,
     AllocState,
     TagSpaceExhausted,
     access_count,
@@ -22,6 +25,7 @@ from mtesim.allocator import (
     metadata_span,
     stashed_tag,
 )
+from mtesim.memory import address_tag, untagged
 
 
 class AlwaysArm:
@@ -57,36 +61,80 @@ class TestSizeClass:
 class TestGenerateTag:
     def test_uniform_over_nonzero_tags(self):
         rng = random.Random(42)
-        draws = [generate_tag(set(), rng) for _ in range(15_000)]
+        draws = [generate_tag(ZERO_TAG, rng) for _ in range(15_000)]
         counts = [draws.count(t) for t in range(1, 16)]
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
     def test_forced_tag(self):
         rng = random.Random(0)
-        assert all(generate_tag(set(range(1, 15)), rng) == 15 for _ in range(20))
+        assert all(generate_tag(0x7FFF, rng) == 15 for _ in range(20))
 
     def test_never_zero(self):
         rng = random.Random(1)
-        assert all(generate_tag(set(), rng) != 0 for _ in range(2000))
+        assert all(generate_tag(ZERO_TAG, rng) != 0 for _ in range(2000))
 
     def test_exhausted_space_raises(self):
         with pytest.raises(TagSpaceExhausted):
-            generate_tag(set(range(1, 16)), random.Random(0))
+            generate_tag(0xFFFF, random.Random(0))
 
     def test_include_zero_widens_pool(self):
         rng = random.Random(2)
-        draws = {generate_tag(set(), rng, include_zero=True) for _ in range(2000)}
+        draws = {generate_tag(0, rng) for _ in range(2000)}
         assert draws == set(range(16))
+
+    def test_only_zero_left_draws_zero(self):
+        assert generate_tag(0xFFFE, random.Random(3)) == 0
+
+
+def set_based_generate_tag(exclude, rng, include_zero=False):
+    """The set-based draw the mask draw replaced, kept as its reference."""
+    lo = 0 if include_zero else 1
+    pool = [t for t in range(lo, 16) if t not in exclude]
+    if not pool:
+        raise TagSpaceExhausted
+    return rng.choice(pool)
+
+
+def exclusion_mask(exclude, include_zero):
+    mask = 0 if include_zero else ZERO_TAG
+    for t in exclude:
+        mask |= 1 << t
+    return mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 15)), min_size=1, max_size=30),
+       st.booleans(), st.integers(0, 2**32))
+def test_mask_draw_matches_set_based_draw(exclusions, include_zero, seed):
+    masked, reference = random.Random(seed), random.Random(seed)
+    for exclude in exclusions:
+        try:
+            want = set_based_generate_tag(exclude, reference, include_zero)
+        except TagSpaceExhausted:
+            with pytest.raises(TagSpaceExhausted):
+                generate_tag(exclusion_mask(exclude, include_zero), masked)
+            continue
+        assert generate_tag(exclusion_mask(exclude, include_zero), masked) == want
+    assert masked.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("left_tag", range(1, 16))
+def test_odd_even_mask_equals_parity_set(left_tag):
+    _, alloc = make_allocator()
+    alloc._register(AllocationRecord(HEAP_BASE, 16, 16, left_tag))
+    parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
+    assert alloc._neighbor_tags_and_parity(HEAP_BASE + 16, 16) == exclusion_mask(parity, True)
 
 
 class TestAllocate:
     def test_short_granule_layout_when_armed(self):
         mem, alloc = make_allocator(seed=1, sampler=AlwaysArm())
         ptr = alloc.allocate(40)
-        tag = ptr.tag
-        base = ptr.address
+        tag = address_tag(ptr)
+        base = untagged(ptr)
         assert tag != 0
+        assert ptr >> 56 == tag  # canary bits [63:60] clear
         assert mem.get_granule_tag(base) == tag
         assert mem.get_granule_tag(base + 16) == tag
         assert mem.get_granule_tag(base + 32) == 8  # addressable byte count
@@ -99,18 +147,18 @@ class TestAllocate:
         mem, alloc = make_allocator(seed=2, sampler=sampler)
         ptr = alloc.allocate(32)
         assert getattr(sampler, "consulted", 0) == 0
-        assert mem.get_granule_tag(ptr.address) == ptr.tag
-        assert mem.get_granule_tag(ptr.address + 16) == ptr.tag
+        assert mem.get_granule_tag(untagged(ptr)) == address_tag(ptr)
+        assert mem.get_granule_tag(untagged(ptr) + 16) == address_tag(ptr)
 
     def test_adjacent_allocations_have_opposite_parity(self):
         _, alloc = make_allocator(seed=3)
-        tags = [alloc.allocate(32).tag for _ in range(40)]
+        tags = [address_tag(alloc.allocate(32)) for _ in range(40)]
         for left, right in zip(tags, tags[1:]):
             assert (left & 1) != (right & 1)
 
     def test_neighbor_exact_tags_excluded_without_odd_even(self):
         _, alloc = make_allocator(seed=4, odd_even=False)
-        tags = [alloc.allocate(16).tag for _ in range(60)]
+        tags = [address_tag(alloc.allocate(16)) for _ in range(60)]
         for left, right in zip(tags, tags[1:]):
             assert left != right
 
@@ -118,54 +166,54 @@ class TestAllocate:
         # a real tag equal to the tripwire value would never fault
         for seed in range(40):
             _, alloc = make_allocator(seed=seed, sampler=AlwaysArm())
-            assert alloc.allocate(40).tag != 8
-            assert alloc.allocate(47).tag != 15
+            assert address_tag(alloc.allocate(40)) != 8
+            assert address_tag(alloc.allocate(47)) != 15
 
     def test_unarmed_short_granule_keeps_real_tag(self):
         mem, alloc = make_allocator(seed=5)  # no sampler: never arm
         ptr = alloc.allocate(40)
-        assert mem.get_granule_tag(ptr.address + 32) == ptr.tag
-        assert mem.read_byte(ptr.address + 47) == 0
+        assert mem.get_granule_tag(untagged(ptr) + 32) == address_tag(ptr)
+        assert mem.read_byte(untagged(ptr) + 47) == 0
 
     def test_large_path_untagged(self):
         mem, alloc = make_allocator(seed=6, sampler=AlwaysArm())
         ptr = alloc.allocate(100_000)
-        assert ptr.tag == 0
-        assert mem.get_granule_tag(ptr.address) == 0
+        assert address_tag(ptr) == 0
+        assert mem.get_granule_tag(untagged(ptr)) == 0
         rec = alloc.records[-1]
         assert not tripwire_armed(mem, rec) and not rec.ever_armed
 
     def test_zero_tag_reservation_for_primary_path(self):
         _, alloc = make_allocator(seed=7, sampler=AlwaysArm())
         for requested in (1, 16, 40, 64, 47, 1000):
-            assert alloc.allocate(requested).tag != 0
+            assert address_tag(alloc.allocate(requested)) != 0
 
 
 class TestFree:
     def test_retag_at_free_changes_every_granule(self):
         mem, alloc = make_allocator(seed=8)
         ptr = alloc.allocate(48)
-        old = ptr.tag
-        assert alloc.free(ptr.raw) is None
-        for g in range(ptr.address, ptr.address + 48, 16):
+        old = address_tag(ptr)
+        assert alloc.free(ptr) is None
+        for g in range(untagged(ptr), untagged(ptr) + 48, 16):
             assert mem.get_granule_tag(g) != old
 
     def test_free_retags_a_1023_byte_region_in_one_tag(self):
         mem, alloc = make_allocator(seed=8)
         ptr = alloc.allocate(1023)
         right = alloc.allocate(16)
-        right_tag = mem.get_granule_tag(right.address)
-        assert alloc.free(ptr.raw) is None
-        tags = {mem.get_granule_tag(ptr.address + 16 * i) for i in range(64)}
-        assert len(tags) == 1 and tags != {ptr.tag} and tags != {0}
-        assert right.address == ptr.address + 1024
-        assert mem.get_granule_tag(right.address) == right_tag
+        right_tag = mem.get_granule_tag(untagged(right))
+        assert alloc.free(ptr) is None
+        tags = {mem.get_granule_tag(untagged(ptr) + 16 * i) for i in range(64)}
+        assert len(tags) == 1 and tags != {address_tag(ptr)} and tags != {0}
+        assert untagged(right) == untagged(ptr) + 1024
+        assert mem.get_granule_tag(untagged(right)) == right_tag
 
     def test_double_free_is_mismatch(self):
         _, alloc = make_allocator(seed=9)
         ptr = alloc.allocate(40)
-        assert alloc.free(ptr.raw) is None
-        verdict = alloc.free(ptr.raw)
+        assert alloc.free(ptr) is None
+        verdict = alloc.free(ptr)
         assert verdict is not None and verdict.reason == "not-live"
 
     def test_free_of_never_allocated_address(self):
@@ -175,34 +223,34 @@ class TestFree:
     def test_free_with_wrong_tag_is_mismatch(self):
         _, alloc = make_allocator(seed=11)
         ptr = alloc.allocate(40)
-        stale = (ptr.raw & ~(0xF << 56)) | (((ptr.tag + 1) % 16) << 56)
+        stale = (ptr & ~(0xF << 56)) | (((address_tag(ptr) + 1) % 16) << 56)
         assert alloc.free(stale).reason == "stale-tag"
 
     def test_free_with_canary_bits_is_mismatch(self):
         _, alloc = make_allocator(seed=12)
         ptr = alloc.allocate(40)
-        assert alloc.free(ptr.raw | (1 << 63)).reason == "bad-canary"
+        assert alloc.free(ptr | (1 << 63)).reason == "bad-canary"
 
     def test_free_clears_short_granule_metadata(self):
         mem, alloc = make_allocator(seed=13, sampler=AlwaysArm())
         ptr = alloc.allocate(40)
-        assert mem.read_byte(ptr.address + 47) != 0
-        alloc.free(ptr.raw)
-        assert mem.read_byte(ptr.address + 47) == 0
-        assert mem.read_byte(ptr.address + 46) == 0
+        assert mem.read_byte(untagged(ptr) + 47) != 0
+        alloc.free(ptr)
+        assert mem.read_byte(untagged(ptr) + 47) == 0
+        assert mem.read_byte(untagged(ptr) + 46) == 0
 
     def test_reuse_serves_free_time_tag_fifo(self):
         mem, alloc = make_allocator(seed=14)
         a = alloc.allocate(40)
         b = alloc.allocate(40)
-        alloc.free(a.raw)
-        alloc.free(b.raw)
-        free_tag_a = mem.get_granule_tag(a.address)
-        free_tag_b = mem.get_granule_tag(b.address)
+        alloc.free(a)
+        alloc.free(b)
+        free_tag_a = mem.get_granule_tag(untagged(a))
+        free_tag_b = mem.get_granule_tag(untagged(b))
         r1 = alloc.allocate(33)  # same class
         r2 = alloc.allocate(33)
-        assert (r1.address, r1.tag) == (a.address, free_tag_a)
-        assert (r2.address, r2.tag) == (b.address, free_tag_b)
+        assert (untagged(r1), address_tag(r1)) == (untagged(a), free_tag_a)
+        assert (untagged(r2), address_tag(r2)) == (untagged(b), free_tag_b)
 
     def test_reuse_redraws_free_time_tag_equal_to_tripwire_value(self):
         # a free-time tag equal to the addressable count would make the
@@ -211,17 +259,17 @@ class TestFree:
         for seed in range(60):
             mem, alloc = make_allocator(seed=seed, sampler=AlwaysArm())
             ptr = alloc.allocate(40)
-            alloc.free(ptr.raw)
-            free_tag = mem.get_granule_tag(ptr.address)
+            alloc.free(ptr)
+            free_tag = mem.get_granule_tag(untagged(ptr))
             reused = alloc.allocate(40)
-            assert reused.address == ptr.address
-            assert reused.tag != 8
+            assert untagged(reused) == untagged(ptr)
+            assert address_tag(reused) != 8
             assert tripwire_armed(mem, alloc.records[-1])
-            assert mem.get_granule_tag(ptr.address) == reused.tag
+            assert mem.get_granule_tag(untagged(ptr)) == address_tag(reused)
             if free_tag == 8:
                 redrawn += 1
             else:
-                assert reused.tag == free_tag
+                assert address_tag(reused) == free_tag
         assert redrawn > 0
 
 
@@ -229,8 +277,8 @@ class TestMetadataInBand:
     def test_reconstruction_needs_no_registry(self):
         mem, alloc = make_allocator(seed=18, sampler=AlwaysArm())
         ptr = alloc.allocate(40)
-        expected_tag = ptr.tag
-        short_base = ptr.address + 32
+        expected_tag = address_tag(ptr)
+        short_base = untagged(ptr) + 32
         # throw the registry away; only memory reads remain
         del alloc
         count = mem.get_granule_tag(short_base)
@@ -267,7 +315,7 @@ def test_live_allocations_never_overlap(ops, seed):
             live.append(alloc.allocate(value))
         elif live:
             ptr = live.pop(value % len(live))
-            assert alloc.free(ptr.raw) is None
+            assert alloc.free(ptr) is None
         intervals = sorted((r.base, r.end) for r in alloc.records
                            if r.state is AllocState.LIVE)
         for (_, e1), (b2, _) in zip(intervals, intervals[1:]):

@@ -163,10 +163,12 @@ class TestExp:
     ["gen", "--kind", "benign", "--accesses", "-3", "--out", "OUT"],
     ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
     ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],
+    ["run", "TRACE", "--report", "MISSING_DIR/r.json"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
     argv = [trace_file(BENIGN) if a == "TRACE" else out if a == "OUT" else a for a in argv]
+    argv = [a.replace("MISSING_DIR", str(tmp_path / "missing")) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -53,6 +53,34 @@ class ResumeDetector(NullDetector):
         return None
 
 
+class TestInstruction:
+    def test_fields_cannot_be_assigned(self):
+        instr = ld(0, base=1)
+        with pytest.raises(AttributeError):
+            instr.offset = 4
+        with pytest.raises(AttributeError):
+            instr.line = 7
+
+    def test_equality_and_hash_ignore_line(self):
+        a = Instruction(Opcode.STORE, src=4, base=0, offset=5, width=2, line=3)
+        b = Instruction(Opcode.STORE, src=4, base=0, offset=5, width=2, line=9)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        c = Instruction(Opcode.STORE, src=4, base=0, offset=6, width=2, line=3)
+        assert a != c and not a == c
+
+    def test_never_equals_a_plain_tuple(self):
+        a = ld(0, base=1)
+        assert a != tuple(a) and tuple(a) != a
+        assert not a == tuple(a) and not tuple(a) == a
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_access_size_is_width_times_pair(self, width, pair):
+        assert ld(0, base=1, width=width, pair=pair).access_size == width * pair
+
+
 class TestDecode:
     def test_immediate_offset_keeps_base_tag(self):
         m = machine_for("halt")

@@ -9,6 +9,7 @@ from mtesim import (
     parse_program,
     run_program,
 )
+from mtesim import runner
 from mtesim.detector import Detector
 from mtesim.experiments import exp_recovery_transparency
 
@@ -120,3 +121,20 @@ class TestTransparency:
         mutated = run_program(parse_program(trace),
                               SimConfig(seed=4, alloc_threshold=ALWAYS_ARM))
         assert mutated.outcome == "CleanHalt"  # the overflow is missed
+
+
+def test_sampler_substream_is_seeded_only_when_drawn(monkeypatch):
+    seeded = []
+    real = runner.substream
+
+    def spy(seed, name):
+        seeded.append(name)
+        return real(seed, name)
+
+    monkeypatch.setattr(runner, "substream", spy)
+    program = parse_program(BENIGN)
+    run_program(program, SimConfig(seed=3, alloc_threshold=ALWAYS_ARM))
+    assert seeded == ["allocator"]
+    seeded.clear()
+    run_program(program, SimConfig(seed=3, alloc_threshold=0))
+    assert seeded == ["allocator", "sampler"]

@@ -90,3 +90,28 @@ def test_invalid_config_rejected():
         make(threshold=-1)
     with pytest.raises(ValueError):
         make(rate=0)
+
+
+@pytest.mark.parametrize("threshold,rate", [(0, 1), (3, 2), (10, 7), (50, 1000)])
+def test_lazily_seeded_sampler_matches_eager_one(threshold, rate):
+    made = []
+
+    def make_rng():
+        made.append(True)
+        return random.Random("9/sampler")
+
+    lazy = TripwireSampler(make_rng, alloc_threshold=threshold, sampling_rate=rate)
+    eager = TripwireSampler(random.Random("9/sampler"), alloc_threshold=threshold,
+                            sampling_rate=rate)
+    for _ in range(3000):
+        assert lazy.should_arm() == eager.should_arm()
+        assert lazy.countdown == eager.countdown
+    assert made == [True]
+
+
+def test_slow_start_never_makes_the_generator():
+    def make_rng():
+        raise AssertionError("slow start drew from the generator")
+
+    s = TripwireSampler(make_rng, alloc_threshold=500, sampling_rate=3)
+    assert all(s.should_arm() for _ in range(499))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from mtesim import (
     parse_program,
     render_program,
 )
-from mtesim.trace import WorkloadError, generate_program
+from mtesim.trace import WorkloadError, _draw_size, generate_program
 
 
 class TestParse:
@@ -106,6 +108,22 @@ class TestWorkloadSpec:
     def test_unknown_kind(self):
         with pytest.raises(WorkloadError):
             WorkloadSpec(kind="wild")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5000),
+                          st.one_of(st.integers(1, 50),
+                                    st.floats(1e-3, 1e6, allow_nan=False))),
+                min_size=1, max_size=12),
+       st.integers(0, 2**32))
+def test_draw_size_matches_choices_with_weights(distribution, seed):
+    spec = WorkloadSpec(kind="benign", size_distribution=tuple(distribution))
+    sizes = [s for s, _ in distribution]
+    weights = [w for _, w in distribution]
+    cached, reference = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert _draw_size(spec, cached) == reference.choices(sizes, weights=weights)[0]
+    assert cached.getstate() == reference.getstate()
 
 
 class TestGeneratorOracle:
