@@ -8,7 +8,7 @@ again.  An in-padding counter retires tripwires that fault too often.
 """
 
 from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program, tripwire_armed
-from mtesim.allocator import access_count, metadata_span, stashed_tag
+from mtesim.allocator import access_count, metadata_span, read_tripwire
 
 TRACE = """\
 alloc r0 40
@@ -29,10 +29,11 @@ def metadata_bytes(rec):
 def dump(label):
     rec = sim.allocator.records[-1]
     short = rec.short_granule_base
-    print(f"  {label:<26} granule tag {sim.mem.get_granule_tag(short):#3x}   "
+    memtag, stashed = read_tripwire(sim.mem, short)
+    print(f"  {label:<26} granule tag {memtag:#3x}   "
           f"metadata {metadata_bytes(rec)} "
           f"(count {access_count(sim.mem, short, rec.addressable_count)}, "
-          f"stashed tag {stashed_tag(sim.mem, short):#x})   "
+          f"stashed tag {stashed:#x})   "
           f"traps {sorted(sim.machine.traps)}   armed {tripwire_armed(sim.mem, rec)}")
 
 

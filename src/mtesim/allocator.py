@@ -35,7 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .memory import GRANULE_SIZE, TAG_SHIFT, TaggedMemory, address_tag, untagged
+from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, TAG_SHIFT, TaggedMemory,
+                     address_tag, untagged)
 
 # Bump allocation starts here and grows upward; reused regions keep their
 # original base.  Must stay within the 56-bit addressable range.
@@ -100,6 +101,11 @@ class AllocationRecord:
 # -- short-granule metadata: the only code that knows the padding layout ---
 # The last padding byte, plus the one before it when there are two or more,
 # read as one big-endian word: counter bits above a 4-bit stashed tag.
+#
+# Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
+# of the granule tag and the metadata bytes.  The operations index
+# `mem.tags`/`mem.data` directly with masked keys, as the machine's tag
+# check does: a method call per byte costs more than the event itself.
 
 
 def metadata_span(granule: int, addressable: int) -> range:
@@ -113,61 +119,87 @@ def metadata_capacity(addressable: int) -> int:
     return 15 if addressable == 15 else 4095
 
 
-# The two word helpers spell out `metadata_span`: they run on every free and
-# every benign hit, where building a range costs more than the access itself.
-def _load_word(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    last = granule + GRANULE_SIZE - 1
-    if addressable <= 14:
-        return (mem.read_byte(last - 1) << 8) | mem.read_byte(last)
-    return mem.read_byte(last)
-
-
-def _store_word(mem: TaggedMemory, granule: int, addressable: int, word: int) -> None:
-    """Write `word` over the span; counter bits beyond the span are dropped."""
-    last = granule + GRANULE_SIZE - 1
-    mem.write_byte(last, word & 0xFF)
-    if addressable <= 14:
-        mem.write_byte(last - 1, (word >> 8) & 0xFF)
-
-
-def stashed_tag(mem: TaggedMemory, granule: int) -> int:
-    """The low nibble of the granule's last byte: the real tag while armed."""
-    return mem.read_byte(granule + GRANULE_SIZE - 1) & 0xF
+def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
+    """Memory tag of the granule holding `address`, and the low nibble of the
+    granule's last byte: the addressable count and the real tag while armed."""
+    a = address & ADDRESS_MASK
+    return (mem.tags.get(a >> GRANULE_SHIFT, 0),
+            mem.data.get(a | (GRANULE_SIZE - 1), 0) & 0xF)
 
 
 def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    return _load_word(mem, granule, addressable) >> 4
+    last = (granule & ADDRESS_MASK) + GRANULE_SIZE - 1
+    word = mem.data.get(last, 0)
+    if addressable <= 14:
+        word |= mem.data.get(last - 1, 0) << 8
+    return word >> 4
 
 
 def arm_tripwire(mem: TaggedMemory, granule: int, addressable: int, real_tag: int) -> None:
     """Tag the granule with its addressable count; stash the real tag, count 0."""
-    mem.set_granule_tag(granule, addressable)
-    _store_word(mem, granule, addressable, real_tag)
-
-
-def swap_tag_and_metadata(mem: TaggedMemory, granule: int) -> None:
-    """Exchange memory tag and stashed tag; self-inverse, so it delegates and revokes."""
-    tag = mem.get_granule_tag(granule)
-    last = granule + GRANULE_SIZE - 1
-    byte = mem.read_byte(last)
-    mem.set_granule_tag(granule, byte & 0xF)
-    mem.write_byte(last, (byte & 0xF0) | tag)
-
-
-def bump_access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    """Count one benign hit on an armed granule; returns the new count."""
-    word = _load_word(mem, granule, addressable) + (1 << 4)
-    _store_word(mem, granule, addressable, word)
-    return word >> 4
-
-
-def retire_tripwire(mem: TaggedMemory, granule: int) -> None:
-    """Put the stashed real tag back on the granule; the metadata stays."""
-    mem.set_granule_tag(granule, stashed_tag(mem, granule))
+    a = granule & ADDRESS_MASK
+    last = a + GRANULE_SIZE - 1
+    mem.tags[a >> GRANULE_SHIFT] = addressable
+    mem.data[last] = real_tag
+    if addressable <= 14:
+        mem.data[last - 1] = 0
 
 
 def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
-    _store_word(mem, granule, addressable, 0)
+    """Zero the metadata bytes; the granule tag is left alone."""
+    last = (granule & ADDRESS_MASK) + GRANULE_SIZE - 1
+    mem.data[last] = 0
+    if addressable <= 14:
+        mem.data[last - 1] = 0
+
+
+def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
+                  threshold: Optional[int], delegate: bool) -> int:
+    """Let one benign access through the armed tripwire at `granule`.
+
+    `addressable` is the granule's memory tag.  Whatever happens, the
+    granule ends up wearing the stashed real tag.  A counted access
+    (`threshold` given) bumps the counter; once the count reaches the
+    smaller of `threshold` and the counter's capacity, the tripwire retires
+    for good and its metadata is zeroed.  Otherwise the tripwire is
+    delegated when `delegate`, stashing the addressable count where the
+    real tag was, or else retired with the metadata left as this access
+    made it.  An uncounted access (`threshold` None, an allow-listed
+    overread) leaves the counter alone and never retires by threshold.
+
+    Returns the count the metadata now holds: 0 after a threshold retirement.
+    """
+    a = granule & ADDRESS_MASK
+    last = a + GRANULE_SIZE - 1
+    data = mem.data
+    low = data.get(last, 0)
+    mem.tags[a >> GRANULE_SHIFT] = low & 0xF
+    two = addressable <= 14
+    word = data.get(last - 1, 0) << 8 | low if two else low
+    if threshold is None:
+        if delegate:
+            data[last] = low & 0xF0 | addressable
+        return word >> 4
+    word += 1 << 4
+    if word >> 4 >= threshold or word >> 4 >= metadata_capacity(addressable):
+        word = 0
+    elif delegate:
+        word = word & ~0xF | addressable
+    data[last] = word & 0xFF
+    if two:
+        data[last - 1] = word >> 8 & 0xFF
+    return word >> 4
+
+
+def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
+    """Swap the granule tag with the stashed nibble, rearming a delegated tripwire."""
+    a = granule & ADDRESS_MASK
+    g = a >> GRANULE_SHIFT
+    last = a + GRANULE_SIZE - 1
+    tags, data = mem.tags, mem.data
+    byte = data.get(last, 0)
+    data[last] = byte & 0xF0 | tags.get(g, 0)
+    tags[g] = byte & 0xF
 
 
 def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
@@ -180,8 +212,7 @@ def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
     short_base = rec.short_granule_base
     if short_base is None:
         return False
-    return (mem.get_granule_tag(short_base) == rec.addressable_count
-            and stashed_tag(mem, short_base) == rec.tag)
+    return read_tripwire(mem, short_base) == (rec.addressable_count, rec.tag)
 
 
 def size_class(requested: int) -> int:

@@ -39,6 +39,10 @@ EXIT_CLEAN = 0
 EXIT_BUG = 1
 EXIT_USAGE = 2
 
+# A run that cannot go on: out of simulated address space, malformed
+# execution state, or broken recovery bookkeeping.  Exit 2, not a verdict.
+_RUN_ERRORS = (AllocationError, TraceRuntimeError, ProtocolError)
+
 
 def _seed(args) -> int:
     """--seed if given, else MTESIM_SEED, else 0; ValueError if the variable is not an integer."""
@@ -112,7 +116,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         report = run_program(program, config)
-    except (AllocationError, TraceRuntimeError, ProtocolError) as e:
+    except _RUN_ERRORS as e:
         print(f"error: {args.trace}: {e}", file=sys.stderr)
         return EXIT_USAGE
     payload = report.to_json()
@@ -166,7 +170,7 @@ def cmd_gen(args) -> int:
 def cmd_exp(args) -> int:
     try:
         return _run_experiment(args, _config_from_args(args), _seed(args))
-    except (WorkloadError, ValueError) as e:
+    except (WorkloadError, ValueError) + _RUN_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -95,13 +95,16 @@ class Fault(NamedTuple):
     access: AccessDescriptor
 
 
+_new_fault = tuple.__new__      # as for AccessDescriptor: one C call per fault
+
+
 class Mode(enum.Enum):
     OFF = "off"
     ASYNC = "async"
     SYNC = "sync"
 
 
-_LOAD, _STORE = Opcode.LOAD, Opcode.STORE
+_LOAD, _STORE, _RET, _HALT = Opcode.LOAD, Opcode.STORE, Opcode.RET, Opcode.HALT
 _OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
 _ZERO_LANE = bytes(8)   # upper half of a width-16 store
 _GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
@@ -176,16 +179,22 @@ class Machine:
         for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
             if get_tag(g & _GRANULE_INDEX_MASK, 0) != addrtag:
                 address = start if g == first else g << GRANULE_SHIFT
-                return Fault(self.pc, address, tuple(self.regs), desc)
+                return _new_fault(Fault, (self.pc, address, tuple(self.regs), desc))
         return None
 
     # -- traps -----------------------------------------------------------
 
+    def can_trap(self, pc: int) -> bool:
+        """True when slot `pc` can hold a trap: an instruction, not ret or halt."""
+        instructions = self.program.instructions
+        if pc >= len(instructions):
+            return False
+        kind = instructions[pc].kind
+        return kind is not _RET and kind is not _HALT
+
     def set_trap(self, pc: int) -> None:
-        if pc >= len(self.program.instructions):
-            raise TrapUnavailable(f"no instruction slot at {pc}")
-        if self.program.instructions[pc].kind in (Opcode.RET, Opcode.HALT):
-            raise TrapUnavailable(f"cannot trap a {self.program.instructions[pc].kind.value} slot")
+        if not self.can_trap(pc):
+            raise TrapUnavailable(f"no trappable instruction slot at {pc}")
         self.traps.add(pc)
 
     def clear_trap(self, pc: int) -> None:
@@ -263,9 +272,9 @@ class Machine:
                 end = self._drain_async(mem, allocator, detector)
                 if end is not None:
                     return end
-        elif kind is Opcode.RET:
+        elif kind is _RET:
             pass  # function-boundary marker; execution falls through
-        elif kind is Opcode.HALT:
+        elif kind is _HALT:
             if self.mode is _ASYNC:
                 end = self._drain_async(mem, allocator, detector)
                 if end is not None:

@@ -26,16 +26,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .allocator import (
-    bump_access_count,
-    clear_short_granule_metadata,
-    metadata_capacity,
-    retire_tripwire,
-    stashed_tag,
-    swap_tag_and_metadata,
-)
-from .cpu import Fault, Machine, TrapUnavailable
-from .memory import GRANULE_SIZE, TaggedMemory
+from .allocator import pass_tripwire, read_tripwire, revoke_tripwire
+from .cpu import Fault, Machine
+from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory
 
 
 class ProtocolError(Exception):
@@ -183,53 +176,44 @@ class Detector:
 
     # -- recovery protocol ----------------------------------------------
 
-    def _delegate(self, fault: Fault, mem: TaggedMemory, machine: Machine) -> None:
-        granule = fault.fault_address & ~(GRANULE_SIZE - 1)
-        try:
-            machine.set_trap(fault.pc + 1)
-        except TrapUnavailable:
-            # No slot for revocation: retire the tripwire instead of leaving
-            # an open delegation.
-            retire_tripwire(mem, granule)
-            self.stats.tripwires_removed_by_ret_edge += 1
-            return
-        swap_tag_and_metadata(mem, granule)  # granule now wears the real tag
-        self.delegations[fault.pc + 1] = granule
-
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
                             machine: Machine) -> Optional[BugReport]:
         """Sync-mode fault entry point; None means resume the access."""
         desc = fault.access
-        granule = fault.fault_address & ~(GRANULE_SIZE - 1)
-        memtag = mem.get_granule_tag(fault.fault_address)
-        metadata = stashed_tag(mem, granule)
+        address = fault.fault_address
+        memtag, metadata = read_tripwire(mem, address)
+        config = self.config
 
-        if not self.config.tripwires_enabled:
+        if not config.tripwires_enabled:
             # plain tag-check semantics: every mismatch is a bug
             kind = self._classify(desc.addrtag, memtag, 0xFF, allocator)
             return self.make_bug_report(fault, kind, memtag)
 
-        if (self.config.overread_skip and desc.overread_ok
+        if (config.overread_skip and desc.overread_ok
                 and memtag != 0 and desc.addrtag != 0 and metadata == desc.addrtag):
-            # allow-listed overread of a tripwire granule: delegate without
-            # the bounds check and without advancing the counter
-            self._delegate(fault, mem, machine)
-            return None
-
-        if not check_access(fault.fault_address, desc.start, desc.size,
-                            desc.addrtag, memtag, metadata):
+            # allow-listed overread of a tripwire granule: let it through
+            # without the bounds check and without advancing the counter
+            threshold = None
+        elif check_access(address, desc.start, desc.size, desc.addrtag, memtag, metadata):
+            threshold = config.access_threshold  # benign hit: memtag is the addressable count
+        else:
             kind = self._classify(desc.addrtag, memtag, metadata, allocator)
             return self.make_bug_report(fault, kind, memtag)
 
-        # benign tripwire hit: memtag is the addressable count here
-        count = bump_access_count(mem, granule, memtag)
-        if count >= min(metadata_capacity(memtag), self.config.access_threshold):
-            retire_tripwire(mem, granule)
-            clear_short_granule_metadata(mem, granule, memtag)
+        # Count the hit, then retire or delegate.  With no slot for the
+        # revocation trap (ret/halt/end) the tripwire retires instead of
+        # leaving an open delegation.
+        granule = address & GRANULE_MASK
+        trap_pc = fault.pc + 1
+        delegate = machine.can_trap(trap_pc)
+        count = pass_tripwire(mem, granule, memtag, threshold, delegate)
+        if count == 0 and threshold is not None:
             self.stats.tripwires_removed_by_threshold += 1
-            return None
-
-        self._delegate(fault, mem, machine)
+        elif delegate:
+            machine.set_trap(trap_pc)  # the granule now wears the real tag
+            self.delegations[trap_pc] = granule
+        else:
+            self.stats.tripwires_removed_by_ret_edge += 1
         return None
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
@@ -238,11 +222,12 @@ class Detector:
         Needs only the delegation entry and memory; `allocator` is unused
         and kept so both handler entry points take the same arguments.
         """
-        granule = self.delegations.pop(machine.pc, None)
+        pc = machine.pc
+        granule = self.delegations.pop(pc, None)
         if granule is None:
-            raise ProtocolError(f"trap at pc {machine.pc} with no delegated tripwire")
-        swap_tag_and_metadata(mem, granule)
-        machine.clear_trap(machine.pc)
+            raise ProtocolError(f"trap at pc {pc} with no delegated tripwire")
+        revoke_tripwire(mem, granule)
+        machine.clear_trap(pc)
 
     def quiescent(self) -> bool:
         """No delegation outstanding; true at any well-formed run boundary."""

@@ -82,7 +82,7 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
     detected = 0
     for i in range(trials):
         program = generate_program(base_spec, i)
-        report = run_program(program, replace(config, seed=f"{seed}/trial/{i}"))
+        report = run_program(program, config.with_seed(f"{seed}/trial/{i}"))
         if report.outcome == "BugReported":
             detected += 1
     return ExperimentResult(

@@ -22,7 +22,8 @@ GRANULE_SHIFT = 4
 GRANULE_SIZE = 1 << GRANULE_SHIFT
 TAG_BITS = 4
 TAG_SHIFT = 56
-ADDRESS_MASK = (1 << TAG_SHIFT) - 1  # clears the whole top byte
+ADDRESS_SPACE = 1 << TAG_SHIFT      # addresses run 0 .. ADDRESS_SPACE - 1
+ADDRESS_MASK = ADDRESS_SPACE - 1    # clears the whole top byte
 MASK64 = (1 << 64) - 1
 GRANULE_MASK = ~(GRANULE_SIZE - 1)
 
@@ -87,6 +88,9 @@ class TaggedMemory:
 
     # Addresses are masked inline (`& ADDRESS_MASK`, `>> GRANULE_SHIFT`)
     # rather than through `untagged`: these methods run on every access.
+    # A byte move that runs past the top of the address space wraps to
+    # address 0, as `read_byte`, `write_byte` and the machine's tag check
+    # do; only such a move takes the split path.
 
     def set_granule_tag(self, addr: int, tag: int) -> None:
         if not 0 <= tag <= 0xF:
@@ -107,14 +111,23 @@ class TaggedMemory:
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         base = addr & ADDRESS_MASK
+        end = base + length
+        if end > ADDRESS_SPACE:
+            room = ADDRESS_SPACE - base
+            return self.read_bytes(base, room) + self.read_bytes(0, length - room)
         get = self.data.get
-        return bytes([get(a, 0) for a in range(base, base + length)])
+        return bytes([get(a, 0) for a in range(base, end)])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         base = addr & ADDRESS_MASK
+        if base + len(data) > ADDRESS_SPACE:
+            room = ADDRESS_SPACE - base
+            self.write_bytes(base, data[:room])
+            self.write_bytes(0, data[room:])
+            return
         store = self.data
-        for i, b in enumerate(data):
-            store[base + i] = b
+        for a, b in enumerate(data, base):
+            store[a] = b
 
     def read_byte(self, addr: int) -> int:
         return self.data.get(addr & ADDRESS_MASK, 0)

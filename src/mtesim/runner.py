@@ -55,6 +55,17 @@ class SimConfig:
     def echo(self) -> dict:
         return dict(vars(self))
 
+    def with_seed(self, seed: "int | str") -> "SimConfig":
+        """This configuration under another seed.
+
+        Only the seed changes and no check reads it, so the copy skips
+        `__init__` and its validation: `dataclasses.replace` would repeat
+        them for every trial of an experiment.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(vars(self), seed=seed)
+        return clone
+
 
 @dataclass
 class RunReport:

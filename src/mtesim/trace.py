@@ -345,31 +345,66 @@ _SHAPES_FITTING = tuple(tuple((w, p) for w, p in _SHAPES if w * p <= n)
 _GRANULE_WIDTHS = tuple(w for w in WIDTHS if w <= GRANULE_SIZE)
 
 
-def _emit(out: List[Instruction], kind: Opcode, **fields) -> None:
-    """Append one instruction; its line is the one `render_program` gives it."""
-    out.append(Instruction(kind, line=len(out) + 1, **fields))
+# One emitter per opcode appends one instruction, built with `tuple.__new__`
+# from all eleven fields in `Instruction` order: keyword forwarding cost twice
+# the construction itself.  Fields an opcode does not use keep the
+# `Instruction` defaults, and `line` is pc + 1, the line `render_program`
+# gives the instruction.
+_new_instruction = tuple.__new__
+
+
+def _alloc(out: List[Instruction], dst: int, size: int) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.ALLOC, dst, 0, 0, None, 0, 8, 1, size, False, len(out) + 1)))
+
+
+def _free(out: List[Instruction], src: int) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.FREE, 0, src, 0, None, 0, 8, 1, 0, False, len(out) + 1)))
+
+
+def _mov(out: List[Instruction], dst: int, imm: int) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.MOV, dst, 0, 0, None, 0, 8, 1, imm, False, len(out) + 1)))
+
+
+def _load(out: List[Instruction], dst: int, base: int, offset: int, width: int,
+          pair: int = 1) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.LOAD, dst, 0, base, None, offset, width, pair, 0, False, len(out) + 1)))
+
+
+def _store(out: List[Instruction], src: int, base: int, offset: int, width: int,
+           pair: int = 1) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.STORE, 0, src, base, None, offset, width, pair, 0, False, len(out) + 1)))
+
+
+def _halt(out: List[Instruction]) -> None:
+    out.append(_new_instruction(Instruction, (
+        Opcode.HALT, 0, 0, 0, None, 0, 8, 1, 0, False, len(out) + 1)))
 
 
 def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     for i in range(spec.preamble_allocs):
-        _emit(out, Opcode.ALLOC, dst=_PREAMBLE + (i % 8), imm=_draw_size(spec, rng))
+        _alloc(out, _PREAMBLE + (i % 8), _draw_size(spec, rng))
 
 
 def _benign_access(rng: random.Random, size: int, reg: int, out: List[Instruction]) -> None:
     width, pair = rng.choice(_SHAPES_FITTING[min(size, _MAX_ACCESS)])
     off = rng.randint(0, size - width * pair)
     if rng.random() < 0.5:
-        _emit(out, Opcode.MOV, dst=_VAL, imm=rng.randint(0, 2**32))
+        _mov(out, _VAL, rng.randint(0, 2**32))
         if pair == 2:
-            _emit(out, Opcode.MOV, dst=_VAL + 1, imm=rng.randint(0, 2**32))
-        _emit(out, Opcode.STORE, src=_VAL, base=reg, offset=off, width=width, pair=pair)
+            _mov(out, _VAL + 1, rng.randint(0, 2**32))
+        _store(out, _VAL, reg, off, width, pair)
     else:
-        _emit(out, Opcode.LOAD, dst=_VAL + 2, base=reg, offset=off, width=width, pair=pair)
+        _load(out, _VAL + 2, reg, off, width, pair)
 
 
 def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_short_size(spec, rng)
-    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
+    _alloc(out, _PTR, size)
     last_granule = size // GRANULE_SIZE * GRANULE_SIZE
     # end must exceed the requested size but stay inside the short granule
     options = []
@@ -384,43 +419,43 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
     width, pair, lo, hi = rng.choice(options)
     off = rng.randint(lo, hi)
     if rng.random() < 0.5:
-        _emit(out, Opcode.STORE, src=_VAL, base=_PTR, offset=off, width=width, pair=pair)
+        _store(out, _VAL, _PTR, off, width, pair)
     else:
-        _emit(out, Opcode.LOAD, dst=_VAL, base=_PTR, offset=off, width=width, pair=pair)
+        _load(out, _VAL, _PTR, off, width, pair)
 
 
 def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     attacker = _draw_size(spec, rng)
     victim = size_class(_draw_size(spec, rng))  # full granules only
-    _emit(out, Opcode.ALLOC, dst=_PTR, imm=attacker)
+    _alloc(out, _PTR, attacker)
     skip = size_class(attacker)
     if not spec.adjacent:
         spacer = 65537  # untagged path breaks the tag-exclusion chain
-        _emit(out, Opcode.ALLOC, dst=_VICTIM + 1, imm=spacer)
+        _alloc(out, _VICTIM + 1, spacer)
         skip += size_class(spacer)
-    _emit(out, Opcode.ALLOC, dst=_VICTIM, imm=victim)
+    _alloc(out, _VICTIM, victim)
     width = rng.choice(_GRANULE_WIDTHS)
     off = skip + rng.randint(0, GRANULE_SIZE - width)  # inside the victim's first granule
-    _emit(out, Opcode.STORE, src=_VAL, base=_PTR, offset=off, width=width)
+    _store(out, _VAL, _PTR, off, width)
 
 
 def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
-    _emit(out, Opcode.MOV, dst=_VAL, imm=rng.randint(0, 2**32))
-    _emit(out, Opcode.STORE, src=_VAL, base=_PTR, width=1)
-    _emit(out, Opcode.FREE, src=_PTR)
+    _alloc(out, _PTR, size)
+    _mov(out, _VAL, rng.randint(0, 2**32))
+    _store(out, _VAL, _PTR, 0, 1)
+    _free(out, _PTR)
     for _ in range(spec.reuse_cycles):
-        _emit(out, Opcode.ALLOC, dst=_CYCLE, imm=size)
-        _emit(out, Opcode.FREE, src=_CYCLE)
-    _emit(out, Opcode.LOAD, dst=_VAL + 1, base=_PTR, width=1)
+        _alloc(out, _CYCLE, size)
+        _free(out, _CYCLE)
+    _load(out, _VAL + 1, _PTR, 0, 1)
 
 
 def _gen_double_free(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    _emit(out, Opcode.ALLOC, dst=_PTR, imm=size)
-    _emit(out, Opcode.FREE, src=_PTR)
-    _emit(out, Opcode.FREE, src=_PTR)
+    _alloc(out, _PTR, size)
+    _free(out, _PTR)
+    _free(out, _PTR)
 
 
 def _gen_benign(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -429,13 +464,13 @@ def _gen_benign(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) 
         size = _draw_size(spec, rng)
         reg = 12 + i
         buffers.append((reg, size))
-        _emit(out, Opcode.ALLOC, dst=reg, imm=size)
+        _alloc(out, reg, size)
     for _ in range(spec.accesses):
         reg, size = rng.choice(buffers)
         _benign_access(rng, size, reg, out)
     for reg, _ in buffers:
         if rng.random() < 0.3:
-            _emit(out, Opcode.FREE, src=reg)
+            _free(out, reg)
 
 
 _GENERATORS = {
@@ -452,7 +487,7 @@ def generate_program(spec: WorkloadSpec, index: int) -> Program:
     out: List[Instruction] = []
     _preamble(spec, rng, out)
     _GENERATORS[spec.kind](spec, rng, out)
-    _emit(out, Opcode.HALT)
+    _halt(out)
     return Program(tuple(out))
 
 

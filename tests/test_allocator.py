@@ -21,9 +21,13 @@ from mtesim.allocator import (
     AllocState,
     TagSpaceExhausted,
     access_count,
+    arm_tripwire,
+    clear_short_granule_metadata,
     metadata_capacity,
     metadata_span,
-    stashed_tag,
+    pass_tripwire,
+    read_tripwire,
+    revoke_tripwire,
 )
 from mtesim.memory import address_tag, untagged
 
@@ -281,9 +285,9 @@ class TestMetadataInBand:
         short_base = untagged(ptr) + 32
         # throw the registry away; only memory reads remain
         del alloc
-        count = mem.get_granule_tag(short_base)
+        count, stashed = read_tripwire(mem, short_base)
         assert count == 8
-        assert stashed_tag(mem, short_base) == expected_tag
+        assert stashed == expected_tag
         assert access_count(mem, short_base, count) == 0
         assert metadata_capacity(count) == 4095
 
@@ -320,3 +324,131 @@ def test_live_allocations_never_overlap(ops, seed):
                            if r.state is AllocState.LIVE)
         for (_, e1), (b2, _) in zip(intervals, intervals[1:]):
             assert e1 <= b2
+
+
+# -- the fused metadata operations against a stepwise reference -------------
+# The reference spells each tripwire event out one step and one byte at a
+# time through `TaggedMemory`'s methods, in the order the handler used to
+# take them: bump the counter, then retire (clearing the metadata at the
+# threshold) or swap the granule tag with the stashed nibble.
+
+def _ref_span(granule, addressable):
+    last = granule + 15
+    return [last - 1, last] if addressable <= 14 else [last]
+
+
+def _ref_load(mem, granule, addressable):
+    word = 0
+    for a in _ref_span(granule, addressable):
+        word = word << 8 | mem.read_byte(a)
+    return word
+
+
+def _ref_store(mem, granule, addressable, word):
+    for a in reversed(_ref_span(granule, addressable)):
+        mem.write_byte(a, word & 0xFF)
+        word >>= 8
+
+
+def _ref_swap(mem, granule):
+    tag, byte = mem.get_granule_tag(granule), mem.read_byte(granule + 15)
+    mem.set_granule_tag(granule, byte & 0xF)
+    mem.write_byte(granule + 15, (byte & 0xF0) | tag)
+
+
+def _ref_retire(mem, granule):
+    mem.set_granule_tag(granule, mem.read_byte(granule + 15) & 0xF)
+
+
+def _ref_pass(mem, granule, addressable, threshold, delegate):
+    if threshold is None:
+        (_ref_swap if delegate else _ref_retire)(mem, granule)
+        return _ref_load(mem, granule, addressable) >> 4
+    word = _ref_load(mem, granule, addressable) + 16
+    _ref_store(mem, granule, addressable, word)
+    capacity = 15 if addressable == 15 else 4095
+    if word >> 4 >= min(capacity, threshold):
+        _ref_retire(mem, granule)
+        _ref_store(mem, granule, addressable, 0)
+        return 0
+    (_ref_swap if delegate else _ref_retire)(mem, granule)
+    return word >> 4
+
+
+def _twin_memories(granule, memtag, padding, neighbours):
+    """Two identical memories: the short granule at `granule` with tag
+    `memtag`, its last two bytes from `padding` (None leaves a byte
+    unwritten), and bytes around the metadata that must stay untouched."""
+    pair = (TaggedMemory(), TaggedMemory())
+    for mem in pair:
+        mem.set_granule_tag(granule, memtag)
+        mem.set_granule_tag(granule + 16, neighbours[0] & 0xF)
+        mem.write_byte(granule + 13, neighbours[0])
+        mem.write_byte(granule + 16, neighbours[1])
+        for a, byte in zip((granule + 14, granule + 15), padding):
+            if byte is not None:
+                mem.write_byte(a, byte)
+    return pair
+
+
+def _same(fused, ref):
+    assert fused.tags == ref.tags
+    assert fused.data == ref.data
+
+
+# near the heap, and the last granule under the top of the address space;
+# a tagged top byte must not matter
+_granules = st.tuples(st.sampled_from([HEAP_BASE + 0x40, (1 << 56) - 16]),
+                      st.integers(0, 0xFF)).map(lambda g: g[0] | g[1] << 56)
+_bytes = st.one_of(st.none(), st.integers(0, 0xFF))
+# arbitrary padding, plus words whose counter sits at either capacity edge
+_edge_padding = st.tuples(st.sampled_from([13, 14, 15, 16, 4093, 4094, 4095]),
+                          st.integers(0, 15)).map(lambda c: ((c[0] >> 4) & 0xFF,
+                                                             (c[0] << 4 | c[1]) & 0xFF))
+_padding = st.one_of(st.tuples(_bytes, _bytes), _edge_padding)
+
+
+@given(granule=_granules, addressable=st.integers(1, 15), padding=_padding,
+       neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)),
+       threshold=st.one_of(st.none(), st.integers(1, 4200), st.integers(-2, 2)),
+       delegate=st.booleans())
+def test_pass_tripwire_matches_stepwise_reference(granule, addressable, padding, neighbours,
+                                                  threshold, delegate):
+    fused, ref = _twin_memories(granule, addressable, padding, neighbours)
+    if threshold is not None and threshold <= 2:
+        # land on, just before or just after the bumped count
+        threshold = max(1, access_count(ref, granule, addressable) + 1 + threshold)
+    count = pass_tripwire(fused, granule, addressable, threshold, delegate)
+    assert count == _ref_pass(ref, granule, addressable, threshold, delegate)
+    _same(fused, ref)
+    assert count == access_count(fused, granule, addressable)
+
+
+@given(granule=_granules, memtag=st.integers(0, 15), padding=_padding,
+       neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)))
+def test_revoke_and_read_match_stepwise_reference(granule, memtag, padding, neighbours):
+    fused, ref = _twin_memories(granule, memtag, padding, neighbours)
+    assert read_tripwire(fused, granule + 3) == (ref.get_granule_tag(granule),
+                                                 ref.read_byte(granule + 15) & 0xF)
+    for addressable in range(1, 16):
+        assert access_count(fused, granule, addressable) == \
+            _ref_load(ref, granule, addressable) >> 4
+    revoke_tripwire(fused, granule)
+    _ref_swap(ref, granule)
+    _same(fused, ref)
+
+
+@given(granule=_granules, addressable=st.integers(1, 15), real_tag=st.integers(0, 15),
+       padding=_padding, neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)))
+def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_tag, padding,
+                                                     neighbours):
+    fused, ref = _twin_memories(granule, real_tag, padding, neighbours)
+    arm_tripwire(fused, granule, addressable, real_tag)
+    ref.set_granule_tag(granule, addressable)
+    _ref_store(ref, granule, addressable, real_tag)
+    _same(fused, ref)
+    assert read_tripwire(fused, granule) == (addressable, real_tag)
+    assert access_count(fused, granule, addressable) == 0
+    clear_short_granule_metadata(fused, granule, addressable)
+    _ref_store(ref, granule, addressable, 0)
+    _same(fused, ref)

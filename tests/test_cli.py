@@ -1,17 +1,24 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtesim.cli import main
 
 
 INTRA = "alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt\n"
 BENIGN = "alloc r0 40\nst r1 [r0, #8] w8 p1\nhalt\n"
+_RUNS = itertools.count()
 
 
 @pytest.fixture
@@ -164,6 +171,9 @@ class TestExp:
     ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
     ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],
     ["run", "TRACE", "--report", "MISSING_DIR/r.json"],
+    # a size past the simulated address space: the run cannot allocate it
+    ["exp", "detection", "--kind", "cross", "--sizes", str(2**60), "--trials", "1"],
+    ["exp", "transparency", "--sizes", str(2**60), "--trials", "1"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
@@ -203,3 +213,105 @@ def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text")
+
+
+# -- property: any argv exits 0, 1 or 2, and exit 2 is one `error:` line ----
+# Arguments are drawn from grammar-shaped pools of good and bad tokens.  Flags
+# that set a loop count (trials, programs, accesses, cycles) draw only small
+# values so each example runs in milliseconds.
+
+_INTS = st.sampled_from(["-1", "0", "1", "3", "x", "", "1.5", str(2**64)])
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "x"])
+_SIZES = st.sampled_from(["24:1,40:1", "47", "32:1", "0", "-5", "24:0", "24:-1", "24:nan",
+                          "24:inf", "x", "", "24:1,", "24::1", str(2**60)])
+_UNIFORM = st.sampled_from(["1:256", "5:2", "0:8", "a:b", "1:2:3", "7", f"1:{2**64}"])
+_KINDS = st.sampled_from(["intra", "cross", "uaf", "double_free", "benign", "bogus"])
+
+
+def _flag(name, values=None):
+    return st.just([name]) if values is None else values.map(lambda v: [name, v])
+
+
+_CONFIG_FLAGS = [
+    _flag("--mode", st.sampled_from(["off", "sync", "async", "bogus"])),
+    _flag("--seed", _INTS), _flag("--sampling-rate", _INTS),
+    _flag("--alloc-threshold", _INTS), _flag("--access-threshold", _INTS),
+    _flag("--large-threshold", _INTS), _flag("--no-tripwires"), _flag("--overread-skip"),
+    _flag("--no-odd-even"), _flag("--include-zero-tag"), _flag("--always-arm"),
+]
+_GEN_FLAGS = [
+    _flag("--count", _SMALL), _flag("--seed", _INTS), _flag("--preamble", _SMALL),
+    _flag("--non-adjacent"), _flag("--reuse-cycles", _SMALL), _flag("--accesses", _SMALL),
+]
+_EXP_FLAGS = _CONFIG_FLAGS + [
+    _flag("--uniform", _UNIFORM), _flag("--non-adjacent"), _flag("--reuse-cycles", _SMALL),
+]
+
+
+def _flags(pool):
+    return st.lists(st.one_of(pool), max_size=4).map(lambda fs: [t for f in fs for t in f])
+
+
+def _maybe(flag):
+    return st.one_of(st.just([]), flag)
+
+
+# the workload flags most inputs hinge on are drawn on their own, half the time each
+_WORKLOAD = st.tuples(_maybe(_flag("--kind", _KINDS)), _maybe(_flag("--sizes", _SIZES))).map(
+    lambda t: t[0] + t[1])
+
+_TRACES = {
+    "benign": BENIGN.encode(),
+    "intra": INTRA.encode(),
+    "parse_error": b"ld r0 [r1, #0] w3 p1\nhalt\n",
+    "empty": b"",
+    "huge_alloc": f"alloc r0 {2**60}\nhalt\n".encode(),
+    "not_utf8": b"\xff\xfe\x00halt\n",
+}
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["run"]), st.sampled_from(sorted(_TRACES) + ["missing"]),
+              _flags(_CONFIG_FLAGS + [_flag("--report", st.sampled_from(["OUT/r.json",
+                                                                         "OUT/no/r.json"]))])
+              ).map(lambda t: t[0] + ["TRACE:" + t[1]] + t[2]),
+    st.tuples(_WORKLOAD, _flags(_GEN_FLAGS), st.sampled_from(["OUT", "OUT/file.mtr/x"])).map(
+        lambda t: ["gen"] + t[0] + t[1] + ["--out", t[2]]),
+    st.tuples(st.sampled_from(["detection", "collision", "vulnerable-fraction",
+                               "transparency", "bogus"]),
+              _WORKLOAD, _flags(_EXP_FLAGS), _SMALL).map(
+        lambda t: ["exp", t[0]] + t[1] + t[2] + ["--trials", t[3]]),
+    st.lists(st.sampled_from(["run", "gen", "exp", "detection", "--trials", "-x", "", "--help"]),
+             max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    for name, text in _TRACES.items():
+        (root / f"{name}.mtr").write_bytes(text)
+    (root / "file.mtr").write_text("halt\n")
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_ARGV, env_seed=st.sampled_from([None, "7", "abc"]))
+def test_any_argv_exits_0_1_or_2_without_traceback(cli_dir, argv, env_seed):
+    out = cli_dir / f"out{next(_RUNS)}"
+    out.mkdir()
+    argv = [str(cli_dir / (a[len("TRACE:"):] + ".mtr")) if a.startswith("TRACE:")
+            else a.replace("OUT/file.mtr", str(cli_dir / "file.mtr")).replace("OUT", str(out))
+            for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        os.environ.pop("MTESIM_SEED", None)
+        if env_seed is not None:
+            os.environ["MTESIM_SEED"] = env_seed
+        code = main(argv)  # an exception escaping here is the traceback a user would see
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+        assert stdout.getvalue() == "", (argv, stdout.getvalue())

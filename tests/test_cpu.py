@@ -362,3 +362,17 @@ class TestStepSemantics:
         while end is None:
             end = m.step(mem, None, det)
         assert m.regs[0] == 2
+
+
+def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
+    # the tag check wraps the access to granule 0; the bytes must go there too
+    m = machine_for("st r2 [r1, #0] w8 p1\nld r4 [r3, #0] w4 p1\nhalt")
+    mem = TaggedMemory()
+    mem.set_granule_tag(0xFF_FFFF_FFFF_FFF0, 0xA)
+    mem.set_granule_tag(0x0, 0xA)
+    m.regs[1] = 0x0AFF_FFFF_FFFF_FFFC
+    m.regs[2] = 0x0807_0605_0403_0201
+    m.regs[3] = 0x0A00_0000_0000_0000
+    assert m.step(mem, None, None) is None and m.step(mem, None, None) is None
+    assert m.regs[4] == 0x0807_0605
+    assert len(mem.data) == 8 and max(mem.data) < 1 << 56

@@ -2,6 +2,7 @@
 
 Demo 05 is left out: it runs full-size experiments (several seconds), and
 every name it imports is exercised by the other demos and the test suite.
+The CI workflow runs it as a step of its own.
 """
 
 import os

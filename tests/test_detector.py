@@ -11,13 +11,7 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
-from mtesim.allocator import (
-    access_count,
-    bump_access_count,
-    metadata_span,
-    stashed_tag,
-    swap_tag_and_metadata,
-)
+from mtesim.allocator import access_count, metadata_span, pass_tripwire, read_tripwire, revoke_tripwire
 from mtesim.detector import Detector, DetectorConfig, ProtocolError
 from mtesim.runner import ALWAYS_ARM
 
@@ -112,19 +106,21 @@ class TestRecoveryProtocol:
         mem = TaggedMemory()
         mem.set_granule_tag(GBASE, 8)
         mem.write_byte(GBASE + 15, 0x3A)
-        swap_tag_and_metadata(mem, GBASE)
+        revoke_tripwire(mem, GBASE)
         assert mem.get_granule_tag(GBASE) == 0xA
         assert mem.read_byte(GBASE + 15) == 0x38
-        swap_tag_and_metadata(mem, GBASE)
+        revoke_tripwire(mem, GBASE)
         assert mem.get_granule_tag(GBASE) == 8
         assert mem.read_byte(GBASE + 15) == 0x3A
 
     def test_bump_carries_into_the_second_metadata_byte(self):
         mem = TaggedMemory()
+        mem.set_granule_tag(GBASE, 8)
         mem.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
-        assert bump_access_count(mem, GBASE, 8) == 16
-        assert (mem.read_byte(GBASE + 14), mem.read_byte(GBASE + 15)) == (0x01, 0x0A)
-        assert stashed_tag(mem, GBASE) == 0xA
+        assert pass_tripwire(mem, GBASE, 8, 64, delegate=True) == 16
+        # delegated: real tag on the granule, addressable count stashed
+        assert (mem.read_byte(GBASE + 14), mem.read_byte(GBASE + 15)) == (0x01, 0x08)
+        assert read_tripwire(mem, GBASE) == (0xA, 8)
 
     def test_benign_hit_delegates_then_revokes(self):
         sim, report = run_sim(
@@ -206,8 +202,7 @@ class TestRecoveryProtocol:
         assert not tripwire_armed(sim.mem, rec)
         short = rec.base + rec.usable_size - 16
         # granule wears the real tag; the metadata stays as the hit left it
-        assert sim.mem.get_granule_tag(short) == rec.tag
-        assert stashed_tag(sim.mem, short) == rec.tag
+        assert read_tripwire(sim.mem, short) == (rec.tag, rec.tag)
         assert access_count(sim.mem, short, 7) == 1
 
 

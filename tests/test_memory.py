@@ -205,3 +205,34 @@ def test_byte_moves_match_per_byte_reference(writes, read_top, read_addr, read_l
     assert mem.data == ref
     expected = bytes(ref.get(read_addr + i, 0) for i in range(read_len))
     assert mem.read_bytes((read_top << 56) | read_addr, read_len) == expected
+
+
+# property: at the top of the address space the byte movers wrap to address
+# 0, byte by byte as `read_byte`/`write_byte` (and the tag check) do
+
+_TOP = 1 << 56
+
+
+@given(st.lists(st.tuples(_top_byte, st.integers(_TOP - 40, _TOP - 1), st.binary(max_size=32)),
+                max_size=10),
+       _top_byte, st.integers(_TOP - 40, _TOP - 1), st.integers(0, 40))
+def test_byte_moves_wrap_at_top_of_address_space(writes, read_top, read_addr, read_len):
+    mem, ref = TaggedMemory(), TaggedMemory()
+    for top, addr, data in writes:
+        mem.write_bytes((top << 56) | addr, data)
+        for i, b in enumerate(data):
+            ref.write_byte(addr + i, b)
+    assert mem.data == ref.data
+    assert all(0 <= a < _TOP for a in mem.data)
+    expected = bytes(ref.read_byte(read_addr + i) for i in range(read_len))
+    assert mem.read_bytes((read_top << 56) | read_addr, read_len) == expected
+
+
+def test_store_across_the_top_lands_at_address_0():
+    mem = TaggedMemory()
+    base = _TOP - 4
+    mem.write_bytes(base, bytes(range(1, 9)))
+    assert sorted(mem.data) == [0, 1, 2, 3, _TOP - 4, _TOP - 3, _TOP - 2, _TOP - 1]
+    assert mem.read_byte(0) == mem.read_byte(base + 4) == 5
+    assert mem.read_bytes(base, 8) == bytes(range(1, 9))
+    assert mem.read_bytes(0, 4) == bytes([5, 6, 7, 8])
