@@ -26,6 +26,12 @@ def metadata_bytes(rec):
     return " ".join(f"{sim.mem.read_byte(a):02x}" for a in span)
 
 
+def delegations():
+    """The detector's open delegations, trap pc -> granule: the machine's trap slots."""
+    pairs = sorted(sim.detector.delegations.items())
+    return "{" + ", ".join(f"{pc}: {granule:#x}" for pc, granule in pairs) + "}"
+
+
 def dump(label):
     rec = sim.allocator.records[-1]
     short = rec.short_granule_base
@@ -34,7 +40,7 @@ def dump(label):
           f"metadata {metadata_bytes(rec)} "
           f"(count {access_count(sim.mem, short, rec.addressable_count)}, "
           f"stashed tag {stashed:#x})   "
-          f"traps {sorted(sim.machine.traps)}   armed {tripwire_armed(sim.mem, rec)}")
+          f"delegations {delegations()}   armed {tripwire_armed(sim.mem, rec)}")
 
 
 print("pc 0: alloc r0 40")

@@ -20,7 +20,6 @@ from .cpu import (
     Machine,
     Mode,
     Opcode,
-    TrapUnavailable,
 )
 from .detector import BugKind, check_access
 from .experiments import (
@@ -59,7 +58,6 @@ __all__ = [
     "TaggedMemory",
     "TaggedPointer",
     "TraceParseError",
-    "TrapUnavailable",
     "TripwireSampler",
     "WorkloadSpec",
     "check_access",

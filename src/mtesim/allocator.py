@@ -35,8 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, TAG_SHIFT, TaggedMemory,
-                     address_tag, untagged)
+from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT,
+                     TAG_SHIFT, TaggedMemory, address_tag, untagged)
 
 # Bump allocation starts here and grows upward; reused regions keep their
 # original base.  Must stay within the 56-bit addressable range.
@@ -103,14 +103,20 @@ class AllocationRecord:
 # read as one big-endian word: counter bits above a 4-bit stashed tag.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
-# of the granule tag and the metadata bytes.  The operations index
-# `mem.tags`/`mem.data` directly with masked keys, as the machine's tag
-# check does: a method call per byte costs more than the event itself.
+# of the granule tag and the metadata bytes.  The operations look the
+# granule's tag page and data page up once each and index them, as the
+# machine's tag check does: a method call per byte costs more than the event
+# itself.  `pages.get(i) or mem.tag_page(i)` makes a page only when none
+# exists (a page is never empty, so never false).  Reads and clears make no
+# page.  `granule` is the base address of a granule; its last byte sits at
+# page offset `granule & PAGE_MASK | _LAST`.
+
+_LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
 
 
 def metadata_span(granule: int, addressable: int) -> range:
     """Addresses of the metadata bytes of the short granule at `granule`."""
-    last = granule + GRANULE_SIZE - 1
+    last = granule + _LAST
     return range(last - 1 if addressable <= 14 else last, last + 1)
 
 
@@ -123,34 +129,46 @@ def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
     """Memory tag of the granule holding `address`, and the low nibble of the
     granule's last byte: the addressable count and the real tag while armed."""
     a = address & ADDRESS_MASK
-    return (mem.tags.get(a >> GRANULE_SHIFT, 0),
-            mem.data.get(a | (GRANULE_SIZE - 1), 0) & 0xF)
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags, data = mem.tags.get(index), mem.data.get(index)
+    return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
+            0 if data is None else data[offset | _LAST] & 0xF)
 
 
 def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    last = (granule & ADDRESS_MASK) + GRANULE_SIZE - 1
-    word = mem.data.get(last, 0)
+    a = granule & ADDRESS_MASK
+    data = mem.data.get(a >> PAGE_SHIFT)
+    if data is None:
+        return 0
+    last = a & PAGE_MASK | _LAST
+    word = data[last]
     if addressable <= 14:
-        word |= mem.data.get(last - 1, 0) << 8
+        word |= data[last - 1] << 8
     return word >> 4
 
 
 def arm_tripwire(mem: TaggedMemory, granule: int, addressable: int, real_tag: int) -> None:
     """Tag the granule with its addressable count; stash the real tag, count 0."""
     a = granule & ADDRESS_MASK
-    last = a + GRANULE_SIZE - 1
-    mem.tags[a >> GRANULE_SHIFT] = addressable
-    mem.data[last] = real_tag
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = addressable
+    data = mem.data.get(index) or mem.data_page(index)
+    last = offset | _LAST
+    data[last] = real_tag
     if addressable <= 14:
-        mem.data[last - 1] = 0
+        data[last - 1] = 0
 
 
 def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
     """Zero the metadata bytes; the granule tag is left alone."""
-    last = (granule & ADDRESS_MASK) + GRANULE_SIZE - 1
-    mem.data[last] = 0
+    a = granule & ADDRESS_MASK
+    data = mem.data.get(a >> PAGE_SHIFT)
+    if data is None:
+        return  # never written: already zero
+    last = a & PAGE_MASK | _LAST
+    data[last] = 0
     if addressable <= 14:
-        mem.data[last - 1] = 0
+        data[last - 1] = 0
 
 
 def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
@@ -170,12 +188,13 @@ def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
     Returns the count the metadata now holds: 0 after a threshold retirement.
     """
     a = granule & ADDRESS_MASK
-    last = a + GRANULE_SIZE - 1
-    data = mem.data
-    low = data.get(last, 0)
-    mem.tags[a >> GRANULE_SHIFT] = low & 0xF
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    data = mem.data.get(index) or mem.data_page(index)
+    last = offset | _LAST
+    low = data[last]
+    (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = low & 0xF
     two = addressable <= 14
-    word = data.get(last - 1, 0) << 8 | low if two else low
+    word = data[last - 1] << 8 | low if two else low
     if threshold is None:
         if delegate:
             data[last] = low & 0xF0 | addressable
@@ -194,11 +213,12 @@ def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
 def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
     """Swap the granule tag with the stashed nibble, rearming a delegated tripwire."""
     a = granule & ADDRESS_MASK
-    g = a >> GRANULE_SHIFT
-    last = a + GRANULE_SIZE - 1
-    tags, data = mem.tags, mem.data
-    byte = data.get(last, 0)
-    data[last] = byte & 0xF0 | tags.get(g, 0)
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags = mem.tags.get(index) or mem.tag_page(index)
+    data = mem.data.get(index) or mem.data_page(index)
+    g, last = offset >> GRANULE_SHIFT, offset | _LAST
+    byte = data[last]
+    data[last] = byte & 0xF0 | tags[g]
     tags[g] = byte & 0xF
 
 

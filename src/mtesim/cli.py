@@ -39,9 +39,22 @@ EXIT_CLEAN = 0
 EXIT_BUG = 1
 EXIT_USAGE = 2
 
-# A run that cannot go on: out of simulated address space, malformed
-# execution state, or broken recovery bookkeeping.  Exit 2, not a verdict.
-_RUN_ERRORS = (AllocationError, TraceRuntimeError, ProtocolError)
+# A run that cannot go on: out of simulated address space, out of host
+# memory (a huge region's tags), malformed execution state, or broken
+# recovery bookkeeping.  Exit 2, not a verdict.
+_RUN_ERRORS = (AllocationError, MemoryError, TraceRuntimeError, ProtocolError)
+
+
+def _reason(e: Exception) -> str:
+    """One line for an error; a MemoryError usually carries no message.
+
+    Callers print it after their `except` block ends: until then the
+    traceback keeps the failed run's memory alive, and with the host out of
+    memory the print itself could fail.
+    """
+    if isinstance(e, MemoryError):
+        return "out of host memory"
+    return str(e)
 
 
 def _seed(args) -> int:
@@ -114,10 +127,13 @@ def cmd_run(args) -> int:
     except TraceParseError as e:
         print(f"error: {args.trace}: {e}", file=sys.stderr)
         return EXIT_USAGE
+    reason = None
     try:
         report = run_program(program, config)
     except _RUN_ERRORS as e:
-        print(f"error: {args.trace}: {e}", file=sys.stderr)
+        reason = _reason(e)
+    if reason is not None:
+        print(f"error: {args.trace}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     payload = report.to_json()
     if args.report:
@@ -171,8 +187,9 @@ def cmd_exp(args) -> int:
     try:
         return _run_experiment(args, _config_from_args(args), _seed(args))
     except (WorkloadError, ValueError) + _RUN_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        reason = _reason(e)
+    print(f"error: {reason}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _run_experiment(args, config: SimConfig, seed: int) -> int:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .memory import ADDRESS_MASK, GRANULE_SHIFT, MASK64, TAG_SHIFT, TaggedMemory
+from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, GRANULES_PER_PAGE, MASK64,
+                     PAGE_MASK, PAGE_SHIFT, TAG_SHIFT, TaggedMemory)
 
 NUM_REGS = 32
 SP = 31
@@ -108,10 +109,9 @@ _LOAD, _STORE, _RET, _HALT = Opcode.LOAD, Opcode.STORE, Opcode.RET, Opcode.HALT
 _OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
 _ZERO_LANE = bytes(8)   # upper half of a width-16 store
 _GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
-
-
-class TrapUnavailable(Exception):
-    """The requested trap slot cannot hold a breakpoint (ret/halt/end)."""
+_GRANULE_OFFSET_MASK = GRANULE_SIZE - 1
+_GRANULE_PAGE_SHIFT = PAGE_SHIFT - GRANULE_SHIFT     # granule index -> page index
+_PAGE_GRANULE_MASK = GRANULES_PER_PAGE - 1            # granule index -> index in its page
 
 
 class TraceRuntimeError(Exception):
@@ -137,7 +137,6 @@ class Machine:
         self.regs: List[int] = [0] * NUM_REGS
         self.pc = 0
         self.mode = mode
-        self.traps: Set[int] = set()
         self.pending_async: List[Fault] = []
         self.counters = MachineCounters()
 
@@ -169,20 +168,33 @@ class Machine:
     def tag_check(self, desc: AccessDescriptor, mem: TaggedMemory) -> Optional[Fault]:
         """First mismatching granule of the access, in ascending order.
 
-        Reads `mem.tags` (granule index -> tag) directly, once per granule.
-        The index is masked as `get_granule_tag` masks an address, so an
-        access running past the top of the address space checks granule 0.
+        Indexes `mem.tags` (page index -> one tag byte per granule)
+        directly, one page lookup per granule; an access within one granule,
+        the common case, takes a path of its own.  The granule index is
+        masked as `get_granule_tag` masks an address, so an access running
+        past the top of the address space checks granule 0.
         """
         start, size, addrtag = desc.start, desc.size, desc.addrtag
-        get_tag = mem.tags.get
+        tags = mem.tags
+        if (start & _GRANULE_OFFSET_MASK) + size <= GRANULE_SIZE:
+            page = tags.get(start >> PAGE_SHIFT)
+            if (0 if page is None else page[(start & PAGE_MASK) >> GRANULE_SHIFT]) == addrtag:
+                return None
+            return _new_fault(Fault, (self.pc, start, tuple(self.regs), desc))
         first = start >> GRANULE_SHIFT
         for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
-            if get_tag(g & _GRANULE_INDEX_MASK, 0) != addrtag:
+            index = g & _GRANULE_INDEX_MASK
+            page = tags.get(index >> _GRANULE_PAGE_SHIFT)
+            if (0 if page is None else page[index & _PAGE_GRANULE_MASK]) != addrtag:
                 address = start if g == first else g << GRANULE_SHIFT
                 return _new_fault(Fault, (self.pc, address, tuple(self.regs), desc))
         return None
 
     # -- traps -----------------------------------------------------------
+
+    # The open trap slots are the detector's `delegations` (trap pc ->
+    # granule): `step` fires a trap where that map has an entry, and the
+    # detector adds and removes entries.
 
     def can_trap(self, pc: int) -> bool:
         """True when slot `pc` can hold a trap: an instruction, not ret or halt."""
@@ -191,14 +203,6 @@ class Machine:
             return False
         kind = instructions[pc].kind
         return kind is not _RET and kind is not _HALT
-
-    def set_trap(self, pc: int) -> None:
-        if not self.can_trap(pc):
-            raise TrapUnavailable(f"no trappable instruction slot at {pc}")
-        self.traps.add(pc)
-
-    def clear_trap(self, pc: int) -> None:
-        self.traps.discard(pc)
 
     # -- execution --------------------------------------------------------
 
@@ -218,7 +222,7 @@ class Machine:
             raise TraceRuntimeError(f"pc {pc} outside program")
 
         counters = self.counters
-        if pc in self.traps:
+        if pc in detector.delegations:
             counters.traps_delivered += 1
             detector.handle_trap(self, mem, allocator)
 

@@ -117,7 +117,8 @@ class Detector:
     def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config or DetectorConfig()
         self.stats = DetectorStats()
-        # trap pc -> granule base for delegated tripwires
+        # trap pc -> granule base for delegated tripwires; these are the
+        # machine's open trap slots, so a trap fires exactly where one is open
         self.delegations: Dict[int, int] = {}
 
     # -- report construction -------------------------------------------
@@ -210,14 +211,14 @@ class Detector:
         if count == 0 and threshold is not None:
             self.stats.tripwires_removed_by_threshold += 1
         elif delegate:
-            machine.set_trap(trap_pc)  # the granule now wears the real tag
-            self.delegations[trap_pc] = granule
+            self.delegations[trap_pc] = granule  # the granule now wears the real tag
         else:
             self.stats.tripwires_removed_by_ret_edge += 1
         return None
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
-        """Revocation: restore the tripwire and release the trap slot.
+        """Revocation: restore the tripwire and release the trap slot by
+        dropping its delegation.
 
         Needs only the delegation entry and memory; `allocator` is unused
         and kept so both handler entry points take the same arguments.
@@ -227,7 +228,6 @@ class Detector:
         if granule is None:
             raise ProtocolError(f"trap at pc {pc} with no delegated tripwire")
         revoke_tripwire(mem, granule)
-        machine.clear_trap(pc)
 
     def quiescent(self) -> bool:
         """No delegation outstanding; true at any well-formed run boundary."""

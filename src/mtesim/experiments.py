@@ -189,7 +189,7 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
     Each program runs twice, with checks off and in sync mode with every
     short granule armed.  Final registers and data bytes must agree, apart
     from the metadata bytes inside armed short-granule padding, and the
-    sync run must end quiescent (no open delegation, no armed trap).
+    sync run must end quiescent (no open delegation, so no armed trap).
     """
     diffs: List[str] = []
     for idx, program in enumerate(programs):
@@ -210,10 +210,10 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
                    if off.machine.regs[i] != sync.machine.regs[i]]
             diffs.append(f"program {idx}: registers differ at {bad}")
             continue
-        mask = _metadata_mask(sync)
-        addrs = (set(off.mem.data) | set(sync.mem.data)) - mask
-        bad_addrs = [a for a in sorted(addrs)
-                     if off.mem.data.get(a, 0) != sync.mem.data.get(a, 0)]
+        off_bytes = dict(off.mem.nonzero_bytes())
+        sync_bytes = dict(sync.mem.nonzero_bytes())
+        addrs = (off_bytes.keys() | sync_bytes.keys()) - _metadata_mask(sync)
+        bad_addrs = [a for a in sorted(addrs) if off_bytes.get(a, 0) != sync_bytes.get(a, 0)]
         if bad_addrs:
             diffs.append(f"program {idx}: data bytes differ at "
                          + ", ".join(f"0x{a:x}" for a in bad_addrs[:8]))

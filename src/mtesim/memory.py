@@ -1,11 +1,16 @@
 """Tagged memory model.
 
-Memory is a sparse byte store plus a parallel sparse store of 4-bit tags,
-one tag per 16-byte granule.  Untouched bytes read as 0 and untouched
-granules carry tag 0, so "never allocated" and "unprotected" fall out of
-the representation for free.  Tags are written one granule at a time
-(`set_granule_tag`) or for a whole region in one call (`set_tag_range`),
-as Scudo's `storeTags` tags an allocation.
+Memory is stored in 4 KiB pages: each page of data bytes is a
+`bytearray(4096)`, and each page's 256 granule tags are a
+`bytearray(256)`, one byte per 4-bit tag.  A page exists once something
+has been written to it; untouched bytes read as 0 and untouched granules
+carry tag 0, so "never allocated" and "unprotected" fall out of the
+representation for free.  A byte move within a page is one slice, and
+tagging a region (`set_tag_range`, as Scudo's `storeTags` tags an
+allocation) is one slice assignment per page.
+
+The simulator spends a whole byte on each tag, where the modelled hardware
+spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
 
 Pointers carry a 4-bit address tag in bits [59:56] (the low nibble of the
 top byte); the whole top byte is ignored when forming an address, mirroring
@@ -14,9 +19,10 @@ top-byte-ignore addressing.  Bits [63:60] are kept zero as a canary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List, Tuple
 
 GRANULE_SHIFT = 4
 GRANULE_SIZE = 1 << GRANULE_SHIFT
@@ -26,6 +32,21 @@ ADDRESS_SPACE = 1 << TAG_SHIFT      # addresses run 0 .. ADDRESS_SPACE - 1
 ADDRESS_MASK = ADDRESS_SPACE - 1    # clears the whole top byte
 MASK64 = (1 << 64) - 1
 GRANULE_MASK = ~(GRANULE_SIZE - 1)
+
+# Pages: address >> PAGE_SHIFT indexes both `data` and `tags`; within a
+# page, a byte sits at address & PAGE_MASK and a granule's tag at
+# (address & PAGE_MASK) >> GRANULE_SHIFT.
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
+PAGE_MASK = PAGE_SIZE - 1
+GRANULES_PER_PAGE = PAGE_SIZE >> GRANULE_SHIFT
+_PAGE_INDEX_MASK = ADDRESS_MASK >> PAGE_SHIFT
+_GRANULE_PAGE_SHIFT = PAGE_SHIFT - GRANULE_SHIFT    # granule index -> page index
+_TAG_FILLS = tuple(bytes([tag]) * GRANULES_PER_PAGE for tag in range(16))
+# New pages are copies of these, never written: `.copy()` costs a third to
+# a half of what `bytearray(n)` does.
+_BLANK_DATA_PAGE = bytearray(PAGE_SIZE)
+_BLANK_TAG_PAGE = bytearray(GRANULES_PER_PAGE)
 
 
 def untagged(raw: int) -> int:
@@ -69,71 +90,165 @@ class TaggedPointer:
         return untagged(self.raw)
 
 
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+
+
+def _nonzero(pages: Dict[int, bytearray], shift: int) -> List[Tuple[int, int]]:
+    """(address, value) of every nonzero entry, ascending; entry i of page
+    p sits at address (p << PAGE_SHIFT) + (i << shift).  The regular
+    expression skips the zero stretches of a page in one C-level scan."""
+    out = []
+    for index in sorted(pages):
+        base = index << PAGE_SHIFT
+        for run in _NONZERO_RUN.finditer(pages[index]):
+            first = run.start()
+            out.extend((base + (i << shift), value)
+                       for i, value in enumerate(run.group(), first))
+    return out
+
+
 class TaggedMemory:
-    """Sparse data bytes plus a 4-bit tag per 16-byte granule.
+    """Data bytes plus a 4-bit tag per 16-byte granule, both in pages.
 
-    Data and tags are independent maps: tag writes never disturb bytes and
-    byte writes never disturb tags.  Reads of untouched locations return 0.
-    All addresses are interpreted with the top byte masked off, so callers
-    may pass tagged pointer values directly.
+    Data and tags are independent stores: tag writes never disturb bytes
+    and byte writes never disturb tags.  Reads of untouched locations
+    return 0 and make no page.  All addresses are interpreted with the top
+    byte masked off, so callers may pass tagged pointer values directly.
 
-    `data` maps byte address to byte and `tags` maps granule index
-    (address >> GRANULE_SHIFT) to tag; the machine's tag check reads `tags`
-    directly.
+    `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
+    `tags` maps the same index to the page's granule tags, one byte each.
+    Outside this class only the machine's tag check and the allocator's
+    short-granule metadata operations index pages; everything else reads
+    memory through the methods, `nonzero_bytes`, `nonzero_tags` and
+    `snapshot`.
     """
 
     def __init__(self):
-        self.data: Dict[int, int] = {}
-        self.tags: Dict[int, int] = {}
+        self.data: Dict[int, bytearray] = {}
+        self.tags: Dict[int, bytearray] = {}
 
-    # Addresses are masked inline (`& ADDRESS_MASK`, `>> GRANULE_SHIFT`)
-    # rather than through `untagged`: these methods run on every access.
-    # A byte move that runs past the top of the address space wraps to
-    # address 0, as `read_byte`, `write_byte` and the machine's tag check
-    # do; only such a move takes the split path.
+    # Addresses are masked inline (`& ADDRESS_MASK`) rather than through
+    # `untagged`: these methods run on every access.  A move within one
+    # page is one slice; a move across a page edge takes the split path,
+    # which also wraps a move that runs past the top of the address space
+    # to address 0, as `read_byte`, `write_byte` and the machine's tag
+    # check do.
+
+    def data_page(self, index: int) -> bytearray:
+        """Data page `index`, made zero-filled if absent."""
+        page = self.data.get(index)
+        if page is None:
+            page = self.data[index] = _BLANK_DATA_PAGE.copy()
+        return page
+
+    def tag_page(self, index: int) -> bytearray:
+        """Tag page `index`, made all tag 0 if absent."""
+        page = self.tags.get(index)
+        if page is None:
+            page = self.tags[index] = _BLANK_TAG_PAGE.copy()
+        return page
 
     def set_granule_tag(self, addr: int, tag: int) -> None:
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
-        self.tags[(addr & ADDRESS_MASK) >> GRANULE_SHIFT] = tag
+        a = addr & ADDRESS_MASK
+        self.tag_page(a >> PAGE_SHIFT)[(a & PAGE_MASK) >> GRANULE_SHIFT] = tag
 
     def set_tag_range(self, addr: int, size: int, tag: int) -> None:
-        """Tag every granule that overlaps [addr, addr + size) with `tag`."""
+        """Tag every granule that overlaps [addr, addr + size) with `tag`,
+        wrapping past the top of the address space to granule 0."""
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
         start = addr & ADDRESS_MASK
-        tags = self.tags
-        for g in range(start >> GRANULE_SHIFT, (start + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT):
-            tags[g] = tag
+        offset = start & PAGE_MASK
+        first = offset >> GRANULE_SHIFT
+        end = (offset + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
+        fill = _TAG_FILLS[tag]
+        if end <= GRANULES_PER_PAGE:
+            # within one page: one slice
+            index = start >> PAGE_SHIFT
+            page = self.tags.get(index)
+            if page is None:
+                page = self.tags[index] = _BLANK_TAG_PAGE.copy()
+            page[first:end] = fill[first:end]
+            return
+        g = start >> GRANULE_SHIFT
+        end = (start + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
+        while g < end:
+            first = g & (GRANULES_PER_PAGE - 1)
+            n = min(end - g, GRANULES_PER_PAGE - first)
+            page = self.tag_page((g >> _GRANULE_PAGE_SHIFT) & _PAGE_INDEX_MASK)
+            page[first:first + n] = fill[:n]
+            g += n
 
     def get_granule_tag(self, addr: int) -> int:
-        return self.tags.get((addr & ADDRESS_MASK) >> GRANULE_SHIFT, 0)
+        a = addr & ADDRESS_MASK
+        page = self.tags.get(a >> PAGE_SHIFT)
+        return 0 if page is None else page[(a & PAGE_MASK) >> GRANULE_SHIFT]
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         base = addr & ADDRESS_MASK
-        end = base + length
-        if end > ADDRESS_SPACE:
-            room = ADDRESS_SPACE - base
-            return self.read_bytes(base, room) + self.read_bytes(0, length - room)
-        get = self.data.get
-        return bytes([get(a, 0) for a in range(base, end)])
+        offset = base & PAGE_MASK
+        end = offset + length
+        if end <= PAGE_SIZE:
+            page = self.data.get(base >> PAGE_SHIFT)
+            return bytes(length) if page is None else bytes(page[offset:end])
+        out = bytearray()
+        while length:
+            offset = base & PAGE_MASK
+            n = min(length, PAGE_SIZE - offset)
+            page = self.data.get(base >> PAGE_SHIFT)
+            out += bytes(n) if page is None else page[offset:offset + n]
+            base = (base + n) & ADDRESS_MASK
+            length -= n
+        return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         base = addr & ADDRESS_MASK
-        if base + len(data) > ADDRESS_SPACE:
-            room = ADDRESS_SPACE - base
-            self.write_bytes(base, data[:room])
-            self.write_bytes(0, data[room:])
+        offset = base & PAGE_MASK
+        end = offset + len(data)
+        if end <= PAGE_SIZE:
+            index = base >> PAGE_SHIFT
+            page = self.data.get(index)
+            if page is None:
+                page = self.data[index] = _BLANK_DATA_PAGE.copy()
+            page[offset:end] = data
             return
-        store = self.data
-        for a, b in enumerate(data, base):
-            store[a] = b
+        done = 0
+        while done < len(data):
+            offset = base & PAGE_MASK
+            n = min(len(data) - done, PAGE_SIZE - offset)
+            self.data_page(base >> PAGE_SHIFT)[offset:offset + n] = data[done:done + n]
+            base = (base + n) & ADDRESS_MASK
+            done += n
 
     def read_byte(self, addr: int) -> int:
-        return self.data.get(addr & ADDRESS_MASK, 0)
+        a = addr & ADDRESS_MASK
+        page = self.data.get(a >> PAGE_SHIFT)
+        return 0 if page is None else page[a & PAGE_MASK]
 
     def write_byte(self, addr: int, value: int) -> None:
-        self.data[addr & ADDRESS_MASK] = value & 0xFF
+        a = addr & ADDRESS_MASK
+        self.data_page(a >> PAGE_SHIFT)[a & PAGE_MASK] = value & 0xFF
+
+    # -- whole-memory views --------------------------------------------
+
+    def nonzero_bytes(self) -> List[Tuple[int, int]]:
+        """(address, byte) for every nonzero data byte, ascending."""
+        return _nonzero(self.data, 0)
+
+    def nonzero_tags(self) -> List[Tuple[int, int]]:
+        """(granule base address, tag) for every nonzero tag, ascending."""
+        return _nonzero(self.tags, GRANULE_SHIFT)
+
+    def snapshot(self) -> Tuple[Dict[int, bytes], Dict[int, bytes]]:
+        """A copy of the data and tag pages that shares nothing with memory.
+
+        Pages holding only zeros are left out, so two snapshots are equal
+        exactly when the memories read the same at every address.
+        """
+        return ({i: bytes(p) for i, p in self.data.items() if any(p)},
+                {i: bytes(p) for i, p in self.tags.items() if any(p)})
 
 
 def tag_storage_overhead(granule_size: int = GRANULE_SIZE, tag_bits: int = TAG_BITS) -> Fraction:
@@ -144,6 +259,8 @@ def tag_storage_overhead(granule_size: int = GRANULE_SIZE, tag_bits: int = TAG_B
     tag_bits / (8 * granule_size + tag_bits) of everything.  With the
     default 16-byte granule and 4-bit tag this is 1/33, about 3%.
     Overrides exist so experiments can report hypothetical geometries
-    (1-byte granules cost a full third of memory).
+    (1-byte granules cost a full third of memory).  This is the modelled
+    hardware's cost, not the simulator's: `TaggedMemory` stores each tag
+    in a whole byte.
     """
     return Fraction(tag_bits, 8 * granule_size + tag_bits)

@@ -392,8 +392,7 @@ def _twin_memories(granule, memtag, padding, neighbours):
 
 
 def _same(fused, ref):
-    assert fused.tags == ref.tags
-    assert fused.data == ref.data
+    assert fused.snapshot() == ref.snapshot()
 
 
 # near the heap, and the last granule under the top of the address space;

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtesim import TaggedMemory
 from mtesim.cli import main
 
 
@@ -213,6 +214,27 @@ def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "TRACE"],
+    ["exp", "detection", "--kind", "cross", "--sizes", "1073741824",
+     "--large-threshold", "1099511627776", "--trials", "1"],
+    ["exp", "transparency", "--trials", "1"],
+])
+def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, capsys, monkeypatch):
+    # stands in for tagging a region too large for the host, without one
+    def exhausted(self, addr, size, tag):
+        raise MemoryError
+
+    monkeypatch.setattr(TaggedMemory, "set_tag_range", exhausted)
+    argv = [trace_file(BENIGN) if a == "TRACE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("out of host memory")
 
 
 # -- property: any argv exits 0, 1 or 2, and exit 2 is one `error:` line ----

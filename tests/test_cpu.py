@@ -12,10 +12,9 @@ from mtesim import (
     Mode,
     Opcode,
     TaggedMemory,
-    TrapUnavailable,
     parse_program,
 )
-from mtesim.cpu import PAIRS, WIDTHS
+from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
 
 
@@ -29,7 +28,9 @@ def ld(dst, base, offset=0, width=8, pair=1, offset_reg=None):
 
 
 class NullDetector:
-    """Declares every mismatch a bug; never delegates."""
+    """Declares every mismatch a bug; never delegates, so opens no trap slot."""
+
+    delegations = {}   # the machine's trap slots: none
 
     def handle_tag_mismatch(self, fault, mem, allocator, machine):
         self.fault = fault
@@ -49,7 +50,7 @@ class NullDetector:
 class ResumeDetector(NullDetector):
     def handle_tag_mismatch(self, fault, mem, allocator, machine):
         self.fault = fault
-        self.mem_snapshot = (dict(mem.data), dict(mem.tags))
+        self.mem_snapshot = mem.snapshot()
         return None
 
 
@@ -210,6 +211,38 @@ def test_decode_and_tag_check_match_reference(base, offset, offset_reg_value, wi
         assert fault.access == desc and fault.regs_snapshot == tuple(m.regs)
 
 
+# the tag check over pages against a per-granule dict of tags, for accesses
+# across granule edges, page edges and the top of the address space
+
+_TOP = 1 << 56
+_GRANULE_INDEX_MASK = (_TOP - 1) >> 4
+
+
+@given(start=st.one_of(st.integers(0x0FD0, 0x1010), st.integers(_TOP - 48, _TOP - 1),
+                       st.integers(0, _TOP - 1)),
+       size=st.integers(1, 32), addrtag=st.integers(0, 15), other=st.integers(1, 15),
+       matches=st.lists(st.one_of(st.none(), st.booleans()), min_size=3, max_size=3))
+def test_tag_check_matches_per_granule_dict(start, size, addrtag, other, matches):
+    # each granule the access can touch matches, mismatches, or is never tagged
+    mem, ref = TaggedMemory(), {}
+    first = start >> 4
+    for i, match in enumerate(matches):
+        if match is not None:
+            g = (first + i) & _GRANULE_INDEX_MASK
+            tag = addrtag if match else addrtag ^ other
+            mem.set_granule_tag(g << 4, tag)
+            ref[g] = tag
+    expected = None
+    for g in range(first, ((start + size - 1) >> 4) + 1):
+        if ref.get(g & _GRANULE_INDEX_MASK, 0) != addrtag:
+            expected = start if g == first else g << 4
+            break
+    m = machine_for("halt")
+    desc = AccessDescriptor(start, size, addrtag, 0)
+    fault = m.tag_check(desc, mem)
+    assert (None if fault is None else fault.fault_address) == expected
+
+
 @given(addr=st.integers(0x0FF0, 0x1040), top=st.integers(0, 0xFF),
        width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
        values=st.lists(st.integers(0, _MASK64), min_size=2, max_size=2))
@@ -225,7 +258,8 @@ def test_store_then_load_matches_byte_reference(addr, top, width, pair, values):
         pass
     expected = b"".join(v.to_bytes(8, "little")[:width] + bytes(max(0, width - 8))
                         for v in values[:pair])
-    assert mem.data == {addr + i: b for i, b in enumerate(expected)}
+    assert mem.read_bytes(addr, len(expected)) == expected
+    assert mem.nonzero_bytes() == [(addr + i, b) for i, b in enumerate(expected) if b]
     for i in range(pair):
         assert m.regs[4 + i] == values[i] & ((1 << (8 * min(width, 8))) - 1)
 
@@ -233,22 +267,25 @@ def test_store_then_load_matches_byte_reference(addr, top, width, pair, values):
 class TestTraps:
     def test_trap_on_ret_slot_unavailable(self):
         m = machine_for("ld r0 [r1, #0] w8 p1\nret\nhalt")
-        with pytest.raises(TrapUnavailable):
-            m.set_trap(1)
+        assert m.can_trap(0) and not m.can_trap(1)
 
     def test_trap_on_halt_slot_unavailable(self):
         m = machine_for("ld r0 [r1, #0] w8 p1\nhalt")
-        with pytest.raises(TrapUnavailable):
-            m.set_trap(1)
+        assert not m.can_trap(1)
 
     def test_trap_past_end_unavailable(self):
         m = machine_for("halt")
-        with pytest.raises(TrapUnavailable):
-            m.set_trap(5)
+        assert not m.can_trap(1) and not m.can_trap(5)
 
-    def test_clear_trap_is_noop_when_absent(self):
-        m = machine_for("halt")
-        m.clear_trap(0)  # no error
+    def test_trap_fires_where_the_detector_holds_a_delegation(self):
+        m = machine_for("mov r0 1\nmov r1 2\nmov r2 3\nhalt", mode=Mode.OFF)
+        det = NullDetector()
+        det.delegations = {1: 0x1000}
+        fired = []
+        det.handle_trap = lambda machine, mem, allocator: fired.append(machine.pc)
+        while m.step(TaggedMemory(), None, det) is None:
+            pass
+        assert fired == [1] and m.counters.traps_delivered == 1
 
 
 class TestStepSemantics:
@@ -310,8 +347,10 @@ class TestStepSemantics:
         end = None
         while end is None:
             end = m.step(mem, None, det)
-        data_at_handler, _ = det.mem_snapshot
-        assert bytes(data_at_handler[0x1000 + i] for i in range(8)) == b"\xaa" * 8
+        before = TaggedMemory()
+        before.set_granule_tag(0x1000, 5)
+        before.write_bytes(0x1000, b"\xaa" * 8)
+        assert det.mem_snapshot == before.snapshot()
         # after resume the store committed
         assert mem.read_bytes(0x1000, 8) == bytes(8)
 
@@ -373,6 +412,9 @@ def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
     m.regs[1] = 0x0AFF_FFFF_FFFF_FFFC
     m.regs[2] = 0x0807_0605_0403_0201
     m.regs[3] = 0x0A00_0000_0000_0000
-    assert m.step(mem, None, None) is None and m.step(mem, None, None) is None
+    det = NullDetector()
+    assert m.step(mem, None, det) is None and m.step(mem, None, det) is None
     assert m.regs[4] == 0x0807_0605
-    assert len(mem.data) == 8 and max(mem.data) < 1 << 56
+    top = 1 << 56
+    assert mem.nonzero_bytes() == [(0, 5), (1, 6), (2, 7), (3, 8),
+                                   (top - 4, 1), (top - 3, 2), (top - 2, 3), (top - 1, 4)]

@@ -150,20 +150,6 @@ class TestRecoveryProtocol:
         with pytest.raises(ProtocolError):
             det.handle_trap(machine, TaggedMemory(), None)
 
-    def test_delegations_match_armed_traps_throughout(self):
-        sim = Simulation(parse_program(
-            "alloc r0 40\n"
-            "ld r1 [r0, #32] w8 p1\n"
-            "st r1 [r0, #8] w8 p1\n"
-            "ld r2 [r0, #36] w2 p1\n"
-            "mov r3 1\n"
-            "halt"
-        ), SimConfig(seed=3, alloc_threshold=ALWAYS_ARM))
-        end = None
-        while end is None:
-            end = sim.machine.step(sim.mem, sim.allocator, sim.detector)
-            assert len(sim.detector.delegations) == len(sim.machine.traps)
-
     def test_counter_removal_at_threshold(self):
         lines = ["alloc r0 40"] + ["ld r1 [r0, #32] w8 p1"] * 10 + ["halt"]
         sim, report = run_sim("\n".join(lines), access_threshold=4)
@@ -213,13 +199,11 @@ class TestReports:
         ), SimConfig(seed=1, alloc_threshold=ALWAYS_ARM))
         # run until just before the faulting store
         sim.machine.step(sim.mem, sim.allocator, sim.detector)
-        data_before = dict(sim.mem.data)
-        tags_before = dict(sim.mem.tags)
+        before = sim.mem.snapshot()
         regs_before = list(sim.machine.regs)
         end = sim.machine.step(sim.mem, sim.allocator, sim.detector)
         assert end is not None and end.outcome == "BugReported"
-        assert sim.mem.data == data_before
-        assert sim.mem.tags == tags_before
+        assert sim.mem.snapshot() == before
         assert sim.machine.regs == regs_before
 
     def test_intra_report_fields(self):

@@ -20,7 +20,6 @@ import pytest
 
 from mtesim import (ALWAYS_ARM, SimConfig, Simulation, WorkloadSpec, generate_workload,
                     parse_program, render_program)
-from mtesim.memory import GRANULE_SIZE
 
 PROGRAMS_PER_CORPUS = 20
 
@@ -121,9 +120,7 @@ def corpus(name):
 
 def memory_image(mem):
     """Nonzero data bytes and nonzero granule tags, each sorted by address."""
-    data = sorted((a, b) for a, b in mem.data.items() if b)
-    tags = sorted((g * GRANULE_SIZE, t) for g, t in mem.tags.items() if t)
-    return data, tags
+    return mem.nonzero_bytes(), mem.nonzero_tags()
 
 
 @functools.lru_cache(maxsize=None)

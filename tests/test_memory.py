@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtesim import TaggedMemory, TaggedPointer, tag_storage_overhead
@@ -141,9 +141,9 @@ def test_granule_partition(addr, tag):
 def test_set_tag_idempotent():
     mem = TaggedMemory()
     mem.set_granule_tag(0x40, 9)
-    snapshot = dict(mem.tags)
+    snapshot = mem.snapshot()
     mem.set_granule_tag(0x40, 9)
-    assert mem.tags == snapshot
+    assert mem.snapshot() == snapshot
 
 
 class TestSetTagRange:
@@ -152,12 +152,12 @@ class TestSetTagRange:
         for tag in (-1, 16):
             with pytest.raises(ValueError):
                 mem.set_tag_range(0x1000, 32, tag)
-        assert mem.tags == {}
+        assert mem.nonzero_tags() == []
 
     def test_tagged_address_is_masked(self):
         mem = TaggedMemory()
         mem.set_tag_range(TaggedPointer.make(0x1000, 0x5).raw, 32, 0xB)
-        assert mem.tags == {0x100: 0xB, 0x101: 0xB}
+        assert mem.nonzero_tags() == [(0x1000, 0xB), (0x1010, 0xB)]
 
     def test_partial_last_granule_is_covered(self):
         mem = TaggedMemory()
@@ -169,12 +169,12 @@ class TestSetTagRange:
         mem.set_granule_tag(0x0FF0, 0x3)
         mem.set_granule_tag(0x1040, 0x4)
         mem.write_bytes(0x0FF8, bytes(range(1, 0x50)))
-        data = dict(mem.data)
+        data = mem.nonzero_bytes()
         mem.set_tag_range(0x1000, 64, 0x9)
         assert mem.get_granule_tag(0x0FF0) == 0x3
         assert mem.get_granule_tag(0x1040) == 0x4
         assert all(mem.get_granule_tag(0x1000 + 16 * i) == 0x9 for i in range(4))
-        assert mem.data == data
+        assert mem.nonzero_bytes() == data
 
 
 @given(st.lists(st.tuples(st.integers(0, 0x4000), st.integers(0, 1100), st.integers(0, 15)),
@@ -185,7 +185,7 @@ def test_set_tag_range_equals_per_granule_loop(writes):
         ranged.set_tag_range(addr, size, tag)
         for g in range(addr // 16 * 16, addr + size, 16):
             looped.set_granule_tag(g, tag)
-    assert ranged.tags == looped.tags
+    assert ranged.snapshot() == looped.snapshot()
 
 
 # property: the byte movers match a per-byte reference, whatever the top byte
@@ -202,7 +202,7 @@ def test_byte_moves_match_per_byte_reference(writes, read_top, read_addr, read_l
         mem.write_bytes((top << 56) | addr, data)
         for i, b in enumerate(data):
             ref[addr + i] = b
-    assert mem.data == ref
+    assert mem.nonzero_bytes() == sorted((a, b) for a, b in ref.items() if b)
     expected = bytes(ref.get(read_addr + i, 0) for i in range(read_len))
     assert mem.read_bytes((read_top << 56) | read_addr, read_len) == expected
 
@@ -222,8 +222,8 @@ def test_byte_moves_wrap_at_top_of_address_space(writes, read_top, read_addr, re
         mem.write_bytes((top << 56) | addr, data)
         for i, b in enumerate(data):
             ref.write_byte(addr + i, b)
-    assert mem.data == ref.data
-    assert all(0 <= a < _TOP for a in mem.data)
+    assert mem.snapshot() == ref.snapshot()
+    assert all(0 <= a < _TOP for a, _ in mem.nonzero_bytes())
     expected = bytes(ref.read_byte(read_addr + i) for i in range(read_len))
     assert mem.read_bytes((read_top << 56) | read_addr, read_len) == expected
 
@@ -232,7 +232,128 @@ def test_store_across_the_top_lands_at_address_0():
     mem = TaggedMemory()
     base = _TOP - 4
     mem.write_bytes(base, bytes(range(1, 9)))
-    assert sorted(mem.data) == [0, 1, 2, 3, _TOP - 4, _TOP - 3, _TOP - 2, _TOP - 1]
+    assert [a for a, _ in mem.nonzero_bytes()] == [0, 1, 2, 3,
+                                                   _TOP - 4, _TOP - 3, _TOP - 2, _TOP - 1]
     assert mem.read_byte(0) == mem.read_byte(base + 4) == 5
     assert mem.read_bytes(base, 8) == bytes(range(1, 9))
     assert mem.read_bytes(0, 4) == bytes([5, 6, 7, 8])
+
+
+# -- pages against the representation they replaced -------------------------
+# `DictMemory` keeps one dict entry per byte and one per granule, as memory
+# was stored before pages, with every address masked and moves wrapping at
+# the top of the address space byte by byte.
+
+_MASK = _TOP - 1
+
+
+class DictMemory:
+    def __init__(self):
+        self.data, self.tags = {}, {}
+
+    def write_bytes(self, addr, data):
+        for i, b in enumerate(data):
+            self.data[(addr + i) & _MASK] = b
+
+    def read_bytes(self, addr, length):
+        return bytes(self.data.get((addr + i) & _MASK, 0) for i in range(length))
+
+    def write_byte(self, addr, value):
+        self.data[addr & _MASK] = value & 0xFF
+
+    def set_granule_tag(self, addr, tag):
+        self.tags[(addr & _MASK) >> 4] = tag
+
+    def set_tag_range(self, addr, size, tag):
+        start = addr & _MASK
+        for g in range(start >> 4, (start + size + 15) >> 4):
+            self.tags[g & (_MASK >> 4)] = tag
+
+    def get_granule_tag(self, addr):
+        return self.tags.get((addr & _MASK) >> 4, 0)
+
+    def nonzero_bytes(self):
+        return sorted((a, b) for a, b in self.data.items() if b)
+
+    def nonzero_tags(self):
+        return sorted((g << 4, t) for g, t in self.tags.items() if t)
+
+
+# a page edge, a region over 8 KiB (three pages), and the top of the space
+_WINDOWS = [(0x0FF0, 0x1040), (0x0F00, 0x3100), (_TOP - 0x60, _TOP - 1)]
+
+
+@st.composite
+def _memory_op(draw):
+    lo, hi = draw(st.sampled_from(_WINDOWS))
+    addr = draw(st.integers(lo, hi)) | draw(_top_byte) << 56
+    kind = draw(st.sampled_from(["write_bytes", "read_bytes", "write_byte",
+                                 "set_granule_tag", "set_tag_range"]))
+    length = draw(st.one_of(st.integers(0, 40), st.integers(0x2000, 0x2400)))
+    value = draw(st.integers(0, 0xFF))
+    return kind, addr, length, value
+
+
+def _apply(mem, op):
+    kind, addr, length, value = op
+    if kind == "write_bytes":
+        # distinct nonzero and zero bytes, so a misplaced slice shows
+        mem.write_bytes(addr, bytes((value + 7 * i) & 0xFF for i in range(length)))
+    elif kind == "read_bytes":
+        return mem.read_bytes(addr, length)
+    elif kind == "write_byte":
+        mem.write_byte(addr, value)
+    elif kind == "set_granule_tag":
+        mem.set_granule_tag(addr, value & 0xF)
+    else:
+        mem.set_tag_range(addr, length, value & 0xF)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_memory_op(), max_size=12))
+def test_pages_match_per_byte_and_per_granule_dicts(ops):
+    mem, ref = TaggedMemory(), DictMemory()
+    for op in ops:
+        assert _apply(mem, op) == _apply(ref, op)
+    assert mem.nonzero_bytes() == ref.nonzero_bytes()
+    assert mem.nonzero_tags() == ref.nonzero_tags()
+    for lo, hi in _WINDOWS:
+        for addr in (lo, hi - 15, (lo + hi) // 2):
+            assert mem.get_granule_tag(addr) == ref.get_granule_tag(addr)
+            assert mem.read_bytes(addr, 32) == ref.read_bytes(addr, 32)
+
+
+class TestSnapshot:
+    def test_snapshot_shares_no_page_with_memory(self):
+        mem = TaggedMemory()
+        mem.write_bytes(0x1000, b"\x01" * 4)
+        mem.set_granule_tag(0x1000, 3)
+        snap = mem.snapshot()
+        mem.write_bytes(0x1000, b"\x02" * 4)
+        mem.set_granule_tag(0x1000, 4)
+        old = TaggedMemory()
+        old.write_bytes(0x1000, b"\x01" * 4)
+        old.set_granule_tag(0x1000, 3)
+        assert snap == old.snapshot()
+        assert mem.snapshot() != snap
+
+    def test_equal_contents_compare_equal(self):
+        a, b = TaggedMemory(), TaggedMemory()
+        a.write_bytes(0x5000, bytes(8))       # a page holding only zeros
+        a.set_tag_range(0x9000, 64, 0)
+        assert a.snapshot() == b.snapshot()
+        a.write_byte(0x5003, 1)
+        assert a.snapshot() != b.snapshot()
+        b.write_byte(0x5003, 1)
+        assert a.snapshot() == b.snapshot()
+
+    def test_nonzero_views_are_ascending_and_skip_zeros(self):
+        mem = TaggedMemory()
+        mem.write_bytes(0x2FFE, b"\x05\x00\x06")
+        mem.write_byte(0x10, 9)
+        mem.set_granule_tag(0x3000, 2)
+        mem.set_granule_tag(0x20, 1)
+        mem.set_granule_tag(0x40, 0)
+        assert mem.nonzero_bytes() == [(0x10, 9), (0x2FFE, 5), (0x3000, 6)]
+        assert mem.nonzero_tags() == [(0x20, 1), (0x3000, 2)]

@@ -91,7 +91,7 @@ class TestTransparency:
         # a detector that never swaps back nor releases its trap leaves the
         # sync run non-quiescent; the harness must fail it
         def skip_revocation(self, machine, mem, allocator):
-            self.delegations.pop(machine.pc, None)
+            pass  # the delegation, and with it the trap, stays open
 
         monkeypatch.setattr(Detector, "handle_trap", skip_revocation)
         programs = generate_workload(WorkloadSpec(kind="benign", count=40, seed=22))
@@ -114,8 +114,7 @@ class TestTransparency:
         assert baseline.outcome == "BugReported"
 
         def skip_swap(self, machine, mem, allocator):
-            self.delegations.pop(machine.pc, None)
-            machine.clear_trap(machine.pc)
+            self.delegations.pop(machine.pc, None)  # releases the trap slot too
 
         monkeypatch.setattr(Detector, "handle_trap", skip_swap)
         mutated = run_program(parse_program(trace),
