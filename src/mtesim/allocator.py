@@ -401,14 +401,19 @@ class Allocator:
             return mismatch
 
         self.stats.frees += 1
-        short_base = rec.short_granule_base
-        if short_base is not None:
-            clear_short_granule_metadata(self.mem, short_base, rec.addressable_count)
+        base, usable = rec.base, rec.usable_size
+        # `addressable_count` and `short_granule_base`, each computed once
+        addressable = rec.requested_size % GRANULE_SIZE
+        if addressable:
+            clear_short_granule_metadata(self.mem, base + usable - GRANULE_SIZE, addressable)
 
         if rec.tagged:
             new_tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
-            self.mem.set_tag_range(rec.base, rec.usable_size, new_tag)
+            self.mem.set_tag_range(base, usable, new_tag)
             rec.tag = new_tag
-            self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
+            fifo = self._free_lists.get(usable)
+            if fifo is None:
+                fifo = self._free_lists[usable] = deque()
+            fifo.append(rec)
         rec.state = AllocState.FREED
         return None

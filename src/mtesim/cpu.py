@@ -13,16 +13,35 @@ Only loads and stores can fault.  Traps model breakpoints patched over an
 instruction slot: a trap fires before its instruction executes, and the
 instruction runs normally afterwards.  Trap slots cannot be placed on
 `ret` or `halt`, nor past the end of the program.
+
+`Machine.run` is the interpreter: one loop that executes the program until
+it halts, reports a bug or uses up its instruction budget.
+`Simulation.run` calls it once per run, and `step` is `run` with a budget
+of one, so single-stepping executes the same code.  The loop keeps the
+program, registers, trap slots, memory pages and mode in locals, and
+inlines the common access path: the address and tag of a load or store,
+the tag check of an access within one granule (one page lookup), and each
+lane's byte move within a page (one `struct` move on the page).
+`self.pc` is brought up to date whenever the loop calls out, because the
+handlers read it.
+
+`decode`, `tag_check`, `TaggedMemory.read_bytes` and
+`TaggedMemory.write_bytes` stay as methods.  They are the slow path: an
+access across a granule edge, a mismatch (whose `Fault` only `tag_check`
+builds), and a lane across a page edge or past the top of the address
+space.  The tests also check them directly as the reference for the
+inlined path, and the benchmark's tracer wraps them as spans.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, GRANULES_PER_PAGE, MASK64,
-                     PAGE_MASK, PAGE_SHIFT, TAG_SHIFT, TaggedMemory)
+                     PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
 
 NUM_REGS = 32
 SP = 31
@@ -105,9 +124,24 @@ class Mode(enum.Enum):
     SYNC = "sync"
 
 
-_LOAD, _STORE, _RET, _HALT = Opcode.LOAD, Opcode.STORE, Opcode.RET, Opcode.HALT
+_LOAD, _STORE, _MOV, _ADD = Opcode.LOAD, Opcode.STORE, Opcode.MOV, Opcode.ADD
+_ALLOC, _FREE, _SYSCALL, _RET, _HALT = (Opcode.ALLOC, Opcode.FREE, Opcode.SYSCALL,
+                                        Opcode.RET, Opcode.HALT)
 _OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
 _ZERO_LANE = bytes(8)   # upper half of a width-16 store
+# Moving one lane within a page, by width.  Width 16 models a 128-bit
+# register lane; ours are 64-bit, so a load fills the register from the
+# lane's low 8 bytes and a store writes the register zero-extended.  A
+# `struct` move builds no intermediate bytes object.
+_UNPACK = {w: struct.Struct(f"<{c}").unpack_from
+           for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"), (16, "Q"))}
+_PACK = {w: struct.Struct(f"<{c}").pack_into
+         for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"), (16, "Q8x"))}
+_LANE_MASK = {w: (1 << 8 * min(w, 8)) - 1 for w in WIDTHS}   # register bits a store writes
+_LANES = {1: (0,), 2: (0, 1)}     # register offset of each lane, by pair
+# what an absent page reads as; never written
+_ZERO_PAGE = bytes(PAGE_SIZE)
+_UNTAGGED_PAGE = bytes(GRANULES_PER_PAGE)
 _GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
 _GRANULE_OFFSET_MASK = GRANULE_SIZE - 1
 _GRANULE_PAGE_SHIFT = PAGE_SHIFT - GRANULE_SHIFT     # granule index -> page index
@@ -122,6 +156,9 @@ class TraceRuntimeError(Exception):
 class RunEnd:
     outcome: str                  # "CleanHalt" | "BugReported"
     report: Optional[object] = None  # BugReport when outcome == "BugReported"
+
+
+_CLEAN_HALT = RunEnd("CleanHalt")
 
 
 @dataclass
@@ -169,18 +206,14 @@ class Machine:
         """First mismatching granule of the access, in ascending order.
 
         Indexes `mem.tags` (page index -> one tag byte per granule)
-        directly, one page lookup per granule; an access within one granule,
-        the common case, takes a path of its own.  The granule index is
-        masked as `get_granule_tag` masks an address, so an access running
-        past the top of the address space checks granule 0.
+        directly, one page lookup per granule.  The granule index is masked
+        as `get_granule_tag` masks an address, so an access running past the
+        top of the address space checks granule 0.  `run` checks an access
+        within one granule inline and comes here only for an access across
+        a granule edge or to build the fault of a mismatch.
         """
         start, size, addrtag = desc.start, desc.size, desc.addrtag
         tags = mem.tags
-        if (start & _GRANULE_OFFSET_MASK) + size <= GRANULE_SIZE:
-            page = tags.get(start >> PAGE_SHIFT)
-            if (0 if page is None else page[(start & PAGE_MASK) >> GRANULE_SHIFT]) == addrtag:
-                return None
-            return _new_fault(Fault, (self.pc, start, tuple(self.regs), desc))
         first = start >> GRANULE_SHIFT
         for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
             index = g & _GRANULE_INDEX_MASK
@@ -193,7 +226,7 @@ class Machine:
     # -- traps -----------------------------------------------------------
 
     # The open trap slots are the detector's `delegations` (trap pc ->
-    # granule): `step` fires a trap where that map has an entry, and the
+    # granule): `run` fires a trap where that map has an entry, and the
     # detector adds and removes entries.
 
     def can_trap(self, pc: int) -> bool:
@@ -215,75 +248,122 @@ class Machine:
         return RunEnd("BugReported", report)
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
-        """Execute one instruction; None means keep going."""
+        """Execute one instruction, as `run` with a budget of one; None
+        means keep going."""
+        return self.run(mem, allocator, detector, 1)
+
+    def run(self, mem: TaggedMemory, allocator, detector, max_steps: int) -> Optional[RunEnd]:
+        """Execute until the program halts or reports a bug, or until
+        `max_steps` instructions have executed; None means the budget ran
+        out first, with `pc` at the next instruction."""
         pc = self.pc
-        instructions = self.program.instructions
-        if not 0 <= pc < len(instructions):
+        if pc < 0:
             raise TraceRuntimeError(f"pc {pc} outside program")
-
-        counters = self.counters
-        if pc in detector.delegations:
-            counters.traps_delivered += 1
-            detector.handle_trap(self, mem, allocator)
-
-        instr = instructions[pc]
-        counters.instructions_executed += 1
-        kind = instr.kind
+        instructions = self.program.instructions
         regs = self.regs
+        delegations = detector.delegations
+        tags, data = mem.tags, mem.data
+        mode = self.mode
+        checking = mode is not _OFF
+        counters = self.counters
+        executed = counters.instructions_executed
+        stop = executed + max_steps
+        try:
+            while executed < stop:
+                try:
+                    instr = instructions[pc]
+                except IndexError:
+                    raise TraceRuntimeError(f"pc {pc} outside program") from None
+                if pc in delegations:
+                    self.pc = pc
+                    counters.traps_delivered += 1
+                    detector.handle_trap(self, mem, allocator)
+                executed += 1
+                kind, dst, src, base, offset_reg, offset, width, pair, imm, _, _ = instr
 
-        if kind is _LOAD or kind is _STORE:
-            desc = self.decode(instr)
-            mode = self.mode
-            if mode is not _OFF:
-                fault = self.tag_check(desc, mem)
-                if fault is not None:
-                    counters.faults_delivered += 1
-                    if mode is _SYNC:
-                        report = detector.handle_tag_mismatch(fault, mem, allocator, self)
-                        if report is not None:
-                            return RunEnd("BugReported", report)
-                        # resume: the access commits fully
+                if kind is _LOAD or kind is _STORE:
+                    # the address and tag as `decode` forms them
+                    effective = regs[base] + (offset if offset_reg is None else regs[offset_reg])
+                    address = effective & ADDRESS_MASK
+                    # An access within one granule whose tag matches passes
+                    # on one page lookup; an access across a granule edge,
+                    # or a mismatch, goes to `tag_check`, which also builds
+                    # the fault.
+                    if checking and (
+                            (address & _GRANULE_OFFSET_MASK) + width * pair > GRANULE_SIZE
+                            or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
+                                (address & PAGE_MASK) >> GRANULE_SHIFT]
+                            != (effective >> TAG_SHIFT) & 0xF):
+                        self.pc = pc
+                        fault = self.tag_check(self.decode(instr), mem)
+                        if fault is not None:
+                            counters.faults_delivered += 1
+                            if mode is _SYNC:
+                                report = detector.handle_tag_mismatch(fault, mem, allocator, self)
+                                if report is not None:
+                                    return RunEnd("BugReported", report)
+                                # resume: the access commits fully
+                            else:
+                                # silent corruption until drained
+                                self.pending_async.append(fault)
+                    # A lane within a page is one struct move on the page; a
+                    # lane across a page edge, or past the top of the address
+                    # space, goes through `read_bytes`/`write_bytes`.
+                    if kind is _LOAD:
+                        unpack = _UNPACK[width]
+                        for lane in _LANES[pair]:
+                            at = address & PAGE_MASK
+                            if at + width <= PAGE_SIZE:
+                                page = data.get(address >> PAGE_SHIFT) or _ZERO_PAGE
+                                regs[dst + lane] = unpack(page, at)[0]
+                            else:
+                                chunk = mem.read_bytes(address, width)
+                                regs[dst + lane] = int.from_bytes(chunk[:8], "little")
+                            address = (address + width) & ADDRESS_MASK
                     else:
-                        # silent corruption until drained
-                        self.pending_async.append(fault)
-            addr, width = desc.start, instr.width
-            if kind is _LOAD:
-                dst = instr.dst
-                for i in range(instr.pair):
-                    chunk = mem.read_bytes(addr + i * width, width)
-                    # width 16 models a 128-bit register lane; ours are
-                    # 64-bit, so the register gets the low 8 bytes
-                    regs[dst + i] = int.from_bytes(chunk[:8], "little")
-            else:
-                src = instr.src
-                for i in range(instr.pair):
-                    value = regs[src + i].to_bytes(8, "little")
-                    mem.write_bytes(addr + i * width,
-                                    value[:width] if width <= 8 else value + _ZERO_LANE)
-        elif kind is Opcode.MOV:
-            regs[instr.dst] = instr.imm & MASK64
-        elif kind is Opcode.ADD:
-            regs[instr.dst] = (regs[instr.src] + instr.imm) & MASK64
-        elif kind is Opcode.ALLOC:
-            regs[instr.dst] = allocator.allocate(instr.imm)
-        elif kind is Opcode.FREE:
-            mismatch = allocator.free(regs[instr.src])
-            if mismatch is not None:
-                report = detector.report_free_mismatch(mismatch, pc, tuple(regs))
-                return RunEnd("BugReported", report)
-        elif kind is Opcode.SYSCALL:
-            if self.mode is _ASYNC:
-                end = self._drain_async(mem, allocator, detector)
-                if end is not None:
-                    return end
-        elif kind is _RET:
-            pass  # function-boundary marker; execution falls through
-        elif kind is _HALT:
-            if self.mode is _ASYNC:
-                end = self._drain_async(mem, allocator, detector)
-                if end is not None:
-                    return end
-            return RunEnd("CleanHalt")
-
-        self.pc = pc + 1
-        return None
+                        pack, lane_mask = _PACK[width], _LANE_MASK[width]
+                        for lane in _LANES[pair]:
+                            at = address & PAGE_MASK
+                            if at + width <= PAGE_SIZE:
+                                page = data.get(address >> PAGE_SHIFT)
+                                if page is None:
+                                    page = mem.data_page(address >> PAGE_SHIFT)
+                                pack(page, at, regs[src + lane] & lane_mask)
+                            else:
+                                value = regs[src + lane].to_bytes(8, "little")
+                                mem.write_bytes(address, value[:width] if width <= 8
+                                                else value + _ZERO_LANE)
+                            address = (address + width) & ADDRESS_MASK
+                elif kind is _MOV:
+                    regs[dst] = imm & MASK64
+                elif kind is _ADD:
+                    regs[dst] = (regs[src] + imm) & MASK64
+                elif kind is _ALLOC:
+                    self.pc = pc
+                    regs[dst] = allocator.allocate(imm)
+                elif kind is _FREE:
+                    self.pc = pc
+                    mismatch = allocator.free(regs[src])
+                    if mismatch is not None:
+                        report = detector.report_free_mismatch(mismatch, pc, tuple(regs))
+                        return RunEnd("BugReported", report)
+                elif kind is _SYSCALL:
+                    if mode is _ASYNC:
+                        self.pc = pc
+                        end = self._drain_async(mem, allocator, detector)
+                        if end is not None:
+                            return end
+                elif kind is _RET:
+                    pass  # function-boundary marker; execution falls through
+                elif kind is _HALT:
+                    if mode is _ASYNC:
+                        self.pc = pc
+                        end = self._drain_async(mem, allocator, detector)
+                        if end is not None:
+                            return end
+                    return _CLEAN_HALT
+                pc += 1
+            return None
+        finally:
+            self.pc = pc
+            counters.instructions_executed = executed

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .allocator import Allocator, AllocatorConfig
-from .cpu import Machine, Mode, RunEnd
+from .cpu import Machine, Mode
 from .detector import BugReport, Detector, DetectorConfig
 from .memory import TaggedMemory
 from .sampler import TripwireSampler
@@ -125,12 +125,7 @@ class Simulation:
         self.machine = Machine(program, mode)
 
     def run(self, max_steps: int = 10_000_000) -> RunReport:
-        end: Optional[RunEnd] = None
-        step, mem, allocator, detector = self.machine.step, self.mem, self.allocator, self.detector
-        for _ in range(max_steps):
-            end = step(mem, allocator, detector)
-            if end is not None:
-                break
+        end = self.machine.run(self.mem, self.allocator, self.detector, max_steps)
         if end is None:
             raise RuntimeError(f"program did not halt within {max_steps} steps")
         return RunReport(

@@ -1,4 +1,7 @@
 import json
+from dataclasses import replace
+
+import pytest
 
 from mtesim import (
     ALWAYS_ARM,
@@ -12,6 +15,8 @@ from mtesim import (
 from mtesim import runner
 from mtesim.detector import Detector
 from mtesim.experiments import exp_recovery_transparency
+from mtesim.runner import RunReport
+from mtesim.trace import WORKLOAD_KINDS
 
 INTRA = "alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt\n"
 BENIGN = "alloc r0 40\nst r1 [r0, #32] w8 p1\nld r2 [r0, #0] w8 p1\nhalt\n"
@@ -50,6 +55,53 @@ def test_run_report_json_field_order():
         "tripwires", "overread_skip", "odd_even", "large_threshold", "include_zero_tag",
     ]
     json.loads(r.to_json())  # valid JSON
+
+
+STEPPING_CONFIGS = {
+    "off": SimConfig(mode="off", tripwires=False),
+    "async": SimConfig(mode="async", tripwires=False),
+    "sync": SimConfig(tripwires=False),
+    "sync_always_arm": SimConfig(alloc_threshold=ALWAYS_ARM),
+}
+
+
+def _outcome(sim, report):
+    return (report.to_json_dict(), sim.machine.pc, list(sim.machine.regs),
+            sim.mem.snapshot(), dict(sim.detector.delegations))
+
+
+@pytest.mark.parametrize("mode", list(STEPPING_CONFIGS))
+@pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+def test_single_stepping_matches_one_run(kind, mode):
+    """`step` is `run` with a budget of one: stepping a program to its end
+    leaves everything as one `Simulation.run` does."""
+    for i, program in enumerate(generate_workload(WorkloadSpec(kind=kind, count=6, seed=3))):
+        config = replace(STEPPING_CONFIGS[mode], seed=f"stepping/{kind}/{i}")
+        whole = Simulation(program, config)
+        expected = _outcome(whole, whole.run())
+        stepped = Simulation(program, config)
+        end = None
+        while end is None:
+            end = stepped.machine.step(stepped.mem, stepped.allocator, stepped.detector)
+        report = RunReport(end.outcome, end.report, stepped.counters(), config.echo())
+        assert _outcome(stepped, report) == expected
+
+
+def test_run_stops_after_exactly_max_steps():
+    program = generate_workload(WorkloadSpec(kind="benign", count=1, seed=2))[0]
+    config = SimConfig(seed=4, alloc_threshold=ALWAYS_ARM)
+    whole = Simulation(program, config)
+    expected = whole.run()
+    assert expected.counters["instructions_executed"] == len(program)
+    for k in (0, 1, 9, len(program) - 1):
+        sim = Simulation(program, config)
+        with pytest.raises(RuntimeError, match=f"within {k} steps"):
+            sim.run(max_steps=k)
+        # straight-line code: k instructions executed, the next one not yet
+        assert sim.machine.counters.instructions_executed == k
+        assert sim.machine.pc == k
+        # the budget only pauses the machine; running on finishes the program
+        assert sim.run().to_json_dict() == expected.to_json_dict()
 
 
 def test_report_bit_stable_under_fixed_seed():
