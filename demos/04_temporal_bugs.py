@@ -9,12 +9,12 @@ probability of missing a stale access after reuse cycles comes from.
 
 import random
 
-from mtesim import Allocator, AllocatorConfig, SimConfig, TaggedMemory, parse_program, run_program
+from mtesim import Allocator, SimConfig, TaggedMemory, parse_program, run_program
 from mtesim.memory import address_tag, untagged
 
 print("== retag at free, seen from the allocator ==")
 mem = TaggedMemory()
-alloc = Allocator(mem, random.Random(5), AllocatorConfig())
+alloc = Allocator(mem, random.Random(5), SimConfig())
 ptr = alloc.allocate(48)
 print(f"allocated with tag {address_tag(ptr):#x}")
 alloc.free(ptr)

@@ -10,7 +10,6 @@ reproduces the stack's probabilistic detection guarantees.
 
 from .allocator import (
     Allocator,
-    AllocatorConfig,
     generate_tag,
     size_class,
     tripwire_armed,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALWAYS_ARM",
     "Allocator",
-    "AllocatorConfig",
     "BugKind",
     "Instruction",
     "Machine",

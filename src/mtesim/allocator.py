@@ -33,17 +33,18 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT,
                      TAG_SHIFT, TaggedMemory, address_tag, untagged)
+
+if TYPE_CHECKING:
+    from .runner import SimConfig
 
 # Bump allocation starts here and grows upward; reused regions keep their
 # original base.  Must stay within the 56-bit addressable range.
 HEAP_BASE = 0x10_0000
 HEAP_CEILING = 1 << 48
-
-DEFAULT_LARGE_THRESHOLD = 65536
 
 
 class AllocationError(Exception):
@@ -271,13 +272,6 @@ def generate_tag(exclude: int, rng: random.Random) -> int:
 
 
 @dataclass
-class AllocatorConfig:
-    large_threshold: int = DEFAULT_LARGE_THRESHOLD
-    odd_even: bool = True
-    include_zero_tag: bool = False
-
-
-@dataclass
 class AllocatorStats:
     allocations: int = 0
     frees: int = 0
@@ -287,16 +281,17 @@ class AllocatorStats:
 class Allocator:
     """Size-class allocator with random tagging and tripwire arming.
 
-    `sampler` may be None, in which case no tripwire is ever armed (the
-    arming decision is a run-mode concern; the allocator itself is
-    indifferent).
+    `config` is the run's `SimConfig`; the allocator reads its
+    `large_threshold`, `odd_even` and `include_zero_tag`.  `sampler` may be
+    None, in which case no tripwire is ever armed (the arming decision is a
+    run-mode concern; the allocator itself is indifferent).
     """
 
-    def __init__(self, mem: TaggedMemory, rng: random.Random,
-                 config: Optional[AllocatorConfig] = None, sampler=None):
+    def __init__(self, mem: TaggedMemory, rng: random.Random, config: SimConfig,
+                 sampler=None):
         self.mem = mem
         self.rng = rng
-        self.config = config or AllocatorConfig()
+        self.config = config
         self.sampler = sampler
         self.stats = AllocatorStats()
         self._bump = HEAP_BASE

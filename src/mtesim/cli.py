@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .allocator import AllocationError
-from .cpu import TraceRuntimeError
+from .cpu import Mode, TraceRuntimeError
 from .detector import ProtocolError
 from .experiments import (
     exp_collision_rate,
@@ -27,6 +28,7 @@ from .experiments import (
 )
 from .runner import ALWAYS_ARM, SimConfig, run_program
 from .trace import (
+    WORKLOAD_KINDS,
     TraceParseError,
     WorkloadError,
     WorkloadSpec,
@@ -78,34 +80,52 @@ def _parse_sizes(text: str) -> Tuple[Tuple[int, float], ...]:
     return tuple(out)
 
 
+# `WorkloadSpec`'s default distribution as `--sizes` text
+_DEFAULT_SIZES = ",".join(f"{s}:{w:g}" for s, w in WorkloadSpec.size_distribution)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["off", "async", "sync"], default="sync")
+    """One flag per `SimConfig` field, stored under the field's name.  The
+    parser-level defaults are the field defaults and override any a flag
+    would have; `--seed` alone defaults to None, so MTESIM_SEED can apply."""
+    p.set_defaults(**{f.name: f.default for f in fields(SimConfig) if f.name != "seed"})
+    p.add_argument("--mode", choices=[m.value for m in Mode])
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sampling-rate", type=int, default=1000)
-    p.add_argument("--alloc-threshold", type=int, default=1000)
-    p.add_argument("--access-threshold", type=int, default=64)
-    p.add_argument("--no-tripwires", action="store_true")
+    p.add_argument("--sampling-rate", type=int)
+    p.add_argument("--alloc-threshold", type=int)
+    p.add_argument("--access-threshold", type=int)
+    p.add_argument("--no-tripwires", dest="tripwires", action="store_false")
     p.add_argument("--overread-skip", action="store_true")
-    p.add_argument("--no-odd-even", action="store_true")
-    p.add_argument("--large-threshold", type=int, default=65536)
+    p.add_argument("--no-odd-even", dest="odd_even", action="store_false")
+    p.add_argument("--large-threshold", type=int)
     p.add_argument("--include-zero-tag", action="store_true")
     p.add_argument("--always-arm", action="store_true",
                    help="arm every short granule (no sampling phase)")
 
 
 def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        mode=args.mode,
-        seed=_seed(args),
-        sampling_rate=args.sampling_rate,
-        alloc_threshold=ALWAYS_ARM if args.always_arm else args.alloc_threshold,
-        access_threshold=args.access_threshold,
-        tripwires=not args.no_tripwires,
-        overread_skip=args.overread_skip,
-        odd_even=not args.no_odd_even,
-        large_threshold=args.large_threshold,
-        include_zero_tag=args.include_zero_tag,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(SimConfig)}
+    values["seed"] = _seed(args)
+    if args.always_arm:
+        values["alloc_threshold"] = ALWAYS_ARM
+    return SimConfig(**values)
+
+
+def _add_workload_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the `WorkloadSpec` fields `gen` and `exp` share; the
+    defaults are the spec's."""
+    p.add_argument("--sizes", default=_DEFAULT_SIZES)
+    p.add_argument("--non-adjacent", dest="adjacent", action="store_false",
+                   default=WorkloadSpec.adjacent)
+    p.add_argument("--reuse-cycles", type=int, default=WorkloadSpec.reuse_cycles)
+
+
+def _workload_spec(args, **given) -> WorkloadSpec:
+    """The workload of `gen` or `exp detection`: the shared flags plus
+    `given`; every other field keeps its `WorkloadSpec` default."""
+    return WorkloadSpec(kind=args.kind, size_distribution=_parse_sizes(args.sizes),
+                        seed=_seed(args), adjacent=args.adjacent,
+                        reuse_cycles=args.reuse_cycles, **given)
 
 
 def cmd_run(args) -> int:
@@ -149,16 +169,8 @@ def cmd_run(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        spec = WorkloadSpec(
-            kind=args.kind,
-            size_distribution=_parse_sizes(args.sizes),
-            count=args.count,
-            seed=_seed(args),
-            preamble_allocs=args.preamble,
-            adjacent=not args.non_adjacent,
-            reuse_cycles=args.reuse_cycles,
-            accesses=args.accesses,
-        )
+        spec = _workload_spec(args, count=args.count, preamble_allocs=args.preamble,
+                              accesses=args.accesses)
         programs = generate_workload(spec)
     except (WorkloadError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -194,13 +206,7 @@ def cmd_exp(args) -> int:
 
 def _run_experiment(args, config: SimConfig, seed: int) -> int:
     if args.experiment == "detection":
-        spec = WorkloadSpec(
-            kind=args.kind,
-            size_distribution=_parse_sizes(args.sizes),
-            seed=seed,
-            adjacent=not args.non_adjacent,
-            reuse_cycles=args.reuse_cycles,
-        )
+        spec = _workload_spec(args)
         print(exp_detection_rate(args.kind, config, args.trials, seed, spec).to_json())
     elif args.experiment == "collision":
         result = exp_collision_rate(args.trials, seed, include_zero=args.include_zero_tag)
@@ -235,28 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a workload corpus")
-    p_gen.add_argument("--kind", required=True,
-                       choices=["intra", "cross", "uaf", "double_free", "benign"])
+    p_gen.add_argument("--kind", required=True, choices=WORKLOAD_KINDS)
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--sizes", default="24:1,40:1,47:1,64:1")
     p_gen.add_argument("--out", default="corpus")
-    p_gen.add_argument("--preamble", type=int, default=4)
-    p_gen.add_argument("--non-adjacent", action="store_true")
-    p_gen.add_argument("--reuse-cycles", type=int, default=0)
-    p_gen.add_argument("--accesses", type=int, default=8)
+    p_gen.add_argument("--preamble", type=int, default=WorkloadSpec.preamble_allocs)
+    p_gen.add_argument("--accesses", type=int, default=WorkloadSpec.accesses)
+    _add_workload_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
     p_exp = sub.add_parser("exp", help="run a statistical experiment")
     p_exp.add_argument("experiment",
                        choices=["detection", "collision", "vulnerable-fraction", "transparency"])
-    p_exp.add_argument("--kind", default="intra",
-                       choices=["intra", "cross", "uaf", "double_free", "benign"])
+    p_exp.add_argument("--kind", default="intra", choices=WORKLOAD_KINDS)
     p_exp.add_argument("--trials", type=int, default=1000)
-    p_exp.add_argument("--sizes", default="24:1,40:1,47:1,64:1")
     p_exp.add_argument("--uniform", help="uniform size range lo:hi (vulnerable-fraction)")
-    p_exp.add_argument("--non-adjacent", action="store_true")
-    p_exp.add_argument("--reuse-cycles", type=int, default=0)
+    _add_workload_flags(p_exp)
     _add_config_flags(p_exp)
     p_exp.set_defaults(func=cmd_exp)
 

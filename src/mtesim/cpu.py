@@ -76,22 +76,10 @@ class Instruction(NamedTuple):
     pair: int = 1
     imm: int = 0              # mov/add immediate, alloc size
     overread_ok: bool = False
-    line: int = 0             # source line; not part of equality or hash
 
     @property
     def access_size(self) -> int:
         return self.width * self.pair
-
-    # Compare as instructions, not as tuples: `line` is left out, and an
-    # instruction never equals a plain tuple of the same fields.
-    def __eq__(self, other):
-        return isinstance(other, Instruction) and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
 
 
 # Every load and store builds an AccessDescriptor, so it is a named tuple
@@ -279,7 +267,7 @@ class Machine:
                     counters.traps_delivered += 1
                     detector.handle_trap(self, mem, allocator)
                 executed += 1
-                kind, dst, src, base, offset_reg, offset, width, pair, imm, _, _ = instr
+                kind, dst, src, base, offset_reg, offset, width, pair, imm, _ = instr
 
                 if kind is _LOAD or kind is _STORE:
                     # the address and tag as `decode` forms them

@@ -24,11 +24,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .allocator import pass_tripwire, read_tripwire, revoke_tripwire
 from .cpu import Fault, Machine
 from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory
+
+if TYPE_CHECKING:
+    from .runner import SimConfig
 
 
 class ProtocolError(Exception):
@@ -93,17 +96,6 @@ class BugReport:
 
 
 @dataclass
-class DetectorConfig:
-    access_threshold: int = 64
-    tripwires_enabled: bool = True
-    overread_skip: bool = False
-
-    def __post_init__(self):
-        if self.access_threshold < 1:
-            raise ValueError("access_threshold must be >= 1")
-
-
-@dataclass
 class DetectorStats:
     tripwires_removed_by_threshold: int = 0
     tripwires_removed_by_ret_edge: int = 0
@@ -112,10 +104,11 @@ class DetectorStats:
 class Detector:
     """Per-machine mismatch handler.  All decisions use in-band data only;
     the allocator registry, when present, is consulted only to label bug
-    kinds."""
+    kinds.  `config` is the run's `SimConfig`; the detector reads its
+    `tripwires`, `overread_skip` and `access_threshold`."""
 
-    def __init__(self, config: Optional[DetectorConfig] = None):
-        self.config = config or DetectorConfig()
+    def __init__(self, config: SimConfig):
+        self.config = config
         self.stats = DetectorStats()
         # trap pc -> granule base for delegated tripwires; these are the
         # machine's open trap slots, so a trap fires exactly where one is open
@@ -185,7 +178,7 @@ class Detector:
         memtag, metadata = read_tripwire(mem, address)
         config = self.config
 
-        if not config.tripwires_enabled:
+        if not config.tripwires:
             # plain tag-check semantics: every mismatch is a bug
             kind = self._classify(desc.addrtag, memtag, 0xFF, allocator)
             return self.make_bug_report(fault, kind, memtag)

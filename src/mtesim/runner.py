@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .allocator import Allocator, AllocatorConfig
+from .allocator import Allocator
 from .cpu import Machine, Mode
-from .detector import BugReport, Detector, DetectorConfig
+from .detector import BugReport, Detector
 from .memory import TaggedMemory
 from .sampler import TripwireSampler
 from .trace import Program
@@ -31,7 +31,11 @@ def substream(seed, name: str) -> random.Random:
 
 @dataclass(frozen=True)
 class SimConfig:
-    mode: str = "sync"                 # off | async | sync
+    """The run configuration, the one place each option and its default
+    live.  The allocator and detector read their own fields from it, and
+    the CLI's flag defaults are its field defaults."""
+
+    mode: str = "sync"                 # a `Mode` value
     seed: "int | str" = 0              # substream derivations may pass strings
     sampling_rate: int = 1000
     alloc_threshold: int = 1000
@@ -43,7 +47,7 @@ class SimConfig:
     include_zero_tag: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("off", "async", "sync"):
+        if self.mode not in [m.value for m in Mode]:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.sampling_rate < 1:
             raise ValueError("sampling_rate must be >= 1")
@@ -51,6 +55,8 @@ class SimConfig:
             raise ValueError("alloc_threshold must be >= 0")
         if self.access_threshold < 1:
             raise ValueError("access_threshold must be >= 1")
+        if self.large_threshold < 0:
+            raise ValueError("large_threshold must be >= 0")
 
     def echo(self) -> dict:
         return dict(vars(self))
@@ -94,34 +100,18 @@ class Simulation:
     """One program on one fresh machine; exposes internals for inspection."""
 
     def __init__(self, program: Program, config: Optional[SimConfig] = None):
-        self.config = config or SimConfig()
+        config = self.config = config or SimConfig()
         self.program = program
         self.mem = TaggedMemory()
-        mode = Mode(self.config.mode)
-        arming = self.config.tripwires and mode is Mode.SYNC
+        mode = Mode(config.mode)
         sampler = None
-        if arming:
-            seed = self.config.seed
-            sampler = TripwireSampler(
-                lambda: substream(seed, "sampler"),
-                alloc_threshold=self.config.alloc_threshold,
-                sampling_rate=self.config.sampling_rate,
-            )
-        self.allocator = Allocator(
-            self.mem,
-            substream(self.config.seed, "allocator"),
-            AllocatorConfig(
-                large_threshold=self.config.large_threshold,
-                odd_even=self.config.odd_even,
-                include_zero_tag=self.config.include_zero_tag,
-            ),
-            sampler,
-        )
-        self.detector = Detector(DetectorConfig(
-            access_threshold=self.config.access_threshold,
-            tripwires_enabled=self.config.tripwires,
-            overread_skip=self.config.overread_skip,
-        ))
+        if config.tripwires and mode is Mode.SYNC:
+            seed = config.seed
+            sampler = TripwireSampler(lambda: substream(seed, "sampler"),
+                                      config.alloc_threshold, config.sampling_rate)
+        self.allocator = Allocator(self.mem, substream(config.seed, "allocator"), config,
+                                   sampler)
+        self.detector = Detector(config)
         self.machine = Machine(program, mode)
 
     def run(self, max_steps: int = 10_000_000) -> RunReport:

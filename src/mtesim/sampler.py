@@ -29,7 +29,7 @@ class TripwireSampler:
     """
 
     def __init__(self, rng: Union[random.Random, Callable[[], random.Random]],
-                 alloc_threshold: int = 1000, sampling_rate: int = 1000):
+                 alloc_threshold: int, sampling_rate: int):
         """`rng` is the gap generator, or a function that makes it; the
         function is called once, at the first draw."""
         if alloc_threshold < 0:

@@ -19,9 +19,9 @@ The workload generator builds single-bug micro-programs (and benign
 stress programs) from a weighted size distribution, deterministically
 under a seed.  Every generated program carries a multi-allocation
 preamble so arming and sampling see more than one allocation.  The
-generator appends `Instruction`s directly, each with `line` = pc + 1,
-which is the program `parse_program(render_program(p))` gives back; text
-is only what `mtesim gen` writes.
+generator appends `Instruction`s directly, the program
+`parse_program(render_program(p))` gives back; text is only what
+`mtesim gen` writes.
 `check_program_bounds` is an independent exact-bounds oracle used to
 validate generated corpora: it tracks pointers symbolically and knows
 nothing about the allocator's layout or tags.
@@ -103,7 +103,7 @@ def _parse_access(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
     if pair == 2 and reg >= 31:
         raise TraceParseError(line_no, f"pair transfer needs registers r{reg} and r{reg + 1}")
     common = dict(base=base, offset_reg=offset_reg, offset=offset, width=width,
-                  pair=pair, overread_ok=overread_ok, line=line_no)
+                  pair=pair, overread_ok=overread_ok)
     if kind is Opcode.LOAD:
         return Instruction(Opcode.LOAD, dst=reg, **common)
     return Instruction(Opcode.STORE, src=reg, **common)
@@ -114,10 +114,12 @@ _COMMENT = re.compile(r"#(?![\d-])")  # '#' starts a comment unless it prefixes 
 
 def parse_program(text: str) -> Program:
     instructions: List[Instruction] = []
+    last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
+        last_line = line_no
         tokens = line.replace("[", " ").replace("]", " ").replace(",", " ").split()
         mnemonic = tokens[0]
         if mnemonic == "alloc":
@@ -127,25 +129,22 @@ def parse_program(text: str) -> Program:
             if size < 0:
                 raise TraceParseError(line_no, f"invalid size {size}")
             instructions.append(Instruction(Opcode.ALLOC, dst=_parse_reg(tokens[1], line_no),
-                                            imm=size, line=line_no))
+                                            imm=size))
         elif mnemonic == "free":
             if len(tokens) != 2:
                 raise TraceParseError(line_no, "free needs a register")
-            instructions.append(Instruction(Opcode.FREE, src=_parse_reg(tokens[1], line_no),
-                                            line=line_no))
+            instructions.append(Instruction(Opcode.FREE, src=_parse_reg(tokens[1], line_no)))
         elif mnemonic == "mov":
             if len(tokens) != 3:
                 raise TraceParseError(line_no, "mov needs a register and an immediate")
             instructions.append(Instruction(Opcode.MOV, dst=_parse_reg(tokens[1], line_no),
-                                            imm=_parse_int(tokens[2], line_no, "immediate"),
-                                            line=line_no))
+                                            imm=_parse_int(tokens[2], line_no, "immediate")))
         elif mnemonic == "add":
             if len(tokens) != 4:
                 raise TraceParseError(line_no, "add needs two registers and an immediate")
             instructions.append(Instruction(Opcode.ADD, dst=_parse_reg(tokens[1], line_no),
                                             src=_parse_reg(tokens[2], line_no),
-                                            imm=_parse_int(tokens[3], line_no, "immediate"),
-                                            line=line_no))
+                                            imm=_parse_int(tokens[3], line_no, "immediate")))
         elif mnemonic == "ld":
             instructions.append(_parse_access(Opcode.LOAD, tokens, line_no))
         elif mnemonic == "st":
@@ -153,13 +152,13 @@ def parse_program(text: str) -> Program:
         elif mnemonic in ("syscall", "ret", "halt"):
             if len(tokens) != 1:
                 raise TraceParseError(line_no, f"{mnemonic} takes no operands")
-            instructions.append(Instruction(Opcode(mnemonic), line=line_no))
+            instructions.append(Instruction(Opcode(mnemonic)))
         else:
             raise TraceParseError(line_no, f"unknown mnemonic {mnemonic!r}")
     if not instructions:
         raise TraceParseError(0, "empty program")
     if instructions[-1].kind is not Opcode.HALT:
-        raise TraceParseError(instructions[-1].line, "program must end with halt")
+        raise TraceParseError(last_line, "program must end with halt")
     return Program(tuple(instructions))
 
 
@@ -264,9 +263,6 @@ def check_program_bounds(program: Program) -> List[BoundsViolation]:
 # Workload generation
 
 
-WORKLOAD_KINDS = ("intra", "cross", "uaf", "double_free", "benign")
-
-
 class WorkloadError(Exception):
     pass
 
@@ -346,43 +342,42 @@ _GRANULE_WIDTHS = tuple(w for w in WIDTHS if w <= GRANULE_SIZE)
 
 
 # One emitter per opcode appends one instruction, built with `tuple.__new__`
-# from all eleven fields in `Instruction` order: keyword forwarding cost twice
+# from all ten fields in `Instruction` order: keyword forwarding cost twice
 # the construction itself.  Fields an opcode does not use keep the
-# `Instruction` defaults, and `line` is pc + 1, the line `render_program`
-# gives the instruction.
+# `Instruction` defaults.
 _new_instruction = tuple.__new__
 
 
 def _alloc(out: List[Instruction], dst: int, size: int) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.ALLOC, dst, 0, 0, None, 0, 8, 1, size, False, len(out) + 1)))
+        Opcode.ALLOC, dst, 0, 0, None, 0, 8, 1, size, False)))
 
 
 def _free(out: List[Instruction], src: int) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.FREE, 0, src, 0, None, 0, 8, 1, 0, False, len(out) + 1)))
+        Opcode.FREE, 0, src, 0, None, 0, 8, 1, 0, False)))
 
 
 def _mov(out: List[Instruction], dst: int, imm: int) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.MOV, dst, 0, 0, None, 0, 8, 1, imm, False, len(out) + 1)))
+        Opcode.MOV, dst, 0, 0, None, 0, 8, 1, imm, False)))
 
 
 def _load(out: List[Instruction], dst: int, base: int, offset: int, width: int,
           pair: int = 1) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.LOAD, dst, 0, base, None, offset, width, pair, 0, False, len(out) + 1)))
+        Opcode.LOAD, dst, 0, base, None, offset, width, pair, 0, False)))
 
 
 def _store(out: List[Instruction], src: int, base: int, offset: int, width: int,
            pair: int = 1) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.STORE, 0, src, base, None, offset, width, pair, 0, False, len(out) + 1)))
+        Opcode.STORE, 0, src, base, None, offset, width, pair, 0, False)))
 
 
 def _halt(out: List[Instruction]) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.HALT, 0, 0, 0, None, 0, 8, 1, 0, False, len(out) + 1)))
+        Opcode.HALT, 0, 0, 0, None, 0, 8, 1, 0, False)))
 
 
 def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -430,7 +425,9 @@ def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
     _alloc(out, _PTR, attacker)
     skip = size_class(attacker)
     if not spec.adjacent:
-        spacer = 65537  # untagged path breaks the tag-exclusion chain
+        # past SimConfig's default large_threshold: the untagged path
+        # breaks the tag-exclusion chain
+        spacer = 65537
         _alloc(out, _VICTIM + 1, spacer)
         skip += size_class(spacer)
     _alloc(out, _VICTIM, victim)
@@ -480,6 +477,7 @@ _GENERATORS = {
     "double_free": _gen_double_free,
     "benign": _gen_benign,
 }
+WORKLOAD_KINDS = tuple(_GENERATORS)
 
 
 def generate_program(spec: WorkloadSpec, index: int) -> Program:

@@ -7,7 +7,7 @@ from scipy import stats
 
 from mtesim import (
     Allocator,
-    AllocatorConfig,
+    SimConfig,
     TaggedMemory,
     TripwireSampler,
     generate_tag,
@@ -45,7 +45,7 @@ class NeverArm:
 
 def make_allocator(seed=0, sampler=None, **cfg):
     mem = TaggedMemory()
-    return mem, Allocator(mem, random.Random(seed), AllocatorConfig(**cfg), sampler)
+    return mem, Allocator(mem, random.Random(seed), SimConfig(**cfg), sampler)
 
 
 class TestSizeClass:
@@ -311,7 +311,7 @@ class TestMetadataInBand:
 ), max_size=60), st.integers(0, 2**30))
 def test_live_allocations_never_overlap(ops, seed):
     mem = TaggedMemory()
-    alloc = Allocator(mem, random.Random(seed), AllocatorConfig(),
+    alloc = Allocator(mem, random.Random(seed), SimConfig(),
                       TripwireSampler(random.Random(seed + 1), 4, 3))
     live = []
     for op, value in ops:

@@ -6,15 +6,17 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtesim import TaggedMemory
-from mtesim.cli import main
+from mtesim import SimConfig, TaggedMemory, WorkloadSpec
+from mtesim.cli import _config_from_args, build_parser, main
 
 
 INTRA = "alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt\n"
@@ -175,6 +177,9 @@ class TestExp:
     # a size past the simulated address space: the run cannot allocate it
     ["exp", "detection", "--kind", "cross", "--sizes", str(2**60), "--trials", "1"],
     ["exp", "transparency", "--sizes", str(2**60), "--trials", "1"],
+    # a negative threshold would send every allocation down the untagged path
+    ["exp", "detection", "--large-threshold", "-1"],
+    ["run", "TRACE", "--large-threshold", "-1"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
@@ -186,6 +191,46 @@ def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+class TestDefaultsHaveOneSource:
+    """Flag defaults are `SimConfig`'s and `WorkloadSpec`'s field defaults."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("MTESIM_SEED", raising=False)
+
+    def test_run_defaults_are_the_config_defaults(self):
+        assert _config_from_args(build_parser().parse_args(["run", "t.mtr"])) == SimConfig()
+
+    def test_gen_defaults_are_the_spec_defaults(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr("mtesim.cli.generate_workload", lambda spec: specs.append(spec) or [])
+        assert main(["gen", "--kind", "benign", "--out", str(tmp_path)]) == 0
+        assert specs == [WorkloadSpec(kind="benign", count=100, seed=0)]
+
+    def test_exp_detection_defaults_are_the_config_and_spec_defaults(self, monkeypatch):
+        calls = []
+
+        def exp_detection_rate(*args):
+            calls.append(args)
+            return SimpleNamespace(to_json=lambda: "{}")
+        monkeypatch.setattr("mtesim.cli.exp_detection_rate", exp_detection_rate)
+        assert main(["exp", "detection"]) == 0
+        assert calls == [("intra", SimConfig(), 1000, 0,
+                          WorkloadSpec(kind="intra", count=1, seed=0))]
+
+    def test_every_config_field_but_the_seed_has_a_flag(self):
+        parser, default = build_parser(), SimConfig()
+        changed = set()
+        for flag in (["--mode", "off"], ["--sampling-rate", "7"], ["--alloc-threshold", "3"],
+                     ["--access-threshold", "5"], ["--no-tripwires"], ["--overread-skip"],
+                     ["--no-odd-even"], ["--large-threshold", "128"],
+                     ["--include-zero-tag"]):
+            config = _config_from_args(parser.parse_args(["run", "t.mtr", *flag]))
+            changed |= {f.name for f in fields(SimConfig)
+                        if getattr(config, f.name) != getattr(default, f.name)}
+        assert changed == {f.name for f in fields(SimConfig)} - {"seed"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from mtesim import (
     tripwire_armed,
 )
 from mtesim.allocator import access_count, metadata_span, pass_tripwire, read_tripwire, revoke_tripwire
-from mtesim.detector import Detector, DetectorConfig, ProtocolError
+from mtesim.detector import Detector, ProtocolError
 from mtesim.runner import ALWAYS_ARM
 
 GBASE = 0x1000
@@ -145,7 +145,7 @@ class TestRecoveryProtocol:
         assert report.counters["faults_delivered"] == 2
 
     def test_trap_with_no_delegation_aborts(self):
-        det = Detector(DetectorConfig())
+        det = Detector(SimConfig())
         machine = type("M", (), {"pc": 3})()
         with pytest.raises(ProtocolError):
             det.handle_trap(machine, TaggedMemory(), None)

@@ -38,6 +38,11 @@ class TestParse:
         with pytest.raises(TraceParseError, match="must end with halt"):
             parse_program("mov r0 1")
 
+    def test_missing_halt_names_last_instruction_line(self):
+        # blank and comment lines after the last instruction do not count
+        with pytest.raises(TraceParseError, match="^line 4: program must end with halt$"):
+            parse_program("mov r0 1\n\n# note\nmov r1 2\n# trailing\n\n")
+
     def test_comments_and_offsets_coexist(self):
         p = parse_program(
             "# header comment\n"
@@ -93,7 +98,6 @@ class TestRoundTrip:
         p = generate_program(spec, index)
         parsed = parse_program(render_program(p))
         assert parsed == p
-        assert [i.line for i in parsed.instructions] == [i.line for i in p.instructions]
 
 
 class TestWorkloadSpec:
