@@ -111,10 +111,14 @@ def _config_from_args(args) -> SimConfig:
     return SimConfig(**values)
 
 
-def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    """Flags of the `WorkloadSpec` fields `gen` and `exp` share; the
-    defaults are the spec's."""
+def _add_sizes_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", default=_DEFAULT_SIZES)
+
+
+def _add_workload_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the `WorkloadSpec` fields `gen` and `exp detection` share;
+    the defaults are the spec's."""
+    _add_sizes_flag(p)
     p.add_argument("--non-adjacent", dest="adjacent", action="store_false",
                    default=WorkloadSpec.adjacent)
     p.add_argument("--reuse-cycles", type=int, default=WorkloadSpec.reuse_cycles)
@@ -197,17 +201,18 @@ def cmd_gen(args) -> int:
 
 def cmd_exp(args) -> int:
     try:
-        return _run_experiment(args, _config_from_args(args), _seed(args))
+        return _run_experiment(args, _seed(args))
     except (WorkloadError, ValueError) + _RUN_ERRORS as e:
         reason = _reason(e)
     print(f"error: {reason}", file=sys.stderr)
     return EXIT_USAGE
 
 
-def _run_experiment(args, config: SimConfig, seed: int) -> int:
+def _run_experiment(args, seed: int) -> int:
     if args.experiment == "detection":
         spec = _workload_spec(args)
-        print(exp_detection_rate(args.kind, config, args.trials, seed, spec).to_json())
+        print(exp_detection_rate(args.kind, _config_from_args(args), args.trials, seed,
+                                 spec).to_json())
     elif args.experiment == "collision":
         result = exp_collision_rate(args.trials, seed, include_zero=args.include_zero_tag)
         print(result.to_json())
@@ -221,6 +226,7 @@ def _run_experiment(args, config: SimConfig, seed: int) -> int:
         print(json.dumps({"name": "vulnerable_fraction", "trials": args.trials,
                           "fraction": fraction, "seed": seed}, indent=2))
     elif args.experiment == "transparency":
+        config = _config_from_args(args)
         spec = WorkloadSpec(kind="benign", size_distribution=_parse_sizes(args.sizes),
                             count=args.trials, seed=seed)
         result = exp_recovery_transparency(generate_workload(spec), config, seed)
@@ -229,9 +235,15 @@ def _run_experiment(args, config: SimConfig, seed: int) -> int:
     return EXIT_CLEAN
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error:` line, without the usage text, then exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mtesim",
-                                     description="tagged-memory machine simulator")
+    parser = _Parser(prog="mtesim", description="tagged-memory machine simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a trace program")
@@ -250,15 +262,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
+    # Each experiment takes only the flags it reads, so a flag it would
+    # ignore is a usage error.
     p_exp = sub.add_parser("exp", help="run a statistical experiment")
-    p_exp.add_argument("experiment",
-                       choices=["detection", "collision", "vulnerable-fraction", "transparency"])
-    p_exp.add_argument("--kind", default="intra", choices=WORKLOAD_KINDS)
-    p_exp.add_argument("--trials", type=int, default=1000)
-    p_exp.add_argument("--uniform", help="uniform size range lo:hi (vulnerable-fraction)")
-    _add_workload_flags(p_exp)
-    _add_config_flags(p_exp)
-    p_exp.set_defaults(func=cmd_exp)
+    experiments = p_exp.add_subparsers(dest="experiment", required=True, metavar="experiment")
+    p_det = experiments.add_parser("detection", help="detection rate of one workload kind")
+    p_det.add_argument("--kind", default="intra", choices=WORKLOAD_KINDS)
+    _add_workload_flags(p_det)
+    _add_config_flags(p_det)
+    p_col = experiments.add_parser("collision", help="tag collision rate of random tags")
+    p_col.add_argument("--seed", type=int, default=None)
+    p_col.add_argument("--include-zero-tag", action="store_true")
+    p_vul = experiments.add_parser("vulnerable-fraction",
+                                   help="share of allocation sizes that leave a short granule")
+    p_vul.add_argument("--seed", type=int, default=None)
+    _add_sizes_flag(p_vul)
+    p_vul.add_argument("--uniform", help="uniform size range lo:hi, instead of --sizes")
+    p_tra = experiments.add_parser(
+        "transparency", help="benign programs end alike with checks off and every tripwire armed")
+    _add_sizes_flag(p_tra)
+    _add_config_flags(p_tra)
+    for p in (p_det, p_col, p_vul, p_tra):
+        p.add_argument("--trials", type=int, default=1000)
+        p.set_defaults(func=cmd_exp)
 
     return parser
 

@@ -20,17 +20,25 @@ it halts, reports a bug or uses up its instruction budget.
 of one, so single-stepping executes the same code.  The loop keeps the
 program, registers, trap slots, memory pages and mode in locals, and
 inlines the common access path: the address and tag of a load or store,
-the tag check of an access within one granule (one page lookup), and each
-lane's byte move within a page (one `struct` move on the page).
+the tag check of every granule an access touches within one tag page (one
+page lookup), and each lane's byte move within a page (one `struct` move
+on the page).  In sync mode a mismatch found there goes to
+`Detector.pass_benign_mismatch` as plain values (pc, fault address, start,
+size, address tag, `overread_ok`), which passes a benign tripwire hit and
+resumes the access without building a descriptor or a fault.
 `self.pc` is brought up to date whenever the loop calls out, because the
 handlers read it.
 
 `decode`, `tag_check`, `TaggedMemory.read_bytes` and
-`TaggedMemory.write_bytes` stay as methods.  They are the slow path: an
-access across a granule edge, a mismatch (whose `Fault` only `tag_check`
-builds), and a lane across a page edge or past the top of the address
-space.  The tests also check them directly as the reference for the
-inlined path, and the benchmark's tracer wraps them as spans.
+`TaggedMemory.write_bytes` stay as methods.  They are the slow path, and
+only these accesses reach it: one that crosses a page edge or runs past
+the top of the address space (`decode` + `tag_check`, then
+`Detector.handle_tag_mismatch` on a mismatch); a sync mismatch the
+detector does not pass, that is a bug, whose `Fault` only `tag_check`
+builds before `handle_tag_mismatch` reports it; an async mismatch, whose
+fault is queued; and a lane across a page edge (`read_bytes` /
+`write_bytes`).  The tests also check them directly as the reference for
+the inlined path, and the benchmark's tracer wraps them as spans.
 """
 
 from __future__ import annotations
@@ -176,18 +184,17 @@ class Machine:
         address bits below them read the same with or without wrapping the
         sum to 64 bits first, so the sum is not wrapped.
         """
-        kind = instr.kind
+        kind, _, _, base, offset_reg, offset, width, pair, _, overread_ok = instr
         if kind is not _LOAD and kind is not _STORE:
             raise TraceRuntimeError(f"decode of non-access instruction {kind}")
         regs = self.regs
-        offset_reg = instr.offset_reg
-        effective = regs[instr.base] + (instr.offset if offset_reg is None else regs[offset_reg])
+        effective = regs[base] + (offset if offset_reg is None else regs[offset_reg])
         return _new_descriptor(AccessDescriptor, (
             effective & ADDRESS_MASK,
-            instr.width * instr.pair,
+            width * pair,
             (effective >> TAG_SHIFT) & 0xF,
             self.pc,
-            instr.overread_ok,
+            overread_ok,
         ))
 
     def tag_check(self, desc: AccessDescriptor, mem: TaggedMemory) -> Optional[Fault]:
@@ -197,8 +204,9 @@ class Machine:
         directly, one page lookup per granule.  The granule index is masked
         as `get_granule_tag` masks an address, so an access running past the
         top of the address space checks granule 0.  `run` checks an access
-        within one granule inline and comes here only for an access across
-        a granule edge or to build the fault of a mismatch.
+        within one tag page inline and comes here only for an access across
+        a page edge or to build the fault of a mismatch the detector did not
+        pass.
         """
         start, size, addrtag = desc.start, desc.size, desc.addrtag
         tags = mem.tags
@@ -267,23 +275,46 @@ class Machine:
                     counters.traps_delivered += 1
                     detector.handle_trap(self, mem, allocator)
                 executed += 1
-                kind, dst, src, base, offset_reg, offset, width, pair, imm, _ = instr
+                kind, dst, src, base, offset_reg, offset, width, pair, imm, overread_ok = instr
 
                 if kind is _LOAD or kind is _STORE:
                     # the address and tag as `decode` forms them
                     effective = regs[base] + (offset if offset_reg is None else regs[offset_reg])
                     address = effective & ADDRESS_MASK
                     # An access within one granule whose tag matches passes
-                    # on one page lookup; an access across a granule edge,
-                    # or a mismatch, goes to `tag_check`, which also builds
-                    # the fault.
+                    # on one page lookup.  Any other access within one tag
+                    # page checks each granule it touches on that page; a
+                    # sync mismatch goes to the detector as primitives, and
+                    # only one that is not benign, an async mismatch, or an
+                    # access across a page edge goes to `tag_check`, which
+                    # builds the fault.
                     if checking and (
                             (address & _GRANULE_OFFSET_MASK) + width * pair > GRANULE_SIZE
                             or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
                                 (address & PAGE_MASK) >> GRANULE_SHIFT]
                             != (effective >> TAG_SHIFT) & 0xF):
-                        self.pc = pc
-                        fault = self.tag_check(self.decode(instr), mem)
+                        size = width * pair
+                        at = address & PAGE_MASK
+                        if at + size <= PAGE_SIZE:
+                            addrtag = (effective >> TAG_SHIFT) & 0xF
+                            page = tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE
+                            g = first = at >> GRANULE_SHIFT
+                            last = (at + size - 1) >> GRANULE_SHIFT
+                            while g < last and page[g] == addrtag:
+                                g += 1
+                            fault = None
+                            if page[g] != addrtag:
+                                self.pc = pc
+                                if mode is _SYNC and detector.pass_benign_mismatch(
+                                        pc, address if g == first
+                                        else address & ~PAGE_MASK | g << GRANULE_SHIFT,
+                                        address, size, addrtag, overread_ok, mem, self):
+                                    counters.faults_delivered += 1   # benign: resume
+                                else:
+                                    fault = self.tag_check(self.decode(instr), mem)
+                        else:
+                            self.pc = pc
+                            fault = self.tag_check(self.decode(instr), mem)
                         if fault is not None:
                             counters.faults_delivered += 1
                             if mode is _SYNC:

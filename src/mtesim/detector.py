@@ -17,6 +17,17 @@ A benign verdict starts the recovery dance:
 
 Benign hits also bump the in-padding access counter; reaching the counter's
 capacity or the configured threshold retires the tripwire for good.
+
+A sync-mode mismatch has two entry points.  `Machine.run` calls
+`pass_benign_mismatch` with the access as plain values for every mismatch
+within one tag page; it owns the whole benign path (read the tripwire,
+`check_access` or the overread-skip rule, the trap-slot test,
+`pass_tripwire`, delegation and retirement counts) and returns True to
+resume.  `handle_tag_mismatch` takes a built `Fault`: the machine calls it
+when `pass_benign_mismatch` declined (a bug) or for an access across a
+page edge.  It reaches its benign verdict through `pass_benign_mismatch`
+and otherwise labels and reports the bug, so the benign/bug rule is
+written once, in `check_access`.
 """
 
 from __future__ import annotations
@@ -170,35 +181,37 @@ class Detector:
 
     # -- recovery protocol ----------------------------------------------
 
-    def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
-                            machine: Machine) -> Optional[BugReport]:
-        """Sync-mode fault entry point; None means resume the access."""
-        desc = fault.access
-        address = fault.fault_address
-        memtag, metadata = read_tripwire(mem, address)
+    def pass_benign_mismatch(self, pc: int, address: int, start: int, size: int,
+                             addrtag: int, overread_ok: bool, mem: TaggedMemory,
+                             machine: Machine) -> bool:
+        """Let a benign sync-mode mismatch through; True means resume the access.
+
+        Takes the primitives `Machine.run` holds: the access at `pc` spans
+        `size` bytes from untagged `start`, and `address` is the lowest
+        accessed address in the first mismatching granule.  A benign hit is
+        counted, then delegated or retired, and returns True.  False leaves
+        every state untouched: the mismatch is a bug, and
+        `handle_tag_mismatch` reports it.
+        """
         config = self.config
-
         if not config.tripwires:
-            # plain tag-check semantics: every mismatch is a bug
-            kind = self._classify(desc.addrtag, memtag, 0xFF, allocator)
-            return self.make_bug_report(fault, kind, memtag)
-
-        if (config.overread_skip and desc.overread_ok
-                and memtag != 0 and desc.addrtag != 0 and metadata == desc.addrtag):
+            return False  # plain tag-check semantics: every mismatch is a bug
+        memtag, metadata = read_tripwire(mem, address)
+        if (config.overread_skip and overread_ok
+                and memtag != 0 and addrtag != 0 and metadata == addrtag):
             # allow-listed overread of a tripwire granule: let it through
             # without the bounds check and without advancing the counter
             threshold = None
-        elif check_access(address, desc.start, desc.size, desc.addrtag, memtag, metadata):
+        elif check_access(address, start, size, addrtag, memtag, metadata):
             threshold = config.access_threshold  # benign hit: memtag is the addressable count
         else:
-            kind = self._classify(desc.addrtag, memtag, metadata, allocator)
-            return self.make_bug_report(fault, kind, memtag)
+            return False
 
         # Count the hit, then retire or delegate.  With no slot for the
         # revocation trap (ret/halt/end) the tripwire retires instead of
         # leaving an open delegation.
         granule = address & GRANULE_MASK
-        trap_pc = fault.pc + 1
+        trap_pc = pc + 1
         delegate = machine.can_trap(trap_pc)
         count = pass_tripwire(mem, granule, memtag, threshold, delegate)
         if count == 0 and threshold is not None:
@@ -207,7 +220,25 @@ class Detector:
             self.delegations[trap_pc] = granule  # the granule now wears the real tag
         else:
             self.stats.tripwires_removed_by_ret_edge += 1
-        return None
+        return True
+
+    def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
+                            machine: Machine) -> Optional[BugReport]:
+        """Sync-mode fault entry point; None means resume the access.
+
+        The benign verdict is `pass_benign_mismatch`'s; anything else is
+        labelled and reported.
+        """
+        desc = fault.access
+        address = fault.fault_address
+        if self.pass_benign_mismatch(fault.pc, address, desc.start, desc.size, desc.addrtag,
+                                     desc.overread_ok, mem, machine):
+            return None
+        memtag, metadata = read_tripwire(mem, address)
+        if not self.config.tripwires:
+            metadata = 0xFF  # no tripwire can be this pointer's: never intra-granule
+        kind = self._classify(desc.addrtag, memtag, metadata, allocator)
+        return self.make_bug_report(fault, kind, memtag)
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
         """Revocation: restore the tripwire and release the trap slot by

@@ -29,8 +29,10 @@ nothing about the allocator's layout or tags.
 
 from __future__ import annotations
 
+import math
 import random
 import re
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -273,6 +275,9 @@ def check_size_distribution(size_distribution: Sequence[Tuple[int, float]]) -> N
         raise WorkloadError("empty size distribution")
     if any(w <= 0 for _, w in size_distribution):
         raise WorkloadError("size weights must be positive")
+    *_, total = accumulate(w for _, w in size_distribution)
+    if not math.isfinite(total):
+        raise WorkloadError("size weights must have a finite total")
     if any(s < 1 for s, _ in size_distribution):
         raise WorkloadError("sizes must be >= 1")
 
@@ -292,7 +297,7 @@ class WorkloadSpec:
     reuse_cycles: int = 0
     # benign programs: number of random in-bounds accesses
     accesses: int = 8
-    # the distribution as `rng.choices` arguments, derived once per spec
+    # the distribution as sizes and cumulative weights, derived once per spec
     _sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cum_weights: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -313,9 +318,12 @@ class WorkloadSpec:
 
 
 def _draw_size(spec: WorkloadSpec, rng: random.Random) -> int:
-    # `weights=w` draws with cum_weights=accumulate(w); passing those
-    # directly gives the same draw without summing them on every call
-    return rng.choices(spec._sizes, cum_weights=spec._cum_weights)[0]
+    # the draw of `rng.choices(sizes, weights=w)[0]`, computed as `choices`
+    # computes it: one `random()` scaled by the total weight, bisected into
+    # the cumulative weights, without summing them or building a list
+    cum_weights = spec._cum_weights
+    return spec._sizes[bisect(cum_weights, rng.random() * cum_weights[-1],
+                              0, len(cum_weights) - 1)]
 
 
 def _draw_short_size(spec: WorkloadSpec, rng: random.Random) -> int:

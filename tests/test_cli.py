@@ -180,6 +180,14 @@ class TestExp:
     # a negative threshold would send every allocation down the untagged path
     ["exp", "detection", "--large-threshold", "-1"],
     ["run", "TRACE", "--large-threshold", "-1"],
+    # a flag the experiment would ignore
+    ["exp", "transparency", "--kind", "uaf"],
+    ["exp", "transparency", "--non-adjacent"],
+    ["exp", "transparency", "--reuse-cycles", "5"],
+    ["exp", "collision", "--mode", "off"],
+    ["exp", "collision", "--sizes", "24"],
+    ["exp", "vulnerable-fraction", "--no-tripwires"],
+    ["exp", "vulnerable-fraction", "--include-zero-tag"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
@@ -312,7 +320,19 @@ _GEN_FLAGS = [
 ]
 _EXP_FLAGS = _CONFIG_FLAGS + [
     _flag("--uniform", _UNIFORM), _flag("--non-adjacent"), _flag("--reuse-cycles", _SMALL),
+    _flag("--accesses", _SMALL),
 ]
+# the flags each experiment reads; any other flag is a usage error
+_CONFIG_FLAG_NAMES = {"--mode", "--seed", "--sampling-rate", "--alloc-threshold",
+                      "--access-threshold", "--large-threshold", "--no-tripwires",
+                      "--overread-skip", "--no-odd-even", "--include-zero-tag", "--always-arm"}
+_EXP_READS = {
+    "detection": _CONFIG_FLAG_NAMES | {"--trials", "--kind", "--sizes", "--non-adjacent",
+                                       "--reuse-cycles"},
+    "collision": {"--trials", "--seed", "--include-zero-tag"},
+    "vulnerable-fraction": {"--trials", "--seed", "--sizes", "--uniform"},
+    "transparency": _CONFIG_FLAG_NAMES | {"--trials", "--sizes"},
+}
 
 
 def _flags(pool):
@@ -380,5 +400,9 @@ def test_any_argv_exits_0_1_or_2_without_traceback(cli_dir, argv, env_seed):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     if code == 2:
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
         assert stdout.getvalue() == "", (argv, stdout.getvalue())
+    if argv[:1] == ["exp"] and argv[1:2] and argv[1] in _EXP_READS:
+        ignored = {a for a in argv[2:] if a.startswith("--")} - _EXP_READS[argv[1]]
+        if ignored:   # refused while parsing, before the experiment runs
+            assert code == 2 and err.startswith("error: mtesim"), (argv, err)

@@ -1,7 +1,8 @@
+import copy
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtesim import (
@@ -14,8 +15,10 @@ from mtesim import (
     TaggedMemory,
     parse_program,
 )
+from mtesim.allocator import arm_tripwire, pass_tripwire
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
+from mtesim.trace import Program
 
 
 def machine_for(text, mode=Mode.SYNC):
@@ -31,6 +34,10 @@ class NullDetector:
     """Declares every mismatch a bug; never delegates, so opens no trap slot."""
 
     delegations = {}   # the machine's trap slots: none
+
+    def pass_benign_mismatch(self, pc, address, start, size, addrtag, overread_ok, mem,
+                             machine):
+        return False   # never benign: every mismatch reaches handle_tag_mismatch
 
     def handle_tag_mismatch(self, fault, mem, allocator, machine):
         self.fault = fault
@@ -405,3 +412,153 @@ def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
     top = 1 << 56
     assert mem.nonzero_bytes() == [(0, 5), (1, 6), (2, 7), (3, 8),
                                    (top - 4, 1), (top - 3, 2), (top - 2, 3), (top - 1, 4)]
+
+
+# property: one `Machine.step` of a checked load or store matches a
+# reference that builds the fault with `tag_check(decode(instr))` and hands
+# it to `handle_tag_mismatch`, then commits a resumed access with the
+# unchecked path.  The access ends `reach` bytes past the start of a
+# granule that may hold a short granule's tripwire: within it (most draws
+# of the first range), or up to two granules past it or before it, near a
+# page edge or the top or bottom of the address space.
+
+_ANCHORS = (0x10_0000, 0x10_0800, 0x10_0FF0, 0x10_1000, 0, _TOP - 16, _TOP - 32)
+_NEXT = {"mov": Instruction(Opcode.MOV, dst=6, imm=1), "ret": Instruction(Opcode.RET)}
+
+
+@settings(max_examples=250, deadline=None)
+@given(anchor=st.sampled_from(_ANCHORS), skew=st.integers(-1, 1),
+       reach=st.one_of(st.integers(1, 16), st.integers(-8, 48)), store=st.booleans(),
+       width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
+       overread_ok=st.booleans(), addrtag=st.one_of(st.none(), st.integers(0, 15)),
+       real_tag=st.integers(0, 15),
+       tags=st.lists(st.one_of(st.none(), st.none(), st.none(), st.integers(0, 15)),
+                     min_size=4, max_size=4),
+       state=st.sampled_from(["plain", "armed", "armed", "armed", "delegated", "retired",
+                              "spent"]),
+       addressable=st.integers(1, 15), fill=st.binary(min_size=80, max_size=80),
+       forge=st.booleans(),
+       values=st.lists(st.integers(0, _MASK64), min_size=2, max_size=2),
+       after=st.sampled_from(["mov", "ret", "halt"]),
+       mode=st.sampled_from([Mode.SYNC, Mode.SYNC, Mode.SYNC, Mode.ASYNC]),
+       tripwires=st.sampled_from([True, True, True, False]), overread_skip=st.booleans(),
+       threshold=st.integers(1, 3))
+def test_step_matches_tag_check_and_handler_reference(
+        anchor, skew, reach, store, width, pair, overread_ok, addrtag, real_tag, tags, state,
+        addressable, fill, forge, values, after, mode, tripwires, overread_skip, threshold):
+    short = (anchor + 16 * skew) & (_TOP - 1)     # the granule that may hold a tripwire
+    if addrtag is None:
+        addrtag = real_tag                        # a pointer to the buffer
+    mem = TaggedMemory()
+    mem.write_bytes(short - 32, fill)             # program data, metadata bytes too
+    if forge:   # pointer-valued data: the other granules' last nibbles read as the pointer tag
+        for i in (-2, -1, 1, 2):
+            last = (short + 16 * i + 15) & (_TOP - 1)
+            mem.write_byte(last, mem.read_byte(last) & 0xF0 | addrtag)
+    # the two granules before the short one and the two after: the real
+    # tag (None) or any tag
+    for i, tag in zip((-2, -1, 1, 2), tags):
+        mem.set_granule_tag((short + 16 * i) & (_TOP - 1), real_tag if tag is None else tag)
+    det = Detector(SimConfig(mode=mode.value, tripwires=tripwires, overread_skip=overread_skip,
+                             access_threshold=threshold))
+    mem.set_granule_tag(short, real_tag)
+    if state != "plain":
+        arm_tripwire(mem, short, addressable, real_tag)
+    if state == "delegated":        # a benign hit is outstanding; its trap slot lies ahead
+        pass_tripwire(mem, short, addressable, 64, True)
+        det.delegations[9] = short
+    elif state == "retired":        # retired at a ret edge, counter left as the hit made it
+        pass_tripwire(mem, short, addressable, 64, False)
+    elif state == "spent":          # retired by the access threshold, metadata zeroed
+        pass_tripwire(mem, short, addressable, 1, False)
+
+    access = Instruction(Opcode.STORE if store else Opcode.LOAD, dst=4, src=2, base=1,
+                         width=width, pair=pair, overread_ok=overread_ok)
+    rest = (_NEXT[after],) if after in _NEXT else ()
+    m = Machine(Program((access,) + rest + (Instruction(Opcode.HALT),)), mode)
+    m.regs[1] = addrtag << 56 | (short + reach - width * pair) & (_TOP - 1)
+    m.regs[2:4] = values
+
+    # the reference state is a deep copy; the program never changes, so it is shared
+    ref_m, ref_mem, ref_det = copy.deepcopy((m, mem, det), {id(m.program): m.program})
+    fault = ref_m.tag_check(ref_m.decode(access), ref_mem)
+    expected = None
+    if fault is not None:
+        ref_m.counters.faults_delivered += 1
+        if mode is Mode.SYNC:
+            expected = ref_det.handle_tag_mismatch(fault, ref_mem, None, ref_m)
+        else:
+            ref_m.pending_async.append(fault)
+    if expected is None:            # the access commits, as an unchecked one does
+        ref_m.mode = Mode.OFF
+        assert ref_m.step(ref_mem, None, ref_det) is None
+
+    end = m.step(mem, None, det)
+    assert (None if end is None else end.report) == expected
+    assert m.counters.faults_delivered == ref_m.counters.faults_delivered
+    assert m.counters.traps_delivered == 0
+    assert m.pending_async == ref_m.pending_async
+    assert det.delegations == ref_det.delegations
+    assert det.stats == ref_det.stats
+    assert mem.snapshot() == ref_mem.snapshot()
+    if expected is None:
+        assert m.regs == ref_m.regs and m.pc == 1
+
+
+class TestSlowPathReach:
+    """Which accesses still build a descriptor, walk the granules with
+    `tag_check` or call `handle_tag_mismatch`."""
+
+    @pytest.fixture
+    def slow_calls(self, monkeypatch):
+        calls = []
+        for owner, name in ((Machine, "decode"), (Machine, "tag_check"),
+                            (Detector, "handle_tag_mismatch")):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def run_access(self, start, width, pair, tripwires=True, mode=Mode.SYNC):
+        # granules 0x1ff0..0x211f wear tag 0xA; 0x2120 holds an armed
+        # tripwire of a buffer with 8 addressable bytes; 0x2130 wears 0x5.
+        # A page starts at 0x2000.
+        mem = TaggedMemory()
+        mem.set_tag_range(0x1FF0, 0x130, 0xA)
+        arm_tripwire(mem, 0x2120, 8, 0xA)
+        mem.set_granule_tag(0x2130, 0x5)
+        m = machine_for(f"ld r4 [r1, #0] w{width} p{pair}\nmov r6 1\nhalt", mode)
+        m.regs[1] = 0x0A00_0000_0000_0000 | start
+        det = Detector(SimConfig(mode=mode.value, tripwires=tripwires))
+        return m.step(mem, None, det), m, det
+
+    def test_matching_access_across_three_granules_stays_inline(self, slow_calls):
+        end, m, _ = self.run_access(0x20F8, 16, 2)       # 0x20f8..0x2117
+        assert end is None and m.counters.faults_delivered == 0 and slow_calls == []
+
+    def test_benign_tripwire_hit_across_three_granules_stays_inline(self, slow_calls):
+        end, m, det = self.run_access(0x2108, 16, 2)     # 0x2108..0x2127, in bounds
+        assert end is None and m.counters.faults_delivered == 1 and slow_calls == []
+        assert det.delegations == {1: 0x2120}
+
+    def test_access_across_a_page_edge_walks_with_tag_check(self, slow_calls):
+        end, _, _ = self.run_access(0x1FF8, 8, 2)        # 0x1ff8..0x2007
+        assert end is None and slow_calls == ["decode", "tag_check"]
+
+    def test_bug_reaches_the_handler_through_tag_check(self, slow_calls):
+        end, _, _ = self.run_access(0x211C, 16, 1)       # 0x211c..0x212b: 12 bytes of 8
+        assert end.report.kind.value == "IntraGranuleOverflow"
+        assert slow_calls == ["decode", "tag_check", "handle_tag_mismatch"]
+
+    def test_plain_tag_checks_report_through_tag_check(self, slow_calls):
+        end, _, _ = self.run_access(0x2108, 16, 2, tripwires=False)
+        assert end.report.kind.value == "UseAfterFreeOrWild"
+        assert slow_calls == ["decode", "tag_check", "handle_tag_mismatch"]
+
+    def test_async_mismatch_is_queued_through_tag_check(self, slow_calls):
+        end, m, _ = self.run_access(0x2108, 16, 2, mode=Mode.ASYNC)
+        assert end is None and m.pending_async[0].fault_address == 0x2120
+        assert slow_calls == ["decode", "tag_check"]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtesim import (
@@ -109,6 +109,11 @@ class TestWorkloadSpec:
         with pytest.raises(WorkloadError):
             WorkloadSpec(kind="benign", size_distribution=((32, 0),))
 
+    @pytest.mark.parametrize("weights", [(float("inf"),), (float("nan"),), (1e308, 1e308)])
+    def test_weights_must_have_a_finite_total(self, weights):
+        with pytest.raises(WorkloadError, match="finite total"):
+            WorkloadSpec(kind="benign", size_distribution=tuple((32, w) for w in weights))
+
     def test_unknown_kind(self):
         with pytest.raises(WorkloadError):
             WorkloadSpec(kind="wild")
@@ -120,12 +125,17 @@ class TestWorkloadSpec:
                                     st.floats(1e-3, 1e6, allow_nan=False))),
                 min_size=1, max_size=12),
        st.integers(0, 2**32))
+@example(list(WorkloadSpec.size_distribution), 0)
+@example([(1, 0.1), (2, 0.2), (3, 0.3), (4, 0.4)], 1)      # weights that sum inexactly
+@example([(s, 1 + s % 5) for s in range(1, 200)], 2)      # a long distribution
 def test_draw_size_matches_choices_with_weights(distribution, seed):
+    """`_draw_size` draws what `random.choices` draws, draw for draw, and
+    leaves the generator in the same state."""
     spec = WorkloadSpec(kind="benign", size_distribution=tuple(distribution))
     sizes = [s for s, _ in distribution]
     weights = [w for _, w in distribution]
     cached, reference = random.Random(seed), random.Random(seed)
-    for _ in range(20):
+    for _ in range(50):
         assert _draw_size(spec, cached) == reference.choices(sizes, weights=weights)[0]
     assert cached.getstate() == reference.getstate()
 
