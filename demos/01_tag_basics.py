@@ -6,7 +6,8 @@ pokes at the raw model: granule tagging, top-byte-ignore addressing, and
 the storage cost of the tag carve-out.
 """
 
-from mtesim import TaggedMemory, TaggedPointer, tag_storage_overhead
+from mtesim import TaggedMemory, tag_storage_overhead
+from mtesim.memory import address_tag, untagged
 
 mem = TaggedMemory()
 
@@ -18,11 +19,11 @@ print(f"tag at 0x1010: {mem.get_granule_tag(0x1010):#x}  (next granule, untouche
 
 print()
 print("== tagged pointers ==")
-ptr = TaggedPointer.make(0x1000, 0xA)
-print(f"raw pointer value: {ptr.raw:#018x}")
-print(f"address: {ptr.address:#x}, tag: {ptr.tag:#x}")
+ptr = 0x1000 | 0xA << 56          # the tag sits in bits [59:56]
+print(f"raw pointer value: {ptr:#018x}")
+print(f"address: {untagged(ptr):#x}, tag: {address_tag(ptr):#x}")
 print("the top byte is ignored for addressing, so data reads work through it:")
-mem.write_bytes(ptr.raw, b"hello")
+mem.write_bytes(ptr, b"hello")
 print(f"read back: {mem.read_bytes(0x1000, 5)}")
 
 print()

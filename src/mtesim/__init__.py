@@ -29,7 +29,7 @@ from .experiments import (
     uniform_sizes,
     wilson_95_ci,
 )
-from .memory import TaggedMemory, TaggedPointer, tag_storage_overhead
+from .memory import TaggedMemory, tag_storage_overhead
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program
 from .sampler import TripwireSampler
 from .trace import (
@@ -54,7 +54,6 @@ __all__ = [
     "SimConfig",
     "Simulation",
     "TaggedMemory",
-    "TaggedPointer",
     "TraceParseError",
     "TripwireSampler",
     "WorkloadSpec",

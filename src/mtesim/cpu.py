@@ -22,23 +22,28 @@ program, registers, trap slots, memory pages and mode in locals, and
 inlines the common access path: the address and tag of a load or store,
 the tag check of every granule an access touches within one tag page (one
 page lookup), and each lane's byte move within a page (one `struct` move
-on the page).  In sync mode a mismatch found there goes to
-`Detector.pass_benign_mismatch` as plain values (pc, fault address, start,
-size, address tag, `overread_ok`), which passes a benign tripwire hit and
-resumes the access without building a descriptor or a fault.
+on the page).
+
+A checked access finds its first mismatching address by that inline walk,
+or by `tag_check(decode(instr))` when it crosses a page edge or runs past
+the top of the address space.  Either way a mismatch reaches one site in
+the loop, which counts the fault once.  In sync mode that site takes the
+one benign verdict from `Detector.pass_benign_mismatch`, given the access
+as plain values: a benign tripwire hit resumes the access without a
+descriptor or a `Fault`, and anything else is a bug, whose `Fault` goes
+to `Detector.handle_tag_mismatch` for its report.  In async mode the first
+mismatch becomes the pending fault.  A later one before the next kernel
+entry is counted but not reported, so within a page it builds no `Fault`.
 `self.pc` is brought up to date whenever the loop calls out, because the
 handlers read it.
 
 `decode`, `tag_check`, `TaggedMemory.read_bytes` and
 `TaggedMemory.write_bytes` stay as methods.  They are the slow path, and
-only these accesses reach it: one that crosses a page edge or runs past
-the top of the address space (`decode` + `tag_check`, then
-`Detector.handle_tag_mismatch` on a mismatch); a sync mismatch the
-detector does not pass, that is a bug, whose `Fault` only `tag_check`
-builds before `handle_tag_mismatch` reports it; an async mismatch, whose
-fault is queued; and a lane across a page edge (`read_bytes` /
-`write_bytes`).  The tests also check them directly as the reference for
-the inlined path, and the benchmark's tracer wraps them as spans.
+only an access across a page edge or past the top of the address space
+reaches it (`decode` + `tag_check` for its check, `read_bytes` /
+`write_bytes` for a lane across the edge).  The tests also check them
+directly as the reference for the inlined path, and the benchmark's tracer
+wraps them as spans.
 """
 
 from __future__ import annotations
@@ -90,15 +95,14 @@ class Instruction(NamedTuple):
         return self.width * self.pair
 
 
-# Every load and store builds an AccessDescriptor, so it is a named tuple
-# built with `tuple.__new__` directly: one C call, where a frozen dataclass
-# runs a Python `__init__` with one `object.__setattr__` per field.
+# An access across a page edge and every fault build an AccessDescriptor,
+# so it is a named tuple built with `tuple.__new__` directly: one C call,
+# where a frozen dataclass runs a Python `__init__` with one
+# `object.__setattr__` per field.
 class AccessDescriptor(NamedTuple):
     start: int            # untagged start address
     size: int             # width * pair bytes
     addrtag: int          # bits [59:56] of the effective pointer
-    pc: int
-    overread_ok: bool = False
 
 
 _new_descriptor = tuple.__new__
@@ -170,7 +174,9 @@ class Machine:
         self.regs: List[int] = [0] * NUM_REGS
         self.pc = 0
         self.mode = mode
-        self.pending_async: List[Fault] = []
+        # the first async fault since the last kernel entry; later ones are
+        # not reported, so they are not kept
+        self.pending_async: Optional[Fault] = None
         self.counters = MachineCounters()
 
     # -- decoding and checking ------------------------------------------
@@ -184,7 +190,7 @@ class Machine:
         address bits below them read the same with or without wrapping the
         sum to 64 bits first, so the sum is not wrapped.
         """
-        kind, _, _, base, offset_reg, offset, width, pair, _, overread_ok = instr
+        kind, _, _, base, offset_reg, offset, width, pair, _, _ = instr
         if kind is not _LOAD and kind is not _STORE:
             raise TraceRuntimeError(f"decode of non-access instruction {kind}")
         regs = self.regs
@@ -193,8 +199,6 @@ class Machine:
             effective & ADDRESS_MASK,
             width * pair,
             (effective >> TAG_SHIFT) & 0xF,
-            self.pc,
-            overread_ok,
         ))
 
     def tag_check(self, desc: AccessDescriptor, mem: TaggedMemory) -> Optional[Fault]:
@@ -205,8 +209,7 @@ class Machine:
         as `get_granule_tag` masks an address, so an access running past the
         top of the address space checks granule 0.  `run` checks an access
         within one tag page inline and comes here only for an access across
-        a page edge or to build the fault of a mismatch the detector did not
-        pass.
+        a page edge.
         """
         start, size, addrtag = desc.start, desc.size, desc.addrtag
         tags = mem.tags
@@ -218,6 +221,11 @@ class Machine:
                 address = start if g == first else g << GRANULE_SHIFT
                 return _new_fault(Fault, (self.pc, address, tuple(self.regs), desc))
         return None
+
+    def _fault(self, address: int, start: int, size: int, addrtag: int) -> Fault:
+        """The fault `tag_check` would build for a mismatch `run` found inline."""
+        return _new_fault(Fault, (self.pc, address, tuple(self.regs), _new_descriptor(
+            AccessDescriptor, (start, size, addrtag))))
 
     # -- traps -----------------------------------------------------------
 
@@ -236,12 +244,11 @@ class Machine:
     # -- execution --------------------------------------------------------
 
     def _drain_async(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
-        if not self.pending_async:
+        fault = self.pending_async
+        if fault is None:
             return None
-        fault = self.pending_async[0]
-        self.pending_async.clear()
-        report = detector.report_async(fault, self.pc, mem, allocator)
-        return RunEnd("BugReported", report)
+        self.pending_async = None
+        return RunEnd("BugReported", detector.report_async(fault, self.pc, mem, allocator))
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         """Execute one instruction, as `run` with a budget of one; None
@@ -282,49 +289,47 @@ class Machine:
                     effective = regs[base] + (offset if offset_reg is None else regs[offset_reg])
                     address = effective & ADDRESS_MASK
                     # An access within one granule whose tag matches passes
-                    # on one page lookup.  Any other access within one tag
-                    # page checks each granule it touches on that page; a
-                    # sync mismatch goes to the detector as primitives, and
-                    # only one that is not benign, an async mismatch, or an
-                    # access across a page edge goes to `tag_check`, which
-                    # builds the fault.
+                    # on one page lookup.  Any other access finds its first
+                    # mismatching address: within one tag page by walking
+                    # the granules it touches on that page, across a page
+                    # edge with `tag_check`.  A mismatch then has one site.
                     if checking and (
                             (address & _GRANULE_OFFSET_MASK) + width * pair > GRANULE_SIZE
                             or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
                                 (address & PAGE_MASK) >> GRANULE_SHIFT]
                             != (effective >> TAG_SHIFT) & 0xF):
                         size = width * pair
+                        addrtag = (effective >> TAG_SHIFT) & 0xF
                         at = address & PAGE_MASK
+                        self.pc = pc
                         if at + size <= PAGE_SIZE:
-                            addrtag = (effective >> TAG_SHIFT) & 0xF
+                            fault = None   # built only for a bug or a pending async fault
                             page = tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE
                             g = first = at >> GRANULE_SHIFT
                             last = (at + size - 1) >> GRANULE_SHIFT
                             while g < last and page[g] == addrtag:
                                 g += 1
-                            fault = None
-                            if page[g] != addrtag:
-                                self.pc = pc
-                                if mode is _SYNC and detector.pass_benign_mismatch(
-                                        pc, address if g == first
-                                        else address & ~PAGE_MASK | g << GRANULE_SHIFT,
-                                        address, size, addrtag, overread_ok, mem, self):
-                                    counters.faults_delivered += 1   # benign: resume
-                                else:
-                                    fault = self.tag_check(self.decode(instr), mem)
+                            fault_address = (None if page[g] == addrtag
+                                             else address if g == first
+                                             else address & ~PAGE_MASK | g << GRANULE_SHIFT)
                         else:
-                            self.pc = pc
                             fault = self.tag_check(self.decode(instr), mem)
-                        if fault is not None:
+                            fault_address = None if fault is None else fault.fault_address
+                        if fault_address is not None:
                             counters.faults_delivered += 1
                             if mode is _SYNC:
-                                report = detector.handle_tag_mismatch(fault, mem, allocator, self)
-                                if report is not None:
-                                    return RunEnd("BugReported", report)
-                                # resume: the access commits fully
-                            else:
-                                # silent corruption until drained
-                                self.pending_async.append(fault)
+                                if not detector.pass_benign_mismatch(
+                                        pc, fault_address, address, size, addrtag, overread_ok,
+                                        mem, self):
+                                    return RunEnd("BugReported", detector.handle_tag_mismatch(
+                                        fault or self._fault(fault_address, address, size,
+                                                             addrtag),
+                                        mem, allocator, self))
+                                # benign: resume, the access commits fully
+                            elif self.pending_async is None:
+                                # silent corruption until drained; the first fault wins
+                                self.pending_async = fault or self._fault(
+                                    fault_address, address, size, addrtag)
                     # A lane within a page is one struct move on the page; a
                     # lane across a page edge, or past the top of the address
                     # space, goes through `read_bytes`/`write_bytes`.

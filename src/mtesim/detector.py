@@ -18,16 +18,14 @@ A benign verdict starts the recovery dance:
 Benign hits also bump the in-padding access counter; reaching the counter's
 capacity or the configured threshold retires the tripwire for good.
 
-A sync-mode mismatch has two entry points.  `Machine.run` calls
-`pass_benign_mismatch` with the access as plain values for every mismatch
-within one tag page; it owns the whole benign path (read the tripwire,
-`check_access` or the overread-skip rule, the trap-slot test,
-`pass_tripwire`, delegation and retirement counts) and returns True to
-resume.  `handle_tag_mismatch` takes a built `Fault`: the machine calls it
-when `pass_benign_mismatch` declined (a bug) or for an access across a
-page edge.  It reaches its benign verdict through `pass_benign_mismatch`
-and otherwise labels and reports the bug, so the benign/bug rule is
-written once, in `check_access`.
+A sync-mode mismatch gets its verdict at one site.  `Machine.run` calls
+`pass_benign_mismatch` once per mismatch, with the access as plain values;
+it owns the whole benign path (read the tripwire, `check_access` or the
+overread-skip rule, the trap-slot test, `pass_tripwire`, delegation and
+retirement counts) and returns True to resume.  Only when it returns False
+does the machine build a `Fault` and call `handle_tag_mismatch`, which
+labels and reports the bug.  So the benign/bug rule is written once, in
+`check_access`, and taken once per mismatch.
 """
 
 from __future__ import annotations
@@ -190,8 +188,8 @@ class Detector:
         `size` bytes from untagged `start`, and `address` is the lowest
         accessed address in the first mismatching granule.  A benign hit is
         counted, then delegated or retired, and returns True.  False leaves
-        every state untouched: the mismatch is a bug, and
-        `handle_tag_mismatch` reports it.
+        every state untouched: the mismatch is a bug, and the machine hands
+        it to `handle_tag_mismatch`.
         """
         config = self.config
         if not config.tripwires:
@@ -223,29 +221,28 @@ class Detector:
         return True
 
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
-                            machine: Machine) -> Optional[BugReport]:
-        """Sync-mode fault entry point; None means resume the access.
+                            machine: Machine) -> BugReport:
+        """Label and report a sync-mode mismatch that `pass_benign_mismatch`
+        declined.
 
-        The benign verdict is `pass_benign_mismatch`'s; anything else is
-        labelled and reported.
+        `machine` is unused.  The signature stays as it is because the
+        benchmark's tracer (`bench/tracer.py`, `_wrap_mismatch`) wraps this
+        method and calls it with these five arguments positionally.
         """
-        desc = fault.access
-        address = fault.fault_address
-        if self.pass_benign_mismatch(fault.pc, address, desc.start, desc.size, desc.addrtag,
-                                     desc.overread_ok, mem, machine):
-            return None
-        memtag, metadata = read_tripwire(mem, address)
+        memtag, metadata = read_tripwire(mem, fault.fault_address)
         if not self.config.tripwires:
             metadata = 0xFF  # no tripwire can be this pointer's: never intra-granule
-        kind = self._classify(desc.addrtag, memtag, metadata, allocator)
+        kind = self._classify(fault.access.addrtag, memtag, metadata, allocator)
         return self.make_bug_report(fault, kind, memtag)
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
         """Revocation: restore the tripwire and release the trap slot by
         dropping its delegation.
 
-        Needs only the delegation entry and memory; `allocator` is unused
-        and kept so both handler entry points take the same arguments.
+        Needs only the delegation entry and memory; `allocator` is unused.
+        The signature stays as it is because the benchmark's tracer
+        (`bench/tracer.py`, `_wrap_trap`) wraps this method and calls it with
+        these four arguments positionally.
         """
         pc = machine.pc
         granule = self.delegations.pop(pc, None)

@@ -20,7 +20,6 @@ top-byte-ignore addressing.  Bits [63:60] are kept zero as a canary.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -57,37 +56,6 @@ def untagged(raw: int) -> int:
 def address_tag(raw: int) -> int:
     """Extract the 4-bit address tag from bits [59:56] of a pointer value."""
     return (raw >> TAG_SHIFT) & 0xF
-
-
-@dataclass(frozen=True)
-class TaggedPointer:
-    """A 64-bit pointer value with a 4-bit tag in the top byte.
-
-    Bits [63:60] must be zero; the allocator never produces anything else
-    and consumers treat a nonzero high nibble as a wild pointer.
-    """
-
-    raw: int
-
-    def __post_init__(self):
-        if not 0 <= self.raw <= MASK64:
-            raise ValueError(f"pointer value out of 64-bit range: {self.raw:#x}")
-        if (self.raw >> 60) & 0xF:
-            raise ValueError(f"bits [63:60] of a tagged pointer must be zero: {self.raw:#x}")
-
-    @classmethod
-    def make(cls, address: int, tag: int) -> "TaggedPointer":
-        if not 0 <= tag <= 0xF:
-            raise ValueError(f"tag out of range: {tag}")
-        return cls((address & ADDRESS_MASK) | (tag << TAG_SHIFT))
-
-    @property
-    def tag(self) -> int:
-        return address_tag(self.raw)
-
-    @property
-    def address(self) -> int:
-        return untagged(self.raw)
 
 
 _NONZERO_RUN = re.compile(rb"[^\x00]+")

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtesim import (
+    ALWAYS_ARM,
     Allocator,
     Instruction,
     Machine,
     Mode,
     Opcode,
     SimConfig,
+    Simulation,
     TaggedMemory,
     parse_program,
 )
+from mtesim import cpu
 from mtesim.allocator import arm_tripwire, pass_tripwire
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
@@ -55,10 +58,12 @@ class NullDetector:
 
 
 class ResumeDetector(NullDetector):
-    def handle_tag_mismatch(self, fault, mem, allocator, machine):
-        self.fault = fault
+    """Declares every sync mismatch benign without touching memory."""
+
+    def pass_benign_mismatch(self, pc, address, start, size, addrtag, overread_ok, mem,
+                             machine):
         self.mem_snapshot = mem.snapshot()
-        return None
+        return True
 
 
 class TestInstruction:
@@ -229,7 +234,7 @@ def test_tag_check_matches_per_granule_dict(start, size, addrtag, other, matches
             expected = start if g == first else g << 4
             break
     m = machine_for("halt")
-    desc = AccessDescriptor(start, size, addrtag, 0)
+    desc = AccessDescriptor(start, size, addrtag)
     fault = m.tag_check(desc, mem)
     assert (None if fault is None else fault.fault_address) == expected
 
@@ -415,9 +420,10 @@ def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
 
 
 # property: one `Machine.step` of a checked load or store matches a
-# reference that builds the fault with `tag_check(decode(instr))` and hands
-# it to `handle_tag_mismatch`, then commits a resumed access with the
-# unchecked path.  The access ends `reach` bytes past the start of a
+# reference that builds the fault with `tag_check(decode(instr))`, takes the
+# benign verdict from `pass_benign_mismatch` and hands a bug to
+# `handle_tag_mismatch`, then commits a resumed access with the unchecked
+# path.  The access ends `reach` bytes past the start of a
 # granule that may hold a short granule's tripwire: within it (most draws
 # of the first range), or up to two granules past it or before it, near a
 # page edge or the top or bottom of the address space.
@@ -485,10 +491,12 @@ def test_step_matches_tag_check_and_handler_reference(
     expected = None
     if fault is not None:
         ref_m.counters.faults_delivered += 1
-        if mode is Mode.SYNC:
+        desc = fault.access
+        if mode is Mode.ASYNC:
+            ref_m.pending_async = fault
+        elif not ref_det.pass_benign_mismatch(0, fault.fault_address, desc.start, desc.size,
+                                              desc.addrtag, overread_ok, ref_mem, ref_m):
             expected = ref_det.handle_tag_mismatch(fault, ref_mem, None, ref_m)
-        else:
-            ref_m.pending_async.append(fault)
     if expected is None:            # the access commits, as an unchecked one does
         ref_m.mode = Mode.OFF
         assert ref_m.step(ref_mem, None, ref_det) is None
@@ -506,13 +514,14 @@ def test_step_matches_tag_check_and_handler_reference(
 
 
 class TestSlowPathReach:
-    """Which accesses still build a descriptor, walk the granules with
-    `tag_check` or call `handle_tag_mismatch`."""
+    """Which accesses build a descriptor, walk the granules with
+    `tag_check`, take the benign verdict or reach `handle_tag_mismatch`."""
 
     @pytest.fixture
     def slow_calls(self, monkeypatch):
         calls = []
         for owner, name in ((Machine, "decode"), (Machine, "tag_check"),
+                            (Detector, "pass_benign_mismatch"),
                             (Detector, "handle_tag_mismatch")):
             original = getattr(owner, name)
 
@@ -522,18 +531,25 @@ class TestSlowPathReach:
             monkeypatch.setattr(owner, name, spy)
         return calls
 
-    def run_access(self, start, width, pair, tripwires=True, mode=Mode.SYNC):
+    @staticmethod
+    def memory():
         # granules 0x1ff0..0x211f wear tag 0xA; 0x2120 holds an armed
         # tripwire of a buffer with 8 addressable bytes; 0x2130 wears 0x5.
-        # A page starts at 0x2000.
+        # 0x2ff0 wears 0xA, and 0x3000 holds another armed tripwire of 8
+        # addressable bytes.  Pages start at 0x2000 and 0x3000.
         mem = TaggedMemory()
         mem.set_tag_range(0x1FF0, 0x130, 0xA)
         arm_tripwire(mem, 0x2120, 8, 0xA)
         mem.set_granule_tag(0x2130, 0x5)
+        mem.set_granule_tag(0x2FF0, 0xA)
+        arm_tripwire(mem, 0x3000, 8, 0xA)
+        return mem
+
+    def run_access(self, start, width, pair, tripwires=True, mode=Mode.SYNC):
         m = machine_for(f"ld r4 [r1, #0] w{width} p{pair}\nmov r6 1\nhalt", mode)
         m.regs[1] = 0x0A00_0000_0000_0000 | start
         det = Detector(SimConfig(mode=mode.value, tripwires=tripwires))
-        return m.step(mem, None, det), m, det
+        return m.step(self.memory(), None, det), m, det
 
     def test_matching_access_across_three_granules_stays_inline(self, slow_calls):
         end, m, _ = self.run_access(0x20F8, 16, 2)       # 0x20f8..0x2117
@@ -541,24 +557,62 @@ class TestSlowPathReach:
 
     def test_benign_tripwire_hit_across_three_granules_stays_inline(self, slow_calls):
         end, m, det = self.run_access(0x2108, 16, 2)     # 0x2108..0x2127, in bounds
-        assert end is None and m.counters.faults_delivered == 1 and slow_calls == []
+        assert end is None and m.counters.faults_delivered == 1
+        assert slow_calls == ["pass_benign_mismatch"]
         assert det.delegations == {1: 0x2120}
 
     def test_access_across_a_page_edge_walks_with_tag_check(self, slow_calls):
         end, _, _ = self.run_access(0x1FF8, 8, 2)        # 0x1ff8..0x2007
         assert end is None and slow_calls == ["decode", "tag_check"]
 
-    def test_bug_reaches_the_handler_through_tag_check(self, slow_calls):
-        end, _, _ = self.run_access(0x211C, 16, 1)       # 0x211c..0x212b: 12 bytes of 8
+    def test_bug_within_a_page_takes_the_benign_verdict_once(self, slow_calls):
+        end, m, _ = self.run_access(0x211C, 16, 1)       # 0x211c..0x212b: 12 bytes of 8
         assert end.report.kind.value == "IntraGranuleOverflow"
-        assert slow_calls == ["decode", "tag_check", "handle_tag_mismatch"]
+        assert end.report.fault_address == 0x2120 and m.counters.faults_delivered == 1
+        assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
+
+    def test_bug_reaches_the_handler_through_tag_check(self, slow_calls):
+        end, _, _ = self.run_access(0x2FFC, 16, 1)       # 0x2ffc..0x300b: 12 bytes of 8
+        assert end.report.kind.value == "IntraGranuleOverflow"
+        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch",
+                              "handle_tag_mismatch"]
 
     def test_plain_tag_checks_report_through_tag_check(self, slow_calls):
-        end, _, _ = self.run_access(0x2108, 16, 2, tripwires=False)
+        end, _, _ = self.run_access(0x2FF8, 8, 2, tripwires=False)   # 0x2ff8..0x3007
         assert end.report.kind.value == "UseAfterFreeOrWild"
-        assert slow_calls == ["decode", "tag_check", "handle_tag_mismatch"]
+        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch",
+                              "handle_tag_mismatch"]
 
     def test_async_mismatch_is_queued_through_tag_check(self, slow_calls):
-        end, m, _ = self.run_access(0x2108, 16, 2, mode=Mode.ASYNC)
-        assert end is None and m.pending_async[0].fault_address == 0x2120
+        end, m, _ = self.run_access(0x2FF8, 8, 2, mode=Mode.ASYNC)
+        assert end is None and m.pending_async.fault_address == 0x3000
         assert slow_calls == ["decode", "tag_check"]
+
+    def test_benign_hit_across_a_page_edge_resumes_and_delegates(self, slow_calls):
+        # the short granule of the 20-byte buffer starts page 0x101000, and
+        # the load reads bytes 14..17 of the buffer, 2 of its 4 in that granule
+        sim = Simulation(parse_program("alloc r9 4080\nalloc r0 20\nld r4 [r0, #14] w4 p1\n"
+                                       "mov r6 1\nhalt"),
+                         SimConfig(alloc_threshold=ALWAYS_ARM, sampling_rate=1))
+        assert sim.machine.run(sim.mem, sim.allocator, sim.detector, 3) is None
+        assert sim.detector.delegations == {3: 0x10_1000}
+        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch"]
+        report = sim.run()
+        assert report.outcome == "CleanHalt" and sim.protocol_quiescent()
+        assert report.counters["faults_delivered"] == 1
+        assert report.counters["traps_delivered"] == 1
+
+    def test_async_mismatches_before_a_drain_build_one_fault(self, monkeypatch):
+        built = []
+
+        def new_fault(cls, values):
+            built.append(values[1])
+            return tuple.__new__(cls, values)
+        monkeypatch.setattr(cpu, "_new_fault", new_fault)
+        m = machine_for("ld r4 [r1, #0] w8 p1\nld r4 [r2, #0] w8 p1\nhalt", Mode.ASYNC)
+        m.regs[1] = 0x0A00_0000_0000_2130                 # memory tag 0x5
+        m.regs[2] = 0x0A00_0000_0000_2128                 # the armed tripwire
+        end = m.run(self.memory(), None, Detector(SimConfig(mode="async")), 3)
+        assert end.outcome == "BugReported" and end.report.fault_address == 0x2130
+        assert m.counters.faults_delivered == 2 and built == [0x2130]
+        assert m.pending_async is None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtesim import TaggedMemory, TaggedPointer, tag_storage_overhead
+from mtesim import TaggedMemory, tag_storage_overhead
 from mtesim.memory import address_tag, untagged
 
 
@@ -61,32 +61,17 @@ def test_write_read_across_granule_boundary():
 
 def test_tagged_addresses_are_masked():
     mem = TaggedMemory()
-    raw = TaggedPointer.make(0x1000, 0xB).raw
+    raw = 0x1000 | 0xB << 56
     mem.write_bytes(raw, b"\x42")
     assert mem.read_byte(0x1000) == 0x42
     mem.set_granule_tag(raw, 0xB)
     assert mem.get_granule_tag(0x1000) == 0xB
 
 
-class TestTaggedPointer:
-    def test_tag_and_address(self):
-        p = TaggedPointer.make(0x1234, 0xA)
-        assert p.raw == (0xA << 56) | 0x1234
-        assert p.tag == 0xA
-        assert p.address == 0x1234
-
-    def test_high_nibble_canary_rejected(self):
-        with pytest.raises(ValueError):
-            TaggedPointer((1 << 60) | 0x1000)
-
-    def test_zero_tag_pointer(self):
-        p = TaggedPointer.make(0x4000, 0)
-        assert p.raw == 0x4000
-
-    def test_helpers_strip_whole_top_byte(self):
-        raw = (0x0A << 56) | 0x1234
-        assert untagged(raw) == 0x1234
-        assert address_tag(raw) == 0xA
+def test_helpers_strip_whole_top_byte():
+    raw = (0x0A << 56) | 0x1234
+    assert untagged(raw) == 0x1234
+    assert address_tag(raw) == 0xA
 
 
 class TestOverhead:
@@ -156,7 +141,7 @@ class TestSetTagRange:
 
     def test_tagged_address_is_masked(self):
         mem = TaggedMemory()
-        mem.set_tag_range(TaggedPointer.make(0x1000, 0x5).raw, 32, 0xB)
+        mem.set_tag_range(0x1000 | 0x5 << 56, 32, 0xB)
         assert mem.nonzero_tags() == [(0x1000, 0xB), (0x1010, 0xB)]
 
     def test_partial_last_granule_is_covered(self):
