@@ -20,9 +20,11 @@ tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  Freed regions queue
-in a FIFO per size class and are reused with their free-time tag unchanged,
-except when that tag equals the new allocation's addressable count: the
-region then gets a fresh draw under the same exclusions as a new region.
+in a FIFO per size class and are reused with their free-time tag unchanged:
+a reuse draws no tag and writes no granule tag, since the granules already
+carry it.  The one exception is a free-time tag equal to the new
+allocation's addressable count: the region then gets a fresh draw under the
+same exclusions as a new region.
 The tripwire state itself lives only in memory (see `tripwire_armed`);
 records keep `ever_armed`, a fact of history that memory cannot hold.
 """
@@ -35,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT,
-                     TAG_SHIFT, TaggedMemory, address_tag, untagged)
+from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
+                     PAGE_SHIFT, TAG_SHIFT, TaggedMemory, address_tag, untagged)
 
 if TYPE_CHECKING:
     from .runner import SimConfig
@@ -58,6 +60,11 @@ class TagSpaceExhausted(Exception):
 class AllocState(enum.Enum):
     LIVE = "live"
     FREED = "freed"
+
+
+# Looking a member up through its enum class costs about ten times a global
+# on Python 3.11; the allocator tests state on every call.
+_LIVE, _FREED = AllocState.LIVE, AllocState.FREED
 
 
 @dataclass
@@ -93,10 +100,6 @@ class AllocationRecord:
         if self.addressable_count == 0:
             return None
         return self.end - GRANULE_SIZE
-
-    @property
-    def tagged(self) -> bool:
-        return self.tag != 0
 
 
 # -- short-granule metadata: the only code that knows the padding layout ---
@@ -250,9 +253,10 @@ _ODD_TAGS = 0xAAAA
 _EVEN_TAGS = 0x5554
 ZERO_TAG = 1
 
-# Ascending pool of drawable tags per exclusion mask, filled on first use:
-# the full table of 2**16 masks would cost more to build than most runs draw.
-_TAG_POOLS: Dict[int, Tuple[int, ...]] = {}
+# Per exclusion mask: the ascending pool of drawable tags, its size n and
+# n.bit_length(), filled on first use: the full table of 2**16 masks would
+# cost more to build than most runs draw.
+_TAG_POOLS: Dict[int, Tuple[Tuple[int, ...], int, int]] = {}
 
 
 def generate_tag(exclude: int, rng: random.Random) -> int:
@@ -260,15 +264,25 @@ def generate_tag(exclude: int, rng: random.Random) -> int:
 
     Bit t of `exclude` set excludes tag t.  Zero is reserved for
     unprotected memory, so callers set bit 0 (`ZERO_TAG`) unless they
-    model a full 16-tag space.  The pool is ascending, so the draw is the
-    one `rng.choice` makes from the listed remaining tags.
+    model a full 16-tag space.  The draw is the one `rng.choice(pool)`
+    makes from the ascending pool of remaining tags: the same
+    `getrandbits(k)` rejection loop as `Random._randbelow_with_getrandbits`,
+    with k = n.bit_length() (one bit more than needed when n is a power of
+    two), so it consumes the same bits.  An exhausted mask raises before
+    drawing anything.
     """
-    pool = _TAG_POOLS.get(exclude)
-    if pool is None:
-        pool = _TAG_POOLS[exclude] = tuple(t for t in range(16) if not exclude >> t & 1)
-    if not pool:
-        raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
-    return rng.choice(pool)
+    entry = _TAG_POOLS.get(exclude)
+    if entry is None:
+        pool = tuple(t for t in range(16) if not exclude >> t & 1)
+        if not pool:
+            raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
+        entry = _TAG_POOLS[exclude] = (pool, len(pool), len(pool).bit_length())
+    pool, n, k = entry
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return pool[r]
 
 
 @dataclass
@@ -306,23 +320,27 @@ class Allocator:
         # a plain loop: it labels every bug report, and `any` over a
         # generator costs about three times as much per record
         for r in self._by_base.values():
-            if r.tag == tag and r.state is AllocState.LIVE:
+            if r.tag == tag and r.state is _LIVE:
                 return True
         return False
 
     # -- allocation ----------------------------------------------------
 
+    def _left_exclusion(self, base: int) -> int:
+        """Exclusion mask of the live tagged left neighbour's tag (and parity)."""
+        left = self._by_end.get(base)
+        if left is None or left.state is not _LIVE or not left.tag:
+            return 0
+        if self.config.odd_even:
+            # new tag's parity must differ from the left neighbor's
+            return (_ODD_TAGS if left.tag & 1 else _EVEN_TAGS) | 1 << left.tag
+        return 1 << left.tag
+
     def _neighbor_tags_and_parity(self, base: int, usable: int) -> int:
         """Exclusion mask of the live tagged neighbours' tags (and parity)."""
-        exclude = 0
-        left = self._by_end.get(base)
-        if left is not None and left.state is AllocState.LIVE and left.tagged:
-            exclude = 1 << left.tag
-            if self.config.odd_even:
-                # new tag's parity must differ from the left neighbor's
-                exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
+        exclude = self._left_exclusion(base)
         right = self._by_base.get(base + usable)
-        if right is not None and right.state is AllocState.LIVE and right.tagged:
+        if right is not None and right.state is _LIVE and right.tag:
             exclude |= 1 << right.tag
         return exclude
 
@@ -340,73 +358,81 @@ class Allocator:
 
     def allocate(self, requested: int) -> int:
         """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
-        usable = size_class(requested)
+        # `size_class`, inline for the common case
+        usable = (requested + _LAST) & GRANULE_MASK if requested > 0 else size_class(requested)
         self.stats.allocations += 1
+        config = self.config
 
-        if usable > self.config.large_threshold:
+        if usable > config.large_threshold:
             # Untagged large path: no tag draw, no tripwire.
             base = self._reserve_fresh(usable)
-            rec = AllocationRecord(base, requested, usable, tag=0)
-            self._register(rec)
+            self._register(AllocationRecord(base, requested, usable, tag=0))
             return base
 
-        reused: Optional[AllocationRecord] = None
+        short = requested & _LAST
         fifo = self._free_lists.get(usable)
         if fifo:
+            # free-time tag served unchanged, granules already carry it,
+            # unless it equals the tripwire value: redraw as for a new region
             reused = fifo.popleft()
-        base = reused.base if reused is not None else self._reserve_fresh(usable)
-
-        short = requested % GRANULE_SIZE
-        if reused is not None and reused.tag != short:
-            tag = reused.tag  # free-time tag served unchanged, granules already carry it
+            base, tag = reused.base, reused.tag
+            if tag == short:
+                exclude = self._neighbor_tags_and_parity(base, usable) | 1 << short
+                if not config.include_zero_tag:
+                    exclude |= ZERO_TAG
+                tag = generate_tag(exclude, self.rng)
+                self.mem.set_tag_range(base, usable, tag)
         else:
-            # fresh region, or a free-time tag equal to the tripwire value
-            exclude = self._neighbor_tags_and_parity(base, usable)
+            # nothing lives at or above the bump pointer: no right neighbour
+            base = self._reserve_fresh(usable)
+            exclude = self._left_exclusion(base)
             if short:
                 exclude |= 1 << short  # tag == tripwire value would never fault
-            if not self.config.include_zero_tag:
+            if not config.include_zero_tag:
                 exclude |= ZERO_TAG
             tag = generate_tag(exclude, self.rng)
             self.mem.set_tag_range(base, usable, tag)
 
         rec = AllocationRecord(base, requested, usable, tag)
-
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(self.mem, base + usable - GRANULE_SIZE, short, tag)
             rec.ever_armed = True
             self.stats.tripwires_armed += 1
 
-        self._register(rec)
+        self._by_base[base] = rec
+        self._by_end[base + usable] = rec
+        self.records.append(rec)
         return base | tag << TAG_SHIFT
 
     # -- free ----------------------------------------------------------
 
-    def _validate_pointer(self, raw: int) -> Tuple[Optional[AllocationRecord], Optional[TagMismatch]]:
+    def _mismatch(self, raw: int) -> TagMismatch:
+        """The verdict on a pointer `free` rejected, checks in order: canary
+        bits set, no live allocation at its address, or a stale tag."""
         addr = untagged(raw)
         tag = address_tag(raw)
         if (raw >> 60) & 0xF:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "bad-canary")
-        rec = self._by_base.get(addr)
-        if rec is None or rec.state is not AllocState.LIVE:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "not-live")
-        if tag != rec.tag:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "stale-tag")
-        return rec, None
+            reason = "bad-canary"
+        else:
+            rec = self._by_base.get(addr)
+            reason = "not-live" if rec is None or rec.state is not _LIVE else "stale-tag"
+        return TagMismatch(addr, tag, self.mem.get_granule_tag(addr), reason)
 
     def free(self, raw: int) -> Optional[TagMismatch]:
         """Free the allocation `raw` points at; returns a mismatch verdict on misuse."""
-        rec, mismatch = self._validate_pointer(raw)
-        if mismatch is not None:
-            return mismatch
+        rec = self._by_base.get(raw & ADDRESS_MASK)
+        if ((raw >> 60) & 0xF or rec is None or rec.state is not _LIVE
+                or (raw >> TAG_SHIFT) & 0xF != rec.tag):
+            return self._mismatch(raw)
 
         self.stats.frees += 1
         base, usable = rec.base, rec.usable_size
         # `addressable_count` and `short_granule_base`, each computed once
-        addressable = rec.requested_size % GRANULE_SIZE
+        addressable = rec.requested_size & _LAST
         if addressable:
             clear_short_granule_metadata(self.mem, base + usable - GRANULE_SIZE, addressable)
 
-        if rec.tagged:
+        if rec.tag:
             new_tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(base, usable, new_tag)
             rec.tag = new_tag
@@ -414,5 +440,5 @@ class Allocator:
             if fifo is None:
                 fifo = self._free_lists[usable] = deque()
             fifo.append(rec)
-        rec.state = AllocState.FREED
+        rec.state = _FREED
         return None

@@ -172,12 +172,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    reason = None
     try:
         spec = _workload_spec(args, count=args.count, preamble_allocs=args.preamble,
                               accesses=args.accesses)
         programs = generate_workload(spec)
-    except (WorkloadError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (WorkloadError, ValueError, MemoryError) as e:
+        reason = _reason(e)
+    if reason is not None:
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
     kind_dir = out / spec.kind
@@ -192,8 +195,10 @@ def cmd_gen(args) -> int:
             "size_distribution": [list(sw) for sw in spec.size_distribution],
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, MemoryError) as e:
+        reason = _reason(e)
+    if reason is not None:
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {len(programs)} programs to {kind_dir}")
     return EXIT_CLEAN

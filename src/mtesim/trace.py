@@ -450,9 +450,11 @@ def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> 
     _mov(out, _VAL, rng.randint(0, 2**32))
     _store(out, _VAL, _PTR, 0, 1)
     _free(out, _PTR)
-    for _ in range(spec.reuse_cycles):
-        _alloc(out, _CYCLE, size)
-        _free(out, _CYCLE)
+    # instructions are immutable: every cycle appends the same pair
+    cycle: List[Instruction] = []
+    _alloc(cycle, _CYCLE, size)
+    _free(cycle, _CYCLE)
+    out += cycle * spec.reuse_cycles
     _load(out, _VAL + 1, _PTR, 0, 1)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from mtesim.allocator import (
     HEAP_BASE,
     ZERO_TAG,
     AllocationRecord,
+    AllocatorStats,
     AllocState,
+    TagMismatch,
     TagSpaceExhausted,
     access_count,
     arm_tripwire,
@@ -121,6 +124,29 @@ def test_mask_draw_matches_set_based_draw(exclusions, include_zero, seed):
             continue
         assert generate_tag(exclusion_mask(exclude, include_zero), masked) == want
     assert masked.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+def test_generate_tag_is_rng_choice_over_the_pool(size):
+    # sizes 1, 2, 4, 8 and 16 draw one bit more than the pool needs, and
+    # reject more often: the draw must consume the generator as choice does
+    pools = random.Random(size)
+    for seed in range(30):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            pool = sorted(pools.sample(range(16), size))
+            mask = exclusion_mask(set(range(16)) - set(pool), True)
+            assert generate_tag(mask, drawn) == reference.choice(pool)
+        assert drawn.getstate() == reference.getstate()
+
+
+def test_exhausted_mask_leaves_the_generator_untouched():
+    rng = random.Random(5)
+    state = rng.getstate()
+    for _ in range(2):  # the second call finds nothing cached either
+        with pytest.raises(TagSpaceExhausted):
+            generate_tag(0xFFFF, rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("left_tag", range(1, 16))
@@ -451,3 +477,186 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_
     clear_short_granule_metadata(fused, granule, addressable)
     _ref_store(ref, granule, addressable, 0)
     _same(fused, ref)
+
+
+# -- the one-pass allocator against the allocator it replaced ---------------
+# `ReferenceAllocator` is `Allocator` as it was before `allocate` and `free`
+# each took one pass: it validates a pointer through a (record, mismatch)
+# pair, probes both neighbours of every new region, registers through
+# `rec.end` and draws a tag with `rng.choice` over a listed pool.
+
+def _choice_generate_tag(exclude, rng):
+    pool = [t for t in range(16) if not exclude >> t & 1]
+    if not pool:
+        raise TagSpaceExhausted
+    return rng.choice(pool)
+
+
+class ReferenceAllocator:
+    def __init__(self, mem, rng, config, sampler=None):
+        self.mem, self.rng, self.config, self.sampler = mem, rng, config, sampler
+        self.stats = AllocatorStats()
+        self._bump = HEAP_BASE
+        self._by_base, self._by_end, self._free_lists = {}, {}, {}
+        self.records = []
+
+    def _neighbor_tags_and_parity(self, base, usable):
+        exclude = 0
+        left = self._by_end.get(base)
+        if left is not None and left.state is AllocState.LIVE and left.tag:
+            exclude = 1 << left.tag
+            if self.config.odd_even:
+                exclude |= 0xAAAA if left.tag & 1 else 0x5554
+        right = self._by_base.get(base + usable)
+        if right is not None and right.state is AllocState.LIVE and right.tag:
+            exclude |= 1 << right.tag
+        return exclude
+
+    def _reserve_fresh(self, usable):
+        base = self._bump
+        self._bump += usable
+        return base
+
+    def _register(self, rec):
+        self._by_base[rec.base] = rec
+        self._by_end[rec.end] = rec
+        self.records.append(rec)
+
+    def allocate(self, requested):
+        usable = size_class(requested)
+        self.stats.allocations += 1
+        if usable > self.config.large_threshold:
+            base = self._reserve_fresh(usable)
+            self._register(AllocationRecord(base, requested, usable, tag=0))
+            return base
+        reused = None
+        fifo = self._free_lists.get(usable)
+        if fifo:
+            reused = fifo.popleft()
+        base = reused.base if reused is not None else self._reserve_fresh(usable)
+        short = requested % 16
+        if reused is not None and reused.tag != short:
+            tag = reused.tag
+        else:
+            exclude = self._neighbor_tags_and_parity(base, usable)
+            if short:
+                exclude |= 1 << short
+            if not self.config.include_zero_tag:
+                exclude |= ZERO_TAG
+            tag = _choice_generate_tag(exclude, self.rng)
+            self.mem.set_tag_range(base, usable, tag)
+        rec = AllocationRecord(base, requested, usable, tag)
+        if short and self.sampler is not None and self.sampler.should_arm():
+            arm_tripwire(self.mem, base + usable - 16, short, tag)
+            rec.ever_armed = True
+            self.stats.tripwires_armed += 1
+        self._register(rec)
+        return base | tag << 56
+
+    def _validate_pointer(self, raw):
+        addr, tag = untagged(raw), address_tag(raw)
+        if (raw >> 60) & 0xF:
+            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "bad-canary")
+        rec = self._by_base.get(addr)
+        if rec is None or rec.state is not AllocState.LIVE:
+            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "not-live")
+        if tag != rec.tag:
+            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "stale-tag")
+        return rec, None
+
+    def free(self, raw):
+        rec, mismatch = self._validate_pointer(raw)
+        if mismatch is not None:
+            return mismatch
+        self.stats.frees += 1
+        if rec.addressable_count:
+            clear_short_granule_metadata(self.mem, rec.short_granule_base,
+                                         rec.addressable_count)
+        if rec.tag:
+            rec.tag = _choice_generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
+            self.mem.set_tag_range(rec.base, rec.usable_size, rec.tag)
+            self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
+        rec.state = AllocState.FREED
+        return None
+
+
+_THRESHOLDS = (64, 512, 1024)
+
+
+def _alloc_op():
+    # plain sizes, sizes around each large threshold, and "tag": a size in
+    # the class of the next reused region whose addressable count equals
+    # that region's free-time tag
+    near = st.sampled_from(_THRESHOLDS).flatmap(lambda t: st.integers(t - 17, t + 17))
+    return st.one_of(st.tuples(st.just("alloc"), st.integers(0, 1100)),
+                     st.tuples(st.just("alloc"), near),
+                     st.tuples(st.just("tag"), st.integers(0, 63)))
+
+
+def _free_op():
+    # a pointer handed out earlier as it was (live, stale or already freed),
+    # with a canary nibble set, or with another tag; or a wild address
+    return st.one_of(
+        st.tuples(st.just("free"), st.integers(0, 63), st.just(0)),
+        st.tuples(st.just("canary"), st.integers(0, 63), st.integers(1, 15)),
+        st.tuples(st.just("retag"), st.integers(0, 63), st.integers(1, 15)),
+        st.tuples(st.just("wild"), st.sampled_from([0, 0x5555, HEAP_BASE + 8, HEAP_BASE + 16,
+                                                    HEAP_BASE - 16, 1 << 48]),
+                  st.integers(0, 15)))
+
+
+def _pointer_for(op, handed_out):
+    kind, i, value = op
+    if kind == "wild":
+        return i | value << 56
+    ptr = handed_out[i % len(handed_out)]
+    if kind == "canary":
+        return ptr | value << 60
+    if kind == "retag":
+        return ptr ^ value << 56
+    return ptr
+
+
+def _state(alloc):
+    return (alloc.mem.snapshot(),
+            [(r.base, r.requested_size, r.usable_size, r.tag, r.state, r.ever_armed)
+             for r in alloc.records],
+            {size: [r.base for r in fifo] for size, fifo in alloc._free_lists.items() if fifo},
+            alloc.stats, alloc.rng.getstate())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.one_of(_alloc_op(), _free_op()), max_size=50),
+       odd_even=st.booleans(), include_zero_tag=st.booleans(),
+       large_threshold=st.sampled_from(_THRESHOLDS),
+       sampler=st.sampled_from([None, "always", "sampled"]), seed=st.integers(0, 2**32))
+def test_allocator_matches_reference_allocator(ops, odd_even, include_zero_tag,
+                                               large_threshold, sampler, seed):
+    config = SimConfig(odd_even=odd_even, include_zero_tag=include_zero_tag,
+                       large_threshold=large_threshold)
+
+    def make(cls):
+        arms = {None: None, "always": AlwaysArm(),
+                "sampled": TripwireSampler(random.Random(seed + 1), 2, 3)}[sampler]
+        return cls(TaggedMemory(), random.Random(seed), config, arms)
+
+    alloc, ref = make(Allocator), make(ReferenceAllocator)
+    handed_out = []
+    for op in ops:
+        if op[0] in ("alloc", "tag"):
+            size = op[1]
+            if op[0] == "tag":
+                queued = [fifo[0] for fifo in ref._free_lists.values() if fifo]
+                if not queued:
+                    continue
+                head = queued[op[1] % len(queued)]
+                size = head.usable_size - 16 + head.tag  # same class, count == tag
+            ptr = alloc.allocate(size)
+            assert ptr == ref.allocate(size)
+            handed_out.append(ptr)
+        elif handed_out or op[0] == "wild":
+            raw = _pointer_for(op, handed_out)
+            assert alloc.free(raw) == ref.free(raw)
+        assert _state(alloc) == _state(ref)
+    if sampler == "sampled":
+        assert alloc.sampler.rng.getstate() == ref.sampler.rng.getstate()

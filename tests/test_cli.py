@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtesim import SimConfig, TaggedMemory, WorkloadSpec
+from mtesim import cli
 from mtesim.cli import _config_from_args, build_parser, main
 
 
@@ -274,20 +275,39 @@ def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
     ["exp", "detection", "--kind", "cross", "--sizes", "1073741824",
      "--large-threshold", "1099511627776", "--trials", "1"],
     ["exp", "transparency", "--trials", "1"],
+    ["gen", "--kind", "uaf", "--reuse-cycles", "100000000", "--count", "1", "--out", "OUT"],
+    ["gen", "--kind", "benign", "--count", "3", "--out", "OUT"],
 ])
-def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, capsys, monkeypatch):
-    # stands in for tagging a region too large for the host, without one
-    def exhausted(self, addr, size, tag):
+def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, tmp_path, capsys,
+                                                  monkeypatch):
+    # stand in for tagging a region, or generating a corpus, too large for
+    # the host, without one
+    def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(TaggedMemory, "set_tag_range", exhausted)
-    argv = [trace_file(BENIGN) if a == "TRACE" else a for a in argv]
+    if argv[0] == "gen":
+        monkeypatch.setattr(cli, "generate_workload", exhausted)
+    argv = [trace_file(BENIGN) if a == "TRACE" else str(tmp_path) if a == "OUT" else a
+            for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert lines[0].endswith("out of host memory")
+
+
+def test_gen_out_of_host_memory_while_writing_exits_2_with_one_line(tmp_path, capsys,
+                                                                    monkeypatch):
+    def exhausted(program):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "render_program", exhausted)
+    assert main(["gen", "--kind", "intra", "--count", "2", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of host memory"]
 
 
 # -- property: any argv exits 0, 1 or 2, and exit 2 is one `error:` line ----
