@@ -41,6 +41,7 @@ from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PA
                      PAGE_SHIFT, TAG_SHIFT, TaggedMemory, address_tag, untagged)
 
 if TYPE_CHECKING:
+    from .cpu import Machine
     from .runner import SimConfig
 
 # Bump allocation starts here and grows upward; reused regions keep their
@@ -114,6 +115,12 @@ class AllocationRecord:
 # exists (a page is never empty, so never false).  Reads and clears make no
 # page.  `granule` is the base address of a granule; its last byte sits at
 # page offset `granule & PAGE_MASK | _LAST`.
+#
+# A benign hit is one call, `pass_benign_hit`: the read, the benign/bug
+# rule (`check_access`, or the allow-listed overread rule), the count and
+# the delegate/retire write.  `read_tripwire` and `pass_tripwire` are the
+# same event taken in steps; the bug report reads the granule with the
+# first, and the tests hold `pass_benign_hit` to the steps.
 
 _LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
 
@@ -127,6 +134,25 @@ def metadata_span(granule: int, addressable: int) -> range:
 def metadata_capacity(addressable: int) -> int:
     """Counter capacity: 4 bits (15) with one padding byte, else 12 bits (4095)."""
     return 15 if addressable == 15 else 4095
+
+
+def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
+                 metadata: int) -> bool:
+    """Byte-granular benign/bug decision for a faulting access.
+
+    True means benign.  Zero tags on either side are never addressable; a
+    metadata nibble that differs from the pointer tag means the fault was
+    not this pointer's tripwire; otherwise the access must end within the
+    granule's addressable bytes, whose count the memory tag encodes.
+    """
+    if memtag == 0 or addrtag == 0:
+        return False
+    if addrtag != metadata:
+        return False
+    granule = f & ~(GRANULE_SIZE - 1)
+    permitted = granule + memtag
+    attempted = start + size
+    return attempted <= permitted
 
 
 def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
@@ -190,6 +216,9 @@ def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
     overread) leaves the counter alone and never retires by threshold.
 
     Returns the count the metadata now holds: 0 after a threshold retirement.
+    This is the write step of `pass_benign_hit`, taken on its own after
+    `read_tripwire` and the verdict; the tests use it as that call's
+    stepwise reference and to put a tripwire into a given state.
     """
     a = granule & ADDRESS_MASK
     index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
@@ -212,6 +241,60 @@ def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
     if two:
         data[last - 1] = word >> 8 & 0xFF
     return word >> 4
+
+
+# What `pass_benign_hit` did with a mismatch.
+DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, RETIRED_AT_RET_EDGE = range(4)
+
+
+def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addrtag: int,
+                    skip: bool, threshold: int, machine: Machine, pc: int) -> int:
+    """Take one sync-mode mismatch at `address` through the tripwire of its
+    granule, if it is benign; returns what happened.
+
+    The access spans `size` bytes from untagged `start` under address tag
+    `addrtag`.  With `skip` (an allow-listed overread under
+    `overread_skip`) a hit on this pointer's tripwire passes without the
+    bounds check and is not counted; otherwise `check_access` decides.
+    DECLINED (a bug) leaves memory untouched.  A benign hit does what
+    `pass_tripwire` does: the granule wears the stashed real tag, a counted
+    hit bumps the counter and retires the tripwire once the count reaches
+    `threshold` or the counter's capacity, and otherwise the tripwire is
+    DELEGATED when `machine.can_trap(pc + 1)`, the slot after the access
+    at `pc`, or else RETIRED_AT_RET_EDGE.  The machine is asked only when
+    that decides the outcome.  It is passed whole, not as a bound method,
+    so a declined mismatch makes no method object.
+    """
+    a = address & ADDRESS_MASK
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags, data = mem.tags.get(index), mem.data.get(index)
+    g, last = offset >> GRANULE_SHIFT, offset | _LAST
+    memtag = 0 if tags is None else tags[g]
+    low = 0 if data is None else data[last]
+    metadata = low & 0xF
+    if skip and memtag != 0 and addrtag != 0 and metadata == addrtag:
+        # uncounted: the counter is left alone, and no threshold retires it
+        tags[g] = metadata
+        if machine.can_trap(pc + 1):
+            data[last] = low & 0xF0 | memtag
+            return DELEGATED
+        return RETIRED_AT_RET_EDGE
+    if not check_access(a, start, size, addrtag, memtag, metadata):
+        return DECLINED
+    # benign: memtag and the stashed nibble are nonzero, so both pages exist
+    tags[g] = metadata
+    two = memtag <= 14
+    word = (data[last - 1] << 8 | low if two else low) + (1 << 4)
+    if word >> 4 >= threshold or word >> 4 >= metadata_capacity(memtag):
+        word, outcome = 0, RETIRED_BY_THRESHOLD
+    elif machine.can_trap(pc + 1):
+        word, outcome = word & ~0xF | memtag, DELEGATED
+    else:
+        outcome = RETIRED_AT_RET_EDGE
+    data[last] = word & 0xFF
+    if two:
+        data[last - 1] = word >> 8 & 0xFF
+    return outcome
 
 
 def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
@@ -432,7 +515,9 @@ class Allocator:
         if addressable:
             clear_short_granule_metadata(self.mem, base + usable - GRANULE_SIZE, addressable)
 
-        if rec.tag:
+        if usable <= self.config.large_threshold:
+            # a primary region, even one that drew tag 0 under include_zero_tag;
+            # the untagged large path is never retagged or reused
             new_tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(base, usable, new_tag)
             rec.tag = new_tag

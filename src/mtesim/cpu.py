@@ -21,8 +21,9 @@ of one, so single-stepping executes the same code.  The loop keeps the
 program, registers, trap slots, memory pages and mode in locals, and
 inlines the common access path: the address and tag of a load or store,
 the tag check of every granule an access touches within one tag page (one
-page lookup), and each lane's byte move within a page (one `struct` move
-on the page).
+page lookup), and the byte move.  A load or store within one page moves
+all its bytes, both registers of a pair included, with one page lookup and
+one `struct` call (`<Q`, `<QQ`, `<Q8xQ8x`, ... by width and pair).
 
 A checked access finds its first mismatching address by that inline walk,
 or by `tag_check(decode(instr))` when it crosses a page edge or runs past
@@ -40,10 +41,11 @@ handlers read it.
 `decode`, `tag_check`, `TaggedMemory.read_bytes` and
 `TaggedMemory.write_bytes` stay as methods.  They are the slow path, and
 only an access across a page edge or past the top of the address space
-reaches it (`decode` + `tag_check` for its check, `read_bytes` /
-`write_bytes` for a lane across the edge).  The tests also check them
-directly as the reference for the inlined path, and the benchmark's tracer
-wraps them as spans.
+reaches it: `decode` + `tag_check` for its check, and one `read_bytes` or
+`write_bytes` call for its bytes, which the same `struct` call unpacks
+from or packs into a buffer.  The tests also check them directly as the
+reference for the inlined path, and the benchmark's tracer wraps them as
+spans.
 """
 
 from __future__ import annotations
@@ -128,17 +130,17 @@ _LOAD, _STORE, _MOV, _ADD = Opcode.LOAD, Opcode.STORE, Opcode.MOV, Opcode.ADD
 _ALLOC, _FREE, _SYSCALL, _RET, _HALT = (Opcode.ALLOC, Opcode.FREE, Opcode.SYSCALL,
                                         Opcode.RET, Opcode.HALT)
 _OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
-_ZERO_LANE = bytes(8)   # upper half of a width-16 store
-# Moving one lane within a page, by width.  Width 16 models a 128-bit
-# register lane; ours are 64-bit, so a load fills the register from the
-# lane's low 8 bytes and a store writes the register zero-extended.  A
-# `struct` move builds no intermediate bytes object.
-_UNPACK = {w: struct.Struct(f"<{c}").unpack_from
-           for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"), (16, "Q"))}
-_PACK = {w: struct.Struct(f"<{c}").pack_into
-         for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"), (16, "Q8x"))}
+# Moving a whole access within a page, by width: one `struct` call per
+# load or store, keyed by pair count.  Width 16 models a 128-bit register
+# lane; ours are 64-bit, so a load fills each register from its lane's low
+# 8 bytes and a store writes each register zero-extended.  A `struct` move
+# builds no intermediate bytes object.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q", 16: "Q8x"}
+_UNPACK1 = {w: struct.Struct("<" + c).unpack_from for w, c in _FORMATS.items()}
+_UNPACK2 = {w: struct.Struct("<" + c * 2).unpack_from for w, c in _FORMATS.items()}
+_PACK1 = {w: struct.Struct("<" + c).pack_into for w, c in _FORMATS.items()}
+_PACK2 = {w: struct.Struct("<" + c * 2).pack_into for w, c in _FORMATS.items()}
 _LANE_MASK = {w: (1 << 8 * min(w, 8)) - 1 for w in WIDTHS}   # register bits a store writes
-_LANES = {1: (0,), 2: (0, 1)}     # register offset of each lane, by pair
 # what an absent page reads as; never written
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _UNTAGGED_PAGE = bytes(GRANULES_PER_PAGE)
@@ -288,17 +290,17 @@ class Machine:
                     # the address and tag as `decode` forms them
                     effective = regs[base] + (offset if offset_reg is None else regs[offset_reg])
                     address = effective & ADDRESS_MASK
+                    size = width * pair
                     # An access within one granule whose tag matches passes
                     # on one page lookup.  Any other access finds its first
                     # mismatching address: within one tag page by walking
                     # the granules it touches on that page, across a page
                     # edge with `tag_check`.  A mismatch then has one site.
                     if checking and (
-                            (address & _GRANULE_OFFSET_MASK) + width * pair > GRANULE_SIZE
+                            (address & _GRANULE_OFFSET_MASK) + size > GRANULE_SIZE
                             or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
                                 (address & PAGE_MASK) >> GRANULE_SHIFT]
                             != (effective >> TAG_SHIFT) & 0xF):
-                        size = width * pair
                         addrtag = (effective >> TAG_SHIFT) & 0xF
                         at = address & PAGE_MASK
                         self.pc = pc
@@ -330,34 +332,37 @@ class Machine:
                                 # silent corruption until drained; the first fault wins
                                 self.pending_async = fault or self._fault(
                                     fault_address, address, size, addrtag)
-                    # A lane within a page is one struct move on the page; a
-                    # lane across a page edge, or past the top of the address
-                    # space, goes through `read_bytes`/`write_bytes`.
+                    # An access within a page is one struct move on the page.
+                    # One across a page edge, or past the top of the address
+                    # space, moves through one `read_bytes`/`write_bytes` call
+                    # and the same struct on a buffer.
+                    at = address & PAGE_MASK
                     if kind is _LOAD:
-                        unpack = _UNPACK[width]
-                        for lane in _LANES[pair]:
-                            at = address & PAGE_MASK
-                            if at + width <= PAGE_SIZE:
-                                page = data.get(address >> PAGE_SHIFT) or _ZERO_PAGE
-                                regs[dst + lane] = unpack(page, at)[0]
-                            else:
-                                chunk = mem.read_bytes(address, width)
-                                regs[dst + lane] = int.from_bytes(chunk[:8], "little")
-                            address = (address + width) & ADDRESS_MASK
+                        if at + size <= PAGE_SIZE:
+                            page = data.get(address >> PAGE_SHIFT) or _ZERO_PAGE
+                        else:
+                            page, at = mem.read_bytes(address, size), 0
+                        if pair == 1:
+                            regs[dst] = _UNPACK1[width](page, at)[0]
+                        else:
+                            regs[dst], regs[dst + 1] = _UNPACK2[width](page, at)
                     else:
-                        pack, lane_mask = _PACK[width], _LANE_MASK[width]
-                        for lane in _LANES[pair]:
-                            at = address & PAGE_MASK
-                            if at + width <= PAGE_SIZE:
-                                page = data.get(address >> PAGE_SHIFT)
-                                if page is None:
-                                    page = mem.data_page(address >> PAGE_SHIFT)
-                                pack(page, at, regs[src + lane] & lane_mask)
-                            else:
-                                value = regs[src + lane].to_bytes(8, "little")
-                                mem.write_bytes(address, value[:width] if width <= 8
-                                                else value + _ZERO_LANE)
-                            address = (address + width) & ADDRESS_MASK
+                        if at + size <= PAGE_SIZE:
+                            page = data.get(address >> PAGE_SHIFT)
+                            if page is None:
+                                page = mem.data_page(address >> PAGE_SHIFT)
+                            buffer = None
+                        else:
+                            page = buffer = bytearray(size)
+                            at = 0
+                        lane_mask = _LANE_MASK[width]
+                        if pair == 1:
+                            _PACK1[width](page, at, regs[src] & lane_mask)
+                        else:
+                            _PACK2[width](page, at, regs[src] & lane_mask,
+                                          regs[src + 1] & lane_mask)
+                        if buffer is not None:
+                            mem.write_bytes(address, buffer)
                 elif kind is _MOV:
                     regs[dst] = imm & MASK64
                 elif kind is _ADD:

@@ -4,6 +4,8 @@
 six values, all of which the handler recovers in-band: the fault address,
 the decoded access bounds, the pointer's address tag, the granule's memory
 tag, and the tag stashed in the granule's padding.  No side table exists.
+It is defined in the allocator's metadata section, next to the padding
+layout it reads, and imported here as the detector's rule.
 
 A benign verdict starts the recovery dance:
 
@@ -19,13 +21,15 @@ Benign hits also bump the in-padding access counter; reaching the counter's
 capacity or the configured threshold retires the tripwire for good.
 
 A sync-mode mismatch gets its verdict at one site.  `Machine.run` calls
-`pass_benign_mismatch` once per mismatch, with the access as plain values;
-it owns the whole benign path (read the tripwire, `check_access` or the
-overread-skip rule, the trap-slot test, `pass_tripwire`, delegation and
-retirement counts) and returns True to resume.  Only when it returns False
-does the machine build a `Fault` and call `handle_tag_mismatch`, which
-labels and reports the bug.  So the benign/bug rule is written once, in
-`check_access`, and taken once per mismatch.
+`pass_benign_mismatch` once per mismatch, with the access as plain values.
+That makes one call into the metadata section, `pass_benign_hit`, which
+looks the granule's tag and data pages up once and does the read, the rule
+(`check_access` or the overread-skip rule), the trap-slot test, the count
+and the delegate or retire write; the detector then records the
+delegation or the retirement and returns True to resume.  Only when the
+hit is declined does the machine build a `Fault` and call
+`handle_tag_mismatch`, which labels and reports the bug.  So the benign/bug
+rule is written once, in `check_access`, and taken once per mismatch.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .allocator import pass_tripwire, read_tripwire, revoke_tripwire
+# `check_access`, the benign/bug rule the detector applies, is defined next
+# to the padding layout it reads.
+from .allocator import (DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, check_access,
+                        pass_benign_hit, read_tripwire, revoke_tripwire)
 from .cpu import Fault, Machine
 from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory
 
@@ -52,25 +59,6 @@ class BugKind(enum.Enum):
     CROSS_GRANULE_OVERFLOW = "CrossGranuleOverflow"
     USE_AFTER_FREE_OR_WILD = "UseAfterFreeOrWild"
     ZERO_TAG = "ZeroTag"
-
-
-def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
-                 metadata: int) -> bool:
-    """Byte-granular benign/bug decision for a faulting access.
-
-    True means benign.  Zero tags on either side are never addressable; a
-    metadata nibble that differs from the pointer tag means the fault was
-    not this pointer's tripwire; otherwise the access must end within the
-    granule's addressable bytes, whose count the memory tag encodes.
-    """
-    if memtag == 0 or addrtag == 0:
-        return False
-    if addrtag != metadata:
-        return False
-    granule = f & ~(GRANULE_SIZE - 1)
-    permitted = granule + memtag
-    attempted = start + size
-    return attempted <= permitted
 
 
 @dataclass
@@ -194,29 +182,16 @@ class Detector:
         config = self.config
         if not config.tripwires:
             return False  # plain tag-check semantics: every mismatch is a bug
-        memtag, metadata = read_tripwire(mem, address)
-        if (config.overread_skip and overread_ok
-                and memtag != 0 and addrtag != 0 and metadata == addrtag):
-            # allow-listed overread of a tripwire granule: let it through
-            # without the bounds check and without advancing the counter
-            threshold = None
-        elif check_access(address, start, size, addrtag, memtag, metadata):
-            threshold = config.access_threshold  # benign hit: memtag is the addressable count
-        else:
+        outcome = pass_benign_hit(mem, address, start, size, addrtag,
+                                  overread_ok and config.overread_skip,
+                                  config.access_threshold, machine, pc)
+        if outcome == DECLINED:
             return False
-
-        # Count the hit, then retire or delegate.  With no slot for the
-        # revocation trap (ret/halt/end) the tripwire retires instead of
-        # leaving an open delegation.
-        granule = address & GRANULE_MASK
-        trap_pc = pc + 1
-        delegate = machine.can_trap(trap_pc)
-        count = pass_tripwire(mem, granule, memtag, threshold, delegate)
-        if count == 0 and threshold is not None:
+        if outcome == DELEGATED:
+            self.delegations[pc + 1] = address & GRANULE_MASK  # the granule wears the real tag
+        elif outcome == RETIRED_BY_THRESHOLD:
             self.stats.tripwires_removed_by_threshold += 1
-        elif delegate:
-            self.delegations[trap_pc] = granule  # the granule now wears the real tag
-        else:
+        else:   # no slot for the revocation trap (ret/halt/end)
             self.stats.tripwires_removed_by_ret_edge += 1
         return True
 

@@ -239,6 +239,21 @@ class TestFree:
         assert untagged(right) == untagged(ptr) + 1024
         assert mem.get_granule_tag(untagged(right)) == right_tag
 
+    def test_free_retags_and_queues_a_primary_region_that_drew_tag_0(self):
+        drew_zero = [seed for seed in range(100)
+                     if address_tag(make_allocator(seed, include_zero_tag=True)[1]
+                                    .allocate(48)) == 0]
+        assert drew_zero
+        for seed in drew_zero:
+            mem, alloc = make_allocator(seed, include_zero_tag=True)
+            ptr = alloc.allocate(48)
+            assert alloc.free(ptr) is None
+            new_tag = mem.get_granule_tag(ptr)
+            assert new_tag != 0
+            assert [mem.get_granule_tag(ptr + 16 * i) for i in range(3)] == [new_tag] * 3
+            # queued like any primary region: reused with its free-time tag
+            assert alloc.allocate(48) == untagged(ptr) | new_tag << 56
+
     def test_double_free_is_mismatch(self):
         _, alloc = make_allocator(seed=9)
         ptr = alloc.allocate(40)
@@ -483,7 +498,9 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_
 # `ReferenceAllocator` is `Allocator` as it was before `allocate` and `free`
 # each took one pass: it validates a pointer through a (record, mismatch)
 # pair, probes both neighbours of every new region, registers through
-# `rec.end` and draws a tag with `rng.choice` over a listed pool.
+# `rec.end` and draws a tag with `rng.choice` over a listed pool.  Its
+# `free`, like the allocator's, tells a large region by its size, so a
+# primary region that drew tag 0 is retagged and queued too.
 
 def _choice_generate_tag(exclude, rng):
     pool = [t for t in range(16) if not exclude >> t & 1]
@@ -572,7 +589,7 @@ class ReferenceAllocator:
         if rec.addressable_count:
             clear_short_granule_metadata(self.mem, rec.short_granule_base,
                                          rec.addressable_count)
-        if rec.tag:
+        if rec.usable_size <= self.config.large_threshold:
             rec.tag = _choice_generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(rec.base, rec.usable_size, rec.tag)
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)

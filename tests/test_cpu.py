@@ -263,6 +263,53 @@ def test_store_then_load_matches_byte_reference(addr, top, width, pair, values):
         assert m.regs[4 + i] == values[i] & ((1 << (8 * min(width, 8))) - 1)
 
 
+# Every load and store near a page edge and near the top of the address
+# space, against a reference that moves each lane on its own through
+# `read_bytes`/`write_bytes`.  The access starts in the last 40 bytes below
+# the edge, so it lies within the page, ends on the edge, or crosses it
+# (past the top, onto address 0).  Tags match in sync mode, so every access
+# commits.  A pair load with `dst` equal to its base register reads both
+# lanes from the address the register held before the load.
+
+_EDGE_STARTS = [edge - back for edge in (0x10_1000, _TOP) for back in range(40, 0, -1)]
+_PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(80))
+
+
+def _reference_access(kind, width, pair, dst, regs, mem, start):
+    for lane in range(pair):
+        address = (start + lane * width) & (_TOP - 1)
+        if kind == "st":
+            value = regs[2 + lane].to_bytes(8, "little")
+            mem.write_bytes(address, value[:width] + bytes(max(0, width - 8)))
+        else:
+            chunk = mem.read_bytes(address, width)
+            regs[dst + lane] = int.from_bytes(chunk[:8], "little")
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("pair", PAIRS)
+def test_access_grid_at_page_edges_matches_lane_reference(width, pair):
+    values = [0x8877_6655_4433_2211, 0xF0E0_D0C0_B0A0_9080]
+    for start in _EDGE_STARTS:
+        for mode in (Mode.OFF, Mode.SYNC):
+            for kind, dst in (("ld", 4), ("ld", 1), ("st", 4)):
+                mem = TaggedMemory()
+                mem.write_bytes(start - 40, _PATTERN)      # wraps past the top to 0
+                mem.set_tag_range(start - 48, 96, 0xA)
+                program = parse_program(f"{kind} r{dst if kind == 'ld' else 2} [r1, #0] "
+                                        f"w{width} p{pair}\nhalt")
+                m = Machine(program, mode)
+                m.regs[1] = 0x0A00_0000_0000_0000 | start
+                m.regs[2:4] = values
+                ref_regs, ref_mem = list(m.regs), copy.deepcopy(mem)
+                _reference_access(kind, width, pair, dst, ref_regs, ref_mem, start)
+                assert m.step(mem, None, NullDetector()) is None
+                assert m.counters.faults_delivered == 0
+                case = (hex(start), mode, kind, dst)
+                assert m.regs == ref_regs, case
+                assert mem.snapshot() == ref_mem.snapshot(), case
+
+
 class TestTraps:
     def test_trap_on_ret_slot_unavailable(self):
         m = machine_for("ld r0 [r1, #0] w8 p1\nret\nhalt")

@@ -1,9 +1,14 @@
+import copy
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtesim import (
     BugKind,
+    Instruction,
+    Machine,
+    Opcode,
     SimConfig,
     Simulation,
     TaggedMemory,
@@ -11,9 +16,11 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
-from mtesim.allocator import access_count, metadata_span, pass_tripwire, read_tripwire, revoke_tripwire
-from mtesim.detector import Detector, ProtocolError
+from mtesim.allocator import (access_count, arm_tripwire, metadata_span, pass_tripwire,
+                              read_tripwire, revoke_tripwire)
+from mtesim.detector import Detector, DetectorStats, ProtocolError
 from mtesim.runner import ALWAYS_ARM
+from mtesim.trace import Program
 
 GBASE = 0x1000
 
@@ -225,6 +232,19 @@ class TestReports:
         assert bug.addrtag != bug.memtag
         assert bug.memtag == sim.mem.get_granule_tag(bug.fault_address)
 
+    def test_use_after_free_is_detected_when_the_region_drew_tag_0(self):
+        # with include_zero_tag a primary region may draw tag 0; its free
+        # still retags it, so the stale pointer faults on every seed
+        program = parse_program("alloc r0 40\nfree r0\nld r1 [r0, #0] w8 p1\nhalt")
+        config = SimConfig(include_zero_tag=True, tripwires=False)
+        zero_tag_seeds = 0
+        for seed in range(200):
+            sim = Simulation(program, config.with_seed(seed))
+            report = sim.run()
+            zero_tag_seeds += sim.machine.regs[0] >> 56 == 0
+            assert report.outcome == "BugReported", seed
+        assert zero_tag_seeds > 0
+
     def test_zero_tag_pointer_report(self):
         # untagged pointer aimed at the tagged allocation (heap base 0x100000)
         _, report = run_sim(
@@ -297,3 +317,102 @@ class TestOverreadSkip:
         trace = self.TRACE.replace(" overread_ok", "")
         _, report = run_sim(trace, overread_skip=True)
         assert report.outcome == "BugReported"
+
+
+# property: a benign hit taken in one call (`Detector.pass_benign_mismatch`
+# through `pass_benign_hit`) and its trap match the stepwise reference below,
+# `read_tripwire` -> `check_access` (or the overread-skip rule) ->
+# `can_trap` -> `pass_tripwire`, then `revoke_tripwire` at the trap.  The
+# granule holds an armed tripwire in any counter state, or program data; a
+# declined hit must leave memory, stats and delegations untouched.
+
+_TOP = 1 << 56
+
+
+def stepwise_hit(config, stats, delegations, pc, address, start, size, addrtag,
+                 overread_ok, mem, machine):
+    if not config.tripwires:
+        return False
+    memtag, metadata = read_tripwire(mem, address)
+    if (config.overread_skip and overread_ok
+            and memtag != 0 and addrtag != 0 and metadata == addrtag):
+        threshold = None
+    elif check_access(address, start, size, addrtag, memtag, metadata):
+        threshold = config.access_threshold
+    else:
+        return False
+    granule = address & ~15
+    delegate = machine.can_trap(pc + 1)
+    count = pass_tripwire(mem, granule, memtag, threshold, delegate)
+    if count == 0 and threshold is not None:
+        stats.tripwires_removed_by_threshold += 1
+    elif delegate:
+        delegations[pc + 1] = granule
+    else:
+        stats.tripwires_removed_by_ret_edge += 1
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(granule=st.sampled_from([0x1000, 0x1FF0, 0x10_0FF0, _TOP - 16]),
+       state=st.sampled_from(["armed", "armed", "armed", "data", "untouched"]),
+       addressable=st.one_of(st.integers(1, 15), st.sampled_from([14, 15])),
+       real_tag=st.integers(0, 15), memtag=st.integers(0, 15),
+       # any count, one next to a carry into the second byte, or (negative)
+       # that far below the smaller of the threshold and the capacity
+       count=st.one_of(st.integers(0, 4094), st.sampled_from([14, 15, 16]),
+                       st.integers(-2, -1)),
+       padding=st.binary(min_size=16, max_size=16),
+       addrtag=st.one_of(st.none(), st.none(), st.integers(0, 15)),
+       width=st.sampled_from([1, 2, 4, 8, 16]), pair=st.sampled_from([1, 2]),
+       reach=st.integers(1, 16), overread_ok=st.booleans(),
+       overread_skip=st.booleans(), tripwires=st.sampled_from([True, True, True, False]),
+       threshold=st.sampled_from([1, 2, 3, 64, 4095, 10_000]),
+       after=st.sampled_from(["mov", "ret", "halt", "end"]))
+def test_fused_benign_hit_matches_stepwise_reference(
+        granule, state, addressable, real_tag, memtag, count, padding, addrtag, width, pair,
+        reach, overread_ok, overread_skip, tripwires, threshold, after):
+    mem = TaggedMemory()
+    if state != "untouched":
+        mem.write_bytes(granule, padding)
+        mem.set_granule_tag(granule, memtag)
+    if state == "armed":
+        arm_tripwire(mem, granule, addressable, real_tag)
+        capacity = 15 if addressable == 15 else 4095
+        count = max(0, min(threshold, capacity) + count) if count < 0 else count % capacity
+        word = count << 4 | real_tag
+        mem.write_byte(granule + 15, word & 0xFF)
+        if addressable <= 14:
+            mem.write_byte(granule + 14, word >> 8)
+    if addrtag is None:
+        addrtag = real_tag
+    size = width * pair
+    start = granule + reach - size           # may begin in the granule before
+    address = max(start, granule)            # lowest accessed address in the granule
+    halt = Instruction(Opcode.HALT)
+    rest = {"mov": (Instruction(Opcode.MOV, dst=6, imm=1), halt),
+            "ret": (Instruction(Opcode.RET), halt), "halt": (halt,), "end": ()}[after]
+    program = Program((Instruction(Opcode.LOAD, dst=4, base=1, width=width, pair=pair),)
+                      + rest)
+    config = SimConfig(tripwires=tripwires, overread_skip=overread_skip,
+                       access_threshold=threshold)
+    det, machine = Detector(config), Machine(program)
+    ref_mem, ref_stats, ref_delegations = copy.deepcopy(mem), DetectorStats(), {}
+    before = mem.snapshot()
+
+    verdict = det.pass_benign_mismatch(0, address, start, size, addrtag, overread_ok, mem,
+                                       machine)
+    expected = stepwise_hit(config, ref_stats, ref_delegations, 0, address, start, size,
+                            addrtag, overread_ok, ref_mem, machine)
+    assert verdict == expected
+    assert mem.snapshot() == ref_mem.snapshot()
+    assert det.stats == ref_stats
+    assert det.delegations == ref_delegations
+    if not verdict:
+        assert mem.snapshot() == before and det.stats == DetectorStats()
+        assert det.delegations == {}
+    if det.delegations:
+        machine.pc = 1
+        det.handle_trap(machine, mem, None)
+        revoke_tripwire(ref_mem, ref_delegations.pop(1))
+        assert mem.snapshot() == ref_mem.snapshot() and det.quiescent()
