@@ -9,6 +9,7 @@ again.  An in-padding counter retires tripwires that fault too often.
 
 from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program, tripwire_armed
 from mtesim.allocator import access_count, metadata_span, read_tripwire
+from mtesim.memory import untagged
 
 TRACE = """\
 alloc r0 40
@@ -32,8 +33,13 @@ def delegations():
     return "{" + ", ".join(f"{pc}: {granule:#x}" for pc, granule in pairs) + "}"
 
 
+def record():
+    """The allocation r0 points at."""
+    return sim.allocator.live[untagged(sim.machine.regs[0])]
+
+
 def dump(label):
-    rec = sim.allocator.records[-1]
+    rec = record()
     short = rec.short_granule_base
     memtag, stashed = read_tripwire(sim.mem, short)
     print(f"  {label:<26} granule tag {memtag:#3x}   "
@@ -70,7 +76,7 @@ lines = ["alloc r0 40"] + ["ld r1 [r0, #32] w8 p1"] * 10 + ["halt"]
 sim = Simulation(parse_program("\n".join(lines)),
                  SimConfig(seed=3, alloc_threshold=ALWAYS_ARM, access_threshold=4))
 report = sim.run()
-rec = sim.allocator.records[-1]
+rec = record()
 print(f"threshold 4: faults {report.counters['faults_delivered']} "
       f"(then the tripwire is gone), armed {tripwire_armed(sim.mem, rec)}")
 short = rec.short_granule_base

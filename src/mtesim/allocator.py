@@ -25,17 +25,18 @@ a reuse draws no tag and writes no granule tag, since the granules already
 carry it.  The one exception is a free-time tag equal to the new
 allocation's addressable count: the region then gets a fresh draw under the
 same exclusions as a new region.
-The tripwire state itself lives only in memory (see `tripwire_armed`);
-records keep `ever_armed`, a fact of history that memory cannot hold.
+The tripwire state itself lives only in memory (see `tripwire_armed`).
+One record stands for one region for its whole life: it sits in the live
+maps while the region is allocated and in its size class's FIFO while it
+is free.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
                      PAGE_SHIFT, TAG_SHIFT, TaggedMemory, address_tag, untagged)
@@ -58,16 +59,6 @@ class TagSpaceExhausted(Exception):
     """The exclusion set left no tag to draw; misconfiguration."""
 
 
-class AllocState(enum.Enum):
-    LIVE = "live"
-    FREED = "freed"
-
-
-# Looking a member up through its enum class costs about ten times a global
-# on Python 3.11; the allocator tests state on every call.
-_LIVE, _FREED = AllocState.LIVE, AllocState.FREED
-
-
 @dataclass
 class TagMismatch:
     """Inputs for a bug report when a free rejects its pointer."""
@@ -84,8 +75,6 @@ class AllocationRecord:
     requested_size: int
     usable_size: int
     tag: int
-    state: AllocState = AllocState.LIVE
-    ever_armed: bool = False
 
     @property
     def end(self) -> int:
@@ -392,18 +381,18 @@ class Allocator:
         self.sampler = sampler
         self.stats = AllocatorStats()
         self._bump = HEAP_BASE
-        self._by_base: Dict[int, AllocationRecord] = {}
+        # live allocations only: base -> record in allocation order, end -> record
+        self.live: Dict[int, AllocationRecord] = {}
         self._by_end: Dict[int, AllocationRecord] = {}
         self._free_lists: Dict[int, deque] = {}
-        self.records: List[AllocationRecord] = []  # full history, newest last
 
     # -- registry views ------------------------------------------------
 
     def is_live_tag(self, tag: int) -> bool:
         # a plain loop: it labels every bug report, and `any` over a
         # generator costs about three times as much per record
-        for r in self._by_base.values():
-            if r.tag == tag and r.state is _LIVE:
+        for r in self.live.values():
+            if r.tag == tag:
                 return True
         return False
 
@@ -412,7 +401,7 @@ class Allocator:
     def _left_exclusion(self, base: int) -> int:
         """Exclusion mask of the live tagged left neighbour's tag (and parity)."""
         left = self._by_end.get(base)
-        if left is None or left.state is not _LIVE or not left.tag:
+        if left is None or not left.tag:
             return 0
         if self.config.odd_even:
             # new tag's parity must differ from the left neighbor's
@@ -422,8 +411,8 @@ class Allocator:
     def _neighbor_tags_and_parity(self, base: int, usable: int) -> int:
         """Exclusion mask of the live tagged neighbours' tags (and parity)."""
         exclude = self._left_exclusion(base)
-        right = self._by_base.get(base + usable)
-        if right is not None and right.state is _LIVE and right.tag:
+        right = self.live.get(base + usable)
+        if right is not None and right.tag:
             exclude |= 1 << right.tag
         return exclude
 
@@ -433,11 +422,6 @@ class Allocator:
             raise AllocationError("out of simulated address space")
         self._bump += usable
         return base
-
-    def _register(self, rec: AllocationRecord) -> None:
-        self._by_base[rec.base] = rec
-        self._by_end[rec.end] = rec
-        self.records.append(rec)
 
     def allocate(self, requested: int) -> int:
         """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
@@ -449,21 +433,24 @@ class Allocator:
         if usable > config.large_threshold:
             # Untagged large path: no tag draw, no tripwire.
             base = self._reserve_fresh(usable)
-            self._register(AllocationRecord(base, requested, usable, tag=0))
+            self.live[base] = self._by_end[base + usable] = AllocationRecord(
+                base, requested, usable, tag=0)
             return base
 
         short = requested & _LAST
         fifo = self._free_lists.get(usable)
         if fifo:
-            # free-time tag served unchanged, granules already carry it,
-            # unless it equals the tripwire value: redraw as for a new region
-            reused = fifo.popleft()
-            base, tag = reused.base, reused.tag
+            # the region's own record, with its free-time tag served unchanged
+            # (granules already carry it) unless it equals the tripwire value:
+            # redraw as for a new region
+            rec = fifo.popleft()
+            rec.requested_size = requested
+            base, tag = rec.base, rec.tag
             if tag == short:
                 exclude = self._neighbor_tags_and_parity(base, usable) | 1 << short
                 if not config.include_zero_tag:
                     exclude |= ZERO_TAG
-                tag = generate_tag(exclude, self.rng)
+                tag = rec.tag = generate_tag(exclude, self.rng)
                 self.mem.set_tag_range(base, usable, tag)
         else:
             # nothing lives at or above the bump pointer: no right neighbour
@@ -475,16 +462,13 @@ class Allocator:
                 exclude |= ZERO_TAG
             tag = generate_tag(exclude, self.rng)
             self.mem.set_tag_range(base, usable, tag)
+            rec = AllocationRecord(base, requested, usable, tag)
 
-        rec = AllocationRecord(base, requested, usable, tag)
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(self.mem, base + usable - GRANULE_SIZE, short, tag)
-            rec.ever_armed = True
             self.stats.tripwires_armed += 1
 
-        self._by_base[base] = rec
-        self._by_end[base + usable] = rec
-        self.records.append(rec)
+        self.live[base] = self._by_end[base + usable] = rec
         return base | tag << TAG_SHIFT
 
     # -- free ----------------------------------------------------------
@@ -497,19 +481,18 @@ class Allocator:
         if (raw >> 60) & 0xF:
             reason = "bad-canary"
         else:
-            rec = self._by_base.get(addr)
-            reason = "not-live" if rec is None or rec.state is not _LIVE else "stale-tag"
+            reason = "not-live" if addr not in self.live else "stale-tag"
         return TagMismatch(addr, tag, self.mem.get_granule_tag(addr), reason)
 
     def free(self, raw: int) -> Optional[TagMismatch]:
         """Free the allocation `raw` points at; returns a mismatch verdict on misuse."""
-        rec = self._by_base.get(raw & ADDRESS_MASK)
-        if ((raw >> 60) & 0xF or rec is None or rec.state is not _LIVE
-                or (raw >> TAG_SHIFT) & 0xF != rec.tag):
+        rec = self.live.get(raw & ADDRESS_MASK)
+        if (raw >> 60) & 0xF or rec is None or (raw >> TAG_SHIFT) & 0xF != rec.tag:
             return self._mismatch(raw)
 
         self.stats.frees += 1
         base, usable = rec.base, rec.usable_size
+        del self.live[base], self._by_end[base + usable]
         # `addressable_count` and `short_granule_base`, each computed once
         addressable = rec.requested_size & _LAST
         if addressable:
@@ -525,5 +508,4 @@ class Allocator:
             if fifo is None:
                 fifo = self._free_lists[usable] = deque()
             fifo.append(rec)
-        rec.state = _FREED
         return None

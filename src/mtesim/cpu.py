@@ -59,7 +59,6 @@ from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, GRANULES_PER_PAG
                      PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
 
 NUM_REGS = 32
-SP = 31
 
 
 class Opcode(enum.Enum):

@@ -174,10 +174,16 @@ class TransparencyResult:
 
 
 def _metadata_mask(sim: Simulation) -> set:
-    """Byte addresses holding tripwire metadata in any ever-armed allocation."""
+    """Byte addresses that may hold tripwire metadata: the metadata span of
+    every live allocation with a short granule.
+
+    Every short granule of the sync run was armed, and `free` clears a
+    region's span in every mode, so a freed region's padding must read the
+    same with checks off and on; only live spans may differ.
+    """
     mask = set()
-    for rec in sim.allocator.records:
-        if rec.ever_armed:
+    for rec in sim.allocator.live.values():
+        if rec.addressable_count:
             mask.update(metadata_span(rec.short_granule_base, rec.addressable_count))
     return mask
 
@@ -188,7 +194,7 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
 
     Each program runs twice, with checks off and in sync mode with every
     short granule armed.  Final registers and data bytes must agree, apart
-    from the metadata bytes inside armed short-granule padding, and the
+    from the metadata bytes of live short granules, and the
     sync run must end quiescent (no open delegation, so no armed trap).
     """
     diffs: List[str] = []

@@ -20,7 +20,6 @@ from mtesim.allocator import (
     ZERO_TAG,
     AllocationRecord,
     AllocatorStats,
-    AllocState,
     TagMismatch,
     TagSpaceExhausted,
     access_count,
@@ -152,7 +151,8 @@ def test_exhausted_mask_leaves_the_generator_untouched():
 @pytest.mark.parametrize("left_tag", range(1, 16))
 def test_odd_even_mask_equals_parity_set(left_tag):
     _, alloc = make_allocator()
-    alloc._register(AllocationRecord(HEAP_BASE, 16, 16, left_tag))
+    alloc.live[HEAP_BASE] = alloc._by_end[HEAP_BASE + 16] = AllocationRecord(
+        HEAP_BASE, 16, 16, left_tag)
     parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
     assert alloc._neighbor_tags_and_parity(HEAP_BASE + 16, 16) == exclusion_mask(parity, True)
 
@@ -169,7 +169,7 @@ class TestAllocate:
         assert mem.get_granule_tag(base + 16) == tag
         assert mem.get_granule_tag(base + 32) == 8  # addressable byte count
         assert mem.read_byte(base + 47) & 0xF == tag
-        rec = alloc.records[-1]
+        rec = alloc.live[base]
         assert rec.usable_size == 48 and tripwire_armed(mem, rec)
 
     def test_multiple_of_16_never_consults_sampler(self):
@@ -210,8 +210,8 @@ class TestAllocate:
         ptr = alloc.allocate(100_000)
         assert address_tag(ptr) == 0
         assert mem.get_granule_tag(untagged(ptr)) == 0
-        rec = alloc.records[-1]
-        assert not tripwire_armed(mem, rec) and not rec.ever_armed
+        assert not tripwire_armed(mem, alloc.live[untagged(ptr)])
+        assert alloc.stats.tripwires_armed == 0
 
     def test_zero_tag_reservation_for_primary_path(self):
         _, alloc = make_allocator(seed=7, sampler=AlwaysArm())
@@ -297,6 +297,18 @@ class TestFree:
         assert (untagged(r1), address_tag(r1)) == (untagged(a), free_tag_a)
         assert (untagged(r2), address_tag(r2)) == (untagged(b), free_tag_b)
 
+    def test_reused_region_keeps_its_record(self):
+        # one record per region: live while allocated, queued while free
+        _, alloc = make_allocator(seed=14, sampler=AlwaysArm())
+        ptr = alloc.allocate(40)
+        rec = alloc.live[untagged(ptr)]
+        alloc.free(ptr)
+        assert untagged(ptr) not in alloc.live and not alloc._by_end
+        assert list(alloc._free_lists[48]) == [rec]
+        reused = alloc.allocate(33)
+        assert alloc.live[untagged(reused)] is rec and not alloc._free_lists[48]
+        assert (rec.requested_size, rec.tag) == (33, address_tag(reused))
+
     def test_reuse_redraws_free_time_tag_equal_to_tripwire_value(self):
         # a free-time tag equal to the addressable count would make the
         # reused region's tripwire silent; the region gets a fresh draw
@@ -309,7 +321,7 @@ class TestFree:
             reused = alloc.allocate(40)
             assert untagged(reused) == untagged(ptr)
             assert address_tag(reused) != 8
-            assert tripwire_armed(mem, alloc.records[-1])
+            assert tripwire_armed(mem, alloc.live[untagged(reused)])
             assert mem.get_granule_tag(untagged(ptr)) == address_tag(reused)
             if free_tag == 8:
                 redrawn += 1
@@ -361,8 +373,7 @@ def test_live_allocations_never_overlap(ops, seed):
         elif live:
             ptr = live.pop(value % len(live))
             assert alloc.free(ptr) is None
-        intervals = sorted((r.base, r.end) for r in alloc.records
-                           if r.state is AllocState.LIVE)
+        intervals = sorted((r.base, r.end) for r in alloc.live.values())
         for (_, e1), (b2, _) in zip(intervals, intervals[1:]):
             assert e1 <= b2
 
@@ -500,7 +511,9 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_
 # pair, probes both neighbours of every new region, registers through
 # `rec.end` and draws a tag with `rng.choice` over a listed pool.  Its
 # `free`, like the allocator's, tells a large region by its size, so a
-# primary region that drew tag 0 is retagged and queued too.
+# primary region that drew tag 0 is retagged and queued too.  Its maps hold
+# live allocations only, as the allocator's do; a reuse builds a new record
+# where the allocator takes back the queued one.
 
 def _choice_generate_tag(exclude, rng):
     pool = [t for t in range(16) if not exclude >> t & 1]
@@ -514,18 +527,17 @@ class ReferenceAllocator:
         self.mem, self.rng, self.config, self.sampler = mem, rng, config, sampler
         self.stats = AllocatorStats()
         self._bump = HEAP_BASE
-        self._by_base, self._by_end, self._free_lists = {}, {}, {}
-        self.records = []
+        self.live, self._by_end, self._free_lists = {}, {}, {}
 
     def _neighbor_tags_and_parity(self, base, usable):
         exclude = 0
         left = self._by_end.get(base)
-        if left is not None and left.state is AllocState.LIVE and left.tag:
+        if left is not None and left.tag:
             exclude = 1 << left.tag
             if self.config.odd_even:
                 exclude |= 0xAAAA if left.tag & 1 else 0x5554
-        right = self._by_base.get(base + usable)
-        if right is not None and right.state is AllocState.LIVE and right.tag:
+        right = self.live.get(base + usable)
+        if right is not None and right.tag:
             exclude |= 1 << right.tag
         return exclude
 
@@ -534,17 +546,16 @@ class ReferenceAllocator:
         self._bump += usable
         return base
 
-    def _register(self, rec):
-        self._by_base[rec.base] = rec
+    def _add(self, rec):
+        self.live[rec.base] = rec
         self._by_end[rec.end] = rec
-        self.records.append(rec)
 
     def allocate(self, requested):
         usable = size_class(requested)
         self.stats.allocations += 1
         if usable > self.config.large_threshold:
             base = self._reserve_fresh(usable)
-            self._register(AllocationRecord(base, requested, usable, tag=0))
+            self._add(AllocationRecord(base, requested, usable, tag=0))
             return base
         reused = None
         fifo = self._free_lists.get(usable)
@@ -565,17 +576,16 @@ class ReferenceAllocator:
         rec = AllocationRecord(base, requested, usable, tag)
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(self.mem, base + usable - 16, short, tag)
-            rec.ever_armed = True
             self.stats.tripwires_armed += 1
-        self._register(rec)
+        self._add(rec)
         return base | tag << 56
 
     def _validate_pointer(self, raw):
         addr, tag = untagged(raw), address_tag(raw)
         if (raw >> 60) & 0xF:
             return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "bad-canary")
-        rec = self._by_base.get(addr)
-        if rec is None or rec.state is not AllocState.LIVE:
+        rec = self.live.get(addr)
+        if rec is None:
             return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "not-live")
         if tag != rec.tag:
             return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "stale-tag")
@@ -586,6 +596,7 @@ class ReferenceAllocator:
         if mismatch is not None:
             return mismatch
         self.stats.frees += 1
+        del self.live[rec.base], self._by_end[rec.end]
         if rec.addressable_count:
             clear_short_granule_metadata(self.mem, rec.short_granule_base,
                                          rec.addressable_count)
@@ -593,7 +604,6 @@ class ReferenceAllocator:
             rec.tag = _choice_generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(rec.base, rec.usable_size, rec.tag)
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
-        rec.state = AllocState.FREED
         return None
 
 
@@ -636,9 +646,11 @@ def _pointer_for(op, handed_out):
 
 def _state(alloc):
     return (alloc.mem.snapshot(),
-            [(r.base, r.requested_size, r.usable_size, r.tag, r.state, r.ever_armed)
-             for r in alloc.records],
-            {size: [r.base for r in fifo] for size, fifo in alloc._free_lists.items() if fifo},
+            [(base, r.base, r.requested_size, r.usable_size, r.tag)
+             for base, r in alloc.live.items()],
+            list(alloc._by_end),
+            {size: [(r.base, r.tag) for r in fifo]
+             for size, fifo in alloc._free_lists.items() if fifo},
             alloc.stats, alloc.rng.getstate())
 
 

@@ -19,6 +19,7 @@ from mtesim import (
 from mtesim.allocator import (access_count, arm_tripwire, metadata_span, pass_tripwire,
                               read_tripwire, revoke_tripwire)
 from mtesim.detector import Detector, DetectorStats, ProtocolError
+from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
 from mtesim.trace import Program
 
@@ -108,6 +109,11 @@ def run_sim(text, **cfg):
     return sim, report
 
 
+def r0_record(sim):
+    """The live allocation that r0 points at."""
+    return sim.allocator.live[untagged(sim.machine.regs[0])]
+
+
 class TestRecoveryProtocol:
     def test_swap_is_involution(self):
         mem = TaggedMemory()
@@ -142,7 +148,7 @@ class TestRecoveryProtocol:
         assert report.counters["faults_delivered"] == 2
         assert report.counters["traps_delivered"] == 2
         assert sim.protocol_quiescent()
-        rec = sim.allocator.records[-1]
+        rec = r0_record(sim)
         assert tripwire_armed(sim.mem, rec)
 
     def test_second_identical_access_faults_again(self):
@@ -162,7 +168,7 @@ class TestRecoveryProtocol:
         sim, report = run_sim("\n".join(lines), access_threshold=4)
         assert report.counters["faults_delivered"] == 4
         assert report.counters["tripwires_removed_by_threshold"] == 1
-        rec = sim.allocator.records[-1]
+        rec = r0_record(sim)
         assert not tripwire_armed(sim.mem, rec)
         # metadata zeroed: granule indistinguishable from a never-armed one
         short = rec.base + rec.usable_size - 16
@@ -191,7 +197,7 @@ class TestRecoveryProtocol:
         assert report.outcome == "CleanHalt"
         assert report.counters["tripwires_removed_by_ret_edge"] == 1
         assert report.counters["faults_delivered"] == 1
-        rec = sim.allocator.records[-1]
+        rec = r0_record(sim)
         assert not tripwire_armed(sim.mem, rec)
         short = rec.base + rec.usable_size - 16
         # granule wears the real tag; the metadata stays as the hit left it
@@ -287,7 +293,7 @@ class TestSpanningStorePrecision:
         ), SimConfig(seed=1, alloc_threshold=ALWAYS_ARM))
         report = sim.run()
         assert report.outcome == "BugReported"
-        base = sim.allocator.records[-1].base
+        base = untagged(sim.machine.regs[0])
         assert sim.mem.read_bytes(base + 28, 16) == bytes(16)
 
 
@@ -307,7 +313,7 @@ class TestOverreadSkip:
     def test_skip_on_delegates_without_counting(self):
         sim, report = run_sim(self.TRACE, overread_skip=True)
         assert report.outcome == "CleanHalt"
-        rec = sim.allocator.records[-1]
+        rec = r0_record(sim)
         short = rec.base + rec.usable_size - 16
         # counter untouched, tripwire restored
         assert access_count(sim.mem, short, 8) == 0

@@ -1,13 +1,18 @@
 import math
+import random
 
 import pytest
 
 from mtesim import (
     ALWAYS_ARM,
     SimConfig,
+    WorkloadSpec,
     exp_collision_rate,
     exp_detection_rate,
+    exp_recovery_transparency,
     exp_vulnerable_fraction,
+    generate_workload,
+    parse_program,
     uniform_sizes,
     wilson_95_ci,
 )
@@ -101,3 +106,51 @@ class TestDetectionRate:
         assert list(d) == ["name", "trials", "detected", "rate", "wilson_95_ci",
                            "config_echo"]
         assert d["detected"] == 30
+
+
+# Sizes in two classes (32 and 48 bytes) whose addressable counts differ, so
+# a reused region's metadata span moves: 31 keeps one padding byte, 17 two.
+_REUSE_SIZES = (17, 20, 24, 29, 30, 31, 32, 33, 46, 47)
+
+
+def _reuse_heavy_program(rng, steps=30):
+    """A benign program that frees and reallocates four slots (r0-r3) in the
+    same two classes, storing and loading in bounds between."""
+    sizes = [None] * 4
+    lines = []
+    for _ in range(steps):
+        slot = rng.randrange(4)
+        size = sizes[slot]
+        if size is None:
+            sizes[slot] = rng.choice(_REUSE_SIZES)
+            lines.append(f"alloc r{slot} {sizes[slot]}")
+        elif rng.random() < 0.3:
+            sizes[slot] = None
+            lines.append(f"free r{slot}")
+        else:
+            width = rng.choice([w for w in (1, 2, 4, 8) if w <= size])
+            off = rng.randint(max(0, size - 16), size - width)  # near the short granule
+            if rng.random() < 0.5:
+                lines.append(f"mov r8 {rng.randint(1, 2**32)}")
+                lines.append(f"st r8 [r{slot}, #{off}] w{width} p1")
+            else:
+                lines.append(f"ld r{9 + slot} [r{slot}, #{off}] w{width} p1")
+    return parse_program("\n".join(lines + ["halt"]))
+
+
+class TestRecoveryTransparency:
+    def test_reuse_heavy_programs_pass_with_every_tripwire_armed(self):
+        rng = random.Random(7)
+        programs = [_reuse_heavy_program(rng) for _ in range(40)]
+        result = exp_recovery_transparency(programs, SimConfig(seed=0), 35)
+        assert result.passed, result.diffs
+
+    def test_metadata_left_behind_by_free_is_reported(self, monkeypatch):
+        # the mask covers live short granules only: a free that leaves
+        # tripwire metadata in the padding must show as a data difference
+        monkeypatch.setattr("mtesim.allocator.clear_short_granule_metadata",
+                            lambda mem, granule, addressable: None)
+        programs = generate_workload(WorkloadSpec(kind="benign", count=60, seed=1))
+        result = exp_recovery_transparency(programs, SimConfig(seed=0), 36)
+        assert not result.passed
+        assert all("data bytes differ" in d for d in result.diffs)

@@ -118,7 +118,10 @@ def test_modes_share_allocation_tags():
                          SimConfig(mode=mode, tripwires=tripwires, seed=9,
                                    alloc_threshold=ALWAYS_ARM))
         sim.run()
-        tags[mode] = [r.tag for r in sim.allocator.records]
+        alloc = sim.allocator
+        queued = [r for fifo in alloc._free_lists.values() for r in fifo]
+        tags[mode] = ([(r.base, r.tag) for r in alloc.live.values()],
+                      [(r.base, r.tag) for r in queued], alloc.rng.getstate())
     assert tags["off"] == tags["sync"] == tags["async"]
 
 
