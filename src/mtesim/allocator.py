@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
-                     PAGE_SHIFT, TAG_SHIFT, TaggedMemory, address_tag, untagged)
+                     PAGE_SHIFT, TAG_SHIFT, TaggedMemory)
 
 if TYPE_CHECKING:
     from .cpu import Machine
@@ -57,16 +57,6 @@ class AllocationError(Exception):
 
 class TagSpaceExhausted(Exception):
     """The exclusion set left no tag to draw; misconfiguration."""
-
-
-@dataclass
-class TagMismatch:
-    """Inputs for a bug report when a free rejects its pointer."""
-
-    address: int
-    addrtag: int
-    memtag: int
-    reason: str
 
 
 @dataclass(slots=True)
@@ -107,9 +97,8 @@ class AllocationRecord:
 #
 # A benign hit is one call, `pass_benign_hit`: the read, the benign/bug
 # rule (`check_access`, or the allow-listed overread rule), the count and
-# the delegate/retire write.  `read_tripwire` and `pass_tripwire` are the
-# same event taken in steps; the bug report reads the granule with the
-# first, and the tests hold `pass_benign_hit` to the steps.
+# the delegate/retire write.  The bug report reads the granule with
+# `read_tripwire`.
 
 _LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
 
@@ -190,48 +179,6 @@ def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: i
         data[last - 1] = 0
 
 
-def pass_tripwire(mem: TaggedMemory, granule: int, addressable: int,
-                  threshold: Optional[int], delegate: bool) -> int:
-    """Let one benign access through the armed tripwire at `granule`.
-
-    `addressable` is the granule's memory tag.  Whatever happens, the
-    granule ends up wearing the stashed real tag.  A counted access
-    (`threshold` given) bumps the counter; once the count reaches the
-    smaller of `threshold` and the counter's capacity, the tripwire retires
-    for good and its metadata is zeroed.  Otherwise the tripwire is
-    delegated when `delegate`, stashing the addressable count where the
-    real tag was, or else retired with the metadata left as this access
-    made it.  An uncounted access (`threshold` None, an allow-listed
-    overread) leaves the counter alone and never retires by threshold.
-
-    Returns the count the metadata now holds: 0 after a threshold retirement.
-    This is the write step of `pass_benign_hit`, taken on its own after
-    `read_tripwire` and the verdict; the tests use it as that call's
-    stepwise reference and to put a tripwire into a given state.
-    """
-    a = granule & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    data = mem.data.get(index) or mem.data_page(index)
-    last = offset | _LAST
-    low = data[last]
-    (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = low & 0xF
-    two = addressable <= 14
-    word = data[last - 1] << 8 | low if two else low
-    if threshold is None:
-        if delegate:
-            data[last] = low & 0xF0 | addressable
-        return word >> 4
-    word += 1 << 4
-    if word >> 4 >= threshold or word >> 4 >= metadata_capacity(addressable):
-        word = 0
-    elif delegate:
-        word = word & ~0xF | addressable
-    data[last] = word & 0xFF
-    if two:
-        data[last - 1] = word >> 8 & 0xFF
-    return word >> 4
-
-
 # What `pass_benign_hit` did with a mismatch.
 DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, RETIRED_AT_RET_EDGE = range(4)
 
@@ -245,14 +192,16 @@ def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addr
     `addrtag`.  With `skip` (an allow-listed overread under
     `overread_skip`) a hit on this pointer's tripwire passes without the
     bounds check and is not counted; otherwise `check_access` decides.
-    DECLINED (a bug) leaves memory untouched.  A benign hit does what
-    `pass_tripwire` does: the granule wears the stashed real tag, a counted
-    hit bumps the counter and retires the tripwire once the count reaches
-    `threshold` or the counter's capacity, and otherwise the tripwire is
-    DELEGATED when `machine.can_trap(pc + 1)`, the slot after the access
-    at `pc`, or else RETIRED_AT_RET_EDGE.  The machine is asked only when
-    that decides the outcome.  It is passed whole, not as a bound method,
-    so a declined mismatch makes no method object.
+    DECLINED (a bug) leaves memory untouched.  After a benign hit the
+    granule wears the stashed real tag.  A counted hit bumps the counter and
+    retires the tripwire, zeroing its metadata, once the count reaches
+    `threshold` or the counter's capacity.  Otherwise the tripwire is
+    DELEGATED when `machine.can_trap(pc + 1)`, the slot after the access at
+    `pc`, stashing the addressable count where the real tag was, or else
+    RETIRED_AT_RET_EDGE with the metadata left as the hit made it.  The
+    machine is asked only when that decides the outcome.  It is passed
+    whole, not as a bound method, so a declined mismatch makes no method
+    object.
     """
     a = address & ADDRESS_MASK
     index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
@@ -473,22 +422,13 @@ class Allocator:
 
     # -- free ----------------------------------------------------------
 
-    def _mismatch(self, raw: int) -> TagMismatch:
-        """The verdict on a pointer `free` rejected, checks in order: canary
-        bits set, no live allocation at its address, or a stale tag."""
-        addr = untagged(raw)
-        tag = address_tag(raw)
-        if (raw >> 60) & 0xF:
-            reason = "bad-canary"
-        else:
-            reason = "not-live" if addr not in self.live else "stale-tag"
-        return TagMismatch(addr, tag, self.mem.get_granule_tag(addr), reason)
-
-    def free(self, raw: int) -> Optional[TagMismatch]:
-        """Free the allocation `raw` points at; returns a mismatch verdict on misuse."""
+    def free(self, raw: int) -> bool:
+        """Free the allocation `raw` points at; False, changing nothing, when
+        canary bits are set, no live allocation starts at its address, or its
+        tag is stale."""
         rec = self.live.get(raw & ADDRESS_MASK)
         if (raw >> 60) & 0xF or rec is None or (raw >> TAG_SHIFT) & 0xF != rec.tag:
-            return self._mismatch(raw)
+            return False
 
         self.stats.frees += 1
         base, usable = rec.base, rec.usable_size
@@ -508,4 +448,4 @@ class Allocator:
             if fifo is None:
                 fifo = self._free_lists[usable] = deque()
             fifo.append(rec)
-        return None
+        return True

@@ -85,20 +85,26 @@ _DEFAULT_SIZES = ",".join(f"{s}:{w:g}" for s, w in WorkloadSpec.size_distributio
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per `SimConfig` field, stored under the field's name.  The
-    parser-level defaults are the field defaults and override any a flag
-    would have; `--seed` alone defaults to None, so MTESIM_SEED can apply."""
-    p.set_defaults(**{f.name: f.default for f in fields(SimConfig) if f.name != "seed"})
-    p.add_argument("--mode", choices=[m.value for m in Mode])
+    """The `SimConfig` flags every config command takes, each stored under
+    its field's name.  The parser-level defaults are every field's default,
+    whether or not the command has its flag, and override any a flag would
+    have; `--seed` alone defaults to None, so MTESIM_SEED can apply."""
+    p.set_defaults(always_arm=False,
+                   **{f.name: f.default for f in fields(SimConfig) if f.name != "seed"})
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sampling-rate", type=int)
-    p.add_argument("--alloc-threshold", type=int)
     p.add_argument("--access-threshold", type=int)
-    p.add_argument("--no-tripwires", dest="tripwires", action="store_false")
-    p.add_argument("--overread-skip", action="store_true")
     p.add_argument("--no-odd-even", dest="odd_even", action="store_false")
     p.add_argument("--large-threshold", type=int)
     p.add_argument("--include-zero-tag", action="store_true")
+
+
+def _add_arming_flags(p: argparse.ArgumentParser) -> None:
+    """The check mode and the tripwire arming, for `run` and `exp detection`;
+    `exp transparency` sets both itself."""
+    p.add_argument("--mode", choices=[m.value for m in Mode])
+    p.add_argument("--sampling-rate", type=int)
+    p.add_argument("--alloc-threshold", type=int)
+    p.add_argument("--no-tripwires", dest="tripwires", action="store_false")
     p.add_argument("--always-arm", action="store_true",
                    help="arm every short granule (no sampling phase)")
 
@@ -255,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("trace")
     p_run.add_argument("--report", help="write the run report JSON here instead of stdout")
     _add_config_flags(p_run)
+    _add_arming_flags(p_run)
+    # only a hand-written trace marks an access `overread_ok`
+    p_run.add_argument("--overread-skip", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a workload corpus")
@@ -275,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--kind", default="intra", choices=WORKLOAD_KINDS)
     _add_workload_flags(p_det)
     _add_config_flags(p_det)
+    _add_arming_flags(p_det)
     p_col = experiments.add_parser("collision", help="tag collision rate of random tags")
     p_col.add_argument("--seed", type=int, default=None)
     p_col.add_argument("--include-zero-tag", action="store_true")

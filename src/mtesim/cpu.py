@@ -371,9 +371,8 @@ class Machine:
                     regs[dst] = allocator.allocate(imm)
                 elif kind is _FREE:
                     self.pc = pc
-                    mismatch = allocator.free(regs[src])
-                    if mismatch is not None:
-                        report = detector.report_free_mismatch(mismatch, pc, tuple(regs))
+                    if not allocator.free(regs[src]):
+                        report = detector.report_free_mismatch(regs[src], pc, tuple(regs), mem)
                         return RunEnd("BugReported", report)
                 elif kind is _SYSCALL:
                     if mode is _ASYNC:

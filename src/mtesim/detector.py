@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from .allocator import (DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, check_access,
                         pass_benign_hit, read_tripwire, revoke_tripwire)
 from .cpu import Fault, Machine
-from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory
+from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory, address_tag, untagged
 
 if TYPE_CHECKING:
     from .runner import SimConfig
@@ -155,13 +155,18 @@ class Detector:
             regs=fault.regs_snapshot,
         )
 
-    def report_free_mismatch(self, mismatch, pc: int, regs: Tuple[int, ...]) -> BugReport:
+    def report_free_mismatch(self, raw: int, pc: int, regs: Tuple[int, ...],
+                             mem: TaggedMemory) -> BugReport:
+        """Report for a pointer `raw` that `Allocator.free` refused.  A refused
+        free changes nothing, so the granule's tag is the one it was refused
+        against."""
+        address = untagged(raw)
         return BugReport(
             kind=BugKind.USE_AFTER_FREE_OR_WILD,
             pc=pc,
-            fault_address=mismatch.address,
-            addrtag=mismatch.addrtag,
-            memtag=mismatch.memtag,
+            fault_address=address,
+            addrtag=address_tag(raw),
+            memtag=mem.get_granule_tag(address),
             regs=regs,
         )
 
@@ -224,7 +229,3 @@ class Detector:
         if granule is None:
             raise ProtocolError(f"trap at pc {pc} with no delegated tripwire")
         revoke_tripwire(mem, granule)
-
-    def quiescent(self) -> bool:
-        """No delegation outstanding; true at any well-formed run boundary."""
-        return not self.delegations

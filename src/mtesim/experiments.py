@@ -128,8 +128,7 @@ def uniform_sizes(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,
-                       exclude: frozenset = frozenset()) -> ExperimentResult:
+def exp_collision_rate(trials: int, seed: int, include_zero: bool = False) -> ExperimentResult:
     """Collision frequency of independently drawn tag pairs.
 
     The default tag space {1..15} collides at 1/15; admitting tag zero
@@ -139,8 +138,6 @@ def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,
         raise ValueError("trials must be >= 1")
     rng = substream(seed, "collision")
     mask = 0 if include_zero else ZERO_TAG
-    for t in exclude:
-        mask |= 1 << t
     collisions = 0
     for _ in range(trials):
         a = generate_tag(mask, rng)
@@ -153,7 +150,7 @@ def exp_collision_rate(trials: int, seed: int, include_zero: bool = False,
         detected=collisions,
         rate=collisions / trials,
         wilson_95_ci=wilson_95_ci(collisions, trials),
-        config_echo={"include_zero": include_zero, "exclude": sorted(exclude), "seed": seed},
+        config_echo={"include_zero": include_zero, "seed": seed},
     )
 
 

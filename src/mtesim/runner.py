@@ -140,7 +140,7 @@ class Simulation:
 
     def protocol_quiescent(self) -> bool:
         """No open delegation, hence no armed trap; holds at any clean halt."""
-        return self.detector.quiescent()
+        return not self.detector.delegations
 
 
 def run_program(program: Program, config: Optional[SimConfig] = None) -> RunReport:

@@ -45,8 +45,6 @@ from .memory import GRANULE_SIZE
 class TraceParseError(Exception):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,17 @@ from mtesim.allocator import (
     ZERO_TAG,
     AllocationRecord,
     AllocatorStats,
-    TagMismatch,
     TagSpaceExhausted,
     access_count,
     arm_tripwire,
     clear_short_granule_metadata,
     metadata_capacity,
     metadata_span,
-    pass_tripwire,
     read_tripwire,
     revoke_tripwire,
 )
 from mtesim.memory import address_tag, untagged
+from stepwise import ref_load, ref_store, ref_swap
 
 
 class AlwaysArm:
@@ -224,7 +223,7 @@ class TestFree:
         mem, alloc = make_allocator(seed=8)
         ptr = alloc.allocate(48)
         old = address_tag(ptr)
-        assert alloc.free(ptr) is None
+        assert alloc.free(ptr) is True
         for g in range(untagged(ptr), untagged(ptr) + 48, 16):
             assert mem.get_granule_tag(g) != old
 
@@ -233,7 +232,7 @@ class TestFree:
         ptr = alloc.allocate(1023)
         right = alloc.allocate(16)
         right_tag = mem.get_granule_tag(untagged(right))
-        assert alloc.free(ptr) is None
+        assert alloc.free(ptr) is True
         tags = {mem.get_granule_tag(untagged(ptr) + 16 * i) for i in range(64)}
         assert len(tags) == 1 and tags != {address_tag(ptr)} and tags != {0}
         assert untagged(right) == untagged(ptr) + 1024
@@ -247,34 +246,41 @@ class TestFree:
         for seed in drew_zero:
             mem, alloc = make_allocator(seed, include_zero_tag=True)
             ptr = alloc.allocate(48)
-            assert alloc.free(ptr) is None
+            assert alloc.free(ptr) is True
             new_tag = mem.get_granule_tag(ptr)
             assert new_tag != 0
             assert [mem.get_granule_tag(ptr + 16 * i) for i in range(3)] == [new_tag] * 3
             # queued like any primary region: reused with its free-time tag
             assert alloc.allocate(48) == untagged(ptr) | new_tag << 56
 
+    @staticmethod
+    def refused(alloc, raw):
+        """True when `free` refuses `raw` and changes nothing."""
+        before = (alloc.mem.snapshot(), dict(alloc.live), alloc.stats.frees,
+                  alloc.rng.getstate())
+        return alloc.free(raw) is False and before == (
+            alloc.mem.snapshot(), dict(alloc.live), alloc.stats.frees, alloc.rng.getstate())
+
     def test_double_free_is_mismatch(self):
         _, alloc = make_allocator(seed=9)
         ptr = alloc.allocate(40)
-        assert alloc.free(ptr) is None
-        verdict = alloc.free(ptr)
-        assert verdict is not None and verdict.reason == "not-live"
+        assert alloc.free(ptr) is True
+        assert self.refused(alloc, ptr)
 
     def test_free_of_never_allocated_address(self):
         _, alloc = make_allocator(seed=10)
-        assert alloc.free(0x5555).reason == "not-live"
+        assert self.refused(alloc, 0x5555)
 
     def test_free_with_wrong_tag_is_mismatch(self):
         _, alloc = make_allocator(seed=11)
         ptr = alloc.allocate(40)
         stale = (ptr & ~(0xF << 56)) | (((address_tag(ptr) + 1) % 16) << 56)
-        assert alloc.free(stale).reason == "stale-tag"
+        assert self.refused(alloc, stale)
 
     def test_free_with_canary_bits_is_mismatch(self):
         _, alloc = make_allocator(seed=12)
         ptr = alloc.allocate(40)
-        assert alloc.free(ptr | (1 << 63)).reason == "bad-canary"
+        assert self.refused(alloc, ptr | (1 << 63))
 
     def test_free_clears_short_granule_metadata(self):
         mem, alloc = make_allocator(seed=13, sampler=AlwaysArm())
@@ -372,60 +378,14 @@ def test_live_allocations_never_overlap(ops, seed):
             live.append(alloc.allocate(value))
         elif live:
             ptr = live.pop(value % len(live))
-            assert alloc.free(ptr) is None
+            assert alloc.free(ptr) is True
         intervals = sorted((r.base, r.end) for r in alloc.live.values())
         for (_, e1), (b2, _) in zip(intervals, intervals[1:]):
             assert e1 <= b2
 
 
-# -- the fused metadata operations against a stepwise reference -------------
-# The reference spells each tripwire event out one step and one byte at a
-# time through `TaggedMemory`'s methods, in the order the handler used to
-# take them: bump the counter, then retire (clearing the metadata at the
-# threshold) or swap the granule tag with the stashed nibble.
-
-def _ref_span(granule, addressable):
-    last = granule + 15
-    return [last - 1, last] if addressable <= 14 else [last]
-
-
-def _ref_load(mem, granule, addressable):
-    word = 0
-    for a in _ref_span(granule, addressable):
-        word = word << 8 | mem.read_byte(a)
-    return word
-
-
-def _ref_store(mem, granule, addressable, word):
-    for a in reversed(_ref_span(granule, addressable)):
-        mem.write_byte(a, word & 0xFF)
-        word >>= 8
-
-
-def _ref_swap(mem, granule):
-    tag, byte = mem.get_granule_tag(granule), mem.read_byte(granule + 15)
-    mem.set_granule_tag(granule, byte & 0xF)
-    mem.write_byte(granule + 15, (byte & 0xF0) | tag)
-
-
-def _ref_retire(mem, granule):
-    mem.set_granule_tag(granule, mem.read_byte(granule + 15) & 0xF)
-
-
-def _ref_pass(mem, granule, addressable, threshold, delegate):
-    if threshold is None:
-        (_ref_swap if delegate else _ref_retire)(mem, granule)
-        return _ref_load(mem, granule, addressable) >> 4
-    word = _ref_load(mem, granule, addressable) + 16
-    _ref_store(mem, granule, addressable, word)
-    capacity = 15 if addressable == 15 else 4095
-    if word >> 4 >= min(capacity, threshold):
-        _ref_retire(mem, granule)
-        _ref_store(mem, granule, addressable, 0)
-        return 0
-    (_ref_swap if delegate else _ref_retire)(mem, granule)
-    return word >> 4
-
+# -- the fused metadata operations against the stepwise reference ----------
+# (tests/stepwise.py)
 
 def _twin_memories(granule, memtag, padding, neighbours):
     """Two identical memories: the short granule at `granule` with tag
@@ -459,22 +419,6 @@ _edge_padding = st.tuples(st.sampled_from([13, 14, 15, 16, 4093, 4094, 4095]),
 _padding = st.one_of(st.tuples(_bytes, _bytes), _edge_padding)
 
 
-@given(granule=_granules, addressable=st.integers(1, 15), padding=_padding,
-       neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)),
-       threshold=st.one_of(st.none(), st.integers(1, 4200), st.integers(-2, 2)),
-       delegate=st.booleans())
-def test_pass_tripwire_matches_stepwise_reference(granule, addressable, padding, neighbours,
-                                                  threshold, delegate):
-    fused, ref = _twin_memories(granule, addressable, padding, neighbours)
-    if threshold is not None and threshold <= 2:
-        # land on, just before or just after the bumped count
-        threshold = max(1, access_count(ref, granule, addressable) + 1 + threshold)
-    count = pass_tripwire(fused, granule, addressable, threshold, delegate)
-    assert count == _ref_pass(ref, granule, addressable, threshold, delegate)
-    _same(fused, ref)
-    assert count == access_count(fused, granule, addressable)
-
-
 @given(granule=_granules, memtag=st.integers(0, 15), padding=_padding,
        neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)))
 def test_revoke_and_read_match_stepwise_reference(granule, memtag, padding, neighbours):
@@ -483,9 +427,9 @@ def test_revoke_and_read_match_stepwise_reference(granule, memtag, padding, neig
                                                  ref.read_byte(granule + 15) & 0xF)
     for addressable in range(1, 16):
         assert access_count(fused, granule, addressable) == \
-            _ref_load(ref, granule, addressable) >> 4
+            ref_load(ref, granule, addressable) >> 4
     revoke_tripwire(fused, granule)
-    _ref_swap(ref, granule)
+    ref_swap(ref, granule)
     _same(fused, ref)
 
 
@@ -496,20 +440,20 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_
     fused, ref = _twin_memories(granule, real_tag, padding, neighbours)
     arm_tripwire(fused, granule, addressable, real_tag)
     ref.set_granule_tag(granule, addressable)
-    _ref_store(ref, granule, addressable, real_tag)
+    ref_store(ref, granule, addressable, real_tag)
     _same(fused, ref)
     assert read_tripwire(fused, granule) == (addressable, real_tag)
     assert access_count(fused, granule, addressable) == 0
     clear_short_granule_metadata(fused, granule, addressable)
-    _ref_store(ref, granule, addressable, 0)
+    ref_store(ref, granule, addressable, 0)
     _same(fused, ref)
 
 
 # -- the one-pass allocator against the allocator it replaced ---------------
 # `ReferenceAllocator` is `Allocator` as it was before `allocate` and `free`
-# each took one pass: it validates a pointer through a (record, mismatch)
-# pair, probes both neighbours of every new region, registers through
-# `rec.end` and draws a tag with `rng.choice` over a listed pool.  Its
+# each took one pass: it validates a pointer in a separate step, probes both
+# neighbours of every new region, registers through `rec.end` and draws a
+# tag with `rng.choice` over a listed pool.  Its
 # `free`, like the allocator's, tells a large region by its size, so a
 # primary region that drew tag 0 is retagged and queued too.  Its maps hold
 # live allocations only, as the allocator's do; a reuse builds a new record
@@ -583,18 +527,16 @@ class ReferenceAllocator:
     def _validate_pointer(self, raw):
         addr, tag = untagged(raw), address_tag(raw)
         if (raw >> 60) & 0xF:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "bad-canary")
+            return None
         rec = self.live.get(addr)
-        if rec is None:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "not-live")
-        if tag != rec.tag:
-            return None, TagMismatch(addr, tag, self.mem.get_granule_tag(addr), "stale-tag")
-        return rec, None
+        if rec is None or tag != rec.tag:
+            return None
+        return rec
 
     def free(self, raw):
-        rec, mismatch = self._validate_pointer(raw)
-        if mismatch is not None:
-            return mismatch
+        rec = self._validate_pointer(raw)
+        if rec is None:
+            return False
         self.stats.frees += 1
         del self.live[rec.base], self._by_end[rec.end]
         if rec.addressable_count:
@@ -604,7 +546,7 @@ class ReferenceAllocator:
             rec.tag = _choice_generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(rec.base, rec.usable_size, rec.tag)
             self._free_lists.setdefault(rec.usable_size, deque()).append(rec)
-        return None
+        return True
 
 
 _THRESHOLDS = (64, 512, 1024)

@@ -189,6 +189,13 @@ class TestExp:
     ["exp", "collision", "--sizes", "24"],
     ["exp", "vulnerable-fraction", "--no-tripwires"],
     ["exp", "vulnerable-fraction", "--include-zero-tag"],
+    ["exp", "transparency", "--mode", "off"],
+    ["exp", "transparency", "--no-tripwires"],
+    ["exp", "transparency", "--alloc-threshold", "5"],
+    ["exp", "transparency", "--always-arm"],
+    ["exp", "transparency", "--sampling-rate", "3"],
+    ["exp", "transparency", "--overread-skip"],
+    ["exp", "detection", "--overread-skip"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
@@ -342,13 +349,16 @@ _EXP_FLAGS = _CONFIG_FLAGS + [
     _flag("--uniform", _UNIFORM), _flag("--non-adjacent"), _flag("--reuse-cycles", _SMALL),
     _flag("--accesses", _SMALL),
 ]
-# the flags each experiment reads; any other flag is a usage error
-_CONFIG_FLAG_NAMES = {"--mode", "--seed", "--sampling-rate", "--alloc-threshold",
-                      "--access-threshold", "--large-threshold", "--no-tripwires",
-                      "--overread-skip", "--no-odd-even", "--include-zero-tag", "--always-arm"}
+# the flags each experiment reads; any other flag is a usage error.
+# `transparency` sets the mode and the arming itself, and no generated
+# program marks an access `overread_ok`.
+_CONFIG_FLAG_NAMES = {"--seed", "--access-threshold", "--large-threshold", "--no-odd-even",
+                      "--include-zero-tag"}
+_ARMING_FLAG_NAMES = {"--mode", "--sampling-rate", "--alloc-threshold", "--no-tripwires",
+                      "--always-arm"}
 _EXP_READS = {
-    "detection": _CONFIG_FLAG_NAMES | {"--trials", "--kind", "--sizes", "--non-adjacent",
-                                       "--reuse-cycles"},
+    "detection": _CONFIG_FLAG_NAMES | _ARMING_FLAG_NAMES | {
+        "--trials", "--kind", "--sizes", "--non-adjacent", "--reuse-cycles"},
     "collision": {"--trials", "--seed", "--include-zero-tag"},
     "vulnerable-fraction": {"--trials", "--seed", "--sizes", "--uniform"},
     "transparency": _CONFIG_FLAG_NAMES | {"--trials", "--sizes"},

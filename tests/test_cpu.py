@@ -18,10 +18,11 @@ from mtesim import (
     parse_program,
 )
 from mtesim import cpu
-from mtesim.allocator import arm_tripwire, pass_tripwire
+from mtesim.allocator import arm_tripwire
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
 from mtesim.trace import Program
+from stepwise import ref_pass
 
 
 def machine_for(text, mode=Mode.SYNC):
@@ -518,12 +519,12 @@ def test_step_matches_tag_check_and_handler_reference(
     if state != "plain":
         arm_tripwire(mem, short, addressable, real_tag)
     if state == "delegated":        # a benign hit is outstanding; its trap slot lies ahead
-        pass_tripwire(mem, short, addressable, 64, True)
+        ref_pass(mem, short, addressable, 64, True)
         det.delegations[9] = short
     elif state == "retired":        # retired at a ret edge, counter left as the hit made it
-        pass_tripwire(mem, short, addressable, 64, False)
+        ref_pass(mem, short, addressable, 64, False)
     elif state == "spent":          # retired by the access threshold, metadata zeroed
-        pass_tripwire(mem, short, addressable, 1, False)
+        ref_pass(mem, short, addressable, 1, False)
 
     access = Instruction(Opcode.STORE if store else Opcode.LOAD, dst=4, src=2, base=1,
                          width=width, pair=pair, overread_ok=overread_ok)

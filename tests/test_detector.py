@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,13 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
-from mtesim.allocator import (access_count, arm_tripwire, metadata_span, pass_tripwire,
-                              read_tripwire, revoke_tripwire)
+from mtesim.allocator import (access_count, arm_tripwire, metadata_span, read_tripwire,
+                              revoke_tripwire)
 from mtesim.detector import Detector, DetectorStats, ProtocolError
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
 from mtesim.trace import Program
+from stepwise import ref_pass
 
 GBASE = 0x1000
 
@@ -130,7 +132,7 @@ class TestRecoveryProtocol:
         mem = TaggedMemory()
         mem.set_granule_tag(GBASE, 8)
         mem.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
-        assert pass_tripwire(mem, GBASE, 8, 64, delegate=True) == 16
+        assert ref_pass(mem, GBASE, 8, 64, delegate=True) == 16
         # delegated: real tag on the granule, addressable count stashed
         assert (mem.read_byte(GBASE + 14), mem.read_byte(GBASE + 15)) == (0x01, 0x08)
         assert read_tripwire(mem, GBASE) == (0xA, 8)
@@ -280,6 +282,38 @@ class TestReports:
         assert report.bug.to_json() == expected
         assert len(report.bug.to_json_dict()["regs"]) == 33
 
+    # One refused free per cause, run with seed 1 and the default arming, so
+    # the region at 0x100000 draws tag 11 and a 40-byte region's short
+    # granule is armed (memory tag 8).  The report names the untagged
+    # address, the pointer's bits 59:56 and the granule's tag as the free
+    # found them; `frees` counts the frees that went through.
+    @pytest.mark.parametrize("text, frees, pc, fault_address, addrtag, memtag, regs", [
+        # canary bit 63 set on a live pointer
+        ("alloc r0 40\nalloc r1 24\nadd r2 r0 0x8000000000000000\nfree r2\nhalt", 0,
+         3, "0x100000", 11, 11, [0xb00000000100000, 0x200000000100030, 0x8b00000000100000]),
+        # past the bump pointer: never allocated, granule tag 0
+        ("alloc r0 40\nadd r1 r0 0x100\nfree r1\nhalt", 0,
+         2, "0x100100", 11, 0, [0xb00000000100000, 0xb00000000100100]),
+        # inside a live region, at its armed short granule
+        ("alloc r0 40\nadd r1 r0 32\nfree r1\nhalt", 0,
+         2, "0x100020", 11, 8, [0xb00000000100000, 0xb00000000100020]),
+        # double free: the granule wears its free-time tag
+        ("alloc r0 40\nalloc r1 24\nfree r0\nfree r0\nhalt", 1,
+         3, "0x100000", 11, 12, [0xb00000000100000, 0x200000000100030]),
+        # stale tag on a live region's base
+        ("alloc r0 40\nadd r1 r0 0x100000000000000\nfree r1\nhalt", 0,
+         2, "0x100000", 12, 11, [0xb00000000100000, 0xc00000000100000]),
+    ], ids=["canary", "never-allocated", "interior", "double-free", "stale-tag"])
+    def test_refused_free_report_json(self, text, frees, pc, fault_address, addrtag, memtag,
+                                      regs):
+        report = Simulation(parse_program(text), SimConfig(seed=1)).run()
+        assert report.outcome == "BugReported"
+        assert report.counters["frees"] == frees
+        dump = [f"0x{r:x}" for r in regs + [0] * (32 - len(regs)) + [pc]]
+        assert report.bug.to_json() == json.dumps(
+            {"kind": "UseAfterFreeOrWild", "pc": pc, "fault_address": fault_address,
+             "addrtag": addrtag, "memtag": memtag, "regs": dump})
+
 
 class TestSpanningStorePrecision:
     def test_nothing_commits_when_a_later_granule_faults(self):
@@ -328,9 +362,10 @@ class TestOverreadSkip:
 # property: a benign hit taken in one call (`Detector.pass_benign_mismatch`
 # through `pass_benign_hit`) and its trap match the stepwise reference below,
 # `read_tripwire` -> `check_access` (or the overread-skip rule) ->
-# `can_trap` -> `pass_tripwire`, then `revoke_tripwire` at the trap.  The
-# granule holds an armed tripwire in any counter state, or program data; a
-# declined hit must leave memory, stats and delegations untouched.
+# `can_trap` -> `ref_pass` (tests/stepwise.py), then `revoke_tripwire` at
+# the trap.  The granule holds an armed tripwire in any counter state, or
+# program data; a declined hit must leave memory, stats and delegations
+# untouched.
 
 _TOP = 1 << 56
 
@@ -349,7 +384,7 @@ def stepwise_hit(config, stats, delegations, pc, address, start, size, addrtag,
         return False
     granule = address & ~15
     delegate = machine.can_trap(pc + 1)
-    count = pass_tripwire(mem, granule, memtag, threshold, delegate)
+    count = ref_pass(mem, granule, memtag, threshold, delegate)
     if count == 0 and threshold is not None:
         stats.tripwires_removed_by_threshold += 1
     elif delegate:
@@ -421,4 +456,4 @@ def test_fused_benign_hit_matches_stepwise_reference(
         machine.pc = 1
         det.handle_trap(machine, mem, None)
         revoke_tripwire(ref_mem, ref_delegations.pop(1))
-        assert mem.snapshot() == ref_mem.snapshot() and det.quiescent()
+        assert mem.snapshot() == ref_mem.snapshot() and not det.delegations

@@ -56,10 +56,6 @@ class TestCollision:
         r = exp_collision_rate(20_000, seed=2, include_zero=True)
         assert r.contains(1 / 16)
 
-    def test_forced_collision(self):
-        r = exp_collision_rate(1_000, seed=3, exclude=frozenset(range(1, 15)))
-        assert r.rate == 1.0
-
     def test_reproducible(self):
         assert exp_collision_rate(500, seed=4).to_json() == \
             exp_collision_rate(500, seed=4).to_json()
