@@ -7,6 +7,7 @@ parity must differ from the left neighbor's.  Allocations above the
 threshold take an untagged large path (tag 0, never armed).
 
 Tag exclusions are 16-bit masks: bit t set means tag t may not be drawn.
+`Allocator._tag_exclusion` builds the mask of every region's tag draw.
 
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
@@ -347,22 +348,23 @@ class Allocator:
 
     # -- allocation ----------------------------------------------------
 
-    def _left_exclusion(self, base: int) -> int:
-        """Exclusion mask of the live tagged left neighbour's tag (and parity)."""
+    def _tag_exclusion(self, base: int, usable: int, short: int) -> int:
+        """Exclusion mask of a tag draw for the region at `base`: its live tagged
+        neighbours' tags (and the left one's parity), the tripwire value
+        `short`, and tag 0 unless `include_zero_tag`."""
+        config = self.config
+        exclude = 0 if config.include_zero_tag else ZERO_TAG
         left = self._by_end.get(base)
-        if left is None or not left.tag:
-            return 0
-        if self.config.odd_even:
-            # new tag's parity must differ from the left neighbor's
-            return (_ODD_TAGS if left.tag & 1 else _EVEN_TAGS) | 1 << left.tag
-        return 1 << left.tag
-
-    def _neighbor_tags_and_parity(self, base: int, usable: int) -> int:
-        """Exclusion mask of the live tagged neighbours' tags (and parity)."""
-        exclude = self._left_exclusion(base)
+        if left is not None and left.tag:
+            exclude |= 1 << left.tag
+            if config.odd_even:
+                # new tag's parity must differ from the left neighbor's
+                exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
         right = self.live.get(base + usable)
         if right is not None and right.tag:
             exclude |= 1 << right.tag
+        if short:
+            exclude |= 1 << short  # tag == tripwire value would never fault
         return exclude
 
     def _reserve_fresh(self, usable: int) -> int:
@@ -377,9 +379,8 @@ class Allocator:
         # `size_class`, inline for the common case
         usable = (requested + _LAST) & GRANULE_MASK if requested > 0 else size_class(requested)
         self.stats.allocations += 1
-        config = self.config
 
-        if usable > config.large_threshold:
+        if usable > self.config.large_threshold:
             # Untagged large path: no tag draw, no tripwire.
             base = self._reserve_fresh(usable)
             self.live[base] = self._by_end[base + usable] = AllocationRecord(
@@ -390,26 +391,16 @@ class Allocator:
         fifo = self._free_lists.get(usable)
         if fifo:
             # the region's own record, with its free-time tag served unchanged
-            # (granules already carry it) unless it equals the tripwire value:
-            # redraw as for a new region
+            # (granules already carry it) unless it equals the tripwire value
             rec = fifo.popleft()
             rec.requested_size = requested
             base, tag = rec.base, rec.tag
             if tag == short:
-                exclude = self._neighbor_tags_and_parity(base, usable) | 1 << short
-                if not config.include_zero_tag:
-                    exclude |= ZERO_TAG
-                tag = rec.tag = generate_tag(exclude, self.rng)
+                tag = rec.tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
                 self.mem.set_tag_range(base, usable, tag)
         else:
-            # nothing lives at or above the bump pointer: no right neighbour
             base = self._reserve_fresh(usable)
-            exclude = self._left_exclusion(base)
-            if short:
-                exclude |= 1 << short  # tag == tripwire value would never fault
-            if not config.include_zero_tag:
-                exclude |= ZERO_TAG
-            tag = generate_tag(exclude, self.rng)
+            tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
             self.mem.set_tag_range(base, usable, tag)
             rec = AllocationRecord(base, requested, usable, tag)
 

@@ -128,7 +128,7 @@ class Mode(enum.Enum):
 _LOAD, _STORE, _MOV, _ADD = Opcode.LOAD, Opcode.STORE, Opcode.MOV, Opcode.ADD
 _ALLOC, _FREE, _SYSCALL, _RET, _HALT = (Opcode.ALLOC, Opcode.FREE, Opcode.SYSCALL,
                                         Opcode.RET, Opcode.HALT)
-_OFF, _SYNC, _ASYNC = Mode.OFF, Mode.SYNC, Mode.ASYNC
+_OFF, _SYNC = Mode.OFF, Mode.SYNC
 # Moving a whole access within a page, by width: one `struct` call per
 # load or store, keyed by pair count.  Width 16 models a 128-bit register
 # lane; ours are 64-bit, so a load fills each register from its lane's low
@@ -243,13 +243,6 @@ class Machine:
         return kind is not _RET and kind is not _HALT
 
     # -- execution --------------------------------------------------------
-
-    def _drain_async(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
-        fault = self.pending_async
-        if fault is None:
-            return None
-        self.pending_async = None
-        return RunEnd("BugReported", detector.report_async(fault, self.pc, mem, allocator))
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         """Execute one instruction, as `run` with a budget of one; None
@@ -374,21 +367,16 @@ class Machine:
                     if not allocator.free(regs[src]):
                         report = detector.report_free_mismatch(regs[src], pc, tuple(regs), mem)
                         return RunEnd("BugReported", report)
-                elif kind is _SYSCALL:
-                    if mode is _ASYNC:
-                        self.pc = pc
-                        end = self._drain_async(mem, allocator, detector)
-                        if end is not None:
-                            return end
-                elif kind is _RET:
-                    pass  # function-boundary marker; execution falls through
-                elif kind is _HALT:
-                    if mode is _ASYNC:
-                        self.pc = pc
-                        end = self._drain_async(mem, allocator, detector)
-                        if end is not None:
-                            return end
-                    return _CLEAN_HALT
+                elif kind is _SYSCALL or kind is _HALT:
+                    # a kernel entry surfaces the fault that only async mode queues
+                    fault = self.pending_async
+                    if fault is not None:
+                        self.pending_async = None
+                        return RunEnd("BugReported",
+                                      detector.report_async(fault, pc, mem, allocator))
+                    if kind is _HALT:
+                        return _CLEAN_HALT
+                # `ret` is a function-boundary marker: execution falls through
                 pc += 1
             return None
         finally:

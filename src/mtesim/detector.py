@@ -141,19 +141,13 @@ class Detector:
         """Imprecise report for a queued fault, surfaced at a kernel entry.
 
         Tripwires require sync mode, so an async mismatch is always a
-        genuine bug under plain tag-check semantics; no benign analysis.
-        The memory tag is read at drain time and may be stale.
+        genuine bug under plain tag-check semantics: no benign analysis, and
+        never an intra-granule label.  The memory tag is read at drain time
+        and may be stale.
         """
         memtag = mem.get_granule_tag(fault.fault_address)
         kind = self._classify(fault.access.addrtag, memtag, 0xFF, allocator)
-        return BugReport(
-            kind=kind,
-            pc=drain_pc,
-            fault_address=fault.fault_address,
-            addrtag=fault.access.addrtag,
-            memtag=memtag,
-            regs=fault.regs_snapshot,
-        )
+        return self.make_bug_report(fault._replace(pc=drain_pc), kind, memtag)
 
     def report_free_mismatch(self, raw: int, pc: int, regs: Tuple[int, ...],
                              mem: TaggedMemory) -> BugReport:

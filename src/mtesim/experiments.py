@@ -73,7 +73,8 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
     """Detection rate over `trials` single-bug programs of `kind`.
 
     Each trial gets its own generated program and its own run seed, both
-    derived from `seed`.
+    derived from `seed`.  The echo leaves out `overread_skip`: no generated
+    program marks an access `overread_ok`, so the field changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -91,7 +92,7 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
         detected=detected,
         rate=detected / trials,
         wilson_95_ci=wilson_95_ci(detected, trials),
-        config_echo=config.echo(),
+        config_echo={k: v for k, v in config.echo().items() if k != "overread_skip"},
     )
 
 
@@ -190,9 +191,14 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
     """Check that the recovery protocol is invisible to benign programs.
 
     Each program runs twice, with checks off and in sync mode with every
-    short granule armed.  Final registers and data bytes must agree, apart
-    from the metadata bytes of live short granules, and the
-    sync run must end quiescent (no open delegation, so no armed trap).
+    short granule armed.  Both runs read `config`'s `large_threshold`,
+    `odd_even` and `include_zero_tag`, and the sync run its
+    `access_threshold` and (for an access marked `overread_ok`)
+    `overread_skip`.  `mode`, `tripwires`, `alloc_threshold` and the per-run
+    `seed` are overridden, so `sampling_rate` goes unread.  Final registers
+    and data bytes must agree, apart from the metadata bytes of live short
+    granules, and the sync run must end quiescent (no open delegation, so
+    no armed trap).
     """
     diffs: List[str] = []
     for idx, program in enumerate(programs):

@@ -55,8 +55,9 @@ class SimConfig:
             raise ValueError("alloc_threshold must be >= 0")
         if self.access_threshold < 1:
             raise ValueError("access_threshold must be >= 1")
-        if self.large_threshold < 0:
-            raise ValueError("large_threshold must be >= 0")
+        # a tagged region costs the host one tag byte per granule
+        if not 0 <= self.large_threshold <= 1 << 20:
+            raise ValueError("large_threshold must be in 0..1048576")
 
     def echo(self) -> dict:
         return dict(vars(self))

@@ -153,7 +153,7 @@ def test_odd_even_mask_equals_parity_set(left_tag):
     alloc.live[HEAP_BASE] = alloc._by_end[HEAP_BASE + 16] = AllocationRecord(
         HEAP_BASE, 16, 16, left_tag)
     parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
-    assert alloc._neighbor_tags_and_parity(HEAP_BASE + 16, 16) == exclusion_mask(parity, True)
+    assert alloc._tag_exclusion(HEAP_BASE + 16, 16, 0) == exclusion_mask(parity, False)
 
 
 class TestAllocate:

@@ -196,6 +196,8 @@ class TestExp:
     ["exp", "transparency", "--sampling-rate", "3"],
     ["exp", "transparency", "--overread-skip"],
     ["exp", "detection", "--overread-skip"],
+    # a tagged region costs the host one tag byte per granule: at most 1 MiB
+    ["run", "TRACE", "--large-threshold", "1048577"],
 ])
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
@@ -279,8 +281,7 @@ def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["run", "TRACE"],
-    ["exp", "detection", "--kind", "cross", "--sizes", "1073741824",
-     "--large-threshold", "1099511627776", "--trials", "1"],
+    ["exp", "detection", "--kind", "cross", "--sizes", "60000", "--trials", "1"],
     ["exp", "transparency", "--trials", "1"],
     ["gen", "--kind", "uaf", "--reuse-cycles", "100000000", "--count", "1", "--out", "OUT"],
     ["gen", "--kind", "benign", "--count", "3", "--out", "OUT"],

@@ -129,13 +129,21 @@ class TestRecoveryProtocol:
         assert mem.read_byte(GBASE + 15) == 0x3A
 
     def test_bump_carries_into_the_second_metadata_byte(self):
-        mem = TaggedMemory()
-        mem.set_granule_tag(GBASE, 8)
-        mem.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
-        assert ref_pass(mem, GBASE, 8, 64, delegate=True) == 16
-        # delegated: real tag on the granule, addressable count stashed
-        assert (mem.read_byte(GBASE + 14), mem.read_byte(GBASE + 15)) == (0x01, 0x08)
-        assert read_tripwire(mem, GBASE) == (0xA, 8)
+        # the same state through the stepwise reference and the detector
+        ref, mem = TaggedMemory(), TaggedMemory()
+        for m in (ref, mem):
+            m.set_granule_tag(GBASE, 8)
+            m.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
+        assert ref_pass(ref, GBASE, 8, 64, delegate=True) == 16
+        program = Program((Instruction(Opcode.LOAD, dst=4, base=1),
+                           Instruction(Opcode.MOV, dst=6, imm=1), Instruction(Opcode.HALT)))
+        det = Detector(SimConfig())
+        assert det.pass_benign_mismatch(0, GBASE, GBASE, 8, 0xA, False, mem, Machine(program))
+        assert det.delegations == {1: GBASE}
+        for m in (ref, mem):
+            # delegated: real tag on the granule, addressable count stashed
+            assert (m.read_byte(GBASE + 14), m.read_byte(GBASE + 15)) == (0x01, 0x08)
+            assert read_tripwire(m, GBASE) == (0xA, 8)
 
     def test_benign_hit_delegates_then_revokes(self):
         sim, report = run_sim(

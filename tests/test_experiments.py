@@ -102,6 +102,11 @@ class TestDetectionRate:
         assert list(d) == ["name", "trials", "detected", "rate", "wilson_95_ci",
                            "config_echo"]
         assert d["detected"] == 30
+        # no generated program marks an access `overread_ok`: `overread_skip`
+        # changes nothing, so the echo leaves it out
+        assert list(d["config_echo"]) == [
+            "mode", "seed", "sampling_rate", "alloc_threshold", "access_threshold",
+            "tripwires", "odd_even", "large_threshold", "include_zero_tag"]
 
 
 # Sizes in two classes (32 and 48 bytes) whose addressable counts differ, so

@@ -57,6 +57,14 @@ def test_run_report_json_field_order():
     json.loads(r.to_json())  # valid JSON
 
 
+def test_large_threshold_is_capped_at_one_mebibyte():
+    # a tagged region costs the host one tag byte per granule
+    assert SimConfig(large_threshold=1 << 20).large_threshold == 1 << 20
+    for bad in (-1, (1 << 20) + 1, 2**64):
+        with pytest.raises(ValueError):
+            SimConfig(large_threshold=bad)
+
+
 STEPPING_CONFIGS = {
     "off": SimConfig(mode="off", tripwires=False),
     "async": SimConfig(mode="async", tripwires=False),

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mtesim import TripwireSampler
-from mtesim.sampler import Phase
 
 
 def make(seed=0, threshold=1000, rate=1000):
@@ -18,10 +17,13 @@ def test_slow_start_arms_everything():
 
 
 def test_exactly_threshold_calls_always_arm():
+    # slow start draws nothing: after it, the decisions are those of a
+    # sampler with no slow start on the same generator
     s = make(seed=7, threshold=50, rate=3)
-    prefix = [s.should_arm() for _ in range(50)]
-    assert all(prefix)
-    assert s.phase is Phase.SAMPLING
+    no_slow_start = make(seed=7, threshold=0, rate=3)
+    assert all(s.should_arm() for _ in range(50))
+    assert [s.should_arm() for _ in range(500)] == [no_slow_start.should_arm()
+                                                    for _ in range(500)]
 
 
 def test_zero_threshold_with_rate_one_arms_at_least_every_other_call():
@@ -32,17 +34,6 @@ def test_zero_threshold_with_rate_one_arms_at_least_every_other_call():
         assert a or b  # gaps are 1 or 2
 
 
-def test_phase_transition_happens_once():
-    s = make(seed=1, threshold=5, rate=2)
-    phases = []
-    for _ in range(100):
-        s.should_arm()
-        phases.append(s.phase)
-    flips = sum(1 for a, b in zip(phases, phases[1:]) if a is not b)
-    assert flips == 1
-    assert phases[-1] is Phase.SAMPLING
-
-
 def test_determinism():
     a = [make(seed=11, threshold=10, rate=7).should_arm() for _ in range(1)]
     s1 = make(seed=11, threshold=10, rate=7)
@@ -51,27 +42,23 @@ def test_determinism():
 
 
 def test_arm_positions_are_partial_sums_of_uniform_draws():
-    seed, rate = 13, 9
-    s = TripwireSampler(random.Random(seed), alloc_threshold=0, sampling_rate=rate)
-    n = 2000
-    arm_positions = [i for i in range(n) if s.should_arm()]
+    # 0-based call indices: calls 0..T-1 arm, then T-1 plus each partial sum
+    # of the randint(1, 2R) gap draws
+    seed, rate, n = 13, 9, 2000
+    for threshold in (0, 1, 5, 50):
+        s = TripwireSampler(random.Random(seed), alloc_threshold=threshold,
+                            sampling_rate=rate)
+        arm_positions = [i for i in range(n) if s.should_arm()]
 
-    replay = random.Random(seed)
-    expected = []
-    pos = 0
-    while True:
-        pos += replay.randint(1, 2 * rate)
-        if pos > n:
-            break
-        expected.append(pos - 1)  # positions are 0-based call indices
-    assert arm_positions == expected
-
-
-def test_countdown_stays_in_range():
-    s = make(seed=5, threshold=0, rate=4)
-    for _ in range(500):
-        s.should_arm()
-        assert 1 <= s.countdown <= 8
+        replay = random.Random(seed)
+        expected = list(range(threshold))
+        pos = threshold - 1
+        while True:
+            pos += replay.randint(1, 2 * rate)
+            if pos >= n:
+                break
+            expected.append(pos)
+        assert arm_positions == expected, threshold
 
 
 def test_arm_frequency_matches_mean_gap():
@@ -103,10 +90,10 @@ def test_lazily_seeded_sampler_matches_eager_one(threshold, rate):
     lazy = TripwireSampler(make_rng, alloc_threshold=threshold, sampling_rate=rate)
     eager = TripwireSampler(random.Random("9/sampler"), alloc_threshold=threshold,
                             sampling_rate=rate)
-    for _ in range(3000):
-        assert lazy.should_arm() == eager.should_arm()
-        assert lazy.countdown == eager.countdown
+    assert [lazy.should_arm() for _ in range(3000)] == [eager.should_arm()
+                                                        for _ in range(3000)]
     assert made == [True]
+    assert lazy.rng.getstate() == eager.rng.getstate()   # the same draws, in the same order
 
 
 def test_slow_start_never_makes_the_generator():
