@@ -39,11 +39,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from .cpu import Machine, RunCounters
 from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
                      PAGE_SHIFT, TAG_SHIFT, TaggedMemory)
 
 if TYPE_CHECKING:
-    from .cpu import Machine
     from .runner import SimConfig
 
 # Bump allocation starts here and grows upward; reused regions keep their
@@ -307,29 +307,24 @@ def generate_tag(exclude: int, rng: random.Random) -> int:
     return pool[r]
 
 
-@dataclass
-class AllocatorStats:
-    allocations: int = 0
-    frees: int = 0
-    tripwires_armed: int = 0
-
-
 class Allocator:
     """Size-class allocator with random tagging and tripwire arming.
 
     `config` is the run's `SimConfig`; the allocator reads its
     `large_threshold`, `odd_even` and `include_zero_tag`.  `sampler` may be
     None, in which case no tripwire is ever armed (the arming decision is a
-    run-mode concern; the allocator itself is indifferent).
+    run-mode concern; the allocator itself is indifferent).  It bumps
+    `allocations`, `frees` and `tripwires_armed` in `counters`, a record of
+    its own unless one is given.
     """
 
     def __init__(self, mem: TaggedMemory, rng: random.Random, config: SimConfig,
-                 sampler=None):
+                 sampler=None, counters: Optional[RunCounters] = None):
         self.mem = mem
         self.rng = rng
         self.config = config
         self.sampler = sampler
-        self.stats = AllocatorStats()
+        self.counters = counters or RunCounters()
         self._bump = HEAP_BASE
         # live allocations only: base -> record in allocation order, end -> record
         self.live: Dict[int, AllocationRecord] = {}
@@ -378,7 +373,7 @@ class Allocator:
         """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
         # `size_class`, inline for the common case
         usable = (requested + _LAST) & GRANULE_MASK if requested > 0 else size_class(requested)
-        self.stats.allocations += 1
+        self.counters.allocations += 1
 
         if usable > self.config.large_threshold:
             # Untagged large path: no tag draw, no tripwire.
@@ -406,7 +401,7 @@ class Allocator:
 
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(self.mem, base + usable - GRANULE_SIZE, short, tag)
-            self.stats.tripwires_armed += 1
+            self.counters.tripwires_armed += 1
 
         self.live[base] = self._by_end[base + usable] = rec
         return base | tag << TAG_SHIFT
@@ -421,7 +416,7 @@ class Allocator:
         if (raw >> 60) & 0xF or rec is None or (raw >> TAG_SHIFT) & 0xF != rec.tag:
             return False
 
-        self.stats.frees += 1
+        self.counters.frees += 1
         base, usable = rec.base, rec.usable_size
         del self.live[base], self._by_end[base + usable]
         # `addressable_count` and `short_granule_base`, each computed once

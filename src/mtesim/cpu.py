@@ -163,14 +163,26 @@ _CLEAN_HALT = RunEnd("CleanHalt")
 
 
 @dataclass
-class MachineCounters:
+class RunCounters:
+    """Every counter of a run, in run-report order.  A `Simulation` shares
+    one record among its machine, allocator and detector, and each of them
+    bumps its own fields."""
+
     instructions_executed: int = 0
     faults_delivered: int = 0
     traps_delivered: int = 0
+    tripwires_armed: int = 0
+    tripwires_removed_by_threshold: int = 0
+    tripwires_removed_by_ret_edge: int = 0
+    allocations: int = 0
+    frees: int = 0
 
 
 class Machine:
-    def __init__(self, program, mode: Mode = Mode.SYNC):
+    """Bumps `instructions_executed`, `faults_delivered` and
+    `traps_delivered` in `counters`, a record of its own unless one is given."""
+
+    def __init__(self, program, mode: Mode = Mode.SYNC, counters: Optional[RunCounters] = None):
         self.program = program
         self.regs: List[int] = [0] * NUM_REGS
         self.pc = 0
@@ -178,7 +190,7 @@ class Machine:
         # the first async fault since the last kernel entry; later ones are
         # not reported, so they are not kept
         self.pending_async: Optional[Fault] = None
-        self.counters = MachineCounters()
+        self.counters = counters or RunCounters()
 
     # -- decoding and checking ------------------------------------------
 

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 # to the padding layout it reads.
 from .allocator import (DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, check_access,
                         pass_benign_hit, read_tripwire, revoke_tripwire)
-from .cpu import Fault, Machine
+from .cpu import AccessDescriptor, Fault, Machine, RunCounters
 from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory, address_tag, untagged
 
 if TYPE_CHECKING:
@@ -92,21 +92,17 @@ class BugReport:
         return json.dumps(self.to_json_dict())
 
 
-@dataclass
-class DetectorStats:
-    tripwires_removed_by_threshold: int = 0
-    tripwires_removed_by_ret_edge: int = 0
-
-
 class Detector:
     """Per-machine mismatch handler.  All decisions use in-band data only;
     the allocator registry, when present, is consulted only to label bug
     kinds.  `config` is the run's `SimConfig`; the detector reads its
-    `tripwires`, `overread_skip` and `access_threshold`."""
+    `tripwires`, `overread_skip` and `access_threshold`.  It bumps
+    `tripwires_removed_by_threshold` and `tripwires_removed_by_ret_edge` in
+    `counters`, a record of its own unless one is given."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, counters: Optional[RunCounters] = None):
         self.config = config
-        self.stats = DetectorStats()
+        self.counters = counters or RunCounters()
         # trap pc -> granule base for delegated tripwires; these are the
         # machine's open trap slots, so a trap fires exactly where one is open
         self.delegations: Dict[int, int] = {}
@@ -123,14 +119,8 @@ class Detector:
         return BugKind.USE_AFTER_FREE_OR_WILD
 
     def make_bug_report(self, fault: Fault, kind: BugKind, memtag: int) -> BugReport:
-        report = BugReport(
-            kind=kind,
-            pc=fault.pc,
-            fault_address=fault.fault_address,
-            addrtag=fault.access.addrtag,
-            memtag=memtag,
-            regs=fault.regs_snapshot,
-        )
+        report = BugReport(kind, fault.pc, fault.fault_address, fault.access.addrtag, memtag,
+                           fault.regs_snapshot)
         if kind is BugKind.INTRA_GRANULE_OVERFLOW:
             granule = fault.fault_address & ~(GRANULE_SIZE - 1)
             report.addressable_bytes = memtag
@@ -153,16 +143,12 @@ class Detector:
                              mem: TaggedMemory) -> BugReport:
         """Report for a pointer `raw` that `Allocator.free` refused.  A refused
         free changes nothing, so the granule's tag is the one it was refused
-        against."""
+        against.  A free is not an access, so its fault's access has size 0;
+        a report that is not intra-granule never shows the access."""
         address = untagged(raw)
-        return BugReport(
-            kind=BugKind.USE_AFTER_FREE_OR_WILD,
-            pc=pc,
-            fault_address=address,
-            addrtag=address_tag(raw),
-            memtag=mem.get_granule_tag(address),
-            regs=regs,
-        )
+        fault = Fault(pc, address, regs, AccessDescriptor(address, 0, address_tag(raw)))
+        return self.make_bug_report(fault, BugKind.USE_AFTER_FREE_OR_WILD,
+                                    mem.get_granule_tag(address))
 
     # -- recovery protocol ----------------------------------------------
 
@@ -189,9 +175,9 @@ class Detector:
         if outcome == DELEGATED:
             self.delegations[pc + 1] = address & GRANULE_MASK  # the granule wears the real tag
         elif outcome == RETIRED_BY_THRESHOLD:
-            self.stats.tripwires_removed_by_threshold += 1
+            self.counters.tripwires_removed_by_threshold += 1
         else:   # no slot for the revocation trap (ret/halt/end)
-            self.stats.tripwires_removed_by_ret_edge += 1
+            self.counters.tripwires_removed_by_ret_edge += 1
         return True
 
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .allocator import ZERO_TAG, generate_tag, metadata_span
@@ -43,26 +43,27 @@ def wilson_95_ci(successes: int, trials: int) -> Tuple[float, float]:
 
 @dataclass
 class ExperimentResult:
+    """A detected count out of `trials`; the rate and its interval follow
+    from the two."""
+
     name: str
     trials: int
     detected: int
-    rate: float
-    wilson_95_ci: Tuple[float, float]
+    rate: float = field(init=False)
+    wilson_95_ci: Tuple[float, float] = field(init=False)
     config_echo: dict
+
+    def __post_init__(self):
+        # the module global, so that a wrapper installed on it sees the call
+        self.wilson_95_ci = wilson_95_ci(self.detected, self.trials)
+        self.rate = self.detected / self.trials
 
     def contains(self, value: float) -> bool:
         lo, hi = self.wilson_95_ci
         return lo <= value <= hi
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "detected": self.detected,
-            "rate": self.rate,
-            "wilson_95_ci": list(self.wilson_95_ci),
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -86,14 +87,8 @@ def exp_detection_rate(kind: str, config: SimConfig, trials: int, seed: int,
         report = run_program(program, config.with_seed(f"{seed}/trial/{i}"))
         if report.outcome == "BugReported":
             detected += 1
-    return ExperimentResult(
-        name=f"detection_rate/{kind}",
-        trials=trials,
-        detected=detected,
-        rate=detected / trials,
-        wilson_95_ci=wilson_95_ci(detected, trials),
-        config_echo={k: v for k, v in config.echo().items() if k != "overread_skip"},
-    )
+    return ExperimentResult(f"detection_rate/{kind}", trials, detected,
+                            {k: v for k, v in config.echo().items() if k != "overread_skip"})
 
 
 def exp_vulnerable_fraction(size_distribution: Union[range, Sequence[Tuple[int, float]]],
@@ -145,14 +140,8 @@ def exp_collision_rate(trials: int, seed: int, include_zero: bool = False) -> Ex
         b = generate_tag(mask, rng)
         if a == b:
             collisions += 1
-    return ExperimentResult(
-        name="collision_rate",
-        trials=trials,
-        detected=collisions,
-        rate=collisions / trials,
-        wilson_95_ci=wilson_95_ci(collisions, trials),
-        config_echo={"include_zero": include_zero, "seed": seed},
-    )
+    return ExperimentResult("collision_rate", trials, collisions,
+                            {"include_zero": include_zero, "seed": seed})
 
 
 @dataclass
@@ -163,12 +152,7 @@ class TransparencyResult:
     warning: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "programs_checked": self.programs_checked,
-            "diffs": self.diffs,
-            "warning": self.warning,
-        }
+        return asdict(self)
 
 
 def _metadata_mask(sim: Simulation) -> set:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .allocator import Allocator
-from .cpu import Machine, Mode
+from .cpu import Machine, Mode, RunCounters
 from .detector import BugReport, Detector
 from .memory import TaggedMemory
 from .sampler import TripwireSampler
@@ -86,12 +86,7 @@ class RunReport:
         return 1 if self.outcome == "BugReported" else 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "bug": self.bug.to_json_dict() if self.bug is not None else None,
-            "counters": self.counters,
-            "config_echo": self.config_echo,
-        }
+        return {**vars(self), "bug": None if self.bug is None else self.bug.to_json_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -110,10 +105,11 @@ class Simulation:
             seed = config.seed
             sampler = TripwireSampler(lambda: substream(seed, "sampler"),
                                       config.alloc_threshold, config.sampling_rate)
+        counters = RunCounters()
         self.allocator = Allocator(self.mem, substream(config.seed, "allocator"), config,
-                                   sampler)
-        self.detector = Detector(config)
-        self.machine = Machine(program, mode)
+                                   sampler, counters)
+        self.detector = Detector(config, counters)
+        self.machine = Machine(program, mode, counters)
 
     def run(self, max_steps: int = 10_000_000) -> RunReport:
         end = self.machine.run(self.mem, self.allocator, self.detector, max_steps)
@@ -127,17 +123,7 @@ class Simulation:
         )
 
     def counters(self) -> dict:
-        m, a, d = self.machine.counters, self.allocator.stats, self.detector.stats
-        return {
-            "instructions_executed": m.instructions_executed,
-            "faults_delivered": m.faults_delivered,
-            "traps_delivered": m.traps_delivered,
-            "tripwires_armed": a.tripwires_armed,
-            "tripwires_removed_by_threshold": d.tripwires_removed_by_threshold,
-            "tripwires_removed_by_ret_edge": d.tripwires_removed_by_ret_edge,
-            "allocations": a.allocations,
-            "frees": a.frees,
-        }
+        return dict(vars(self.machine.counters))
 
     def protocol_quiescent(self) -> bool:
         """No open delegation, hence no armed trap; holds at any clean halt."""

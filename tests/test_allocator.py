@@ -19,7 +19,6 @@ from mtesim.allocator import (
     HEAP_BASE,
     ZERO_TAG,
     AllocationRecord,
-    AllocatorStats,
     TagSpaceExhausted,
     access_count,
     arm_tripwire,
@@ -29,6 +28,7 @@ from mtesim.allocator import (
     read_tripwire,
     revoke_tripwire,
 )
+from mtesim.cpu import RunCounters
 from mtesim.memory import address_tag, untagged
 from stepwise import ref_load, ref_store, ref_swap
 
@@ -210,7 +210,7 @@ class TestAllocate:
         assert address_tag(ptr) == 0
         assert mem.get_granule_tag(untagged(ptr)) == 0
         assert not tripwire_armed(mem, alloc.live[untagged(ptr)])
-        assert alloc.stats.tripwires_armed == 0
+        assert alloc.counters.tripwires_armed == 0
 
     def test_zero_tag_reservation_for_primary_path(self):
         _, alloc = make_allocator(seed=7, sampler=AlwaysArm())
@@ -256,10 +256,10 @@ class TestFree:
     @staticmethod
     def refused(alloc, raw):
         """True when `free` refuses `raw` and changes nothing."""
-        before = (alloc.mem.snapshot(), dict(alloc.live), alloc.stats.frees,
+        before = (alloc.mem.snapshot(), dict(alloc.live), alloc.counters.frees,
                   alloc.rng.getstate())
         return alloc.free(raw) is False and before == (
-            alloc.mem.snapshot(), dict(alloc.live), alloc.stats.frees, alloc.rng.getstate())
+            alloc.mem.snapshot(), dict(alloc.live), alloc.counters.frees, alloc.rng.getstate())
 
     def test_double_free_is_mismatch(self):
         _, alloc = make_allocator(seed=9)
@@ -469,7 +469,7 @@ def _choice_generate_tag(exclude, rng):
 class ReferenceAllocator:
     def __init__(self, mem, rng, config, sampler=None):
         self.mem, self.rng, self.config, self.sampler = mem, rng, config, sampler
-        self.stats = AllocatorStats()
+        self.counters = RunCounters()
         self._bump = HEAP_BASE
         self.live, self._by_end, self._free_lists = {}, {}, {}
 
@@ -496,7 +496,7 @@ class ReferenceAllocator:
 
     def allocate(self, requested):
         usable = size_class(requested)
-        self.stats.allocations += 1
+        self.counters.allocations += 1
         if usable > self.config.large_threshold:
             base = self._reserve_fresh(usable)
             self._add(AllocationRecord(base, requested, usable, tag=0))
@@ -520,7 +520,7 @@ class ReferenceAllocator:
         rec = AllocationRecord(base, requested, usable, tag)
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(self.mem, base + usable - 16, short, tag)
-            self.stats.tripwires_armed += 1
+            self.counters.tripwires_armed += 1
         self._add(rec)
         return base | tag << 56
 
@@ -537,7 +537,7 @@ class ReferenceAllocator:
         rec = self._validate_pointer(raw)
         if rec is None:
             return False
-        self.stats.frees += 1
+        self.counters.frees += 1
         del self.live[rec.base], self._by_end[rec.end]
         if rec.addressable_count:
             clear_short_granule_metadata(self.mem, rec.short_granule_base,
@@ -593,7 +593,7 @@ def _state(alloc):
             list(alloc._by_end),
             {size: [(r.base, r.tag) for r in fifo]
              for size, fifo in alloc._free_lists.items() if fifo},
-            alloc.stats, alloc.rng.getstate())
+            alloc.counters, alloc.rng.getstate())
 
 
 @settings(max_examples=150, deadline=None)

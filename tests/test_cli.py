@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -158,47 +159,67 @@ class TestExp:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    # sha256 of stdout: a change to an experiment's draws, counts or JSON
+    # layout moves it
+    @pytest.mark.parametrize("argv, digest", [
+        ("exp detection --kind cross --trials 200 --seed 1",
+         "e7dd7bc6c871185476642cef1ef9747e78049fb78fb8c777df791371ade87260"),
+        ("exp collision --trials 500 --seed 2",
+         "94cdab3f63adf6cbfff99ed96159952b3ae489377a2a2393648beafd491a9a1b"),
+        ("exp transparency --trials 20 --seed 3",
+         "7c67c9ac9a78533b8a26c536536d8ceaf70060f59f5d8c2cb42886b731339e29"),
+    ], ids=["detection", "collision", "transparency"])
+    def test_stdout_is_pinned(self, argv, digest, capsys):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-@pytest.mark.parametrize("argv", [
-    ["run", "TRACE", "--sampling-rate", "0"],
-    ["run", "TRACE", "--access-threshold", "0"],
-    ["run", "TRACE", "--alloc-threshold", "-1"],
-    ["exp", "collision", "--trials", "0"],
-    ["exp", "detection", "--trials", "0"],
-    ["exp", "collision", "--trials", "-3"],
-    ["exp", "vulnerable-fraction", "--trials", "0"],
-    ["exp", "transparency", "--trials", "0"],
-    ["exp", "detection", "--kind", "uaf", "--reuse-cycles", "-2"],
-    ["exp", "vulnerable-fraction", "--uniform", "5:2"],
-    ["exp", "vulnerable-fraction", "--uniform", "0:8"],
-    ["gen", "--kind", "benign", "--accesses", "-3", "--out", "OUT"],
-    ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
-    ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],
-    ["run", "TRACE", "--report", "MISSING_DIR/r.json"],
+
+# Each argv case carries its id, so adding a case renames no other.  The
+# first cases keep the ids pytest gave them by position; name a new case
+# by its argv joined with spaces.
+_BAD_ARGV = {
+    "argv0": ["run", "TRACE", "--sampling-rate", "0"],
+    "argv1": ["run", "TRACE", "--access-threshold", "0"],
+    "argv2": ["run", "TRACE", "--alloc-threshold", "-1"],
+    "argv3": ["exp", "collision", "--trials", "0"],
+    "argv4": ["exp", "detection", "--trials", "0"],
+    "argv5": ["exp", "collision", "--trials", "-3"],
+    "argv6": ["exp", "vulnerable-fraction", "--trials", "0"],
+    "argv7": ["exp", "transparency", "--trials", "0"],
+    "argv8": ["exp", "detection", "--kind", "uaf", "--reuse-cycles", "-2"],
+    "argv9": ["exp", "vulnerable-fraction", "--uniform", "5:2"],
+    "argv10": ["exp", "vulnerable-fraction", "--uniform", "0:8"],
+    "argv11": ["gen", "--kind", "benign", "--accesses", "-3", "--out", "OUT"],
+    "argv12": ["gen", "--kind", "benign", "--preamble", "-2", "--out", "OUT"],
+    "argv13": ["gen", "--kind", "uaf", "--reuse-cycles", "-5", "--out", "OUT"],
+    "argv14": ["run", "TRACE", "--report", "MISSING_DIR/r.json"],
     # a size past the simulated address space: the run cannot allocate it
-    ["exp", "detection", "--kind", "cross", "--sizes", str(2**60), "--trials", "1"],
-    ["exp", "transparency", "--sizes", str(2**60), "--trials", "1"],
+    "argv15": ["exp", "detection", "--kind", "cross", "--sizes", str(2**60), "--trials", "1"],
+    "argv16": ["exp", "transparency", "--sizes", str(2**60), "--trials", "1"],
     # a negative threshold would send every allocation down the untagged path
-    ["exp", "detection", "--large-threshold", "-1"],
-    ["run", "TRACE", "--large-threshold", "-1"],
+    "argv17": ["exp", "detection", "--large-threshold", "-1"],
+    "argv18": ["run", "TRACE", "--large-threshold", "-1"],
     # a flag the experiment would ignore
-    ["exp", "transparency", "--kind", "uaf"],
-    ["exp", "transparency", "--non-adjacent"],
-    ["exp", "transparency", "--reuse-cycles", "5"],
-    ["exp", "collision", "--mode", "off"],
-    ["exp", "collision", "--sizes", "24"],
-    ["exp", "vulnerable-fraction", "--no-tripwires"],
-    ["exp", "vulnerable-fraction", "--include-zero-tag"],
-    ["exp", "transparency", "--mode", "off"],
-    ["exp", "transparency", "--no-tripwires"],
-    ["exp", "transparency", "--alloc-threshold", "5"],
-    ["exp", "transparency", "--always-arm"],
-    ["exp", "transparency", "--sampling-rate", "3"],
-    ["exp", "transparency", "--overread-skip"],
-    ["exp", "detection", "--overread-skip"],
+    "argv19": ["exp", "transparency", "--kind", "uaf"],
+    "argv20": ["exp", "transparency", "--non-adjacent"],
+    "argv21": ["exp", "transparency", "--reuse-cycles", "5"],
+    "argv22": ["exp", "collision", "--mode", "off"],
+    "argv23": ["exp", "collision", "--sizes", "24"],
+    "argv24": ["exp", "vulnerable-fraction", "--no-tripwires"],
+    "argv25": ["exp", "vulnerable-fraction", "--include-zero-tag"],
+    "argv26": ["exp", "transparency", "--mode", "off"],
+    "argv27": ["exp", "transparency", "--no-tripwires"],
+    "argv28": ["exp", "transparency", "--alloc-threshold", "5"],
+    "argv29": ["exp", "transparency", "--always-arm"],
+    "argv30": ["exp", "transparency", "--sampling-rate", "3"],
+    "argv31": ["exp", "transparency", "--overread-skip"],
+    "argv32": ["exp", "detection", "--overread-skip"],
     # a tagged region costs the host one tag byte per granule: at most 1 MiB
-    ["run", "TRACE", "--large-threshold", "1048577"],
-])
+    "argv33": ["run", "TRACE", "--large-threshold", "1048577"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_ARGV.values()), ids=list(_BAD_ARGV))
 def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
     argv = [trace_file(BENIGN) if a == "TRACE" else out if a == "OUT" else a for a in argv]
@@ -251,12 +272,15 @@ class TestDefaultsHaveOneSource:
         assert changed == {f.name for f in fields(SimConfig)} - {"seed"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "TRACE"],
-    ["gen", "--kind", "benign", "--count", "2", "--out", "OUT"],
-    ["exp", "collision", "--trials", "5"],
-    ["exp", "detection", "--trials", "5"],
-])
+_ENV_SEED_ARGV = {
+    "argv0": ["run", "TRACE"],
+    "argv1": ["gen", "--kind", "benign", "--count", "2", "--out", "OUT"],
+    "argv2": ["exp", "collision", "--trials", "5"],
+    "argv3": ["exp", "detection", "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_ENV_SEED_ARGV.values()), ids=list(_ENV_SEED_ARGV))
 def test_non_integer_env_seed_exits_2_with_one_line(argv, trace_file, tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setenv("MTESIM_SEED", "abc")
@@ -279,13 +303,17 @@ def test_non_utf8_trace_exits_2_with_one_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text")
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "TRACE"],
-    ["exp", "detection", "--kind", "cross", "--sizes", "60000", "--trials", "1"],
-    ["exp", "transparency", "--trials", "1"],
-    ["gen", "--kind", "uaf", "--reuse-cycles", "100000000", "--count", "1", "--out", "OUT"],
-    ["gen", "--kind", "benign", "--count", "3", "--out", "OUT"],
-])
+_OOM_ARGV = {
+    "argv0": ["run", "TRACE"],
+    "argv1": ["exp", "detection", "--kind", "cross", "--sizes", "60000", "--trials", "1"],
+    "argv2": ["exp", "transparency", "--trials", "1"],
+    "argv3": ["gen", "--kind", "uaf", "--reuse-cycles", "100000000", "--count", "1",
+              "--out", "OUT"],
+    "argv4": ["gen", "--kind", "benign", "--count", "3", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_OOM_ARGV.values()), ids=list(_OOM_ARGV))
 def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, tmp_path, capsys,
                                                   monkeypatch):
     # stand in for tagging a region, or generating a corpus, too large for

@@ -54,8 +54,10 @@ class NullDetector:
         self.drained = (fault, pc)
         return object()
 
-    def report_free_mismatch(self, mismatch, pc, regs):
-        return object()
+    def report_free_mismatch(self, raw, pc, regs, mem):
+        self.refused = (raw, pc)
+        self.free_report = object()
+        return self.free_report
 
 
 class ResumeDetector(NullDetector):
@@ -438,7 +440,19 @@ class TestStepSemantics:
         while end is None:
             end = m.step(mem, alloc, det)
         assert end.outcome == "CleanHalt"
-        assert alloc.stats.allocations == 1 and alloc.stats.frees == 1
+        assert alloc.counters.allocations == 1 and alloc.counters.frees == 1
+
+    def test_refused_free_reports_through_the_detector(self):
+        mem = TaggedMemory()
+        alloc = Allocator(mem, random.Random(0), SimConfig())
+        m = machine_for("alloc r0 16\nfree r0\nfree r0\nhalt")
+        det = NullDetector()
+        end = None
+        while end is None:
+            end = m.step(mem, alloc, det)
+        assert end.outcome == "BugReported"
+        assert end.report is det.free_report and det.refused == (m.regs[0], 2)
+        assert alloc.counters.frees == 1
 
     def test_ret_falls_through(self):
         mem = TaggedMemory()
@@ -555,7 +569,7 @@ def test_step_matches_tag_check_and_handler_reference(
     assert m.counters.traps_delivered == 0
     assert m.pending_async == ref_m.pending_async
     assert det.delegations == ref_det.delegations
-    assert det.stats == ref_det.stats
+    assert det.counters == ref_det.counters
     assert mem.snapshot() == ref_mem.snapshot()
     if expected is None:
         assert m.regs == ref_m.regs and m.pc == 1

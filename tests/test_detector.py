@@ -13,16 +13,18 @@ from mtesim import (
     SimConfig,
     Simulation,
     TaggedMemory,
+    WorkloadSpec,
     check_access,
     parse_program,
     tripwire_armed,
 )
 from mtesim.allocator import (access_count, arm_tripwire, metadata_span, read_tripwire,
                               revoke_tripwire)
-from mtesim.detector import Detector, DetectorStats, ProtocolError
+from mtesim.cpu import RunCounters
+from mtesim.detector import Detector, ProtocolError
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
-from mtesim.trace import Program
+from mtesim.trace import Program, generate_program
 from stepwise import ref_pass
 
 GBASE = 0x1000
@@ -322,6 +324,26 @@ class TestReports:
             {"kind": "UseAfterFreeOrWild", "pc": pc, "fault_address": fault_address,
              "addrtag": addrtag, "memtag": memtag, "regs": dump})
 
+    # a sync bug, an async bug drained at a kernel entry and a refused free
+    @pytest.mark.parametrize("program, config", [
+        (parse_program("alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt"),
+         SimConfig(seed=1, alloc_threshold=ALWAYS_ARM)),
+        (generate_program(WorkloadSpec(kind="uaf", seed=1, count=1), 0),
+         SimConfig(seed=1, mode="async")),
+        (parse_program("alloc r0 40\nfree r0\nfree r0\nhalt"), SimConfig(seed=1)),
+    ], ids=["intra", "async-uaf", "double-free"])
+    def test_every_report_is_built_by_make_bug_report(self, program, config, monkeypatch):
+        built = []
+        make = Detector.make_bug_report
+
+        def spy(self, fault, kind, memtag):
+            built.append(make(self, fault, kind, memtag))
+            return built[-1]
+        monkeypatch.setattr(Detector, "make_bug_report", spy)
+        report = Simulation(program, config).run()
+        assert report.outcome == "BugReported"
+        assert [id(b) for b in built] == [id(report.bug)]
+
 
 class TestSpanningStorePrecision:
     def test_nothing_commits_when_a_later_granule_faults(self):
@@ -372,13 +394,13 @@ class TestOverreadSkip:
 # `read_tripwire` -> `check_access` (or the overread-skip rule) ->
 # `can_trap` -> `ref_pass` (tests/stepwise.py), then `revoke_tripwire` at
 # the trap.  The granule holds an armed tripwire in any counter state, or
-# program data; a declined hit must leave memory, stats and delegations
+# program data; a declined hit must leave memory, counters and delegations
 # untouched.
 
 _TOP = 1 << 56
 
 
-def stepwise_hit(config, stats, delegations, pc, address, start, size, addrtag,
+def stepwise_hit(config, counters, delegations, pc, address, start, size, addrtag,
                  overread_ok, mem, machine):
     if not config.tripwires:
         return False
@@ -394,11 +416,11 @@ def stepwise_hit(config, stats, delegations, pc, address, start, size, addrtag,
     delegate = machine.can_trap(pc + 1)
     count = ref_pass(mem, granule, memtag, threshold, delegate)
     if count == 0 and threshold is not None:
-        stats.tripwires_removed_by_threshold += 1
+        counters.tripwires_removed_by_threshold += 1
     elif delegate:
         delegations[pc + 1] = granule
     else:
-        stats.tripwires_removed_by_ret_edge += 1
+        counters.tripwires_removed_by_ret_edge += 1
     return True
 
 
@@ -446,19 +468,19 @@ def test_fused_benign_hit_matches_stepwise_reference(
     config = SimConfig(tripwires=tripwires, overread_skip=overread_skip,
                        access_threshold=threshold)
     det, machine = Detector(config), Machine(program)
-    ref_mem, ref_stats, ref_delegations = copy.deepcopy(mem), DetectorStats(), {}
+    ref_mem, ref_counters, ref_delegations = copy.deepcopy(mem), RunCounters(), {}
     before = mem.snapshot()
 
     verdict = det.pass_benign_mismatch(0, address, start, size, addrtag, overread_ok, mem,
                                        machine)
-    expected = stepwise_hit(config, ref_stats, ref_delegations, 0, address, start, size,
+    expected = stepwise_hit(config, ref_counters, ref_delegations, 0, address, start, size,
                             addrtag, overread_ok, ref_mem, machine)
     assert verdict == expected
     assert mem.snapshot() == ref_mem.snapshot()
-    assert det.stats == ref_stats
+    assert det.counters == ref_counters
     assert det.delegations == ref_delegations
     if not verdict:
-        assert mem.snapshot() == before and det.stats == DetectorStats()
+        assert mem.snapshot() == before and det.counters == RunCounters()
         assert det.delegations == {}
     if det.delegations:
         machine.pc = 1

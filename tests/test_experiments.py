@@ -16,6 +16,7 @@ from mtesim import (
     uniform_sizes,
     wilson_95_ci,
 )
+from mtesim.experiments import ExperimentResult
 
 
 class TestWilson:
@@ -44,6 +45,10 @@ class TestWilson:
             wilson_95_ci(1, 0)
         with pytest.raises(ValueError):
             wilson_95_ci(5, 3)
+
+    def test_result_derives_rate_and_interval_from_its_counts(self):
+        r = ExperimentResult("x", 10, 3, {})
+        assert r.rate == 0.3 and r.wilson_95_ci == wilson_95_ci(3, 10)
 
 
 class TestCollision:
