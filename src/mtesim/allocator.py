@@ -98,8 +98,10 @@ class AllocationRecord:
 #
 # A benign hit is one call, `pass_benign_hit`: the read, the benign/bug
 # rule (`check_access`, or the allow-listed overread rule), the count and
-# the delegate/retire write.  The bug report reads the granule with
-# `read_tripwire`.
+# the delegate/retire write.  When the trap that would revoke a delegation
+# fires in the same `Machine.run` call, the hit writes only the counter and
+# leaves the tripwire armed: delegate, access, trap and revoke have no other
+# net effect.  The bug report reads the granule with `read_tripwire`.
 
 _LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
 
@@ -181,11 +183,12 @@ def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: i
 
 
 # What `pass_benign_hit` did with a mismatch.
-DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, RETIRED_AT_RET_EDGE = range(4)
+DECLINED, DELEGATED, REARMED, RETIRED_BY_THRESHOLD, RETIRED_AT_RET_EDGE = range(5)
 
 
 def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addrtag: int,
-                    skip: bool, threshold: int, machine: Machine, pc: int) -> int:
+                    skip: bool, threshold: int, machine: Machine, pc: int,
+                    next_in_call: bool) -> int:
     """Take one sync-mode mismatch at `address` through the tripwire of its
     granule, if it is benign; returns what happened.
 
@@ -193,16 +196,27 @@ def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addr
     `addrtag`.  With `skip` (an allow-listed overread under
     `overread_skip`) a hit on this pointer's tripwire passes without the
     bounds check and is not counted; otherwise `check_access` decides.
-    DECLINED (a bug) leaves memory untouched.  After a benign hit the
-    granule wears the stashed real tag.  A counted hit bumps the counter and
-    retires the tripwire, zeroing its metadata, once the count reaches
-    `threshold` or the counter's capacity.  Otherwise the tripwire is
-    DELEGATED when `machine.can_trap(pc + 1)`, the slot after the access at
-    `pc`, stashing the addressable count where the real tag was, or else
-    RETIRED_AT_RET_EDGE with the metadata left as the hit made it.  The
-    machine is asked only when that decides the outcome.  It is passed
-    whole, not as a bound method, so a declined mismatch makes no method
-    object.
+    DECLINED (a bug) leaves memory untouched.  A counted hit bumps the
+    counter and retires the tripwire, zeroing its metadata, once the count
+    reaches `threshold` or the counter's capacity.  Otherwise, when
+    `machine.can_trap(pc + 1)`, the slot after the access at `pc`:
+
+      REARMED    when `next_in_call` (slot `pc + 1` runs in the same
+                 `Machine.run` call), writing only the counter.  The access
+                 ends within the addressable bytes, so it never touches the
+                 tag or the metadata bytes; delegating and then revoking at
+                 the trap would swap the tag there and straight back.  The
+                 caller counts that trap.
+      DELEGATED  otherwise: the granule wears the stashed real tag, with
+                 the addressable count stashed where the real tag was,
+                 until the trap at `pc + 1` revokes it.
+
+    Without a trap slot it is RETIRED_AT_RET_EDGE: the granule wears the
+    real tag, with the metadata left as the hit made it.  An uncounted hit
+    is never REARMED, since an allow-listed overread may read the padding
+    while it is delegated.  The machine is asked only when that decides the
+    outcome.  It is passed whole, not as a bound method, so a declined
+    mismatch makes no method object.
     """
     a = address & ADDRESS_MASK
     index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
@@ -221,15 +235,16 @@ def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addr
     if not check_access(a, start, size, addrtag, memtag, metadata):
         return DECLINED
     # benign: memtag and the stashed nibble are nonzero, so both pages exist
-    tags[g] = metadata
     two = memtag <= 14
     word = (data[last - 1] << 8 | low if two else low) + (1 << 4)
     if word >> 4 >= threshold or word >> 4 >= metadata_capacity(memtag):
-        word, outcome = 0, RETIRED_BY_THRESHOLD
-    elif machine.can_trap(pc + 1):
-        word, outcome = word & ~0xF | memtag, DELEGATED
+        tags[g], word, outcome = metadata, 0, RETIRED_BY_THRESHOLD
+    elif not machine.can_trap(pc + 1):
+        tags[g], outcome = metadata, RETIRED_AT_RET_EDGE
+    elif next_in_call:
+        outcome = REARMED
     else:
-        outcome = RETIRED_AT_RET_EDGE
+        tags[g], word, outcome = metadata, word & ~0xF | memtag, DELEGATED
     data[last] = word & 0xFF
     if two:
         data[last - 1] = word >> 8 & 0xFF

@@ -30,11 +30,16 @@ or by `tag_check(decode(instr))` when it crosses a page edge or runs past
 the top of the address space.  Either way a mismatch reaches one site in
 the loop, which counts the fault once.  In sync mode that site takes the
 one benign verdict from `Detector.pass_benign_mismatch`, given the access
-as plain values: a benign tripwire hit resumes the access without a
-descriptor or a `Fault`, and anything else is a bug, whose `Fault` goes
-to `Detector.handle_tag_mismatch` for its report.  In async mode the first
-mismatch becomes the pending fault.  A later one before the next kernel
-entry is counted but not reported, so within a page it builds no `Fault`.
+as plain values and whether slot `pc + 1` runs in the same call (the
+budget has not ended at `pc`): a benign tripwire hit resumes the access
+without a descriptor or a `Fault`, and anything else is a bug, whose
+`Fault` goes to `Detector.handle_tag_mismatch` for its report.  A hit
+whose trap would fire in the same call is taken whole at that site, its
+trap counted, so the loop's trap dispatch sees only the delegations of an
+allow-listed overread or of a machine paused right after a hit.  In async
+mode the first mismatch becomes the pending fault.  A later one before
+the next kernel entry is counted but not reported, so within a page it
+builds no `Fault`.
 `self.pc` is brought up to date whenever the loop calls out, because the
 handlers read it.
 
@@ -180,7 +185,8 @@ class RunCounters:
 
 class Machine:
     """Bumps `instructions_executed`, `faults_delivered` and
-    `traps_delivered` in `counters`, a record of its own unless one is given."""
+    `traps_delivered` in `counters`, a record of its own unless one is
+    given; the detector counts a trap it takes with its hit."""
 
     def __init__(self, program, mode: Mode = Mode.SYNC, counters: Optional[RunCounters] = None):
         self.program = program
@@ -326,7 +332,7 @@ class Machine:
                             if mode is _SYNC:
                                 if not detector.pass_benign_mismatch(
                                         pc, fault_address, address, size, addrtag, overread_ok,
-                                        mem, self):
+                                        mem, self, executed < stop):
                                     return RunEnd("BugReported", detector.handle_tag_mismatch(
                                         fault or self._fault(fault_address, address, size,
                                                              addrtag),

@@ -20,14 +20,25 @@ A benign verdict starts the recovery dance:
 Benign hits also bump the in-padding access counter; reaching the counter's
 capacity or the configured threshold retires the tripwire for good.
 
+A counted benign hit ends within the granule's addressable bytes, so the
+access it resumes never touches the granule's tag or metadata bytes.  When
+the trap slot runs in the same `Machine.run` call, the three steps
+therefore have one net effect: the counter bumps and one trap is
+delivered.  The hit writes just that and leaves the tripwire armed
+(`REARMED`), opening no delegation.  The full dance remains for a machine
+paused right after the hit (`step`, or a `run` budget that ends there) and
+for an uncounted allow-listed overread, which may read the padding while
+it is delegated.
+
 A sync-mode mismatch gets its verdict at one site.  `Machine.run` calls
-`pass_benign_mismatch` once per mismatch, with the access as plain values.
-That makes one call into the metadata section, `pass_benign_hit`, which
-looks the granule's tag and data pages up once and does the read, the rule
-(`check_access` or the overread-skip rule), the trap-slot test, the count
-and the delegate or retire write; the detector then records the
-delegation or the retirement and returns True to resume.  Only when the
-hit is declined does the machine build a `Fault` and call
+`pass_benign_mismatch` once per mismatch, with the access as plain values
+and whether the next slot runs in the same call.  That makes one call into
+the metadata section, `pass_benign_hit`, which looks the granule's tag and
+data pages up once and does the read, the rule (`check_access` or the
+overread-skip rule), the trap-slot test, the count and the rearm, delegate
+or retire write; the detector then counts the trap, records the delegation
+or counts the retirement, and returns True to resume.  Only when the hit
+is declined does the machine build a `Fault` and call
 `handle_tag_mismatch`, which labels and reports the bug.  So the benign/bug
 rule is written once, in `check_access`, and taken once per mismatch.
 """
@@ -41,7 +52,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 # `check_access`, the benign/bug rule the detector applies, is defined next
 # to the padding layout it reads.
-from .allocator import (DECLINED, DELEGATED, RETIRED_BY_THRESHOLD, check_access,
+from .allocator import (DECLINED, DELEGATED, REARMED, RETIRED_BY_THRESHOLD, check_access,
                         pass_benign_hit, read_tripwire, revoke_tripwire)
 from .cpu import AccessDescriptor, Fault, Machine, RunCounters
 from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory, address_tag, untagged
@@ -98,7 +109,8 @@ class Detector:
     kinds.  `config` is the run's `SimConfig`; the detector reads its
     `tripwires`, `overread_skip` and `access_threshold`.  It bumps
     `tripwires_removed_by_threshold` and `tripwires_removed_by_ret_edge` in
-    `counters`, a record of its own unless one is given."""
+    `counters`, a record of its own unless one is given, and
+    `traps_delivered` for a trap it takes with its hit."""
 
     def __init__(self, config: SimConfig, counters: Optional[RunCounters] = None):
         self.config = config
@@ -154,25 +166,28 @@ class Detector:
 
     def pass_benign_mismatch(self, pc: int, address: int, start: int, size: int,
                              addrtag: int, overread_ok: bool, mem: TaggedMemory,
-                             machine: Machine) -> bool:
+                             machine: Machine, next_in_call: bool) -> bool:
         """Let a benign sync-mode mismatch through; True means resume the access.
 
         Takes the primitives `Machine.run` holds: the access at `pc` spans
         `size` bytes from untagged `start`, and `address` is the lowest
-        accessed address in the first mismatching granule.  A benign hit is
-        counted, then delegated or retired, and returns True.  False leaves
-        every state untouched: the mismatch is a bug, and the machine hands
-        it to `handle_tag_mismatch`.
+        accessed address in the first mismatching granule.  `next_in_call`
+        says slot `pc + 1` runs in the same `run` call.  A benign hit is
+        counted, then rearmed at once (its trap counted here), delegated or
+        retired, and returns True.  False leaves every state untouched: the
+        mismatch is a bug, and the machine hands it to `handle_tag_mismatch`.
         """
         config = self.config
         if not config.tripwires:
             return False  # plain tag-check semantics: every mismatch is a bug
         outcome = pass_benign_hit(mem, address, start, size, addrtag,
                                   overread_ok and config.overread_skip,
-                                  config.access_threshold, machine, pc)
-        if outcome == DECLINED:
+                                  config.access_threshold, machine, pc, next_in_call)
+        if outcome == REARMED:
+            self.counters.traps_delivered += 1   # the trap at pc + 1, taken with the hit
+        elif outcome == DECLINED:
             return False
-        if outcome == DELEGATED:
+        elif outcome == DELEGATED:
             self.delegations[pc + 1] = address & GRANULE_MASK  # the granule wears the real tag
         elif outcome == RETIRED_BY_THRESHOLD:
             self.counters.tripwires_removed_by_threshold += 1

@@ -40,7 +40,7 @@ class NullDetector:
     delegations = {}   # the machine's trap slots: none
 
     def pass_benign_mismatch(self, pc, address, start, size, addrtag, overread_ok, mem,
-                             machine):
+                             machine, next_in_call):
         return False   # never benign: every mismatch reaches handle_tag_mismatch
 
     def handle_tag_mismatch(self, fault, mem, allocator, machine):
@@ -64,7 +64,7 @@ class ResumeDetector(NullDetector):
     """Declares every sync mismatch benign without touching memory."""
 
     def pass_benign_mismatch(self, pc, address, start, size, addrtag, overread_ok, mem,
-                             machine):
+                             machine, next_in_call):
         self.mem_snapshot = mem.snapshot()
         return True
 
@@ -557,7 +557,8 @@ def test_step_matches_tag_check_and_handler_reference(
         if mode is Mode.ASYNC:
             ref_m.pending_async = fault
         elif not ref_det.pass_benign_mismatch(0, fault.fault_address, desc.start, desc.size,
-                                              desc.addrtag, overread_ok, ref_mem, ref_m):
+                                              desc.addrtag, overread_ok, ref_mem, ref_m,
+                                              False):   # a step ends at the access
             expected = ref_det.handle_tag_mismatch(fault, ref_mem, None, ref_m)
     if expected is None:            # the access commits, as an unchecked one does
         ref_m.mode = Mode.OFF

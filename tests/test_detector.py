@@ -140,7 +140,9 @@ class TestRecoveryProtocol:
         program = Program((Instruction(Opcode.LOAD, dst=4, base=1),
                            Instruction(Opcode.MOV, dst=6, imm=1), Instruction(Opcode.HALT)))
         det = Detector(SimConfig())
-        assert det.pass_benign_mismatch(0, GBASE, GBASE, 8, 0xA, False, mem, Machine(program))
+        # the machine pauses after the access, so slot 1 runs in a later call
+        assert det.pass_benign_mismatch(0, GBASE, GBASE, 8, 0xA, False, mem, Machine(program),
+                                        False)
         assert det.delegations == {1: GBASE}
         for m in (ref, mem):
             # delegated: real tag on the granule, addressable count stashed
@@ -383,6 +385,15 @@ class TestOverreadSkip:
         assert access_count(sim.mem, short, 8) == 0
         assert sim.mem.get_granule_tag(short) == 8
 
+    def test_skipped_overread_reads_the_delegated_padding(self):
+        # bytes 32..47: r2 gets the granule's last byte while the tripwire is
+        # delegated, the addressable count (8) stashed where the real tag was
+        sim, report = run_sim("alloc r0 40\nld r1 [r0, #32] w8 p2 overread_ok\n"
+                              "mov r3 1\nhalt", overread_skip=True)
+        assert report.outcome == "CleanHalt"
+        assert report.counters["traps_delivered"] == 1 and sim.protocol_quiescent()
+        assert sim.machine.regs[2] >> 56 == 0x08
+
     def test_skip_does_not_cover_unmarked_accesses(self):
         trace = self.TRACE.replace(" overread_ok", "")
         _, report = run_sim(trace, overread_skip=True)
@@ -393,17 +404,20 @@ class TestOverreadSkip:
 # through `pass_benign_hit`) and its trap match the stepwise reference below,
 # `read_tripwire` -> `check_access` (or the overread-skip rule) ->
 # `can_trap` -> `ref_pass` (tests/stepwise.py), then `revoke_tripwire` at
-# the trap.  The granule holds an armed tripwire in any counter state, or
-# program data; a declined hit must leave memory, counters and delegations
-# untouched.
+# the trap.  When slot pc + 1 runs in the same `run` call, a counted hit
+# leaves the state the reference has after its revocation, with the trap
+# counted and no delegation open; an uncounted one still delegates.  The
+# granule holds an armed tripwire in any counter state, or program data; a
+# declined hit must leave memory, counters and delegations untouched.
 
 _TOP = 1 << 56
 
 
 def stepwise_hit(config, counters, delegations, pc, address, start, size, addrtag,
                  overread_ok, mem, machine):
+    """None for a bug; otherwise True when the hit was counted."""
     if not config.tripwires:
-        return False
+        return None
     memtag, metadata = read_tripwire(mem, address)
     if (config.overread_skip and overread_ok
             and memtag != 0 and addrtag != 0 and metadata == addrtag):
@@ -411,7 +425,7 @@ def stepwise_hit(config, counters, delegations, pc, address, start, size, addrta
     elif check_access(address, start, size, addrtag, memtag, metadata):
         threshold = config.access_threshold
     else:
-        return False
+        return None
     granule = address & ~15
     delegate = machine.can_trap(pc + 1)
     count = ref_pass(mem, granule, memtag, threshold, delegate)
@@ -421,7 +435,7 @@ def stepwise_hit(config, counters, delegations, pc, address, start, size, addrta
         delegations[pc + 1] = granule
     else:
         counters.tripwires_removed_by_ret_edge += 1
-    return True
+    return threshold is not None
 
 
 @settings(max_examples=400, deadline=None)
@@ -439,10 +453,10 @@ def stepwise_hit(config, counters, delegations, pc, address, start, size, addrta
        reach=st.integers(1, 16), overread_ok=st.booleans(),
        overread_skip=st.booleans(), tripwires=st.sampled_from([True, True, True, False]),
        threshold=st.sampled_from([1, 2, 3, 64, 4095, 10_000]),
-       after=st.sampled_from(["mov", "ret", "halt", "end"]))
+       after=st.sampled_from(["mov", "ret", "halt", "end"]), next_in_call=st.booleans())
 def test_fused_benign_hit_matches_stepwise_reference(
         granule, state, addressable, real_tag, memtag, count, padding, addrtag, width, pair,
-        reach, overread_ok, overread_skip, tripwires, threshold, after):
+        reach, overread_ok, overread_skip, tripwires, threshold, after, next_in_call):
     mem = TaggedMemory()
     if state != "untouched":
         mem.write_bytes(granule, padding)
@@ -472,16 +486,25 @@ def test_fused_benign_hit_matches_stepwise_reference(
     before = mem.snapshot()
 
     verdict = det.pass_benign_mismatch(0, address, start, size, addrtag, overread_ok, mem,
-                                       machine)
-    expected = stepwise_hit(config, ref_counters, ref_delegations, 0, address, start, size,
-                            addrtag, overread_ok, ref_mem, machine)
-    assert verdict == expected
-    assert mem.snapshot() == ref_mem.snapshot()
-    assert det.counters == ref_counters
-    assert det.delegations == ref_delegations
+                                       machine, next_in_call)
+    counted = stepwise_hit(config, ref_counters, ref_delegations, 0, address, start, size,
+                           addrtag, overread_ok, ref_mem, machine)
+    assert verdict == (counted is not None)
     if not verdict:
         assert mem.snapshot() == before and det.counters == RunCounters()
         assert det.delegations == {}
+        return
+    rearmed = next_in_call and counted and bool(ref_delegations)
+    if rearmed:
+        # the reference's trap fires in the same call: take its revocation now
+        revoke_tripwire(ref_mem, ref_delegations.pop(1))
+        ref_counters.traps_delivered += 1
+    assert det.counters.traps_delivered == rearmed
+    assert mem.snapshot() == ref_mem.snapshot()
+    assert det.counters == ref_counters
+    assert det.delegations == ref_delegations
+    if counted is False and machine.can_trap(1):
+        assert det.delegations == {1: address & ~15}   # an overread skip always delegates
     if det.delegations:
         machine.pc = 1
         det.handle_trap(machine, mem, None)

@@ -12,7 +12,8 @@ from mtesim import (
     parse_program,
     run_program,
 )
-from mtesim import runner
+from mtesim import detector, runner
+from mtesim.allocator import REARMED, pass_benign_hit, revoke_tripwire
 from mtesim.detector import Detector
 from mtesim.experiments import exp_recovery_transparency
 from mtesim.runner import RunReport
@@ -112,6 +113,38 @@ def test_run_stops_after_exactly_max_steps():
         assert sim.run().to_json_dict() == expected.to_json_dict()
 
 
+def test_pausing_anywhere_matches_one_run(monkeypatch):
+    """A benign hit whose trap slot runs in the same `run` call is rearmed
+    with the hit; one where the budget ends first stays delegated until the
+    next call's trap.  Either way the run ends as one whole run does."""
+    trapped = []
+    handle_trap = Detector.handle_trap
+
+    def spy(self, machine, mem, allocator):
+        trapped.append(machine.pc)
+        return handle_trap(self, machine, mem, allocator)
+
+    monkeypatch.setattr(Detector, "handle_trap", spy)
+    programs = generate_workload(WorkloadSpec(kind="benign", accesses=48, count=15, seed=8))
+    traps = paused_on_delegation = 0
+    for i, program in enumerate(programs):
+        config = SimConfig(seed=f"pause/{i}", alloc_threshold=ALWAYS_ARM)
+        whole = Simulation(program, config)
+        expected = _outcome(whole, whole.run())
+        assert trapped == []    # every trap of a whole run is taken with its hit
+        traps += whole.counters()["traps_delivered"]
+        for k in range(len(program)):
+            sim = Simulation(program, config)
+            assert sim.machine.run(sim.mem, sim.allocator, sim.detector, k) is None
+            delegated = dict(sim.detector.delegations)   # {k: granule} right after a hit
+            assert set(delegated) <= {k}
+            paused_on_delegation += bool(delegated)
+            assert _outcome(sim, sim.run()) == expected
+            assert trapped == list(delegated)
+            trapped.clear()
+    assert traps > 0 and paused_on_delegation > 0
+
+
 def test_report_bit_stable_under_fixed_seed():
     a = run_program(parse_program(INTRA), SimConfig(seed=5, alloc_threshold=ALWAYS_ARM))
     b = run_program(parse_program(INTRA), SimConfig(seed=5, alloc_threshold=ALWAYS_ARM))
@@ -151,11 +184,18 @@ class TestTransparency:
         assert result.passed and result.warning is not None
 
     def test_skipped_revocation_is_detected(self, monkeypatch):
-        # a detector that never swaps back nor releases its trap leaves the
-        # sync run non-quiescent; the harness must fail it
+        # a detector that delegates every hit and then never swaps back nor
+        # releases its trap leaves the sync run non-quiescent; the harness
+        # must fail it
+        pass_benign_mismatch = Detector.pass_benign_mismatch
+
+        def delegate_every_hit(self, *args):
+            return pass_benign_mismatch(self, *args[:-1], False)  # as if paused after it
+
         def skip_revocation(self, machine, mem, allocator):
             pass  # the delegation, and with it the trap, stays open
 
+        monkeypatch.setattr(Detector, "pass_benign_mismatch", delegate_every_hit)
         monkeypatch.setattr(Detector, "handle_trap", skip_revocation)
         programs = generate_workload(WorkloadSpec(kind="benign", count=40, seed=22))
         result = exp_recovery_transparency(programs, SimConfig(seed=0), 34)
@@ -176,10 +216,13 @@ class TestTransparency:
                                SimConfig(seed=4, alloc_threshold=ALWAYS_ARM))
         assert baseline.outcome == "BugReported"
 
-        def skip_swap(self, machine, mem, allocator):
-            self.delegations.pop(machine.pc, None)  # releases the trap slot too
+        def skip_swap(mem, address, *args):
+            outcome = pass_benign_hit(mem, address, *args)
+            if outcome == REARMED:
+                revoke_tripwire(mem, address & ~15)  # the delegation's swap, never undone
+            return outcome
 
-        monkeypatch.setattr(Detector, "handle_trap", skip_swap)
+        monkeypatch.setattr(detector, "pass_benign_hit", skip_swap)
         mutated = run_program(parse_program(trace),
                               SimConfig(seed=4, alloc_threshold=ALWAYS_ARM))
         assert mutated.outcome == "CleanHalt"  # the overflow is missed
