@@ -20,7 +20,10 @@ the sampler armed so that runs with and without tripwires see identical
 tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
-tag) and clears the short granule's metadata bytes.  Freed regions queue
+tag) and clears the short granule's metadata bytes.  `allocate` and `free`
+write a region's tags and tripwire bytes themselves, one page lookup each:
+a region within one tag page is tagged with one slice, and one that crosses
+a page edge through `TaggedMemory.set_tag_range`.  Freed regions queue
 in a FIFO per size class and are reused with their free-time tag unchanged:
 a reuse draws no tag and writes no granule tag, since the granules already
 carry it.  The one exception is a free-time tag equal to the new
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .cpu import Machine, RunCounters
-from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
-                     PAGE_SHIFT, TAG_SHIFT, TaggedMemory)
+from .memory import (_TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE,
+                     PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
 
 if TYPE_CHECKING:
     from .runner import SimConfig
@@ -83,9 +86,12 @@ class AllocationRecord:
         return self.end - GRANULE_SIZE
 
 
-# -- short-granule metadata: the only code that knows the padding layout ---
+# -- short-granule metadata: the padding layout ---------------------------
 # The last padding byte, plus the one before it when there are two or more,
-# read as one big-endian word: counter bits above a 4-bit stashed tag.
+# read as one big-endian word: counter bits above a 4-bit stashed tag.  This
+# section and two writes in `Allocator` are the only code that knows it:
+# `allocate` arms a tripwire and `free` zeroes the metadata bytes inline, in
+# the pass that tags the region.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
 # of the granule tag and the metadata bytes.  The operations look the
@@ -156,30 +162,6 @@ def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
     if addressable <= 14:
         word |= data[last - 1] << 8
     return word >> 4
-
-
-def arm_tripwire(mem: TaggedMemory, granule: int, addressable: int, real_tag: int) -> None:
-    """Tag the granule with its addressable count; stash the real tag, count 0."""
-    a = granule & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = addressable
-    data = mem.data.get(index) or mem.data_page(index)
-    last = offset | _LAST
-    data[last] = real_tag
-    if addressable <= 14:
-        data[last - 1] = 0
-
-
-def clear_short_granule_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
-    """Zero the metadata bytes; the granule tag is left alone."""
-    a = granule & ADDRESS_MASK
-    data = mem.data.get(a >> PAGE_SHIFT)
-    if data is None:
-        return  # never written: already zero
-    last = a & PAGE_MASK | _LAST
-    data[last] = 0
-    if addressable <= 14:
-        data[last - 1] = 0
 
 
 # What `pass_benign_hit` did with a mismatch.
@@ -296,6 +278,15 @@ ZERO_TAG = 1
 _TAG_POOLS: Dict[int, Tuple[Tuple[int, ...], int, int]] = {}
 
 
+def _tag_pool(exclude: int) -> Tuple[Tuple[int, ...], int, int]:
+    """Build and cache the pool entry of `exclude`; raises if no tag is left."""
+    pool = tuple(t for t in range(16) if not exclude >> t & 1)
+    if not pool:
+        raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
+    entry = _TAG_POOLS[exclude] = (pool, len(pool), len(pool).bit_length())
+    return entry
+
+
 def generate_tag(exclude: int, rng: random.Random) -> int:
     """Draw a tag uniformly from {0..15} minus the exclusion mask `exclude`.
 
@@ -308,13 +299,7 @@ def generate_tag(exclude: int, rng: random.Random) -> int:
     two), so it consumes the same bits.  An exhausted mask raises before
     drawing anything.
     """
-    entry = _TAG_POOLS.get(exclude)
-    if entry is None:
-        pool = tuple(t for t in range(16) if not exclude >> t & 1)
-        if not pool:
-            raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
-        entry = _TAG_POOLS[exclude] = (pool, len(pool), len(pool).bit_length())
-    pool, n, k = entry
+    pool, n, k = _TAG_POOLS.get(exclude) or _tag_pool(exclude)
     getrandbits = rng.getrandbits
     r = getrandbits(k)
     while r >= n:
@@ -398,6 +383,7 @@ class Allocator:
             return base
 
         short = requested & _LAST
+        mem = self.mem
         fifo = self._free_lists.get(usable)
         if fifo:
             # the region's own record, with its free-time tag served unchanged
@@ -407,15 +393,30 @@ class Allocator:
             base, tag = rec.base, rec.tag
             if tag == short:
                 tag = rec.tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
-                self.mem.set_tag_range(base, usable, tag)
+                mem.set_tag_range(base, usable, tag)
         else:
             base = self._reserve_fresh(usable)
             tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
-            self.mem.set_tag_range(base, usable, tag)
+            offset = base & PAGE_MASK
+            if offset + usable <= PAGE_SIZE:
+                # `set_tag_range` within one page: one slice
+                first, end = offset >> GRANULE_SHIFT, (offset + usable) >> GRANULE_SHIFT
+                page = mem.tags.get(base >> PAGE_SHIFT) or mem.tag_page(base >> PAGE_SHIFT)
+                page[first:end] = _TAG_FILLS[tag][first:end]
+            else:
+                mem.set_tag_range(base, usable, tag)
             rec = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
-            arm_tripwire(self.mem, base + usable - GRANULE_SIZE, short, tag)
+            # arm: the granule tag becomes the addressable count, and the
+            # metadata bytes stash the real tag under a zero counter
+            last = base + usable - 1
+            index, offset = last >> PAGE_SHIFT, last & PAGE_MASK
+            (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = short
+            data = mem.data.get(index) or mem.data_page(index)
+            data[offset] = tag
+            if short <= 14:
+                data[offset - 1] = 0
             self.counters.tripwires_armed += 1
 
         self.live[base] = self._by_end[base + usable] = rec
@@ -434,17 +435,38 @@ class Allocator:
         self.counters.frees += 1
         base, usable = rec.base, rec.usable_size
         del self.live[base], self._by_end[base + usable]
-        # `addressable_count` and `short_granule_base`, each computed once
+        mem = self.mem
         addressable = rec.requested_size & _LAST
         if addressable:
-            clear_short_granule_metadata(self.mem, base + usable - GRANULE_SIZE, addressable)
+            # zero the short granule's metadata bytes; never written, they read 0
+            last = base + usable - 1
+            data = mem.data.get(last >> PAGE_SHIFT)
+            if data is not None:
+                last &= PAGE_MASK
+                data[last] = 0
+                if addressable <= 14:
+                    data[last - 1] = 0
 
         if usable <= self.config.large_threshold:
             # a primary region, even one that drew tag 0 under include_zero_tag;
-            # the untagged large path is never retagged or reused
-            new_tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
-            self.mem.set_tag_range(base, usable, new_tag)
-            rec.tag = new_tag
+            # the untagged large path is never retagged or reused.  The new tag
+            # is `generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)`, inline: the
+            # same getrandbits rejection loop over the same cached pool, so it
+            # consumes the same bits.
+            exclude = ZERO_TAG | 1 << rec.tag
+            pool, n, k = _TAG_POOLS.get(exclude) or _tag_pool(exclude)
+            getrandbits = self.rng.getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            tag = rec.tag = pool[r]
+            offset = base & PAGE_MASK
+            if offset + usable <= PAGE_SIZE:
+                # within one page, which the region's tagging at allocation made
+                first, end = offset >> GRANULE_SHIFT, (offset + usable) >> GRANULE_SHIFT
+                mem.tags[base >> PAGE_SHIFT][first:end] = _TAG_FILLS[tag][first:end]
+            else:
+                mem.set_tag_range(base, usable, tag)
             fifo = self._free_lists.get(usable)
             if fifo is None:
                 fifo = self._free_lists[usable] = deque()

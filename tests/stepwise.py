@@ -4,7 +4,7 @@ Each tripwire event is spelled out one step and one byte at a time through
 `TaggedMemory`'s methods: bump the counter, then retire (clearing the
 metadata at the threshold) or swap the granule tag with the stashed nibble.
 The tests hold the allocator's fused one-pass operations to these steps and
-use `ref_pass` to put a tripwire into a given state.
+use `ref_arm` and `ref_pass` to put a tripwire into a given state.
 """
 
 
@@ -25,6 +25,20 @@ def ref_store(mem, granule, addressable, word):
     for a in reversed(_span(granule, addressable)):
         mem.write_byte(a, word & 0xFF)
         word >>= 8
+
+
+def ref_arm(mem, granule, addressable, real_tag):
+    """Arm: tag the granule with its addressable count and stash the real
+    tag under a zero counter, as `Allocator.allocate` does when the sampler
+    arms."""
+    mem.set_granule_tag(granule, addressable)
+    ref_store(mem, granule, addressable, real_tag)
+
+
+def ref_clear(mem, granule, addressable):
+    """Zero the metadata bytes, as `Allocator.free` does; the granule tag is
+    left alone."""
+    ref_store(mem, granule, addressable, 0)
 
 
 def ref_swap(mem, granule):

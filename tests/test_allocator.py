@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -17,12 +17,11 @@ from mtesim import (
 )
 from mtesim.allocator import (
     HEAP_BASE,
+    HEAP_CEILING,
     ZERO_TAG,
     AllocationRecord,
     TagSpaceExhausted,
     access_count,
-    arm_tripwire,
-    clear_short_granule_metadata,
     metadata_capacity,
     metadata_span,
     read_tripwire,
@@ -30,7 +29,7 @@ from mtesim.allocator import (
 )
 from mtesim.cpu import RunCounters
 from mtesim.memory import address_tag, untagged
-from stepwise import ref_load, ref_store, ref_swap
+from stepwise import ref_arm, ref_clear, ref_load, ref_swap
 
 
 class AlwaysArm:
@@ -433,19 +432,32 @@ def test_revoke_and_read_match_stepwise_reference(granule, memtag, padding, neig
     _same(fused, ref)
 
 
-@given(granule=_granules, addressable=st.integers(1, 15), real_tag=st.integers(0, 15),
-       padding=_padding, neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)))
-def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_tag, padding,
-                                                     neighbours):
-    fused, ref = _twin_memories(granule, real_tag, padding, neighbours)
-    arm_tripwire(fused, granule, addressable, real_tag)
-    ref.set_granule_tag(granule, addressable)
-    ref_store(ref, granule, addressable, real_tag)
+# short granules near the heap's start, first in their page, and last under
+# the heap's ceiling (also the last in their page)
+_heap_granules = st.sampled_from([HEAP_BASE + 0x40, HEAP_BASE + 0x1000, HEAP_CEILING - 16])
+
+
+@given(granule=_heap_granules, addressable=st.integers(1, 15), granules=st.integers(1, 3),
+       seed=st.integers(0, 2**32), padding=_padding,
+       neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)))
+def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, granules, seed,
+                                                     padding, neighbours):
+    # a fresh region of `granules` granules whose short granule is at
+    # `granule`, armed by `allocate` and cleared and retagged by `free`
+    fused, ref = _twin_memories(granule, 0, padding, neighbours)
+    usable = 16 * granules
+    alloc = Allocator(fused, random.Random(seed), SimConfig(), AlwaysArm())
+    alloc._bump = base = granule + 16 - usable
+    ptr = alloc.allocate(usable - 16 + addressable)
+    real_tag = address_tag(ptr)
+    ref.set_tag_range(base, usable, real_tag)
+    ref_arm(ref, granule, addressable, real_tag)
     _same(fused, ref)
     assert read_tripwire(fused, granule) == (addressable, real_tag)
     assert access_count(fused, granule, addressable) == 0
-    clear_short_granule_metadata(fused, granule, addressable)
-    ref_store(ref, granule, addressable, 0)
+    assert alloc.free(ptr)
+    ref_clear(ref, granule, addressable)
+    ref.set_tag_range(base, usable, alloc._free_lists[usable][0].tag)
     _same(fused, ref)
 
 
@@ -453,7 +465,9 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, real_
 # `ReferenceAllocator` is `Allocator` as it was before `allocate` and `free`
 # each took one pass: it validates a pointer in a separate step, probes both
 # neighbours of every new region, registers through `rec.end` and draws a
-# tag with `rng.choice` over a listed pool.  Its
+# tag with `rng.choice` over a listed pool.  It writes tags through
+# `set_tag_range` and the tripwire's bytes through the stepwise `ref_arm` and
+# `ref_clear`, where the allocator writes in-page regions itself.  Its
 # `free`, like the allocator's, tells a large region by its size, so a
 # primary region that drew tag 0 is retagged and queued too.  Its maps hold
 # live allocations only, as the allocator's do; a reuse builds a new record
@@ -519,7 +533,7 @@ class ReferenceAllocator:
             self.mem.set_tag_range(base, usable, tag)
         rec = AllocationRecord(base, requested, usable, tag)
         if short and self.sampler is not None and self.sampler.should_arm():
-            arm_tripwire(self.mem, base + usable - 16, short, tag)
+            ref_arm(self.mem, base + usable - 16, short, tag)
             self.counters.tripwires_armed += 1
         self._add(rec)
         return base | tag << 56
@@ -540,8 +554,7 @@ class ReferenceAllocator:
         self.counters.frees += 1
         del self.live[rec.base], self._by_end[rec.end]
         if rec.addressable_count:
-            clear_short_granule_metadata(self.mem, rec.short_granule_base,
-                                         rec.addressable_count)
+            ref_clear(self.mem, rec.short_granule_base, rec.addressable_count)
         if rec.usable_size <= self.config.large_threshold:
             rec.tag = _choice_generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             self.mem.set_tag_range(rec.base, rec.usable_size, rec.tag)
@@ -596,7 +609,30 @@ def _state(alloc):
             alloc.counters, alloc.rng.getstate())
 
 
+def _edge_case(*sizes):
+    """Allocate `sizes` in order; free the last region, reuse it, free it
+    again, reuse it under a size whose addressable count equals its free-time
+    tag (a redraw) and free it once more."""
+    last = len(sizes) - 1
+    return ([("alloc", size) for size in sizes]
+            + [("free", last, 0), ("alloc", sizes[-1]), ("free", last + 1, 0), ("tag", 0),
+               ("free", last + 2, 0)])
+
+
+# Regions at 4 KiB page edges (the heap starts on one), each fresh, reused
+# and redrawn on reuse: one that ends exactly at an edge, the largest region
+# a free retags with one slice; one that straddles an edge; and a short
+# granule first in its page, in a region of its own and at the end of a
+# straddling one.
 @settings(max_examples=150, deadline=None)
+@example(ops=_edge_case(1024, 1024, 1024, 1020), odd_even=True, include_zero_tag=False,
+         large_threshold=1024, sampler="always", seed=1)
+@example(ops=_edge_case(1000, 1000, 1000, 1000, 100), odd_even=True, include_zero_tag=False,
+         large_threshold=1024, sampler="always", seed=1)
+@example(ops=_edge_case(1024, 1024, 1024, 1024, 8), odd_even=True, include_zero_tag=False,
+         large_threshold=1024, sampler="always", seed=1)
+@example(ops=_edge_case(1024, 1024, 1024, 1008, 20), odd_even=True, include_zero_tag=False,
+         large_threshold=1024, sampler="always", seed=1)
 @given(ops=st.lists(st.one_of(_alloc_op(), _free_op()), max_size=50),
        odd_even=st.booleans(), include_zero_tag=st.booleans(),
        large_threshold=st.sampled_from(_THRESHOLDS),

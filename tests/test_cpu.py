@@ -18,11 +18,10 @@ from mtesim import (
     parse_program,
 )
 from mtesim import cpu
-from mtesim.allocator import arm_tripwire
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
 from mtesim.trace import Program
-from stepwise import ref_pass
+from stepwise import ref_arm, ref_pass
 
 
 def machine_for(text, mode=Mode.SYNC):
@@ -531,7 +530,7 @@ def test_step_matches_tag_check_and_handler_reference(
                              access_threshold=threshold))
     mem.set_granule_tag(short, real_tag)
     if state != "plain":
-        arm_tripwire(mem, short, addressable, real_tag)
+        ref_arm(mem, short, addressable, real_tag)
     if state == "delegated":        # a benign hit is outstanding; its trap slot lies ahead
         ref_pass(mem, short, addressable, 64, True)
         det.delegations[9] = short
@@ -602,10 +601,10 @@ class TestSlowPathReach:
         # addressable bytes.  Pages start at 0x2000 and 0x3000.
         mem = TaggedMemory()
         mem.set_tag_range(0x1FF0, 0x130, 0xA)
-        arm_tripwire(mem, 0x2120, 8, 0xA)
+        ref_arm(mem, 0x2120, 8, 0xA)
         mem.set_granule_tag(0x2130, 0x5)
         mem.set_granule_tag(0x2FF0, 0xA)
-        arm_tripwire(mem, 0x3000, 8, 0xA)
+        ref_arm(mem, 0x3000, 8, 0xA)
         return mem
 
     def run_access(self, start, width, pair, tripwires=True, mode=Mode.SYNC):

@@ -18,14 +18,13 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
-from mtesim.allocator import (access_count, arm_tripwire, metadata_span, read_tripwire,
-                              revoke_tripwire)
+from mtesim.allocator import access_count, metadata_span, read_tripwire, revoke_tripwire
 from mtesim.cpu import RunCounters
 from mtesim.detector import Detector, ProtocolError
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
 from mtesim.trace import Program, generate_program
-from stepwise import ref_pass
+from stepwise import ref_arm, ref_pass
 
 GBASE = 0x1000
 
@@ -462,7 +461,7 @@ def test_fused_benign_hit_matches_stepwise_reference(
         mem.write_bytes(granule, padding)
         mem.set_granule_tag(granule, memtag)
     if state == "armed":
-        arm_tripwire(mem, granule, addressable, real_tag)
+        ref_arm(mem, granule, addressable, real_tag)
         capacity = 15 if addressable == 15 else 4095
         count = max(0, min(threshold, capacity) + count) if count < 0 else count % capacity
         word = count << 4 | real_tag

@@ -5,6 +5,7 @@ import pytest
 
 from mtesim import (
     ALWAYS_ARM,
+    Allocator,
     SimConfig,
     WorkloadSpec,
     exp_collision_rate,
@@ -16,7 +17,9 @@ from mtesim import (
     uniform_sizes,
     wilson_95_ci,
 )
+from mtesim.allocator import metadata_span
 from mtesim.experiments import ExperimentResult
+from mtesim.memory import untagged
 
 
 class TestWilson:
@@ -154,8 +157,19 @@ class TestRecoveryTransparency:
     def test_metadata_left_behind_by_free_is_reported(self, monkeypatch):
         # the mask covers live short granules only: a free that leaves
         # tripwire metadata in the padding must show as a data difference
-        monkeypatch.setattr("mtesim.allocator.clear_short_granule_metadata",
-                            lambda mem, granule, addressable: None)
+        free = Allocator.free
+
+        def free_leaving_metadata(self, raw):
+            rec = self.live.get(untagged(raw))
+            span = () if rec is None or rec.short_granule_base is None else \
+                metadata_span(rec.short_granule_base, rec.addressable_count)
+            saved = [(a, self.mem.read_byte(a)) for a in span]
+            freed = free(self, raw)
+            for a, byte in saved:
+                self.mem.write_byte(a, byte)
+            return freed
+
+        monkeypatch.setattr(Allocator, "free", free_leaving_metadata)
         programs = generate_workload(WorkloadSpec(kind="benign", count=60, seed=1))
         result = exp_recovery_transparency(programs, SimConfig(seed=0), 36)
         assert not result.passed
