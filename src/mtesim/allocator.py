@@ -20,10 +20,11 @@ the sampler armed so that runs with and without tripwires see identical
 tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
-tag) and clears the short granule's metadata bytes.  `allocate` and `free`
-write a region's tags and tripwire bytes themselves, one page lookup each:
-a region within one tag page is tagged with one slice, and one that crosses
-a page edge through `TaggedMemory.set_tag_range`.  Freed regions queue
+tag) and clears the short granule's metadata bytes.  `allocate` arms a
+tripwire and `free` zeroes the metadata bytes themselves, one page lookup
+each; `free` also retags a region within one tag page with one slice.  A
+new region, a region that crosses a page edge and a redraw on reuse are
+tagged through `TaggedMemory.set_tag_range`.  Freed regions queue
 in a FIFO per size class and are reused with their free-time tag unchanged:
 a reuse draws no tag and writes no granule tag, since the granules already
 carry it.  The one exception is a free-time tag equal to the new
@@ -90,8 +91,7 @@ class AllocationRecord:
 # The last padding byte, plus the one before it when there are two or more,
 # read as one big-endian word: counter bits above a 4-bit stashed tag.  This
 # section and two writes in `Allocator` are the only code that knows it:
-# `allocate` arms a tripwire and `free` zeroes the metadata bytes inline, in
-# the pass that tags the region.
+# `allocate` arms a tripwire and `free` zeroes the metadata bytes inline.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
 # of the granule tag and the metadata bytes.  The operations look the
@@ -278,15 +278,6 @@ ZERO_TAG = 1
 _TAG_POOLS: Dict[int, Tuple[Tuple[int, ...], int, int]] = {}
 
 
-def _tag_pool(exclude: int) -> Tuple[Tuple[int, ...], int, int]:
-    """Build and cache the pool entry of `exclude`; raises if no tag is left."""
-    pool = tuple(t for t in range(16) if not exclude >> t & 1)
-    if not pool:
-        raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
-    entry = _TAG_POOLS[exclude] = (pool, len(pool), len(pool).bit_length())
-    return entry
-
-
 def generate_tag(exclude: int, rng: random.Random) -> int:
     """Draw a tag uniformly from {0..15} minus the exclusion mask `exclude`.
 
@@ -299,7 +290,13 @@ def generate_tag(exclude: int, rng: random.Random) -> int:
     two), so it consumes the same bits.  An exhausted mask raises before
     drawing anything.
     """
-    pool, n, k = _TAG_POOLS.get(exclude) or _tag_pool(exclude)
+    entry = _TAG_POOLS.get(exclude)
+    if entry is None:
+        pool = tuple(t for t in range(16) if not exclude >> t & 1)
+        if not pool:
+            raise TagSpaceExhausted(f"no tag left outside exclusion mask {exclude:#06x}")
+        entry = _TAG_POOLS[exclude] = (pool, len(pool), len(pool).bit_length())
+    pool, n, k = entry
     getrandbits = rng.getrandbits
     r = getrandbits(k)
     while r >= n:
@@ -397,14 +394,7 @@ class Allocator:
         else:
             base = self._reserve_fresh(usable)
             tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
-            offset = base & PAGE_MASK
-            if offset + usable <= PAGE_SIZE:
-                # `set_tag_range` within one page: one slice
-                first, end = offset >> GRANULE_SHIFT, (offset + usable) >> GRANULE_SHIFT
-                page = mem.tags.get(base >> PAGE_SHIFT) or mem.tag_page(base >> PAGE_SHIFT)
-                page[first:end] = _TAG_FILLS[tag][first:end]
-            else:
-                mem.set_tag_range(base, usable, tag)
+            mem.set_tag_range(base, usable, tag)
             rec = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
@@ -449,17 +439,8 @@ class Allocator:
 
         if usable <= self.config.large_threshold:
             # a primary region, even one that drew tag 0 under include_zero_tag;
-            # the untagged large path is never retagged or reused.  The new tag
-            # is `generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)`, inline: the
-            # same getrandbits rejection loop over the same cached pool, so it
-            # consumes the same bits.
-            exclude = ZERO_TAG | 1 << rec.tag
-            pool, n, k = _TAG_POOLS.get(exclude) or _tag_pool(exclude)
-            getrandbits = self.rng.getrandbits
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            tag = rec.tag = pool[r]
+            # the untagged large path is never retagged or reused
+            tag = rec.tag = generate_tag(ZERO_TAG | 1 << rec.tag, self.rng)
             offset = base & PAGE_MASK
             if offset + usable <= PAGE_SIZE:
                 # within one page, which the region's tagging at allocation made

@@ -6,10 +6,9 @@ Memory is stored in 4 KiB pages: each page of data bytes is a
 has been written to it; untouched bytes read as 0 and untouched granules
 carry tag 0, so "never allocated" and "unprotected" fall out of the
 representation for free.  A byte move within a page is one slice, and
-tagging a range (`set_tag_range`) is one slice assignment per page.  The
-allocator tags a region within one page with that slice itself, as Scudo's
-`storeTags` tags an allocation, and calls `set_tag_range` for a region
-that crosses a page edge.
+tagging a region (`set_tag_range`, as Scudo's `storeTags` tags an
+allocation) is one slice assignment per page.  The allocator's `free`
+retags a region within one page with that slice itself.
 
 The simulator spends a whole byte on each tag, where the modelled hardware
 spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
@@ -88,7 +87,7 @@ class TaggedMemory:
     `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
     `tags` maps the same index to the page's granule tags, one byte each.
     Outside this class only the machine's tag check, the allocator's
-    short-granule metadata operations and its region tagging index pages;
+    short-granule metadata operations and its retag at free index pages;
     everything else reads memory through the methods, `nonzero_bytes`,
     `nonzero_tags` and `snapshot`.
     """

@@ -467,7 +467,7 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, granu
 # neighbours of every new region, registers through `rec.end` and draws a
 # tag with `rng.choice` over a listed pool.  It writes tags through
 # `set_tag_range` and the tripwire's bytes through the stepwise `ref_arm` and
-# `ref_clear`, where the allocator writes in-page regions itself.  Its
+# `ref_clear`, where the allocator retags in-page regions at free itself.  Its
 # `free`, like the allocator's, tells a large region by its size, so a
 # primary region that drew tag 0 is retagged and queued too.  Its maps hold
 # live allocations only, as the allocator's do; a reuse builds a new record

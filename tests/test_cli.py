@@ -322,7 +322,6 @@ def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, tmp_path, ca
         raise MemoryError
 
     monkeypatch.setattr(TaggedMemory, "set_tag_range", exhausted)
-    monkeypatch.setattr(TaggedMemory, "tag_page", exhausted)
     if argv[0] == "gen":
         monkeypatch.setattr(cli, "generate_workload", exhausted)
     argv = [trace_file(BENIGN) if a == "TRACE" else str(tmp_path) if a == "OUT" else a
