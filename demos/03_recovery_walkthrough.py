@@ -8,7 +8,7 @@ again.  An in-padding counter retires tripwires that fault too often.
 """
 
 from mtesim import ALWAYS_ARM, SimConfig, Simulation, parse_program, tripwire_armed
-from mtesim.allocator import access_count, metadata_span, read_tripwire
+from mtesim.detector import access_count, metadata_span, read_tripwire
 from mtesim.memory import untagged
 
 TRACE = """\

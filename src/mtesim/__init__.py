@@ -12,7 +12,6 @@ from .allocator import (
     Allocator,
     generate_tag,
     size_class,
-    tripwire_armed,
 )
 from .cpu import (
     Instruction,
@@ -20,7 +19,7 @@ from .cpu import (
     Mode,
     Opcode,
 )
-from .detector import BugKind, check_access
+from .detector import BugKind, check_access, tripwire_armed
 from .experiments import (
     exp_collision_rate,
     exp_detection_rate,

@@ -13,11 +13,13 @@ Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
 count and the allocation's real tag is stashed in the granule's padding,
 alongside an access counter (layout and states: README.md, "Short-granule
-metadata").  The real-tag draw for a short-granule allocation also
-excludes the addressable count itself; a tag equal to the tripwire value
-would make the tripwire silent, and the draw must not depend on whether
-the sampler armed so that runs with and without tripwires see identical
-tags.
+metadata").  The allocator arms a tripwire and clears its metadata at
+free; the tag-fault handler, `mtesim.detector`, owns the layout and
+everything else a tripwire does.  The real-tag draw for a short-granule
+allocation also excludes the addressable count itself; a tag equal to the
+tripwire value would make the tripwire silent, and the draw must not
+depend on whether the sampler armed so that runs with and without
+tripwires see identical tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  `allocate` arms a
@@ -30,7 +32,8 @@ a reuse draws no tag and writes no granule tag, since the granules already
 carry it.  The one exception is a free-time tag equal to the new
 allocation's addressable count: the region then gets a fresh draw under the
 same exclusions as a new region.
-The tripwire state itself lives only in memory (see `tripwire_armed`).
+The tripwire state itself lives only in memory (see
+`mtesim.detector.tripwire_armed`).
 One record stands for one region for its whole life: it sits in the live
 maps while the region is allocated and in its size class's FIFO while it
 is free.
@@ -43,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .cpu import Machine, RunCounters
+from .cpu import RunCounters
 from .memory import (_TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE,
                      PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
 
@@ -87,175 +90,12 @@ class AllocationRecord:
         return self.end - GRANULE_SIZE
 
 
-# -- short-granule metadata: the padding layout ---------------------------
-# The last padding byte, plus the one before it when there are two or more,
-# read as one big-endian word: counter bits above a 4-bit stashed tag.  This
-# section and two writes in `Allocator` are the only code that knows it:
-# `allocate` arms a tripwire and `free` zeroes the metadata bytes inline.
-#
-# Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
-# of the granule tag and the metadata bytes.  The operations look the
-# granule's tag page and data page up once each and index them, as the
-# machine's tag check does: a method call per byte costs more than the event
-# itself.  `pages.get(i) or mem.tag_page(i)` makes a page only when none
-# exists (a page is never empty, so never false).  Reads and clears make no
-# page.  `granule` is the base address of a granule; its last byte sits at
-# page offset `granule & PAGE_MASK | _LAST`.
-#
-# A benign hit is one call, `pass_benign_hit`: the read, the benign/bug
-# rule (`check_access`, or the allow-listed overread rule), the count and
-# the delegate/retire write.  When the trap that would revoke a delegation
-# fires in the same `Machine.run` call, the hit writes only the counter and
-# leaves the tripwire armed: delegate, access, trap and revoke have no other
-# net effect.  The bug report reads the granule with `read_tripwire`.
+# The short-granule padding layout (metadata bytes, stashed tag, counter)
+# belongs to the tag-fault handler: `mtesim.detector`'s "short-granule
+# metadata" section.  Two writes here know it too, inline: `allocate` arms a
+# tripwire and `free` zeroes the metadata bytes.
 
 _LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
-
-
-def metadata_span(granule: int, addressable: int) -> range:
-    """Addresses of the metadata bytes of the short granule at `granule`."""
-    last = granule + _LAST
-    return range(last - 1 if addressable <= 14 else last, last + 1)
-
-
-def metadata_capacity(addressable: int) -> int:
-    """Counter capacity: 4 bits (15) with one padding byte, else 12 bits (4095)."""
-    return 15 if addressable == 15 else 4095
-
-
-def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
-                 metadata: int) -> bool:
-    """Byte-granular benign/bug decision for a faulting access.
-
-    True means benign.  Zero tags on either side are never addressable; a
-    metadata nibble that differs from the pointer tag means the fault was
-    not this pointer's tripwire; otherwise the access must end within the
-    granule's addressable bytes, whose count the memory tag encodes.
-    """
-    if memtag == 0 or addrtag == 0:
-        return False
-    if addrtag != metadata:
-        return False
-    granule = f & ~(GRANULE_SIZE - 1)
-    permitted = granule + memtag
-    attempted = start + size
-    return attempted <= permitted
-
-
-def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
-    """Memory tag of the granule holding `address`, and the low nibble of the
-    granule's last byte: the addressable count and the real tag while armed."""
-    a = address & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    tags, data = mem.tags.get(index), mem.data.get(index)
-    return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
-            0 if data is None else data[offset | _LAST] & 0xF)
-
-
-def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    a = granule & ADDRESS_MASK
-    data = mem.data.get(a >> PAGE_SHIFT)
-    if data is None:
-        return 0
-    last = a & PAGE_MASK | _LAST
-    word = data[last]
-    if addressable <= 14:
-        word |= data[last - 1] << 8
-    return word >> 4
-
-
-# What `pass_benign_hit` did with a mismatch.
-DECLINED, DELEGATED, REARMED, RETIRED_BY_THRESHOLD, RETIRED_AT_RET_EDGE = range(5)
-
-
-def pass_benign_hit(mem: TaggedMemory, address: int, start: int, size: int, addrtag: int,
-                    skip: bool, threshold: int, machine: Machine, pc: int,
-                    next_in_call: bool) -> int:
-    """Take one sync-mode mismatch at `address` through the tripwire of its
-    granule, if it is benign; returns what happened.
-
-    The access spans `size` bytes from untagged `start` under address tag
-    `addrtag`.  With `skip` (an allow-listed overread under
-    `overread_skip`) a hit on this pointer's tripwire passes without the
-    bounds check and is not counted; otherwise `check_access` decides.
-    DECLINED (a bug) leaves memory untouched.  A counted hit bumps the
-    counter and retires the tripwire, zeroing its metadata, once the count
-    reaches `threshold` or the counter's capacity.  Otherwise, when
-    `machine.can_trap(pc + 1)`, the slot after the access at `pc`:
-
-      REARMED    when `next_in_call` (slot `pc + 1` runs in the same
-                 `Machine.run` call), writing only the counter.  The access
-                 ends within the addressable bytes, so it never touches the
-                 tag or the metadata bytes; delegating and then revoking at
-                 the trap would swap the tag there and straight back.  The
-                 caller counts that trap.
-      DELEGATED  otherwise: the granule wears the stashed real tag, with
-                 the addressable count stashed where the real tag was,
-                 until the trap at `pc + 1` revokes it.
-
-    Without a trap slot it is RETIRED_AT_RET_EDGE: the granule wears the
-    real tag, with the metadata left as the hit made it.  An uncounted hit
-    is never REARMED, since an allow-listed overread may read the padding
-    while it is delegated.  The machine is asked only when that decides the
-    outcome.  It is passed whole, not as a bound method, so a declined
-    mismatch makes no method object.
-    """
-    a = address & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    tags, data = mem.tags.get(index), mem.data.get(index)
-    g, last = offset >> GRANULE_SHIFT, offset | _LAST
-    memtag = 0 if tags is None else tags[g]
-    low = 0 if data is None else data[last]
-    metadata = low & 0xF
-    if skip and memtag != 0 and addrtag != 0 and metadata == addrtag:
-        # uncounted: the counter is left alone, and no threshold retires it
-        tags[g] = metadata
-        if machine.can_trap(pc + 1):
-            data[last] = low & 0xF0 | memtag
-            return DELEGATED
-        return RETIRED_AT_RET_EDGE
-    if not check_access(a, start, size, addrtag, memtag, metadata):
-        return DECLINED
-    # benign: memtag and the stashed nibble are nonzero, so both pages exist
-    two = memtag <= 14
-    word = (data[last - 1] << 8 | low if two else low) + (1 << 4)
-    if word >> 4 >= threshold or word >> 4 >= metadata_capacity(memtag):
-        tags[g], word, outcome = metadata, 0, RETIRED_BY_THRESHOLD
-    elif not machine.can_trap(pc + 1):
-        tags[g], outcome = metadata, RETIRED_AT_RET_EDGE
-    elif next_in_call:
-        outcome = REARMED
-    else:
-        tags[g], word, outcome = metadata, word & ~0xF | memtag, DELEGATED
-    data[last] = word & 0xFF
-    if two:
-        data[last - 1] = word >> 8 & 0xFF
-    return outcome
-
-
-def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
-    """Swap the granule tag with the stashed nibble, rearming a delegated tripwire."""
-    a = granule & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    tags = mem.tags.get(index) or mem.tag_page(index)
-    data = mem.data.get(index) or mem.data_page(index)
-    g, last = offset >> GRANULE_SHIFT, offset | _LAST
-    byte = data[last]
-    data[last] = byte & 0xF0 | tags[g]
-    tags[g] = byte & 0xF
-
-
-def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
-    """True when `rec`'s short granule currently holds an armed tripwire.
-
-    Memory is the only record of tripwire state: an armed granule wears the
-    addressable count as its memory tag and stashes the real tag.
-    Delegated, retired and never-armed granules all read false.
-    """
-    short_base = rec.short_granule_base
-    if short_base is None:
-        return False
-    return read_tripwire(mem, short_base) == (rec.addressable_count, rec.tag)
 
 
 def size_class(requested: int) -> int:
@@ -399,7 +239,8 @@ class Allocator:
 
         if short and self.sampler is not None and self.sampler.should_arm():
             # arm: the granule tag becomes the addressable count, and the
-            # metadata bytes stash the real tag under a zero counter
+            # metadata bytes stash the real tag under a zero counter (the
+            # layout: `mtesim.detector`, "short-granule metadata")
             last = base + usable - 1
             index, offset = last >> PAGE_SHIFT, last & PAGE_MASK
             (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = short
@@ -428,7 +269,9 @@ class Allocator:
         mem = self.mem
         addressable = rec.requested_size & _LAST
         if addressable:
-            # zero the short granule's metadata bytes; never written, they read 0
+            # zero the short granule's metadata bytes (the layout:
+            # `mtesim.detector`, "short-granule metadata"); never written,
+            # they read 0
             last = base + usable - 1
             data = mem.data.get(last >> PAGE_SHIFT)
             if data is not None:

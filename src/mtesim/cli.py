@@ -32,6 +32,7 @@ from .trace import (
     TraceParseError,
     WorkloadError,
     WorkloadSpec,
+    check_size_distribution,
     generate_workload,
     parse_program,
     render_program,
@@ -72,12 +73,45 @@ def _seed(args) -> int:
         raise ValueError(f"MTESIM_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_sizes(text: str) -> Tuple[Tuple[int, float], ...]:
+# Argument types: argparse prefixes their errors with the flag's name.
+def _trials(text: str) -> int:
+    """A `--trials` value: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _sizes(text: str) -> Tuple[Tuple[int, float], ...]:
+    """A `--sizes` value: comma-separated SIZE or SIZE:WEIGHT (weight 1)."""
     out = []
     for part in text.split(","):
         size, _, weight = part.partition(":")
-        out.append((int(size), float(weight) if weight else 1.0))
+        try:
+            out.append((int(size), float(weight) if weight else 1.0))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected SIZE[:WEIGHT], got {part!r}") from None
+    try:
+        check_size_distribution(out)
+    except WorkloadError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return tuple(out)
+
+
+def _uniform(text: str) -> range:
+    """A `--uniform` value LO:HI: the sizes LO..HI, equally likely."""
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi <= sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"expected LO:HI with 1 <= LO <= HI <= {sys.maxsize}, got {text!r}")
+    return uniform_sizes(lo, hi)
 
 
 # `WorkloadSpec`'s default distribution as `--sizes` text
@@ -118,7 +152,7 @@ def _config_from_args(args) -> SimConfig:
 
 
 def _add_sizes_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sizes", default=_DEFAULT_SIZES)
+    p.add_argument("--sizes", type=_sizes, default=_DEFAULT_SIZES)
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
@@ -133,7 +167,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
 def _workload_spec(args, **given) -> WorkloadSpec:
     """The workload of `gen` or `exp detection`: the shared flags plus
     `given`; every other field keeps its `WorkloadSpec` default."""
-    return WorkloadSpec(kind=args.kind, size_distribution=_parse_sizes(args.sizes),
+    return WorkloadSpec(kind=args.kind, size_distribution=args.sizes,
                         seed=_seed(args), adjacent=args.adjacent,
                         reuse_cycles=args.reuse_cycles, **given)
 
@@ -188,19 +222,14 @@ def cmd_gen(args) -> int:
     if reason is not None:
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    out = Path(args.out)
-    kind_dir = out / spec.kind
+    kind_dir = Path(args.out) / spec.kind
     try:
         kind_dir.mkdir(parents=True, exist_ok=True)
         for i, program in enumerate(programs):
             (kind_dir / f"{i:05d}.mtr").write_text(render_program(program))
-        manifest = {
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "count": spec.count,
-            "size_distribution": [list(sw) for sw in spec.size_distribution],
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        # every field of the spec, so the manifest alone rebuilds the corpus
+        manifest = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+        (kind_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     except (OSError, MemoryError) as e:
         reason = _reason(e)
     if reason is not None:
@@ -228,17 +257,13 @@ def _run_experiment(args, seed: int) -> int:
         result = exp_collision_rate(args.trials, seed, include_zero=args.include_zero_tag)
         print(result.to_json())
     elif args.experiment == "vulnerable-fraction":
-        if args.uniform:
-            lo, hi = (int(x) for x in args.uniform.split(":"))
-            dist = uniform_sizes(lo, hi)
-        else:
-            dist = list(_parse_sizes(args.sizes))
+        dist = args.uniform or list(args.sizes)
         fraction = exp_vulnerable_fraction(dist, args.trials, seed)
         print(json.dumps({"name": "vulnerable_fraction", "trials": args.trials,
                           "fraction": fraction, "seed": seed}, indent=2))
     elif args.experiment == "transparency":
         config = _config_from_args(args)
-        spec = WorkloadSpec(kind="benign", size_distribution=_parse_sizes(args.sizes),
+        spec = WorkloadSpec(kind="benign", size_distribution=args.sizes,
                             count=args.trials, seed=seed)
         result = exp_recovery_transparency(generate_workload(spec), config, seed)
         print(json.dumps(result.to_json_dict(), indent=2))
@@ -292,13 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="share of allocation sizes that leave a short granule")
     p_vul.add_argument("--seed", type=int, default=None)
     _add_sizes_flag(p_vul)
-    p_vul.add_argument("--uniform", help="uniform size range lo:hi, instead of --sizes")
+    p_vul.add_argument("--uniform", type=_uniform,
+                       help="uniform size range lo:hi, instead of --sizes")
     p_tra = experiments.add_parser(
         "transparency", help="benign programs end alike with checks off and every tripwire armed")
     _add_sizes_flag(p_tra)
     _add_config_flags(p_tra)
     for p in (p_det, p_col, p_vul, p_tra):
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=_trials, default=1000)
         p.set_defaults(func=cmd_exp)
 
     return parser

@@ -34,9 +34,10 @@ as plain values and whether slot `pc + 1` runs in the same call (the
 budget has not ended at `pc`): a benign tripwire hit resumes the access
 without a descriptor or a `Fault`, and anything else is a bug, whose
 `Fault` goes to `Detector.handle_tag_mismatch` for its report.  A hit
-whose trap would fire in the same call is taken whole at that site, its
-trap counted, so the loop's trap dispatch sees only the delegations of an
-allow-listed overread or of a machine paused right after a hit.  In async
+whose trap would fire in the same call is taken whole at that site, the
+detector counting its trap, so the loop's trap dispatch sees only the
+delegations of an allow-listed overread or of a machine paused right after
+a hit; `Detector.handle_trap` counts each trap it revokes.  In async
 mode the first mismatch becomes the pending fault.  A later one before
 the next kernel entry is counted but not reported, so within a page it
 builds no `Fault`.
@@ -184,9 +185,9 @@ class RunCounters:
 
 
 class Machine:
-    """Bumps `instructions_executed`, `faults_delivered` and
-    `traps_delivered` in `counters`, a record of its own unless one is
-    given; the detector counts a trap it takes with its hit."""
+    """Bumps `instructions_executed` and `faults_delivered` in `counters`,
+    a record of its own unless one is given; the detector counts every
+    trap, the ones `handle_trap` revokes and the ones taken with a hit."""
 
     def __init__(self, program, mode: Mode = Mode.SYNC, counters: Optional[RunCounters] = None):
         self.program = program
@@ -291,7 +292,6 @@ class Machine:
                     raise TraceRuntimeError(f"pc {pc} outside program") from None
                 if pc in delegations:
                     self.pc = pc
-                    counters.traps_delivered += 1
                     detector.handle_trap(self, mem, allocator)
                 executed += 1
                 kind, dst, src, base, offset_reg, offset, width, pair, imm, overread_ok = instr

@@ -1,11 +1,15 @@
-"""Tag mismatch handler: byte-granular check and recovery protocol.
+"""Tag-fault handler: the short-granule metadata, the byte-granular check
+and the recovery protocol.
+
+As in HWASan, the allocator only tags memory at allocate and free (it arms
+a tripwire and clears its metadata), and the fault handler owns the rest:
+the padding layout ("short-granule metadata" below), the benign/bug rule,
+the hit's count and every trap.
 
 `check_access` is the whole decision procedure and is a pure function of
 six values, all of which the handler recovers in-band: the fault address,
 the decoded access bounds, the pointer's address tag, the granule's memory
 tag, and the tag stashed in the granule's padding.  No side table exists.
-It is defined in the allocator's metadata section, next to the padding
-layout it reads, and imported here as the detector's rule.
 
 A benign verdict starts the recovery dance:
 
@@ -18,29 +22,16 @@ A benign verdict starts the recovery dance:
                the trap
 
 Benign hits also bump the in-padding access counter; reaching the counter's
-capacity or the configured threshold retires the tripwire for good.
+capacity or the configured threshold retires the tripwire for good.  When
+the trap slot runs in the same `Machine.run` call, a counted hit is
+rearmed in place: the dance's one net effect is the counter bump and the
+trap (see `Detector.pass_benign_mismatch`).
 
-A counted benign hit ends within the granule's addressable bytes, so the
-access it resumes never touches the granule's tag or metadata bytes.  When
-the trap slot runs in the same `Machine.run` call, the three steps
-therefore have one net effect: the counter bumps and one trap is
-delivered.  The hit writes just that and leaves the tripwire armed
-(`REARMED`), opening no delegation.  The full dance remains for a machine
-paused right after the hit (`step`, or a `run` budget that ends there) and
-for an uncounted allow-listed overread, which may read the padding while
-it is delegated.
-
-A sync-mode mismatch gets its verdict at one site.  `Machine.run` calls
-`pass_benign_mismatch` once per mismatch, with the access as plain values
-and whether the next slot runs in the same call.  That makes one call into
-the metadata section, `pass_benign_hit`, which looks the granule's tag and
-data pages up once and does the read, the rule (`check_access` or the
-overread-skip rule), the trap-slot test, the count and the rearm, delegate
-or retire write; the detector then counts the trap, records the delegation
-or counts the retirement, and returns True to resume.  Only when the hit
-is declined does the machine build a `Fault` and call
-`handle_tag_mismatch`, which labels and reports the bug.  So the benign/bug
-rule is written once, in `check_access`, and taken once per mismatch.
+`Machine.run` hands each sync-mode mismatch to `pass_benign_mismatch` as
+plain values; that one method takes the verdict, writes its result and
+counts it, so the rule in `check_access` is taken once per mismatch.  Only
+a declined hit becomes a `Fault` for `handle_tag_mismatch`, which labels
+and reports the bug.
 """
 
 from __future__ import annotations
@@ -50,15 +41,114 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-# `check_access`, the benign/bug rule the detector applies, is defined next
-# to the padding layout it reads.
-from .allocator import (DECLINED, DELEGATED, REARMED, RETIRED_BY_THRESHOLD, check_access,
-                        pass_benign_hit, read_tripwire, revoke_tripwire)
 from .cpu import AccessDescriptor, Fault, Machine, RunCounters
-from .memory import GRANULE_MASK, GRANULE_SIZE, TaggedMemory, address_tag, untagged
+from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
+                     PAGE_SHIFT, TaggedMemory, address_tag, untagged)
 
 if TYPE_CHECKING:
+    from .allocator import AllocationRecord
     from .runner import SimConfig
+
+
+# -- short-granule metadata: the padding layout ---------------------------
+# The last padding byte, plus the one before it when there are two or more,
+# read as one big-endian word: counter bits above a 4-bit stashed tag.  This
+# section, `Detector.pass_benign_mismatch` and two writes in `Allocator` are
+# the only code that knows it: `allocate` arms a tripwire and `free` zeroes
+# the metadata bytes inline.
+#
+# Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
+# of the granule tag and the metadata bytes.  The operations look the
+# granule's tag page and data page up once each and index them, as the
+# machine's tag check does: a method call per byte costs more than the event
+# itself.  `pages.get(i) or mem.tag_page(i)` makes a page only when none
+# exists (a page is never empty, so never false).  Reads and clears make no
+# page.  `granule` is the base address of a granule; its last byte sits at
+# page offset `granule & PAGE_MASK | _LAST`.
+#
+# A benign hit is one call, `Detector.pass_benign_mismatch`: the read, the
+# benign/bug rule (`check_access`, or the allow-listed overread rule), the
+# count and the rearm/delegate/retire write.  The bug report reads the
+# granule with `read_tripwire`.
+
+_LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
+
+
+def metadata_span(granule: int, addressable: int) -> range:
+    """Addresses of the metadata bytes of the short granule at `granule`."""
+    last = granule + _LAST
+    return range(last - 1 if addressable <= 14 else last, last + 1)
+
+
+def metadata_capacity(addressable: int) -> int:
+    """Counter capacity: 4 bits (15) with one padding byte, else 12 bits (4095)."""
+    return 15 if addressable == 15 else 4095
+
+
+def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
+                 metadata: int) -> bool:
+    """Byte-granular benign/bug decision for a faulting access.
+
+    True means benign.  Zero tags on either side are never addressable; a
+    metadata nibble that differs from the pointer tag means the fault was
+    not this pointer's tripwire; otherwise the access must end within the
+    granule's addressable bytes, whose count the memory tag encodes.
+    """
+    if memtag == 0 or addrtag == 0:
+        return False
+    if addrtag != metadata:
+        return False
+    granule = f & ~(GRANULE_SIZE - 1)
+    permitted = granule + memtag
+    attempted = start + size
+    return attempted <= permitted
+
+
+def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
+    """Memory tag of the granule holding `address`, and the low nibble of the
+    granule's last byte: the addressable count and the real tag while armed."""
+    a = address & ADDRESS_MASK
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags, data = mem.tags.get(index), mem.data.get(index)
+    return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
+            0 if data is None else data[offset | _LAST] & 0xF)
+
+
+def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
+    a = granule & ADDRESS_MASK
+    data = mem.data.get(a >> PAGE_SHIFT)
+    if data is None:
+        return 0
+    last = a & PAGE_MASK | _LAST
+    word = data[last]
+    if addressable <= 14:
+        word |= data[last - 1] << 8
+    return word >> 4
+
+
+def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
+    """Swap the granule tag with the stashed nibble, rearming a delegated tripwire."""
+    a = granule & ADDRESS_MASK
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags = mem.tags.get(index) or mem.tag_page(index)
+    data = mem.data.get(index) or mem.data_page(index)
+    g, last = offset >> GRANULE_SHIFT, offset | _LAST
+    byte = data[last]
+    data[last] = byte & 0xF0 | tags[g]
+    tags[g] = byte & 0xF
+
+
+def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
+    """True when `rec`'s short granule currently holds an armed tripwire.
+
+    Memory is the only record of tripwire state: an armed granule wears the
+    addressable count as its memory tag and stashes the real tag.
+    Delegated, retired and never-armed granules all read false.
+    """
+    short_base = rec.short_granule_base
+    if short_base is None:
+        return False
+    return read_tripwire(mem, short_base) == (rec.addressable_count, rec.tag)
 
 
 class ProtocolError(Exception):
@@ -108,9 +198,9 @@ class Detector:
     the allocator registry, when present, is consulted only to label bug
     kinds.  `config` is the run's `SimConfig`; the detector reads its
     `tripwires`, `overread_skip` and `access_threshold`.  It bumps
-    `tripwires_removed_by_threshold` and `tripwires_removed_by_ret_edge` in
-    `counters`, a record of its own unless one is given, and
-    `traps_delivered` for a trap it takes with its hit."""
+    `traps_delivered`, `tripwires_removed_by_threshold` and
+    `tripwires_removed_by_ret_edge` in `counters`, a record of its own
+    unless one is given."""
 
     def __init__(self, config: SimConfig, counters: Optional[RunCounters] = None):
         self.config = config
@@ -167,32 +257,65 @@ class Detector:
     def pass_benign_mismatch(self, pc: int, address: int, start: int, size: int,
                              addrtag: int, overread_ok: bool, mem: TaggedMemory,
                              machine: Machine, next_in_call: bool) -> bool:
-        """Let a benign sync-mode mismatch through; True means resume the access.
+        """Let a benign sync-mode mismatch through its granule's tripwire;
+        True means resume the access, False (every state untouched) that it
+        is a bug for `handle_tag_mismatch`.
 
-        Takes the primitives `Machine.run` holds: the access at `pc` spans
-        `size` bytes from untagged `start`, and `address` is the lowest
-        accessed address in the first mismatching granule.  `next_in_call`
-        says slot `pc + 1` runs in the same `run` call.  A benign hit is
-        counted, then rearmed at once (its trap counted here), delegated or
-        retired, and returns True.  False leaves every state untouched: the
-        mismatch is a bug, and the machine hands it to `handle_tag_mismatch`.
+        The access at `pc` spans `size` bytes from untagged `start` under
+        `addrtag`; `address` is its lowest address in the first
+        mismatching granule.  An allow-listed overread (`overread_ok` under
+        `overread_skip`) on this pointer's tripwire passes uncounted and
+        unchecked; otherwise `check_access` decides.  A counted hit bumps
+        the counter and retires the tripwire, zeroing its metadata, once
+        the count reaches `access_threshold` or the counter's capacity.
+        Else, with no trap slot at `pc + 1`, it retires at the ret edge
+        (real tag on, metadata as the hit left it).  Else, when slot
+        `pc + 1` runs in the same `run` call (`next_in_call`), it is
+        rearmed in place: only the counter is written and the trap is
+        counted now, since the access ends within the addressable bytes
+        and delegate-then-revoke would swap the tag there and straight
+        back.  Otherwise it is delegated until the trap at `pc + 1`.  An
+        uncounted hit is never rearmed: the overread may read the padding.
         """
         config = self.config
         if not config.tripwires:
             return False  # plain tag-check semantics: every mismatch is a bug
-        outcome = pass_benign_hit(mem, address, start, size, addrtag,
-                                  overread_ok and config.overread_skip,
-                                  config.access_threshold, machine, pc, next_in_call)
-        if outcome == REARMED:
-            self.counters.traps_delivered += 1   # the trap at pc + 1, taken with the hit
-        elif outcome == DECLINED:
+        a = address & ADDRESS_MASK
+        index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+        tags, data = mem.tags.get(index), mem.data.get(index)
+        g, last = offset >> GRANULE_SHIFT, offset | _LAST
+        memtag = 0 if tags is None else tags[g]
+        low = 0 if data is None else data[last]
+        metadata = low & 0xF
+        if (overread_ok and config.overread_skip
+                and memtag != 0 and addrtag != 0 and metadata == addrtag):
+            # uncounted: the counter is left alone, and no threshold retires it
+            tags[g] = metadata
+            if machine.can_trap(pc + 1):
+                data[last] = low & 0xF0 | memtag
+                self.delegations[pc + 1] = a & GRANULE_MASK
+            else:
+                self.counters.tripwires_removed_by_ret_edge += 1
+            return True
+        if not check_access(a, start, size, addrtag, memtag, metadata):
             return False
-        elif outcome == DELEGATED:
-            self.delegations[pc + 1] = address & GRANULE_MASK  # the granule wears the real tag
-        elif outcome == RETIRED_BY_THRESHOLD:
+        # benign: memtag and the stashed nibble are nonzero, so both pages exist
+        two = memtag <= 14
+        word = (data[last - 1] << 8 | low if two else low) + (1 << 4)
+        if word >> 4 >= config.access_threshold or word >> 4 >= metadata_capacity(memtag):
+            tags[g], word = metadata, 0
             self.counters.tripwires_removed_by_threshold += 1
-        else:   # no slot for the revocation trap (ret/halt/end)
+        elif not machine.can_trap(pc + 1):
+            tags[g] = metadata   # no slot for the revocation trap (ret/halt/end)
             self.counters.tripwires_removed_by_ret_edge += 1
+        elif next_in_call:
+            self.counters.traps_delivered += 1   # the trap at pc + 1, taken with the hit
+        else:
+            tags[g], word = metadata, word & ~0xF | memtag
+            self.delegations[pc + 1] = a & GRANULE_MASK  # the granule wears the real tag
+        data[last] = word & 0xFF
+        if two:
+            data[last - 1] = word >> 8 & 0xFF
         return True
 
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
@@ -211,8 +334,8 @@ class Detector:
         return self.make_bug_report(fault, kind, memtag)
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
-        """Revocation: restore the tripwire and release the trap slot by
-        dropping its delegation.
+        """Revocation: count the trap, restore the tripwire and release the
+        trap slot by dropping its delegation.
 
         Needs only the delegation entry and memory; `allocator` is unused.
         The signature stays as it is because the benchmark's tracer
@@ -223,4 +346,5 @@ class Detector:
         granule = self.delegations.pop(pc, None)
         if granule is None:
             raise ProtocolError(f"trap at pc {pc} with no delegated tripwire")
+        self.counters.traps_delivered += 1
         revoke_tripwire(mem, granule)

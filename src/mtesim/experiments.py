@@ -15,7 +15,8 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .allocator import ZERO_TAG, generate_tag, metadata_span
+from .allocator import ZERO_TAG, generate_tag
+from .detector import metadata_span
 from .memory import GRANULE_SIZE
 from .runner import ALWAYS_ARM, SimConfig, Simulation, run_program, substream
 from .trace import (Program, WorkloadError, WorkloadSpec, check_size_distribution,

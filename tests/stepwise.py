@@ -3,8 +3,11 @@
 Each tripwire event is spelled out one step and one byte at a time through
 `TaggedMemory`'s methods: bump the counter, then retire (clearing the
 metadata at the threshold) or swap the granule tag with the stashed nibble.
-The tests hold the allocator's fused one-pass operations to these steps and
-use `ref_arm` and `ref_pass` to put a tripwire into a given state.
+The tests hold the fused one-pass operations to these steps: the arm in
+`Allocator.allocate` and the clear in `Allocator.free`, and the benign hit
+(`Detector.pass_benign_mismatch`) and revocation (`revoke_tripwire`) in
+mtesim.detector.  They also use `ref_arm` and `ref_pass` to put a tripwire
+into a given state.
 """
 
 

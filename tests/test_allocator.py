@@ -21,13 +21,10 @@ from mtesim.allocator import (
     ZERO_TAG,
     AllocationRecord,
     TagSpaceExhausted,
-    access_count,
-    metadata_capacity,
-    metadata_span,
-    read_tripwire,
-    revoke_tripwire,
 )
 from mtesim.cpu import RunCounters
+from mtesim.detector import (access_count, metadata_capacity, metadata_span, read_tripwire,
+                             revoke_tripwire)
 from mtesim.memory import address_tag, untagged
 from stepwise import ref_arm, ref_clear, ref_load, ref_swap
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtesim import SimConfig, TaggedMemory, WorkloadSpec
+from mtesim import SimConfig, TaggedMemory, WorkloadSpec, generate_workload, render_program
 from mtesim import cli
 from mtesim.cli import _config_from_args, build_parser, main
 
@@ -93,9 +93,24 @@ class TestGen:
         files2 = sorted((out2 / "intra").glob("*.mtr"))
         assert len(files1) == 20
         assert [f.read_text() for f in files1] == [f.read_text() for f in files2]
-        manifest = json.loads((out1 / "manifest.json").read_text())
-        assert list(manifest) == ["kind", "seed", "count", "size_distribution"]
+        manifest = json.loads((out1 / "intra" / "manifest.json").read_text())
+        assert list(manifest) == ["kind", "size_distribution", "count", "seed",
+                                  "preamble_allocs", "adjacent", "reuse_cycles", "accesses"]
         assert manifest["kind"] == "intra" and manifest["count"] == 20
+
+    def test_each_kind_manifest_rebuilds_its_corpus(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["gen", "--kind", "uaf", "--count", "3", "--seed", "5", "--reuse-cycles",
+                     "2", "--preamble", "1", "--sizes", "24:2,40", "--out", str(out)]) == 0
+        assert main(["gen", "--kind", "benign", "--count", "2", "--accesses", "3",
+                     "--non-adjacent", "--out", str(out)]) == 0
+        assert not (out / "manifest.json").exists()
+        for kind in ("uaf", "benign"):
+            manifest = json.loads((out / kind / "manifest.json").read_text())
+            spec = WorkloadSpec(**{**manifest, "size_distribution": tuple(
+                map(tuple, manifest["size_distribution"]))})
+            corpus = [f.read_text() for f in sorted((out / kind).glob("*.mtr"))]
+            assert corpus == [render_program(p) for p in generate_workload(spec)]
 
     def test_sizes_flag_restricts_sizes(self, tmp_path):
         out = tmp_path / "c"
@@ -216,13 +231,28 @@ _BAD_ARGV = {
     "argv32": ["exp", "detection", "--overread-skip"],
     # a tagged region costs the host one tag byte per granule: at most 1 MiB
     "argv33": ["run", "TRACE", "--large-threshold", "1048577"],
+    "exp vulnerable-fraction --uniform 5": ["exp", "vulnerable-fraction", "--uniform", "5"],
+    "exp vulnerable-fraction --sizes 24:1,,": ["exp", "vulnerable-fraction", "--sizes", "24:1,,"],
+    "exp detection --sizes 24:0": ["exp", "detection", "--sizes", "24:0"],
+    "exp transparency --trials x": ["exp", "transparency", "--trials", "x"],
+}
+
+# Cases whose bad value is one flag's: the message names that flag.
+_NAMED_FLAG = {
+    "argv3": "--trials", "argv4": "--trials", "argv5": "--trials", "argv6": "--trials",
+    "argv7": "--trials", "argv9": "--uniform", "argv10": "--uniform",
+    "exp vulnerable-fraction --uniform 5": "--uniform",
+    "exp vulnerable-fraction --sizes 24:1,,": "--sizes",
+    "exp detection --sizes 24:0": "--sizes",
+    "exp transparency --trials x": "--trials",
 }
 
 
-@pytest.mark.parametrize("argv", list(_BAD_ARGV.values()), ids=list(_BAD_ARGV))
-def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
+@pytest.mark.parametrize("case", list(_BAD_ARGV), ids=list(_BAD_ARGV))
+def test_bad_arguments_exit_2_with_one_line(case, trace_file, tmp_path, capsys):
     out = str(tmp_path / "corpus")
-    argv = [trace_file(BENIGN) if a == "TRACE" else out if a == "OUT" else a for a in argv]
+    argv = [trace_file(BENIGN) if a == "TRACE" else out if a == "OUT" else a
+            for a in _BAD_ARGV[case]]
     argv = [a.replace("MISSING_DIR", str(tmp_path / "missing")) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -230,6 +260,8 @@ def test_bad_arguments_exit_2_with_one_line(argv, trace_file, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    if case in _NAMED_FLAG:
+        assert f"argument {_NAMED_FLAG[case]}: " in lines[0]
 
 
 class TestDefaultsHaveOneSource:

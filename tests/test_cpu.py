@@ -333,7 +333,8 @@ class TestTraps:
         det.handle_trap = lambda machine, mem, allocator: fired.append(machine.pc)
         while m.step(TaggedMemory(), None, det) is None:
             pass
-        assert fired == [1] and m.counters.traps_delivered == 1
+        assert fired == [1]
+        assert m.counters.traps_delivered == 0   # the detector counts the traps it takes
 
 
 class TestStepSemantics:

@@ -18,9 +18,9 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
-from mtesim.allocator import access_count, metadata_span, read_tripwire, revoke_tripwire
 from mtesim.cpu import RunCounters
-from mtesim.detector import Detector, ProtocolError
+from mtesim.detector import (Detector, ProtocolError, access_count, metadata_span, read_tripwire,
+                             revoke_tripwire)
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
 from mtesim.trace import Program, generate_program
@@ -399,8 +399,8 @@ class TestOverreadSkip:
         assert report.outcome == "BugReported"
 
 
-# property: a benign hit taken in one call (`Detector.pass_benign_mismatch`
-# through `pass_benign_hit`) and its trap match the stepwise reference below,
+# property: a benign hit taken in one call (`Detector.pass_benign_mismatch`)
+# and its trap match the stepwise reference below,
 # `read_tripwire` -> `check_access` (or the overread-skip rule) ->
 # `can_trap` -> `ref_pass` (tests/stepwise.py), then `revoke_tripwire` at
 # the trap.  When slot pc + 1 runs in the same `run` call, a counted hit
@@ -508,4 +508,6 @@ def test_fused_benign_hit_matches_stepwise_reference(
         machine.pc = 1
         det.handle_trap(machine, mem, None)
         revoke_tripwire(ref_mem, ref_delegations.pop(1))
+        ref_counters.traps_delivered += 1
         assert mem.snapshot() == ref_mem.snapshot() and not det.delegations
+        assert det.counters == ref_counters

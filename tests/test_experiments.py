@@ -17,7 +17,7 @@ from mtesim import (
     uniform_sizes,
     wilson_95_ci,
 )
-from mtesim.allocator import metadata_span
+from mtesim.detector import metadata_span
 from mtesim.experiments import ExperimentResult
 from mtesim.memory import untagged
 

@@ -5,6 +5,7 @@ import pytest
 
 from mtesim import (
     ALWAYS_ARM,
+    Opcode,
     SimConfig,
     Simulation,
     WorkloadSpec,
@@ -12,9 +13,8 @@ from mtesim import (
     parse_program,
     run_program,
 )
-from mtesim import detector, runner
-from mtesim.allocator import REARMED, pass_benign_hit, revoke_tripwire
-from mtesim.detector import Detector
+from mtesim import runner
+from mtesim.detector import Detector, revoke_tripwire
 from mtesim.experiments import exp_recovery_transparency
 from mtesim.runner import RunReport
 from mtesim.trace import WORKLOAD_KINDS
@@ -33,6 +33,43 @@ def test_counter_invariants():
                    + c["tripwires_removed_by_ret_edge"])
         assert removed <= c["tripwires_armed"]
         assert c["frees"] <= c["allocations"]
+
+
+# One run-end identity per check mode.  In sync mode every delivered fault
+# ends one way: a trap (taken with its hit, or revoking a delegation), a
+# retirement, or the reported access bug.  Off mode checks nothing; async
+# mode queues its faults and never traps.
+_IDENTITY_CONFIGS = (
+    SimConfig(),
+    SimConfig(alloc_threshold=ALWAYS_ARM),
+    SimConfig(alloc_threshold=0, sampling_rate=2),
+    SimConfig(alloc_threshold=ALWAYS_ARM, access_threshold=1),
+    SimConfig(tripwires=False),
+    SimConfig(mode="off"),
+    SimConfig(mode="async"),
+)
+
+
+def test_run_end_counter_identities():
+    for kind in WORKLOAD_KINDS:
+        programs = generate_workload(WorkloadSpec(kind=kind, count=60, seed=31))
+        for i, program in enumerate(programs):
+            for config in _IDENTITY_CONFIGS:
+                report = run_program(program, config.with_seed(i))
+                c = report.counters
+                # a refused free is the one bug that is not an access
+                access_bug = (report.bug is not None
+                              and program.instructions[report.bug.pc].kind is not Opcode.FREE)
+                case = (kind, i, config)
+                if config.mode == "sync":
+                    assert c["faults_delivered"] == (
+                        c["traps_delivered"] + c["tripwires_removed_by_threshold"]
+                        + c["tripwires_removed_by_ret_edge"] + access_bug), case
+                elif config.mode == "off":
+                    assert c["faults_delivered"] == c["traps_delivered"] == 0, case
+                else:
+                    assert c["traps_delivered"] == 0, case
+                    assert (c["faults_delivered"] > 0) == access_bug, case
 
 
 def test_bug_exit_code_and_echo():
@@ -216,13 +253,17 @@ class TestTransparency:
                                SimConfig(seed=4, alloc_threshold=ALWAYS_ARM))
         assert baseline.outcome == "BugReported"
 
-        def skip_swap(mem, address, *args):
-            outcome = pass_benign_hit(mem, address, *args)
-            if outcome == REARMED:
-                revoke_tripwire(mem, address & ~15)  # the delegation's swap, never undone
-            return outcome
+        pass_benign_mismatch = Detector.pass_benign_mismatch
 
-        monkeypatch.setattr(detector, "pass_benign_hit", skip_swap)
+        def skip_swap(self, pc, address, start, size, addrtag, overread_ok, mem, *rest):
+            traps = self.counters.traps_delivered
+            benign = pass_benign_mismatch(self, pc, address, start, size, addrtag,
+                                          overread_ok, mem, *rest)
+            if self.counters.traps_delivered != traps:   # rearmed, its trap taken
+                revoke_tripwire(mem, address & ~15)  # the delegation's swap, never undone
+            return benign
+
+        monkeypatch.setattr(Detector, "pass_benign_mismatch", skip_swap)
         mutated = run_program(parse_program(trace),
                               SimConfig(seed=4, alloc_threshold=ALWAYS_ARM))
         assert mutated.outcome == "CleanHalt"  # the overflow is missed
