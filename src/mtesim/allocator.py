@@ -24,7 +24,7 @@ tripwires see identical tags.
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  `allocate` arms a
 tripwire and `free` zeroes the metadata bytes themselves, one page lookup
-each; `free` also retags a region within one tag page with one slice.  A
+each; `free` also retags a region within one tag page with one fill.  A
 new region, a region that crosses a page edge and a redraw on reuse are
 tagged through `TaggedMemory.set_tag_range`.  Freed regions queue
 in a FIFO per size class and are reused with their free-time tag unchanged:
@@ -47,8 +47,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .cpu import RunCounters
-from .memory import (_TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE,
-                     PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
+from .memory import (_FILLERS, _TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT,
+                     GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory,
+                     _make_filler)
 
 if TYPE_CHECKING:
     from .runner import SimConfig
@@ -287,8 +288,9 @@ class Allocator:
             offset = base & PAGE_MASK
             if offset + usable <= PAGE_SIZE:
                 # within one page, which the region's tagging at allocation made
-                first, end = offset >> GRANULE_SHIFT, (offset + usable) >> GRANULE_SHIFT
-                mem.tags[base >> PAGE_SHIFT][first:end] = _TAG_FILLS[tag][first:end]
+                n = usable >> GRANULE_SHIFT
+                (_FILLERS[n] or _make_filler(n))(mem.tags[base >> PAGE_SHIFT],
+                                                 offset >> GRANULE_SHIFT, _TAG_FILLS[tag])
             else:
                 mem.set_tag_range(base, usable, tag)
             fifo = self._free_lists.get(usable)

@@ -14,10 +14,10 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .allocator import AllocationError
-from .cpu import Mode, TraceRuntimeError
+from .cpu import MODES, TraceRuntimeError
 from .detector import ProtocolError
 from .experiments import (
     exp_collision_rate,
@@ -26,7 +26,7 @@ from .experiments import (
     exp_vulnerable_fraction,
     uniform_sizes,
 )
-from .runner import ALWAYS_ARM, SimConfig, run_program
+from .runner import ALWAYS_ARM, MAX_LARGE_THRESHOLD, SimConfig, run_program
 from .trace import (
     WORKLOAD_KINDS,
     TraceParseError,
@@ -73,16 +73,26 @@ def _seed(args) -> int:
         raise ValueError(f"MTESIM_SEED must be an integer, got {env!r}") from None
 
 
-# Argument types: argparse prefixes their errors with the flag's name.
-def _trials(text: str) -> int:
-    """A `--trials` value: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+# Argument types: argparse prefixes their errors with the flag's name.  The
+# integer flags repeat the bounds `SimConfig` and `WorkloadSpec` check, so
+# a bad value is refused naming its flag, not its field.
+def _int_in(lo: int, hi: Optional[int] = None) -> Callable[[str], int]:
+    """The type of an integer flag whose values run from `lo` to `hi`."""
+    expected = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < lo or hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return n
+    return parse
+
+
+_positive = _int_in(1)
+_non_negative = _int_in(0)
 
 
 def _sizes(text: str) -> Tuple[Tuple[int, float], ...]:
@@ -126,18 +136,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(always_arm=False,
                    **{f.name: f.default for f in fields(SimConfig) if f.name != "seed"})
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--access-threshold", type=int)
+    p.add_argument("--access-threshold", type=_positive)
     p.add_argument("--no-odd-even", dest="odd_even", action="store_false")
-    p.add_argument("--large-threshold", type=int)
+    p.add_argument("--large-threshold", type=_int_in(0, MAX_LARGE_THRESHOLD))
     p.add_argument("--include-zero-tag", action="store_true")
 
 
 def _add_arming_flags(p: argparse.ArgumentParser) -> None:
     """The check mode and the tripwire arming, for `run` and `exp detection`;
     `exp transparency` sets both itself."""
-    p.add_argument("--mode", choices=[m.value for m in Mode])
-    p.add_argument("--sampling-rate", type=int)
-    p.add_argument("--alloc-threshold", type=int)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--sampling-rate", type=_positive)
+    p.add_argument("--alloc-threshold", type=_non_negative)
     p.add_argument("--no-tripwires", dest="tripwires", action="store_false")
     p.add_argument("--always-arm", action="store_true",
                    help="arm every short granule (no sampling phase)")
@@ -161,7 +171,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     _add_sizes_flag(p)
     p.add_argument("--non-adjacent", dest="adjacent", action="store_false",
                    default=WorkloadSpec.adjacent)
-    p.add_argument("--reuse-cycles", type=int, default=WorkloadSpec.reuse_cycles)
+    p.add_argument("--reuse-cycles", type=_non_negative, default=WorkloadSpec.reuse_cycles)
 
 
 def _workload_spec(args, **given) -> WorkloadSpec:
@@ -293,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a workload corpus")
     p_gen.add_argument("--kind", required=True, choices=WORKLOAD_KINDS)
-    p_gen.add_argument("--count", type=int, default=100)
+    p_gen.add_argument("--count", type=_positive, default=100)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", default="corpus")
-    p_gen.add_argument("--preamble", type=int, default=WorkloadSpec.preamble_allocs)
-    p_gen.add_argument("--accesses", type=int, default=WorkloadSpec.accesses)
+    p_gen.add_argument("--preamble", type=_non_negative, default=WorkloadSpec.preamble_allocs)
+    p_gen.add_argument("--accesses", type=_non_negative, default=WorkloadSpec.accesses)
     _add_workload_flags(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sizes_flag(p_tra)
     _add_config_flags(p_tra)
     for p in (p_det, p_col, p_vul, p_tra):
-        p.add_argument("--trials", type=_trials, default=1000)
+        p.add_argument("--trials", type=_positive, default=1000)
         p.set_defaults(func=cmd_exp)
 
     return parser

@@ -131,6 +131,11 @@ class Mode(enum.Enum):
     SYNC = "sync"
 
 
+# Mode by value: a dict lookup, where `Mode(value)` goes through
+# `EnumMeta.__call__` at about 18 times the cost.
+MODES = {m.value: m for m in Mode}
+
+
 _LOAD, _STORE, _MOV, _ADD = Opcode.LOAD, Opcode.STORE, Opcode.MOV, Opcode.ADD
 _ALLOC, _FREE, _SYSCALL, _RET, _HALT = (Opcode.ALLOC, Opcode.FREE, Opcode.SYSCALL,
                                         Opcode.RET, Opcode.HALT)
@@ -159,8 +164,9 @@ class TraceRuntimeError(Exception):
     """Malformed execution state; not a memory-safety verdict."""
 
 
-@dataclass(frozen=True)
-class RunEnd:
+# A named tuple, as `Fault` is: a frozen dataclass sets each field through
+# `object.__setattr__`.
+class RunEnd(NamedTuple):
     outcome: str                  # "CleanHalt" | "BugReported"
     report: Optional[object] = None  # BugReport when outcome == "BugReported"
 

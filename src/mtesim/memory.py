@@ -7,8 +7,9 @@ has been written to it; untouched bytes read as 0 and untouched granules
 carry tag 0, so "never allocated" and "unprotected" fall out of the
 representation for free.  A byte move within a page is one slice, and
 tagging a region (`set_tag_range`, as Scudo's `storeTags` tags an
-allocation) is one slice assignment per page.  The allocator's `free`
-retags a region within one page with that slice itself.
+allocation) is one fill per page: one `pack_into` of the run's granule
+count from a 256-byte run of the tag.  The allocator's `free` retags a
+region within one page with that fill itself.
 
 The simulator spends a whole byte on each tag, where the modelled hardware
 spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
@@ -21,8 +22,9 @@ top-byte-ignore addressing.  Bits [63:60] are kept zero as a canary.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 GRANULE_SHIFT = 4
 GRANULE_SIZE = 1 << GRANULE_SHIFT
@@ -43,10 +45,22 @@ GRANULES_PER_PAGE = PAGE_SIZE >> GRANULE_SHIFT
 _PAGE_INDEX_MASK = ADDRESS_MASK >> PAGE_SHIFT
 _GRANULE_PAGE_SHIFT = PAGE_SHIFT - GRANULE_SHIFT    # granule index -> page index
 _TAG_FILLS = tuple(bytes([tag]) * GRANULES_PER_PAGE for tag in range(16))
+# `_FILLERS[n](page, first, _TAG_FILLS[tag])` writes `tag` to the n granule
+# tags from `first`: a `Struct(f"{n}s").pack_into`, which copies the first n
+# bytes of the fill into the page.  Slice assignment would copy a `bytes`
+# source into a temporary `bytearray` first.  Each count's `Struct` is made
+# on first use, by `_make_filler`.
+_FILLERS: List[Optional[Callable[..., None]]] = [None] * (GRANULES_PER_PAGE + 1)
 # New pages are copies of these, never written: `.copy()` costs a third to
 # a half of what `bytearray(n)` does.
 _BLANK_DATA_PAGE = bytearray(PAGE_SIZE)
 _BLANK_TAG_PAGE = bytearray(GRANULES_PER_PAGE)
+
+
+def _make_filler(n: int) -> Callable[..., None]:
+    """`_FILLERS[n]`, made now; call sites read `_FILLERS[n] or _make_filler(n)`."""
+    pack = _FILLERS[n] = struct.Struct(f"{n}s").pack_into
+    return pack
 
 
 def untagged(raw: int) -> int:
@@ -86,10 +100,12 @@ class TaggedMemory:
 
     `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
     `tags` maps the same index to the page's granule tags, one byte each.
-    Outside this class only the machine's tag check, the allocator's
-    short-granule metadata operations and its retag at free index pages;
-    everything else reads memory through the methods, `nonzero_bytes`,
-    `nonzero_tags` and `snapshot`.
+    Outside this class only the machine's tag check, the detector's
+    short-granule metadata operations (`read_tripwire`, `revoke_tripwire`,
+    `access_count` and `Detector.pass_benign_mismatch`) and the allocator's
+    arming, metadata clear and retag at free index pages; everything else
+    reads memory through the methods, `nonzero_bytes`, `nonzero_tags` and
+    `snapshot`.
     """
 
     def __init__(self):
@@ -134,12 +150,13 @@ class TaggedMemory:
         end = (offset + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
         fill = _TAG_FILLS[tag]
         if end <= GRANULES_PER_PAGE:
-            # within one page: one slice
+            # within one page: one fill
             index = start >> PAGE_SHIFT
             page = self.tags.get(index)
             if page is None:
                 page = self.tags[index] = _BLANK_TAG_PAGE.copy()
-            page[first:end] = fill[first:end]
+            n = end - first
+            (_FILLERS[n] or _make_filler(n))(page, first, fill)
             return
         g = start >> GRANULE_SHIFT
         end = (start + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
@@ -147,7 +164,7 @@ class TaggedMemory:
             first = g & (GRANULES_PER_PAGE - 1)
             n = min(end - g, GRANULES_PER_PAGE - first)
             page = self.tag_page((g >> _GRANULE_PAGE_SHIFT) & _PAGE_INDEX_MASK)
-            page[first:first + n] = fill[:n]
+            (_FILLERS[n] or _make_filler(n))(page, first, fill)
             g += n
 
     def get_granule_tag(self, addr: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .allocator import Allocator
-from .cpu import Machine, Mode, RunCounters
+from .cpu import MODES, Machine, Mode, RunCounters
 from .detector import BugReport, Detector
 from .memory import TaggedMemory
 from .sampler import TripwireSampler
@@ -22,6 +22,8 @@ from .trace import Program
 
 # alloc_threshold value meaning "arm every short granule, forever"
 ALWAYS_ARM = 1 << 62
+# a tagged region costs the host one tag byte per granule
+MAX_LARGE_THRESHOLD = 1 << 20
 
 
 def substream(seed, name: str) -> random.Random:
@@ -47,7 +49,7 @@ class SimConfig:
     include_zero_tag: bool = False
 
     def __post_init__(self):
-        if self.mode not in [m.value for m in Mode]:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.sampling_rate < 1:
             raise ValueError("sampling_rate must be >= 1")
@@ -55,9 +57,8 @@ class SimConfig:
             raise ValueError("alloc_threshold must be >= 0")
         if self.access_threshold < 1:
             raise ValueError("access_threshold must be >= 1")
-        # a tagged region costs the host one tag byte per granule
-        if not 0 <= self.large_threshold <= 1 << 20:
-            raise ValueError("large_threshold must be in 0..1048576")
+        if not 0 <= self.large_threshold <= MAX_LARGE_THRESHOLD:
+            raise ValueError(f"large_threshold must be in 0..{MAX_LARGE_THRESHOLD}")
 
     def echo(self) -> dict:
         return dict(vars(self))
@@ -99,7 +100,7 @@ class Simulation:
         config = self.config = config or SimConfig()
         self.program = program
         self.mem = TaggedMemory()
-        mode = Mode(config.mode)
+        mode = MODES[config.mode]
         sampler = None
         if config.tripwires and mode is Mode.SYNC:
             seed = config.seed

@@ -234,6 +234,27 @@ class TestFree:
         assert untagged(right) == untagged(ptr) + 1024
         assert mem.get_granule_tag(untagged(right)) == right_tag
 
+    @pytest.mark.parametrize("granules", [1, 64, 256])
+    def test_in_page_retag_matches_per_granule_loop(self, granules):
+        # a region within one tag page is retagged with one fill: mid-page
+        # for 1 and 64 granules, a whole page (at HEAP_BASE) for 256
+        mem, alloc = make_allocator(seed=8)
+        if granules < 256:
+            alloc.allocate(48)
+        ptr = alloc.allocate(16 * granules)
+        alloc.allocate(16)
+        base = untagged(ptr)
+        assert (base & 0xFFF) + 16 * granules <= 0x1000
+        expected = TaggedMemory()
+        expected.data = {i: bytearray(p) for i, p in mem.data.items()}
+        expected.tags = {i: bytearray(p) for i, p in mem.tags.items()}
+        rec = alloc.live[base]
+        assert alloc.free(ptr) is True
+        assert rec.tag != address_tag(ptr)
+        for g in range(base, base + 16 * granules, 16):
+            expected.set_granule_tag(g, rec.tag)
+        assert mem.snapshot() == expected.snapshot()
+
     def test_free_retags_and_queues_a_primary_region_that_drew_tag_0(self):
         drew_zero = [seed for seed in range(100)
                      if address_tag(make_allocator(seed, include_zero_tag=True)[1]

@@ -235,16 +235,21 @@ _BAD_ARGV = {
     "exp vulnerable-fraction --sizes 24:1,,": ["exp", "vulnerable-fraction", "--sizes", "24:1,,"],
     "exp detection --sizes 24:0": ["exp", "detection", "--sizes", "24:0"],
     "exp transparency --trials x": ["exp", "transparency", "--trials", "x"],
+    "gen --count 0": ["gen", "--kind", "benign", "--count", "0", "--out", "OUT"],
 }
 
 # Cases whose bad value is one flag's: the message names that flag.
 _NAMED_FLAG = {
+    "argv0": "--sampling-rate", "argv1": "--access-threshold", "argv2": "--alloc-threshold",
     "argv3": "--trials", "argv4": "--trials", "argv5": "--trials", "argv6": "--trials",
-    "argv7": "--trials", "argv9": "--uniform", "argv10": "--uniform",
+    "argv7": "--trials", "argv8": "--reuse-cycles", "argv9": "--uniform", "argv10": "--uniform",
+    "argv11": "--accesses", "argv12": "--preamble", "argv13": "--reuse-cycles",
+    "argv17": "--large-threshold", "argv18": "--large-threshold", "argv33": "--large-threshold",
     "exp vulnerable-fraction --uniform 5": "--uniform",
     "exp vulnerable-fraction --sizes 24:1,,": "--sizes",
     "exp detection --sizes 24:0": "--sizes",
     "exp transparency --trials x": "--trials",
+    "gen --count 0": "--count",
 }
 
 

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtesim import TaggedMemory, tag_storage_overhead
-from mtesim.memory import address_tag, untagged
+from mtesim.memory import ADDRESS_SPACE, PAGE_SIZE, address_tag, untagged
 
 
 def test_same_granule_shares_tag():
@@ -162,8 +162,18 @@ class TestSetTagRange:
         assert mem.nonzero_bytes() == data
 
 
-@given(st.lists(st.tuples(st.integers(0, 0x4000), st.integers(0, 1100), st.integers(0, 15)),
+# Addresses in the first pages and in the last page below the top of the
+# address space, where a region wraps to address 0; sizes up to two pages,
+# so every run length 0..256 and the multi-page loop are reached.
+_TOP_PAGE = ADDRESS_SPACE - PAGE_SIZE
+
+
+@given(st.lists(st.tuples(st.integers(0, 0x4000) | st.integers(_TOP_PAGE, ADDRESS_SPACE - 1),
+                          st.integers(0, 8200), st.integers(0, 15)),
                 max_size=20))
+@example([(0x1000, 0, 3)])                          # no granule
+@example([(0x1000, PAGE_SIZE, 5), (0x1FF0, 16, 6)])  # a whole page; its last granule
+@example([(ADDRESS_SPACE - 16, 48, 7)])             # wraps to granule 0
 def test_set_tag_range_equals_per_granule_loop(writes):
     ranged, looped = TaggedMemory(), TaggedMemory()
     for addr, size, tag in writes:
