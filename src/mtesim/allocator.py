@@ -13,30 +13,33 @@ Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
 count and the allocation's real tag is stashed in the granule's padding,
 alongside an access counter (layout and states: README.md, "Short-granule
-metadata").  The allocator arms a tripwire and clears its metadata at
-free; the tag-fault handler, `mtesim.detector`, owns the layout and
-everything else a tripwire does.  The real-tag draw for a short-granule
-allocation also excludes the addressable count itself; a tag equal to the
-tripwire value would make the tripwire silent, and the draw must not
-depend on whether the sampler armed so that runs with and without
+metadata").  The tag-fault handler, `mtesim.detector`, owns the layout and
+everything a tripwire does; the allocator calls its `arm_tripwire` at
+allocation and its `clear_metadata` at free.  The real-tag draw for a
+short-granule allocation also excludes the addressable count itself; a tag
+equal to the tripwire value would make the tripwire silent, and the draw
+must not depend on whether the sampler armed so that runs with and without
 tripwires see identical tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
-tag) and clears the short granule's metadata bytes.  `allocate` arms a
-tripwire and `free` zeroes the metadata bytes themselves, one page lookup
-each; `free` also retags a region within one tag page with one fill.  A
-new region, a region that crosses a page edge and a redraw on reuse are
-tagged through `TaggedMemory.set_tag_range`.  Freed regions queue
-in a FIFO per size class and are reused with their free-time tag unchanged:
-a reuse draws no tag and writes no granule tag, since the granules already
-carry it.  The one exception is a free-time tag equal to the new
-allocation's addressable count: the region then gets a fresh draw under the
-same exclusions as a new region.
+tag) and clears the short granule's metadata bytes.  `free` retags a
+region within one tag page itself, with one fill.  A new region, a region
+that crosses a page edge and a redraw on reuse are tagged through
+`TaggedMemory.set_tag_range`.  Freed regions queue in a FIFO per size
+class and are reused with their free-time tag unchanged: a reuse draws no
+tag and writes no granule tag, since the granules already carry it.  The
+one exception is a free-time tag equal to the new allocation's addressable
+count: the region then gets a fresh draw under the same exclusions as a
+new region.
 The tripwire state itself lives only in memory (see
 `mtesim.detector.tripwire_armed`).
-One record stands for one region for its whole life: it sits in the live
-maps while the region is allocated and in its size class's FIFO while it
-is free.
+One record stands for one region for its whole life: it sits in `live`
+while the region is allocated and in its size class's FIFO while it is
+free.  Regions never move or change size once reserved, so `_by_end`, the
+map from each region's end to its record, is their fixed layout: written
+once when a region is reserved and never deleted.  Liveness is recorded
+only in `live`: a left neighbour found by its end counts only while its
+base is there.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .cpu import RunCounters
-from .memory import (_FILLERS, _TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT,
-                     GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory,
-                     _make_filler)
+from .detector import arm_tripwire, clear_metadata
+from .memory import (_FILLERS, _TAG_FILLS, ADDRESS_MASK, GRANULE_MASK, GRANULE_OFFSET_MASK,
+                     GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT,
+                     TaggedMemory, _make_filler)
 
 if TYPE_CHECKING:
     from .runner import SimConfig
@@ -58,6 +62,9 @@ if TYPE_CHECKING:
 # original base.  Must stay within the 56-bit addressable range.
 HEAP_BASE = 0x10_0000
 HEAP_CEILING = 1 << 48
+# Allocations above this many bytes take the untagged large path by default
+# (`SimConfig.large_threshold`).
+LARGE_THRESHOLD = 65536
 
 
 class AllocationError(Exception):
@@ -89,14 +96,6 @@ class AllocationRecord:
         if self.addressable_count == 0:
             return None
         return self.end - GRANULE_SIZE
-
-
-# The short-granule padding layout (metadata bytes, stashed tag, counter)
-# belongs to the tag-fault handler: `mtesim.detector`'s "short-granule
-# metadata" section.  Two writes here know it too, inline: `allocate` arms a
-# tripwire and `free` zeroes the metadata bytes.
-
-_LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
 
 
 def size_class(requested: int) -> int:
@@ -164,8 +163,9 @@ class Allocator:
         self.sampler = sampler
         self.counters = counters or RunCounters()
         self._bump = HEAP_BASE
-        # live allocations only: base -> record in allocation order, end -> record
+        # live allocations: base -> record in allocation order
         self.live: Dict[int, AllocationRecord] = {}
+        # every region ever reserved, live or free: end -> record
         self._by_end: Dict[int, AllocationRecord] = {}
         self._free_lists: Dict[int, deque] = {}
 
@@ -188,7 +188,7 @@ class Allocator:
         config = self.config
         exclude = 0 if config.include_zero_tag else ZERO_TAG
         left = self._by_end.get(base)
-        if left is not None and left.tag:
+        if left is not None and left.tag and left.base in self.live:
             exclude |= 1 << left.tag
             if config.odd_even:
                 # new tag's parity must differ from the left neighbor's
@@ -210,7 +210,8 @@ class Allocator:
     def allocate(self, requested: int) -> int:
         """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
         # `size_class`, inline for the common case
-        usable = (requested + _LAST) & GRANULE_MASK if requested > 0 else size_class(requested)
+        usable = ((requested + GRANULE_OFFSET_MASK) & GRANULE_MASK if requested > 0
+                  else size_class(requested))
         self.counters.allocations += 1
 
         if usable > self.config.large_threshold:
@@ -220,7 +221,7 @@ class Allocator:
                 base, requested, usable, tag=0)
             return base
 
-        short = requested & _LAST
+        short = requested & GRANULE_OFFSET_MASK
         mem = self.mem
         fifo = self._free_lists.get(usable)
         if fifo:
@@ -236,22 +237,13 @@ class Allocator:
             base = self._reserve_fresh(usable)
             tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
             mem.set_tag_range(base, usable, tag)
-            rec = AllocationRecord(base, requested, usable, tag)
+            rec = self._by_end[base + usable] = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
-            # arm: the granule tag becomes the addressable count, and the
-            # metadata bytes stash the real tag under a zero counter (the
-            # layout: `mtesim.detector`, "short-granule metadata")
-            last = base + usable - 1
-            index, offset = last >> PAGE_SHIFT, last & PAGE_MASK
-            (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = short
-            data = mem.data.get(index) or mem.data_page(index)
-            data[offset] = tag
-            if short <= 14:
-                data[offset - 1] = 0
+            arm_tripwire(mem, base + usable - GRANULE_SIZE, short, tag)
             self.counters.tripwires_armed += 1
 
-        self.live[base] = self._by_end[base + usable] = rec
+        self.live[base] = rec
         return base | tag << TAG_SHIFT
 
     # -- free ----------------------------------------------------------
@@ -266,20 +258,11 @@ class Allocator:
 
         self.counters.frees += 1
         base, usable = rec.base, rec.usable_size
-        del self.live[base], self._by_end[base + usable]
+        del self.live[base]
         mem = self.mem
-        addressable = rec.requested_size & _LAST
+        addressable = rec.requested_size & GRANULE_OFFSET_MASK
         if addressable:
-            # zero the short granule's metadata bytes (the layout:
-            # `mtesim.detector`, "short-granule metadata"); never written,
-            # they read 0
-            last = base + usable - 1
-            data = mem.data.get(last >> PAGE_SHIFT)
-            if data is not None:
-                last &= PAGE_MASK
-                data[last] = 0
-                if addressable <= 14:
-                    data[last - 1] = 0
+            clear_metadata(mem, base + usable - GRANULE_SIZE, addressable)
 
         if usable <= self.config.large_threshold:
             # a primary region, even one that drew tag 0 under include_zero_tag;

@@ -61,8 +61,9 @@ import struct
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .memory import (ADDRESS_MASK, GRANULE_SHIFT, GRANULE_SIZE, GRANULES_PER_PAGE, MASK64,
-                     PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, TAG_SHIFT, TaggedMemory)
+from .memory import (_GRANULE_PAGE_SHIFT, ADDRESS_MASK, GRANULE_OFFSET_MASK, GRANULE_SHIFT,
+                     GRANULE_SIZE, GRANULES_PER_PAGE, MASK64, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE,
+                     TAG_SHIFT, TaggedMemory)
 
 NUM_REGS = 32
 
@@ -155,8 +156,6 @@ _LANE_MASK = {w: (1 << 8 * min(w, 8)) - 1 for w in WIDTHS}   # register bits a s
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _UNTAGGED_PAGE = bytes(GRANULES_PER_PAGE)
 _GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
-_GRANULE_OFFSET_MASK = GRANULE_SIZE - 1
-_GRANULE_PAGE_SHIFT = PAGE_SHIFT - GRANULE_SHIFT     # granule index -> page index
 _PAGE_GRANULE_MASK = GRANULES_PER_PAGE - 1            # granule index -> index in its page
 
 
@@ -313,7 +312,7 @@ class Machine:
                     # the granules it touches on that page, across a page
                     # edge with `tag_check`.  A mismatch then has one site.
                     if checking and (
-                            (address & _GRANULE_OFFSET_MASK) + size > GRANULE_SIZE
+                            (address & GRANULE_OFFSET_MASK) + size > GRANULE_SIZE
                             or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
                                 (address & PAGE_MASK) >> GRANULE_SHIFT]
                             != (effective >> TAG_SHIFT) & 0xF):

@@ -1,10 +1,10 @@
 """Tag-fault handler: the short-granule metadata, the byte-granular check
 and the recovery protocol.
 
-As in HWASan, the allocator only tags memory at allocate and free (it arms
-a tripwire and clears its metadata), and the fault handler owns the rest:
-the padding layout ("short-granule metadata" below), the benign/bug rule,
-the hit's count and every trap.
+As in HWASan, the allocator only tags memory at allocate and free, and the
+fault handler owns the rest: the padding layout ("short-granule metadata"
+below, whose `arm_tripwire` and `clear_metadata` the allocator calls at
+allocate and free), the benign/bug rule, the hit's count and every trap.
 
 `check_access` is the whole decision procedure and is a pure function of
 six values, all of which the handler recovers in-band: the fault address,
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .cpu import AccessDescriptor, Fault, Machine, RunCounters
-from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_SHIFT, GRANULE_SIZE, PAGE_MASK,
+from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_OFFSET_MASK, GRANULE_SHIFT, PAGE_MASK,
                      PAGE_SHIFT, TaggedMemory, address_tag, untagged)
 
 if TYPE_CHECKING:
@@ -53,9 +53,9 @@ if TYPE_CHECKING:
 # -- short-granule metadata: the padding layout ---------------------------
 # The last padding byte, plus the one before it when there are two or more,
 # read as one big-endian word: counter bits above a 4-bit stashed tag.  This
-# section, `Detector.pass_benign_mismatch` and two writes in `Allocator` are
-# the only code that knows it: `allocate` arms a tripwire and `free` zeroes
-# the metadata bytes inline.
+# section and `Detector.pass_benign_mismatch` are the only code that knows
+# it: `Allocator.allocate` arms a tripwire with `arm_tripwire` and
+# `Allocator.free` zeroes the metadata bytes with `clear_metadata`.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
 # of the granule tag and the metadata bytes.  The operations look the
@@ -64,19 +64,17 @@ if TYPE_CHECKING:
 # itself.  `pages.get(i) or mem.tag_page(i)` makes a page only when none
 # exists (a page is never empty, so never false).  Reads and clears make no
 # page.  `granule` is the base address of a granule; its last byte sits at
-# page offset `granule & PAGE_MASK | _LAST`.
+# page offset `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
 #
 # A benign hit is one call, `Detector.pass_benign_mismatch`: the read, the
 # benign/bug rule (`check_access`, or the allow-listed overread rule), the
 # count and the rearm/delegate/retire write.  The bug report reads the
 # granule with `read_tripwire`.
 
-_LAST = GRANULE_SIZE - 1    # offset of a granule's last byte
-
 
 def metadata_span(granule: int, addressable: int) -> range:
     """Addresses of the metadata bytes of the short granule at `granule`."""
-    last = granule + _LAST
+    last = granule + GRANULE_OFFSET_MASK
     return range(last - 1 if addressable <= 14 else last, last + 1)
 
 
@@ -98,7 +96,7 @@ def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
         return False
     if addrtag != metadata:
         return False
-    granule = f & ~(GRANULE_SIZE - 1)
+    granule = f & GRANULE_MASK
     permitted = granule + memtag
     attempted = start + size
     return attempted <= permitted
@@ -111,7 +109,7 @@ def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
     index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
     tags, data = mem.tags.get(index), mem.data.get(index)
     return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
-            0 if data is None else data[offset | _LAST] & 0xF)
+            0 if data is None else data[offset | GRANULE_OFFSET_MASK] & 0xF)
 
 
 def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
@@ -119,11 +117,37 @@ def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
     data = mem.data.get(a >> PAGE_SHIFT)
     if data is None:
         return 0
-    last = a & PAGE_MASK | _LAST
+    last = a & PAGE_MASK | GRANULE_OFFSET_MASK
     word = data[last]
     if addressable <= 14:
         word |= data[last - 1] << 8
     return word >> 4
+
+
+def arm_tripwire(mem: TaggedMemory, granule: int, addressable: int, tag: int) -> None:
+    """Arm the short granule at `granule`: its memory tag becomes the
+    `addressable` count, and the metadata bytes stash `tag` under a zero
+    counter."""
+    a = granule & ADDRESS_MASK
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    (mem.tags.get(index) or mem.tag_page(index))[offset >> GRANULE_SHIFT] = addressable
+    data = mem.data.get(index) or mem.data_page(index)
+    last = offset | GRANULE_OFFSET_MASK
+    data[last] = tag
+    if addressable <= 14:
+        data[last - 1] = 0
+
+
+def clear_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
+    """Zero the metadata bytes of the short granule at `granule`; its tag is
+    left alone.  Never written, they read 0, so an absent page stays absent."""
+    a = granule & ADDRESS_MASK
+    data = mem.data.get(a >> PAGE_SHIFT)
+    if data is not None:
+        last = a & PAGE_MASK | GRANULE_OFFSET_MASK
+        data[last] = 0
+        if addressable <= 14:
+            data[last - 1] = 0
 
 
 def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
@@ -132,7 +156,7 @@ def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
     index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
     tags = mem.tags.get(index) or mem.tag_page(index)
     data = mem.data.get(index) or mem.data_page(index)
-    g, last = offset >> GRANULE_SHIFT, offset | _LAST
+    g, last = offset >> GRANULE_SHIFT, offset | GRANULE_OFFSET_MASK
     byte = data[last]
     data[last] = byte & 0xF0 | tags[g]
     tags[g] = byte & 0xF
@@ -224,7 +248,7 @@ class Detector:
         report = BugReport(kind, fault.pc, fault.fault_address, fault.access.addrtag, memtag,
                            fault.regs_snapshot)
         if kind is BugKind.INTRA_GRANULE_OVERFLOW:
-            granule = fault.fault_address & ~(GRANULE_SIZE - 1)
+            granule = fault.fault_address & GRANULE_MASK
             report.addressable_bytes = memtag
             report.accessed_bytes_in_granule = fault.access.start + fault.access.size - granule
         return report
@@ -283,7 +307,7 @@ class Detector:
         a = address & ADDRESS_MASK
         index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
         tags, data = mem.tags.get(index), mem.data.get(index)
-        g, last = offset >> GRANULE_SHIFT, offset | _LAST
+        g, last = offset >> GRANULE_SHIFT, offset | GRANULE_OFFSET_MASK
         memtag = 0 if tags is None else tags[g]
         low = 0 if data is None else data[last]
         metadata = low & 0xF

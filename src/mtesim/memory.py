@@ -33,7 +33,8 @@ TAG_SHIFT = 56
 ADDRESS_SPACE = 1 << TAG_SHIFT      # addresses run 0 .. ADDRESS_SPACE - 1
 ADDRESS_MASK = ADDRESS_SPACE - 1    # clears the whole top byte
 MASK64 = (1 << 64) - 1
-GRANULE_MASK = ~(GRANULE_SIZE - 1)
+GRANULE_OFFSET_MASK = GRANULE_SIZE - 1    # a byte's offset in its granule; 15 is the last
+GRANULE_MASK = ~GRANULE_OFFSET_MASK
 
 # Pages: address >> PAGE_SHIFT indexes both `data` and `tags`; within a
 # page, a byte sits at address & PAGE_MASK and a granule's tag at
@@ -101,11 +102,11 @@ class TaggedMemory:
     `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
     `tags` maps the same index to the page's granule tags, one byte each.
     Outside this class only the machine's tag check, the detector's
-    short-granule metadata operations (`read_tripwire`, `revoke_tripwire`,
-    `access_count` and `Detector.pass_benign_mismatch`) and the allocator's
-    arming, metadata clear and retag at free index pages; everything else
-    reads memory through the methods, `nonzero_bytes`, `nonzero_tags` and
-    `snapshot`.
+    short-granule metadata operations (`arm_tripwire`, `clear_metadata`,
+    `read_tripwire`, `revoke_tripwire`, `access_count` and
+    `Detector.pass_benign_mismatch`) and the allocator's retag at free index
+    pages; everything else reads memory through the methods,
+    `nonzero_bytes`, `nonzero_tags` and `snapshot`.
     """
 
     def __init__(self):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .allocator import Allocator
+from .allocator import LARGE_THRESHOLD, Allocator
 from .cpu import MODES, Machine, Mode, RunCounters
 from .detector import BugReport, Detector
 from .memory import TaggedMemory
@@ -45,7 +45,7 @@ class SimConfig:
     tripwires: bool = True
     overread_skip: bool = False
     odd_even: bool = True
-    large_threshold: int = 65536
+    large_threshold: int = LARGE_THRESHOLD
     include_zero_tag: bool = False
 
     def __post_init__(self):

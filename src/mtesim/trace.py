@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .allocator import size_class
+from .allocator import LARGE_THRESHOLD, size_class
 from .cpu import PAIRS, WIDTHS, Instruction, Opcode
 from .memory import GRANULE_SIZE
 
@@ -56,9 +56,11 @@ class Program:
 
 
 def _parse_reg(token: str, line_no: int) -> int:
-    if not token.startswith("r") or not token[1:].isdigit():
+    digits = token[1:]
+    # ASCII digits only: `str.isdigit` also takes "²" and "١"
+    if not token.startswith("r") or not (digits.isascii() and digits.isdigit()):
         raise TraceParseError(line_no, f"expected register, got {token!r}")
-    idx = int(token[1:])
+    idx = int(digits)
     if idx >= 32:
         raise TraceParseError(line_no, f"register out of range: {token}")
     return idx
@@ -121,6 +123,8 @@ def parse_program(text: str) -> Program:
             continue
         last_line = line_no
         tokens = line.replace("[", " ").replace("]", " ").replace(",", " ").split()
+        if not tokens:
+            raise TraceParseError(line_no, f"no instruction in {line!r}")
         mnemonic = tokens[0]
         if mnemonic == "alloc":
             if len(tokens) != 3:
@@ -431,9 +435,9 @@ def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
     _alloc(out, _PTR, attacker)
     skip = size_class(attacker)
     if not spec.adjacent:
-        # past SimConfig's default large_threshold: the untagged path
-        # breaks the tag-exclusion chain
-        spacer = 65537
+        # past the default large threshold: the untagged path breaks the
+        # tag-exclusion chain
+        spacer = LARGE_THRESHOLD + 1
         _alloc(out, _VICTIM + 1, spacer)
         skip += size_class(spacer)
     _alloc(out, _VICTIM, victim)

@@ -3,11 +3,12 @@
 Each tripwire event is spelled out one step and one byte at a time through
 `TaggedMemory`'s methods: bump the counter, then retire (clearing the
 metadata at the threshold) or swap the granule tag with the stashed nibble.
-The tests hold the fused one-pass operations to these steps: the arm in
-`Allocator.allocate` and the clear in `Allocator.free`, and the benign hit
-(`Detector.pass_benign_mismatch`) and revocation (`revoke_tripwire`) in
-mtesim.detector.  They also use `ref_arm` and `ref_pass` to put a tripwire
-into a given state.
+The tests hold the fused one-pass operations of mtesim.detector, which
+owns the padding layout, to these steps: the arm (`arm_tripwire`, called by
+`Allocator.allocate`), the clear (`clear_metadata`, called by
+`Allocator.free`), the benign hit (`Detector.pass_benign_mismatch`) and the
+revocation (`revoke_tripwire`).  They also use `ref_arm` and `ref_pass` to
+put a tripwire into a given state.
 """
 
 
@@ -32,14 +33,13 @@ def ref_store(mem, granule, addressable, word):
 
 def ref_arm(mem, granule, addressable, real_tag):
     """Arm: tag the granule with its addressable count and stash the real
-    tag under a zero counter, as `Allocator.allocate` does when the sampler
-    arms."""
+    tag under a zero counter, as `arm_tripwire` does."""
     mem.set_granule_tag(granule, addressable)
     ref_store(mem, granule, addressable, real_tag)
 
 
 def ref_clear(mem, granule, addressable):
-    """Zero the metadata bytes, as `Allocator.free` does; the granule tag is
+    """Zero the metadata bytes, as `clear_metadata` does; the granule tag is
     left alone."""
     ref_store(mem, granule, addressable, 0)
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import mtesim.allocator
 from mtesim import (
     Allocator,
     SimConfig,
@@ -23,8 +24,8 @@ from mtesim.allocator import (
     TagSpaceExhausted,
 )
 from mtesim.cpu import RunCounters
-from mtesim.detector import (access_count, metadata_capacity, metadata_span, read_tripwire,
-                             revoke_tripwire)
+from mtesim.detector import (access_count, arm_tripwire, clear_metadata, metadata_capacity,
+                             metadata_span, read_tripwire, revoke_tripwire)
 from mtesim.memory import address_tag, untagged
 from stepwise import ref_arm, ref_clear, ref_load, ref_swap
 
@@ -150,6 +151,33 @@ def test_odd_even_mask_equals_parity_set(left_tag):
         HEAP_BASE, 16, 16, left_tag)
     parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
     assert alloc._tag_exclusion(HEAP_BASE + 16, 16, 0) == exclusion_mask(parity, False)
+
+
+def test_freed_left_neighbour_is_not_excluded(monkeypatch):
+    # a freed region stays in the end map, so a draw finds it as the left
+    # neighbour; its tag and parity must not narrow a fresh region's draw
+    # next to it, nor a redraw on reuse next to it
+    masks, draw = [], mtesim.allocator.generate_tag
+
+    def spy(exclude, rng):
+        masks.append(exclude)
+        return draw(exclude, rng)
+
+    monkeypatch.setattr(mtesim.allocator, "generate_tag", spy)
+    _, alloc = make_allocator(seed=3)
+    a = alloc.allocate(32)
+    b = alloc.allocate(32)
+    alloc.free(b)
+    alloc.free(a)   # the 32-byte FIFO serves b first
+    masks.clear()
+    right = alloc.allocate(48)   # fresh, right of the freed b
+    assert masks == [ZERO_TAG]
+    tag_b = alloc._free_lists[32][0].tag
+    masks.clear()
+    # b again, under an addressable count equal to its free-time tag: a
+    # redraw between the freed a and the live 48-byte region
+    assert untagged(alloc.allocate(16 + tag_b)) == untagged(b)
+    assert masks == [ZERO_TAG | 1 << tag_b | 1 << address_tag(right)]
 
 
 class TestAllocate:
@@ -321,15 +349,17 @@ class TestFree:
         assert (untagged(r2), address_tag(r2)) == (untagged(b), free_tag_b)
 
     def test_reused_region_keeps_its_record(self):
-        # one record per region: live while allocated, queued while free
+        # one record per region: live while allocated, queued while free,
+        # and in the end map from its reservation on
         _, alloc = make_allocator(seed=14, sampler=AlwaysArm())
         ptr = alloc.allocate(40)
         rec = alloc.live[untagged(ptr)]
         alloc.free(ptr)
-        assert untagged(ptr) not in alloc.live and not alloc._by_end
+        assert untagged(ptr) not in alloc.live and alloc._by_end == {rec.end: rec}
         assert list(alloc._free_lists[48]) == [rec]
         reused = alloc.allocate(33)
         assert alloc.live[untagged(reused)] is rec and not alloc._free_lists[48]
+        assert alloc._by_end == {rec.end: rec}
         assert (rec.requested_size, rec.tag) == (33, address_tag(reused))
 
     def test_reuse_redraws_free_time_tag_equal_to_tripwire_value(self):
@@ -450,6 +480,23 @@ def test_revoke_and_read_match_stepwise_reference(granule, memtag, padding, neig
     _same(fused, ref)
 
 
+@given(granule=_granules, memtag=st.integers(0, 15), padding=_padding,
+       neighbours=st.tuples(st.integers(0, 0xFF), st.integers(0, 0xFF)),
+       addressable=st.integers(1, 15), real_tag=st.integers(0, 15))
+@example(granule=HEAP_BASE, memtag=0, padding=(0xFF, 0xFF), neighbours=(0xFF, 0xFF),
+         addressable=14, real_tag=3)   # the largest count with two metadata bytes
+def test_arm_and_clear_match_stepwise_reference(granule, memtag, padding, neighbours,
+                                                addressable, real_tag):
+    fused, ref = _twin_memories(granule, memtag, padding, neighbours)
+    arm_tripwire(fused, granule, addressable, real_tag)
+    ref_arm(ref, granule, addressable, real_tag)
+    _same(fused, ref)
+    fused, ref = _twin_memories(granule, memtag, padding, neighbours)
+    clear_metadata(fused, granule, addressable)
+    ref_clear(ref, granule, addressable)
+    _same(fused, ref)
+
+
 # short granules near the heap's start, first in their page, and last under
 # the heap's ceiling (also the last in their page)
 _heap_granules = st.sampled_from([HEAP_BASE + 0x40, HEAP_BASE + 0x1000, HEAP_CEILING - 16])
@@ -487,9 +534,10 @@ def test_arm_and_free_clear_match_stepwise_reference(granule, addressable, granu
 # `set_tag_range` and the tripwire's bytes through the stepwise `ref_arm` and
 # `ref_clear`, where the allocator retags in-page regions at free itself.  Its
 # `free`, like the allocator's, tells a large region by its size, so a
-# primary region that drew tag 0 is retagged and queued too.  Its maps hold
-# live allocations only, as the allocator's do; a reuse builds a new record
-# where the allocator takes back the queued one.
+# primary region that drew tag 0 is retagged and queued too.  Both its maps
+# hold live allocations only, where the allocator's end map keeps every
+# region it has reserved; a reuse builds a new record where the allocator
+# takes back the queued one.
 
 def _choice_generate_tag(exclude, rng):
     pool = [t for t in range(16) if not exclude >> t & 1]
@@ -621,7 +669,8 @@ def _state(alloc):
     return (alloc.mem.snapshot(),
             [(base, r.base, r.requested_size, r.usable_size, r.tag)
              for base, r in alloc.live.items()],
-            list(alloc._by_end),
+            # live regions found by their end, as a left neighbour is
+            {end for end, r in alloc._by_end.items() if alloc.live.get(r.base) is r},
             {size: [(r.base, r.tag) for r in fifo]
              for size, fifo in alloc._free_lists.items() if fifo},
             alloc.counters, alloc.rng.getstate())

@@ -59,6 +59,17 @@ def test_parse_error_exits_2(trace_file, capsys):
     assert "invalid width 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["]\nhalt\n", "mov r\u00b2 1\nhalt\n"],
+                         ids=["bracket_only", "superscript_register"])
+def test_malformed_line_exits_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "t.mtr"
+    path.write_bytes(text.encode())
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and ": line 1: " in err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["run", "/nonexistent/trace.mtr"]) == 2
 
@@ -447,6 +458,8 @@ _TRACES = {
     "benign": BENIGN.encode(),
     "intra": INTRA.encode(),
     "parse_error": b"ld r0 [r1, #0] w3 p1\nhalt\n",
+    "bracket_only": b"]\nhalt\n",
+    "superscript_register": "mov r\u00b2 1\nhalt\n".encode(),
     "empty": b"",
     "huge_alloc": f"alloc r0 {2**60}\nhalt\n".encode(),
     "not_utf8": b"\xff\xfe\x00halt\n",

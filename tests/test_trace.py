@@ -75,6 +75,32 @@ class TestParse:
             parse_program("ld r0 [r1, #0] w8 p3\nhalt")
 
 
+# Tokens of the trace format, malformed variants of them and its punctuation:
+# a line of these either parses or is a `TraceParseError`, never another
+# exception.  "r²" and "r١" pass `str.isdigit` but are not registers.
+_TOKENS = ["alloc", "free", "mov", "add", "ld", "st", "syscall", "ret", "halt", "bogus",
+           "r0", "r1", "r31", "r32", "r-1", "r", "rx", "r²", "r١", "r01",
+           "0", "40", "-8", "0x10", "1_0", "0x", "١", "#8", "#-8", "#0x10", "#", "#x",
+           "w1", "w8", "w16", "w3", "w", "wx", "p1", "p2", "p3", "p", "pair", "overread_ok",
+           "[", "]", ",", "[r0", "#8]", "r1,"]
+_LINES = st.tuples(st.lists(st.sampled_from(_TOKENS), max_size=6),
+                   st.sampled_from([" ", ", ", ""])).map(lambda t: t[1].join(t[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LINES, max_size=4), halt=st.booleans())
+@example(lines=["]"], halt=True)
+@example(lines=["mov r\u00b2 1"], halt=True)
+@example(lines=["mov r\u0661 1"], halt=True)
+def test_any_line_parses_and_round_trips_or_is_a_parse_error(lines, halt):
+    text = "\n".join(lines + ["halt"] * halt)
+    try:
+        p = parse_program(text)
+    except TraceParseError:
+        return
+    assert parse_program(render_program(p)) == p
+
+
 class TestRoundTrip:
     def test_render_is_canonical(self):
         text = "alloc r0 40\n  st   r1 [ r0 , #8 ]   w8 p1\nhalt"
