@@ -86,16 +86,18 @@ PAIRS = (1, 2)
 
 # A named tuple: generated programs build one per instruction for every
 # trial, and a frozen dataclass costs several times as much to construct.
+# Which fields an opcode uses is stated once, by the text format: the
+# operand table `trace._OPERANDS` and, for `ld` and `st`, `trace._ACCESS_FORMS`.
 class Instruction(NamedTuple):
     kind: Opcode
-    dst: int = 0              # destination register (ld/mov/add/alloc)
-    src: int = 0              # source register (st/free) or add's operand register
-    base: int = 0             # base register for ld/st
+    dst: int = 0              # register written
+    src: int = 0              # register read
+    base: int = 0             # base register of an access
     offset_reg: Optional[int] = None
     offset: int = 0           # immediate offset when offset_reg is None
     width: int = 8
     pair: int = 1
-    imm: int = 0              # mov/add immediate, alloc size
+    imm: int = 0              # immediate operand
     overread_ok: bool = False
 
     @property
@@ -260,7 +262,7 @@ class Machine:
 
     def can_trap(self, pc: int) -> bool:
         """True when slot `pc` can hold a trap: an instruction, not ret or halt."""
-        instructions = self.program.instructions
+        instructions = self.program
         if pc >= len(instructions):
             return False
         kind = instructions[pc].kind
@@ -280,7 +282,7 @@ class Machine:
         pc = self.pc
         if pc < 0:
             raise TraceRuntimeError(f"pc {pc} outside program")
-        instructions = self.program.instructions
+        instructions = self.program
         regs = self.regs
         delegations = detector.delegations
         tags, data = mem.tags, mem.data

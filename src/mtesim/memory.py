@@ -5,11 +5,13 @@ Memory is stored in 4 KiB pages: each page of data bytes is a
 `bytearray(256)`, one byte per 4-bit tag.  A page exists once something
 has been written to it; untouched bytes read as 0 and untouched granules
 carry tag 0, so "never allocated" and "unprotected" fall out of the
-representation for free.  A byte move within a page is one slice, and
-tagging a region (`set_tag_range`, as Scudo's `storeTags` tags an
-allocation) is one fill per page: one `pack_into` of the run's granule
-count from a 256-byte run of the tag.  The allocator's `free` retags a
-region within one page with that fill itself.
+representation for free.  `read_bytes` and `write_bytes` move one slice
+per page they touch; the machine moves an access within one page on the
+page itself and calls them only for the rest.  Tagging a region
+(`set_tag_range`, as Scudo's `storeTags` tags an allocation) is one fill
+per page: one `pack_into` of the run's granule count from a 256-byte run
+of the tag.  The allocator's `free` retags a region within one page with
+that fill itself.
 
 The simulator spends a whole byte on each tag, where the modelled hardware
 spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
@@ -114,11 +116,11 @@ class TaggedMemory:
         self.tags: Dict[int, bytearray] = {}
 
     # Addresses are masked inline (`& ADDRESS_MASK`) rather than through
-    # `untagged`: these methods run on every access.  A move within one
-    # page is one slice; a move across a page edge takes the split path,
-    # which also wraps a move that runs past the top of the address space
-    # to address 0, as `read_byte`, `write_byte` and the machine's tag
-    # check do.
+    # `untagged`.  `read_bytes` and `write_bytes` serve the machine's
+    # accesses across a page edge or past the top of the address space:
+    # they move one slice per page, and wrap a move past that top to
+    # address 0, as `read_byte`, `write_byte` and the machine's tag check
+    # do.
 
     def data_page(self, index: int) -> bytearray:
         """Data page `index`, made zero-filled if absent."""
@@ -175,11 +177,6 @@ class TaggedMemory:
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         base = addr & ADDRESS_MASK
-        offset = base & PAGE_MASK
-        end = offset + length
-        if end <= PAGE_SIZE:
-            page = self.data.get(base >> PAGE_SHIFT)
-            return bytes(length) if page is None else bytes(page[offset:end])
         out = bytearray()
         while length:
             offset = base & PAGE_MASK
@@ -192,15 +189,6 @@ class TaggedMemory:
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         base = addr & ADDRESS_MASK
-        offset = base & PAGE_MASK
-        end = offset + len(data)
-        if end <= PAGE_SIZE:
-            index = base >> PAGE_SHIFT
-            page = self.data.get(index)
-            if page is None:
-                page = self.data[index] = _BLANK_DATA_PAGE.copy()
-            page[offset:end] = data
-            return
         done = 0
         while done < len(data):
             offset = base & PAGE_MASK

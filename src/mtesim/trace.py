@@ -12,8 +12,16 @@ One instruction per line, `#` starts a comment:
     ret
     halt
 
-The last instruction must be `halt`.  `render_program` emits a canonical
-form that parses back to the same program.
+`_OPERANDS` states the operands of every instruction but `ld` and `st`
+once, in text order; `parse_program` and `render_instruction` both read
+it.  A load or store takes its tokens in the order shown: width, then pair
+count, then the optional `overread_ok`, each at most once.  Brackets and
+commas read as spaces, so `ld r0 r1 #8 w8 p1` parses as well.  A register
+is `r` and ASCII decimal digits below 32; an integer is ASCII without `_`,
+in a form `int(token, 0)` reads: decimal or `0x` hex (also `0o` and `0b`),
+with an optional sign.  The last instruction must be `halt`.  A program is
+the tuple of its instructions, and `render_program` emits a canonical form
+that parses back to the same tuple.
 
 The workload generator builds single-bug micro-programs (and benign
 stress programs) from a weighted size distribution, deterministically
@@ -35,11 +43,14 @@ import re
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .allocator import LARGE_THRESHOLD, size_class
 from .cpu import PAIRS, WIDTHS, Instruction, Opcode
 from .memory import GRANULE_SIZE
+
+# A program is its instructions, ending with `halt`.
+Program = Tuple[Instruction, ...]
 
 
 class TraceParseError(Exception):
@@ -47,12 +58,24 @@ class TraceParseError(Exception):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Program:
-    instructions: Tuple[Instruction, ...]
-
-    def __len__(self) -> int:
-        return len(self.instructions)
+# The operands of each opcode but `ld` and `st`, in text order: the
+# `Instruction` field an operand fills and how the text writes it.  A
+# placeholder starting with `r` is a register; `<size>` is an integer that
+# must not be negative, `<imm>` any integer.
+_OPERANDS: Dict[Opcode, Tuple[Tuple[str, str], ...]] = {
+    Opcode.ALLOC: (("dst", "r<d>"), ("imm", "<size>")),
+    Opcode.FREE: (("src", "r<s>"),),
+    Opcode.MOV: (("dst", "r<d>"), ("imm", "<imm>")),
+    Opcode.ADD: (("dst", "r<d>"), ("src", "r<a>"), ("imm", "<imm>")),
+    Opcode.SYSCALL: (),
+    Opcode.RET: (),
+    Opcode.HALT: (),
+}
+_ACCESS_FORMS = {
+    Opcode.LOAD: "ld r<d> [r<b>, #<imm>|r<i>] w<width> p<pair> [overread_ok]",
+    Opcode.STORE: "st r<s> [r<b>, #<imm>|r<i>] w<width> p<pair> [overread_ok]",
+}
+_OPCODES = {k.value: k for k in Opcode}
 
 
 def _parse_reg(token: str, line_no: int) -> int:
@@ -67,48 +90,56 @@ def _parse_reg(token: str, line_no: int) -> int:
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token, 0)
-    except ValueError:
-        raise TraceParseError(line_no, f"invalid {what}: {token!r}") from None
+    # ASCII without `_`: `int` also reads "١" as 1 and "1_0" as 10
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token, 0)
+        except ValueError:
+            pass
+    raise TraceParseError(line_no, f"invalid {what}: {token!r}")
 
 
 def _parse_access(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
-    if len(tokens) < 5:
-        raise TraceParseError(line_no, f"malformed {kind.value} instruction")
-    reg = _parse_reg(tokens[1], line_no)
-    base = _parse_reg(tokens[2], line_no)
-    off_tok = tokens[3]
-    offset_reg: Optional[int] = None
-    offset = 0
+    if not 6 <= len(tokens) <= 7 or tokens[4][:1] != "w" or tokens[5][:1] != "p":
+        raise TraceParseError(line_no, f"expected {_ACCESS_FORMS[kind]}")
+    if len(tokens) == 7 and tokens[6] != "overread_ok":
+        raise TraceParseError(line_no, f"unexpected token {tokens[6]!r}")
+    _, reg_tok, base_tok, off_tok, width_tok, pair_tok, *_ = tokens
+    reg = _parse_reg(reg_tok, line_no)
+    base = _parse_reg(base_tok, line_no)
     if off_tok.startswith("#"):
-        offset = _parse_int(off_tok[1:], line_no, "offset")
+        offset_reg, offset = None, _parse_int(off_tok[1:], line_no, "offset")
     else:
-        offset_reg = _parse_reg(off_tok, line_no)
-    width = pair = None
-    overread_ok = False
-    for tok in tokens[4:]:
-        if tok.startswith("w"):
-            width = _parse_int(tok[1:], line_no, "width")
-            if width not in WIDTHS:
-                raise TraceParseError(line_no, f"invalid width {width}")
-        elif tok.startswith("p") and tok != "pair":
-            pair = _parse_int(tok[1:], line_no, "pair count")
-            if pair not in PAIRS:
-                raise TraceParseError(line_no, f"invalid pair count {pair}")
-        elif tok == "overread_ok":
-            overread_ok = True
-        else:
-            raise TraceParseError(line_no, f"unexpected token {tok!r}")
-    if width is None or pair is None:
-        raise TraceParseError(line_no, "access needs w<width> and p<pair>")
+        offset_reg, offset = _parse_reg(off_tok, line_no), 0
+    width = _parse_int(width_tok[1:], line_no, "width")
+    if width not in WIDTHS:
+        raise TraceParseError(line_no, f"invalid width {width}")
+    pair = _parse_int(pair_tok[1:], line_no, "pair count")
+    if pair not in PAIRS:
+        raise TraceParseError(line_no, f"invalid pair count {pair}")
     if pair == 2 and reg >= 31:
         raise TraceParseError(line_no, f"pair transfer needs registers r{reg} and r{reg + 1}")
     common = dict(base=base, offset_reg=offset_reg, offset=offset, width=width,
-                  pair=pair, overread_ok=overread_ok)
+                  pair=pair, overread_ok=len(tokens) == 7)
     if kind is Opcode.LOAD:
         return Instruction(Opcode.LOAD, dst=reg, **common)
     return Instruction(Opcode.STORE, src=reg, **common)
+
+
+def _parse_operands(kind: Opcode, tokens: List[str], line_no: int) -> Instruction:
+    operands = _OPERANDS[kind]
+    if len(tokens) != len(operands) + 1:
+        form = " ".join([kind.value] + [text for _, text in operands])
+        raise TraceParseError(line_no, f"expected {form}")
+    fields = {}
+    for (name, text), token in zip(operands, tokens[1:]):
+        if text[0] == "r":
+            fields[name] = _parse_reg(token, line_no)
+        else:
+            value = fields[name] = _parse_int(token, line_no, text[1:-1])
+            if value < 0 and text == "<size>":
+                raise TraceParseError(line_no, f"invalid size {value}")
+    return Instruction(kind, **fields)
 
 
 _COMMENT = re.compile(r"#(?![\d-])")  # '#' starts a comment unless it prefixes an immediate
@@ -125,69 +156,34 @@ def parse_program(text: str) -> Program:
         tokens = line.replace("[", " ").replace("]", " ").replace(",", " ").split()
         if not tokens:
             raise TraceParseError(line_no, f"no instruction in {line!r}")
-        mnemonic = tokens[0]
-        if mnemonic == "alloc":
-            if len(tokens) != 3:
-                raise TraceParseError(line_no, "alloc needs a register and a size")
-            size = _parse_int(tokens[2], line_no, "size")
-            if size < 0:
-                raise TraceParseError(line_no, f"invalid size {size}")
-            instructions.append(Instruction(Opcode.ALLOC, dst=_parse_reg(tokens[1], line_no),
-                                            imm=size))
-        elif mnemonic == "free":
-            if len(tokens) != 2:
-                raise TraceParseError(line_no, "free needs a register")
-            instructions.append(Instruction(Opcode.FREE, src=_parse_reg(tokens[1], line_no)))
-        elif mnemonic == "mov":
-            if len(tokens) != 3:
-                raise TraceParseError(line_no, "mov needs a register and an immediate")
-            instructions.append(Instruction(Opcode.MOV, dst=_parse_reg(tokens[1], line_no),
-                                            imm=_parse_int(tokens[2], line_no, "immediate")))
-        elif mnemonic == "add":
-            if len(tokens) != 4:
-                raise TraceParseError(line_no, "add needs two registers and an immediate")
-            instructions.append(Instruction(Opcode.ADD, dst=_parse_reg(tokens[1], line_no),
-                                            src=_parse_reg(tokens[2], line_no),
-                                            imm=_parse_int(tokens[3], line_no, "immediate")))
-        elif mnemonic == "ld":
-            instructions.append(_parse_access(Opcode.LOAD, tokens, line_no))
-        elif mnemonic == "st":
-            instructions.append(_parse_access(Opcode.STORE, tokens, line_no))
-        elif mnemonic in ("syscall", "ret", "halt"):
-            if len(tokens) != 1:
-                raise TraceParseError(line_no, f"{mnemonic} takes no operands")
-            instructions.append(Instruction(Opcode(mnemonic)))
-        else:
-            raise TraceParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+        kind = _OPCODES.get(tokens[0])
+        if kind is None:
+            raise TraceParseError(line_no, f"unknown mnemonic {tokens[0]!r}")
+        parse = _parse_access if kind in _ACCESS_FORMS else _parse_operands
+        instructions.append(parse(kind, tokens, line_no))
     if not instructions:
         raise TraceParseError(0, "empty program")
     if instructions[-1].kind is not Opcode.HALT:
         raise TraceParseError(last_line, "program must end with halt")
-    return Program(tuple(instructions))
+    return tuple(instructions)
 
 
 def render_instruction(instr: Instruction) -> str:
     k = instr.kind
-    if k is Opcode.ALLOC:
-        return f"alloc r{instr.dst} {instr.imm}"
-    if k is Opcode.FREE:
-        return f"free r{instr.src}"
-    if k is Opcode.MOV:
-        return f"mov r{instr.dst} {instr.imm}"
-    if k is Opcode.ADD:
-        return f"add r{instr.dst} r{instr.src} {instr.imm}"
-    if k in (Opcode.LOAD, Opcode.STORE):
+    if k in _ACCESS_FORMS:
         reg = instr.dst if k is Opcode.LOAD else instr.src
         off = f"r{instr.offset_reg}" if instr.offset_reg is not None else f"#{instr.offset}"
         out = f"{k.value} r{reg} [r{instr.base}, {off}] w{instr.width} p{instr.pair}"
         if instr.overread_ok:
             out += " overread_ok"
         return out
-    return k.value
+    return " ".join([k.value] + [f"r{getattr(instr, name)}" if text[0] == "r"
+                                 else str(getattr(instr, name))
+                                 for name, text in _OPERANDS[k]])
 
 
 def render_program(program: Program) -> str:
-    return "\n".join(render_instruction(i) for i in program.instructions) + "\n"
+    return "\n".join(render_instruction(i) for i in program) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +216,7 @@ def check_program_bounds(program: Program) -> List[BoundsViolation]:
     violations: List[BoundsViolation] = []
     next_id = 0
 
-    for pc, instr in enumerate(program.instructions):
+    for pc, instr in enumerate(program):
         k = instr.kind
         if k is Opcode.ALLOC:
             sizes[next_id] = instr.imm
@@ -498,7 +494,7 @@ def generate_program(spec: WorkloadSpec, index: int) -> Program:
     _preamble(spec, rng, out)
     _GENERATORS[spec.kind](spec, rng, out)
     _halt(out)
-    return Program(tuple(out))
+    return tuple(out)
 
 
 def generate_workload(spec: WorkloadSpec) -> List[Program]:

@@ -20,7 +20,6 @@ from mtesim import (
 from mtesim import cpu
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
-from mtesim.trace import Program
 from stepwise import ref_arm, ref_pass
 
 
@@ -543,7 +542,7 @@ def test_step_matches_tag_check_and_handler_reference(
     access = Instruction(Opcode.STORE if store else Opcode.LOAD, dst=4, src=2, base=1,
                          width=width, pair=pair, overread_ok=overread_ok)
     rest = (_NEXT[after],) if after in _NEXT else ()
-    m = Machine(Program((access,) + rest + (Instruction(Opcode.HALT),)), mode)
+    m = Machine((access,) + rest + (Instruction(Opcode.HALT),), mode)
     m.regs[1] = addrtag << 56 | (short + reach - width * pair) & (_TOP - 1)
     m.regs[2:4] = values
 

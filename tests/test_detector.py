@@ -23,7 +23,7 @@ from mtesim.detector import (Detector, ProtocolError, access_count, metadata_spa
                              revoke_tripwire)
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
-from mtesim.trace import Program, generate_program
+from mtesim.trace import generate_program
 from stepwise import ref_arm, ref_pass
 
 GBASE = 0x1000
@@ -136,8 +136,8 @@ class TestRecoveryProtocol:
             m.set_granule_tag(GBASE, 8)
             m.write_byte(GBASE + 15, 0xFA)  # count 15, stashed tag 0xA
         assert ref_pass(ref, GBASE, 8, 64, delegate=True) == 16
-        program = Program((Instruction(Opcode.LOAD, dst=4, base=1),
-                           Instruction(Opcode.MOV, dst=6, imm=1), Instruction(Opcode.HALT)))
+        program = (Instruction(Opcode.LOAD, dst=4, base=1),
+                   Instruction(Opcode.MOV, dst=6, imm=1), Instruction(Opcode.HALT))
         det = Detector(SimConfig())
         # the machine pauses after the access, so slot 1 runs in a later call
         assert det.pass_benign_mismatch(0, GBASE, GBASE, 8, 0xA, False, mem, Machine(program),
@@ -476,8 +476,7 @@ def test_fused_benign_hit_matches_stepwise_reference(
     halt = Instruction(Opcode.HALT)
     rest = {"mov": (Instruction(Opcode.MOV, dst=6, imm=1), halt),
             "ret": (Instruction(Opcode.RET), halt), "halt": (halt,), "end": ()}[after]
-    program = Program((Instruction(Opcode.LOAD, dst=4, base=1, width=width, pair=pair),)
-                      + rest)
+    program = (Instruction(Opcode.LOAD, dst=4, base=1, width=width, pair=pair),) + rest
     config = SimConfig(tripwires=tripwires, overread_skip=overread_skip,
                        access_threshold=threshold)
     det, machine = Detector(config), Machine(program)

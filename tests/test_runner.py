@@ -59,7 +59,7 @@ def test_run_end_counter_identities():
                 c = report.counters
                 # a refused free is the one bug that is not an access
                 access_bug = (report.bug is not None
-                              and program.instructions[report.bug.pc].kind is not Opcode.FREE)
+                              and program[report.bug.pc].kind is not Opcode.FREE)
                 case = (kind, i, config)
                 if config.mode == "sync":
                     assert c["faults_delivered"] == (
