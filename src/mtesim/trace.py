@@ -16,7 +16,10 @@ One instruction per line, `#` starts a comment:
 once, in text order; `parse_program` and `render_instruction` both read
 it.  A load or store takes its tokens in the order shown: width, then pair
 count, then the optional `overread_ok`, each at most once.  Brackets and
-commas read as spaces, so `ld r0 r1 #8 w8 p1` parses as well.  A register
+a comma stand only in the address of a load or store, which may also go
+without them: `ld r0 r1 #8 w8 p1` parses as well, while `mov [r1] 5`,
+`alloc r0, 40` and `ld r0, [r1, #8] w8 p1` are errors.  `#` starts a
+comment unless an ASCII digit, `+` or `-` follows it.  A register
 is `r` and ASCII decimal digits below 32; an integer is ASCII without `_`,
 in a form `int(token, 0)` reads: decimal or `0x` hex (also `0o` and `0b`),
 with an optional sign.  The last instruction must be `halt`.  A program is
@@ -26,10 +29,14 @@ that parses back to the same tuple.
 The workload generator builds single-bug micro-programs (and benign
 stress programs) from a weighted size distribution, deterministically
 under a seed.  Every generated program carries a multi-allocation
-preamble so arming and sampling see more than one allocation.  The
-generator appends `Instruction`s directly, the program
-`parse_program(render_program(p))` gives back; text is only what
-`mtesim gen` writes.
+preamble so arming and sampling see more than one allocation.  Every
+bounded draw, a choice from n items or an integer in a range of n, is
+`_below(n)`: `getrandbits(k)` for `k = n.bit_length()`, drawn again while
+it is `>= n`.  `random.Random` runs that loop under `choice` and
+`randint`, so each program, and the generator's state after it, is what
+those calls give, without their call chain.  The generator appends
+`Instruction`s directly, the program `parse_program(render_program(p))`
+gives back; text is only what `mtesim gen` writes.
 `check_program_bounds` is an independent exact-bounds oracle used to
 validate generated corpora: it tracks pointers symbolically and knows
 nothing about the allocator's layout or tags.
@@ -142,7 +149,14 @@ def _parse_operands(kind: Opcode, tokens: List[str], line_no: int) -> Instructio
     return Instruction(kind, **fields)
 
 
-_COMMENT = re.compile(r"#(?![\d-])")  # '#' starts a comment unless it prefixes an immediate
+_COMMENT = re.compile(r"#(?![0-9+-])")  # '#' starts a comment unless it prefixes an immediate
+_PUNCTUATION = re.compile(r"[\[\],]")
+_WORD = r"([^\s\[\],]+)"  # a token: no space, bracket or comma
+# A load or store up to its width: mnemonic, register and address (groups
+# 1, 3 and 4 hold register, base and offset).  The address, `[r<b>, <offset>]`
+# or bare `r<b> <offset>`, is the only place brackets and a comma stand.
+_ACCESS_HEAD = re.compile(
+    rf"\S+\s+{_WORD}(?:\s*(\[)\s*|\s+){_WORD}(?:\s*,\s*|\s+){_WORD}(?(2)\s*\])")
 
 
 def parse_program(text: str) -> Program:
@@ -153,13 +167,22 @@ def parse_program(text: str) -> Program:
         if not line:
             continue
         last_line = line_no
-        tokens = line.replace("[", " ").replace("]", " ").replace(",", " ").split()
-        if not tokens:
-            raise TraceParseError(line_no, f"no instruction in {line!r}")
+        tokens = line.split()
         kind = _OPCODES.get(tokens[0])
         if kind is None:
             raise TraceParseError(line_no, f"unknown mnemonic {tokens[0]!r}")
-        parse = _parse_access if kind in _ACCESS_FORMS else _parse_operands
+        if kind in _ACCESS_FORMS:
+            parse = _parse_access
+            head = _ACCESS_HEAD.match(line)
+            if head is None or _PUNCTUATION.search(line, head.end()):
+                raise TraceParseError(line_no, f"expected {_ACCESS_FORMS[kind]}")
+            tokens[1:] = [*head.group(1, 3, 4), *line[head.end():].split()]
+        else:
+            parse = _parse_operands
+            stray = _PUNCTUATION.search(line)
+            if stray:
+                raise TraceParseError(
+                    line_no, f"unexpected {stray.group()!r} outside a load or store address")
         instructions.append(parse(kind, tokens, line_no))
     if not instructions:
         raise TraceParseError(0, "empty program")
@@ -386,21 +409,18 @@ def _halt(out: List[Instruction]) -> None:
         Opcode.HALT, 0, 0, 0, None, 0, 8, 1, 0, False)))
 
 
+def _below(getrandbits, n: int) -> int:
+    """`Random._randbelow(n)` for n >= 1: the same `getrandbits(k)` calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     for i in range(spec.preamble_allocs):
         _alloc(out, _PREAMBLE + (i % 8), _draw_size(spec, rng))
-
-
-def _benign_access(rng: random.Random, size: int, reg: int, out: List[Instruction]) -> None:
-    width, pair = rng.choice(_SHAPES_FITTING[min(size, _MAX_ACCESS)])
-    off = rng.randint(0, size - width * pair)
-    if rng.random() < 0.5:
-        _mov(out, _VAL, rng.randint(0, 2**32))
-        if pair == 2:
-            _mov(out, _VAL + 1, rng.randint(0, 2**32))
-        _store(out, _VAL, reg, off, width, pair)
-    else:
-        _load(out, _VAL + 2, reg, off, width, pair)
 
 
 def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -417,8 +437,8 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
         hi = last_granule + GRANULE_SIZE - a
         if lo <= hi:
             options.append((width, pair, lo, hi))
-    width, pair, lo, hi = rng.choice(options)
-    off = rng.randint(lo, hi)
+    width, pair, lo, hi = options[_below(rng.getrandbits, len(options))]
+    off = lo + _below(rng.getrandbits, hi - lo + 1)
     if rng.random() < 0.5:
         _store(out, _VAL, _PTR, off, width, pair)
     else:
@@ -437,15 +457,16 @@ def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
         _alloc(out, _VICTIM + 1, spacer)
         skip += size_class(spacer)
     _alloc(out, _VICTIM, victim)
-    width = rng.choice(_GRANULE_WIDTHS)
-    off = skip + rng.randint(0, GRANULE_SIZE - width)  # inside the victim's first granule
+    width = _GRANULE_WIDTHS[_below(rng.getrandbits, len(_GRANULE_WIDTHS))]
+    # inside the victim's first granule
+    off = skip + _below(rng.getrandbits, GRANULE_SIZE - width + 1)
     _store(out, _VAL, _PTR, off, width)
 
 
 def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
     _alloc(out, _PTR, size)
-    _mov(out, _VAL, rng.randint(0, 2**32))
+    _mov(out, _VAL, _below(rng.getrandbits, 2**32 + 1))
     _store(out, _VAL, _PTR, 0, 1)
     _free(out, _PTR)
     # instructions are immutable: every cycle appends the same pair
@@ -464,17 +485,34 @@ def _gen_double_free(spec: WorkloadSpec, rng: random.Random, out: List[Instructi
 
 
 def _gen_benign(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
+    getrandbits, random_, append = rng.getrandbits, rng.random, out.append
     buffers = []
-    for i in range(rng.randint(1, 3)):
+    for i in range(1 + _below(getrandbits, 3)):
         size = _draw_size(spec, rng)
         reg = 12 + i
         buffers.append((reg, size))
         _alloc(out, reg, size)
+    # each access: a buffer, a shape that fits it, an offset, then a store of
+    # fresh values or a load; the loop builds its instructions inline
+    mov, load, store = Opcode.MOV, Opcode.LOAD, Opcode.STORE
     for _ in range(spec.accesses):
-        reg, size = rng.choice(buffers)
-        _benign_access(rng, size, reg, out)
+        reg, size = buffers[_below(getrandbits, len(buffers))]
+        shapes = _SHAPES_FITTING[min(size, _MAX_ACCESS)]
+        width, pair = shapes[_below(getrandbits, len(shapes))]
+        off = _below(getrandbits, size - width * pair + 1)
+        if random_() < 0.5:
+            append(_new_instruction(Instruction, (
+                mov, _VAL, 0, 0, None, 0, 8, 1, _below(getrandbits, 2**32 + 1), False)))
+            if pair == 2:
+                append(_new_instruction(Instruction, (
+                    mov, _VAL + 1, 0, 0, None, 0, 8, 1, _below(getrandbits, 2**32 + 1), False)))
+            append(_new_instruction(Instruction, (
+                store, 0, _VAL, reg, None, off, width, pair, 0, False)))
+        else:
+            append(_new_instruction(Instruction, (
+                load, _VAL + 2, 0, reg, None, off, width, pair, 0, False)))
     for reg, _ in buffers:
-        if rng.random() < 0.3:
+        if random_() < 0.3:
             _free(out, reg)
 
 

@@ -61,9 +61,11 @@ def test_parse_error_exits_2(trace_file, capsys):
 
 @pytest.mark.parametrize("text", ["]\nhalt\n", "mov r\u00b2 1\nhalt\n", "mov r1 \u0661\nhalt\n",
                                   "mov r1 1_0\nhalt\n", "ld r0 [r1, #8] w8 w16 p1\nhalt\n",
-                                  "ld r0 [r1, #8] p1 w8\nhalt\n"],
+                                  "ld r0 [r1, #8] p1 w8\nhalt\n", "mov [r1] 5\nhalt\n",
+                                  "alloc r0, 40\nhalt\n"],
                          ids=["bracket_only", "superscript_register", "arabic_indic_digit",
-                              "underscore_separator", "repeated_width", "pair_before_width"])
+                              "underscore_separator", "repeated_width", "pair_before_width",
+                              "bracketed_immediate", "comma_separated"])
 def test_malformed_line_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "t.mtr"
     path.write_bytes(text.encode())

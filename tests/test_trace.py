@@ -15,7 +15,8 @@ from mtesim import (
     parse_program,
     render_program,
 )
-from mtesim.trace import WorkloadError, _draw_size, generate_program, render_instruction
+from mtesim.trace import (WorkloadError, _below, _draw_size, generate_program,
+                          render_instruction)
 
 
 class TestParse:
@@ -53,6 +54,13 @@ class TestParse:
             "halt\n"
         )
         assert p[1].offset == 8
+
+    def test_plus_signed_offset(self):
+        # `#+` prefixes an offset, as `+7` is an immediate, not a comment
+        assert parse_program("st r1 [r0, #+8] w8 p1\nhalt")[0].offset == 8
+
+    def test_hash_before_a_non_ascii_digit_starts_a_comment(self):
+        assert parse_program("mov r1 5 #\u0668\nhalt") == parse_program("mov r1 5\nhalt")
 
     def test_negative_and_hex_immediates(self):
         p = parse_program("mov r0 0x10\nld r1 [r0, #-8] w4 p1\nmov r2 -0x10\nmov r3 +7\nhalt")
@@ -105,11 +113,11 @@ class TestParse:
             parse_program(line + "\nhalt")
 
     # `int` reads every Unicode decimal digit and `_` separators; the format
-    # takes ASCII without `_`.
+    # takes ASCII without `_`.  (`#` before a non-ASCII digit starts a comment.)
     @pytest.mark.parametrize("line", [
         "mov r1 \u0661",
         "mov r1 1_0",
-        "ld r0 [r1, #\u0668] w\u0668 p\u0661",
+        "ld r0 [r1, #8] w\u0668 p1",
         "ld r0 [r1, #8] w8 p\u0661",
         "alloc r0 0x_10",
     ])
@@ -118,9 +126,27 @@ class TestParse:
             parse_program(line + "\nhalt")
 
     def test_brackets_and_commas_read_as_spaces(self):
-        # out of scope of the stricter grammar: punctuation is not checked
+        # inside an address they may also be left out
         assert parse_program("ld r0 r1 #8 w8 p1\nhalt") == parse_program(
             "ld r0 [r1, #8] w8 p1\nhalt")
+
+    @pytest.mark.parametrize("line", ["mov [r1] 5", "free ]r0[", "alloc r0, 40"])
+    def test_brackets_and_commas_only_in_an_address(self, line):
+        with pytest.raises(TraceParseError, match="^line 1: unexpected '.' outside a load "):
+            parse_program(line + "\nhalt")
+
+    @pytest.mark.parametrize("line", [
+        "ld r0, [r1, #8] w8 p1",
+        "ld r0 [r1, #8] w8, p1",
+        "st r0 [r1, #8] w8 p1 ]",
+        "ld r0 [r1, #8 w8 p1",
+        "ld r0 r1, #8] w8 p1",
+        "ld r0 [[r1, #8] w8 p1",
+        "ld r0 [r1,, #8] w8 p1",
+    ])
+    def test_misplaced_address_punctuation(self, line):
+        with pytest.raises(TraceParseError, match="^line 1: expected "):
+            parse_program(line + "\nhalt")
 
 
 # One canonical line per opcode and the instruction it stands for, built
@@ -237,6 +263,26 @@ def test_draw_size_matches_choices_with_weights(distribution, seed):
     for _ in range(50):
         assert _draw_size(spec, cached) == reference.choices(sizes, weights=weights)[0]
     assert cached.getstate() == reference.getstate()
+
+
+# every n below 65, powers of two (one bit more than n - 1 needs: half the
+# draws are rejected) and the bound of a generated 32-bit value
+_BOUNDS = [*range(1, 65), *(2**k for k in range(7, 34)), 2**32 + 1]
+
+
+@pytest.mark.parametrize("reference_draw", [
+    lambda rng, n: rng._randbelow(n),
+    lambda rng, n: rng.choice(range(n)),
+    lambda rng, n: rng.randint(7, 7 + n - 1) - 7,
+], ids=["_randbelow", "choice", "randint"])
+def test_below_draws_what_random_draws(reference_draw):
+    """`_below` draws what `random.Random` draws, draw for draw, and leaves
+    the generator in the same state."""
+    for n in _BOUNDS:
+        drawn, reference = random.Random(n), random.Random(n)
+        for _ in range(30):
+            assert _below(drawn.getrandbits, n) == reference_draw(reference, n), n
+        assert drawn.getstate() == reference.getstate(), n
 
 
 class TestGeneratorOracle:
