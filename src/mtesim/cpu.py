@@ -19,39 +19,40 @@ it halts, reports a bug or uses up its instruction budget.
 `Simulation.run` calls it once per run, and `step` is `run` with a budget
 of one, so single-stepping executes the same code.  The loop keeps the
 program, registers, trap slots, memory pages and mode in locals, and
-inlines the common access path: the address and tag of a load or store,
-the tag check of every granule an access touches within one tag page (one
-page lookup), and the byte move.  A load or store within one page moves
-all its bytes, both registers of a pair included, with one page lookup and
-one `struct` call (`<Q`, `<QQ`, `<Q8xQ8x`, ... by width and pair).
+inlines the access path: the address and tag of a load or store, the tag
+check of every granule an access touches, and the byte move.  A load or
+store within one page moves all its bytes, both registers of a pair
+included, with one page lookup and one `struct` call (`<Q`, `<QQ`,
+`<Q8xQ8x`, ... by width and pair).
 
-A checked access finds its first mismatching address by that inline walk,
-or by `tag_check(decode(instr))` when it crosses a page edge or runs past
-the top of the address space.  Either way a mismatch reaches one site in
-the loop, which counts the fault once.  In sync mode that site takes the
-one benign verdict from `Detector.pass_benign_mismatch`, given the access
-as plain values and whether slot `pc + 1` runs in the same call (the
-budget has not ended at `pc`): a benign tripwire hit resumes the access
-without a descriptor or a `Fault`, and anything else is a bug, whose
-`Fault` goes to `Detector.handle_tag_mismatch` for its report.  A hit
-whose trap would fire in the same call is taken whole at that site, the
-detector counting its trap, so the loop's trap dispatch sees only the
-delegations of an allow-listed overread or of a machine paused right after
-a hit; `Detector.handle_trap` counts each trap it revokes.  In async
-mode the first mismatch becomes the pending fault.  A later one before
-the next kernel entry is counted but not reported, so within a page it
-builds no `Fault`.
+A checked access finds its first mismatching address by one walk over the
+granules it touches on its tag page.  An access is at most 32 bytes, so
+one that crosses a page edge, or wraps past the top of the address space,
+touches two pages, and the walk takes the next tag page with it.  A
+mismatch reaches one site in the loop, which counts the fault once.  In
+sync mode that site takes the one benign verdict from
+`Detector.pass_benign_mismatch`, given the access as plain values and
+whether slot `pc + 1` runs in the same call (the budget has not ended at
+`pc`): a benign tripwire hit resumes the access without a descriptor or a
+`Fault`, and anything else is a bug, whose `Fault` goes to
+`Detector.handle_tag_mismatch` for its report.  A hit whose trap would
+fire in the same call is taken whole at that site, the detector counting
+its trap, so the loop's trap dispatch sees only the delegations of an
+allow-listed overread or of a machine paused right after a hit;
+`Detector.handle_trap` counts each trap it revokes.  In async mode the
+first mismatch becomes the pending fault.  A later one before the next
+kernel entry is counted but not reported, so it builds no `Fault`.
 `self.pc` is brought up to date whenever the loop calls out, because the
 handlers read it.
 
-`decode`, `tag_check`, `TaggedMemory.read_bytes` and
-`TaggedMemory.write_bytes` stay as methods.  They are the slow path, and
-only an access across a page edge or past the top of the address space
-reaches it: `decode` + `tag_check` for its check, and one `read_bytes` or
-`write_bytes` call for its bytes, which the same `struct` call unpacks
-from or packs into a buffer.  The tests also check them directly as the
-reference for the inlined path, and the benchmark's tracer wraps them as
-spans.
+An access across a page edge, or past the top of the address space,
+moves its bytes through one `TaggedMemory.read_bytes` or `write_bytes`
+call, which the same `struct` call unpacks from or packs into a buffer.
+`decode` and `tag_check` have no caller in the library: they state the
+address and the check plainly, one granule at a time through
+`TaggedMemory.get_granule_tag`, the tests hold the loop to them, and the
+benchmark's tracer wraps them by name.  They go with the next change to
+the benchmark.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .memory import (_GRANULE_PAGE_SHIFT, ADDRESS_MASK, GRANULE_OFFSET_MASK, GRANULE_SHIFT,
+from .memory import (_PAGE_INDEX_MASK, ADDRESS_MASK, GRANULE_OFFSET_MASK, GRANULE_SHIFT,
                      GRANULE_SIZE, GRANULES_PER_PAGE, MASK64, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE,
                      TAG_SHIFT, TaggedMemory)
 
@@ -105,10 +106,9 @@ class Instruction(NamedTuple):
         return self.width * self.pair
 
 
-# An access across a page edge and every fault build an AccessDescriptor,
-# so it is a named tuple built with `tuple.__new__` directly: one C call,
-# where a frozen dataclass runs a Python `__init__` with one
-# `object.__setattr__` per field.
+# Every fault builds an AccessDescriptor, so it is a named tuple built with
+# `tuple.__new__` directly: one C call, where a frozen dataclass runs a
+# Python `__init__` with one `object.__setattr__` per field.
 class AccessDescriptor(NamedTuple):
     start: int            # untagged start address
     size: int             # width * pair bytes
@@ -157,8 +157,6 @@ _LANE_MASK = {w: (1 << 8 * min(w, 8)) - 1 for w in WIDTHS}   # register bits a s
 # what an absent page reads as; never written
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _UNTAGGED_PAGE = bytes(GRANULES_PER_PAGE)
-_GRANULE_INDEX_MASK = ADDRESS_MASK >> GRANULE_SHIFT
-_PAGE_GRANULE_MASK = GRANULES_PER_PAGE - 1            # granule index -> index in its page
 
 
 class TraceRuntimeError(Exception):
@@ -231,26 +229,21 @@ class Machine:
     def tag_check(self, desc: AccessDescriptor, mem: TaggedMemory) -> Optional[Fault]:
         """First mismatching granule of the access, in ascending order.
 
-        Indexes `mem.tags` (page index -> one tag byte per granule)
-        directly, one page lookup per granule.  The granule index is masked
-        as `get_granule_tag` masks an address, so an access running past the
-        top of the address space checks granule 0.  `run` checks an access
-        within one tag page inline and comes here only for an access across
-        a page edge.
+        One `get_granule_tag` call per granule, which masks the address, so
+        an access running past the top of the address space checks granule
+        0; the fault address is left unmasked.  `run` makes the same check
+        inline.
         """
-        start, size, addrtag = desc.start, desc.size, desc.addrtag
-        tags = mem.tags
+        start, size, addrtag = desc
         first = start >> GRANULE_SHIFT
         for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
-            index = g & _GRANULE_INDEX_MASK
-            page = tags.get(index >> _GRANULE_PAGE_SHIFT)
-            if (0 if page is None else page[index & _PAGE_GRANULE_MASK]) != addrtag:
-                address = start if g == first else g << GRANULE_SHIFT
-                return _new_fault(Fault, (self.pc, address, tuple(self.regs), desc))
+            if mem.get_granule_tag(g << GRANULE_SHIFT) != addrtag:
+                return self._fault(start if g == first else g << GRANULE_SHIFT, start, size,
+                                   addrtag)
         return None
 
     def _fault(self, address: int, start: int, size: int, addrtag: int) -> Fault:
-        """The fault `tag_check` would build for a mismatch `run` found inline."""
+        """The fault at `address` of the access of `size` bytes from `start`."""
         return _new_fault(Fault, (self.pc, address, tuple(self.regs), _new_descriptor(
             AccessDescriptor, (start, size, addrtag))))
 
@@ -309,10 +302,9 @@ class Machine:
                     address = effective & ADDRESS_MASK
                     size = width * pair
                     # An access within one granule whose tag matches passes
-                    # on one page lookup.  Any other access finds its first
-                    # mismatching address: within one tag page by walking
-                    # the granules it touches on that page, across a page
-                    # edge with `tag_check`.  A mismatch then has one site.
+                    # on one page lookup.  Any other access walks the
+                    # granules it touches to its first mismatching address,
+                    # which has one site.
                     if checking and (
                             (address & GRANULE_OFFSET_MASK) + size > GRANULE_SIZE
                             or (tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE)[
@@ -320,35 +312,35 @@ class Machine:
                             != (effective >> TAG_SHIFT) & 0xF):
                         addrtag = (effective >> TAG_SHIFT) & 0xF
                         at = address & PAGE_MASK
-                        self.pc = pc
-                        if at + size <= PAGE_SIZE:
-                            fault = None   # built only for a bug or a pending async fault
-                            page = tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE
-                            g = first = at >> GRANULE_SHIFT
-                            last = (at + size - 1) >> GRANULE_SHIFT
-                            while g < last and page[g] == addrtag:
-                                g += 1
-                            fault_address = (None if page[g] == addrtag
-                                             else address if g == first
-                                             else address & ~PAGE_MASK | g << GRANULE_SHIFT)
-                        else:
-                            fault = self.tag_check(self.decode(instr), mem)
-                            fault_address = None if fault is None else fault.fault_address
-                        if fault_address is not None:
+                        page = tags.get(address >> PAGE_SHIFT) or _UNTAGGED_PAGE
+                        g = first = at >> GRANULE_SHIFT
+                        last = (at + size - 1) >> GRANULE_SHIFT
+                        if last >= GRANULES_PER_PAGE:
+                            # across a page edge, or past the top of the
+                            # address space to page 0: the next tag page too
+                            page = page + (tags.get(((address >> PAGE_SHIFT) + 1)
+                                                    & _PAGE_INDEX_MASK) or _UNTAGGED_PAGE)
+                        while g < last and page[g] == addrtag:
+                            g += 1
+                        if page[g] != addrtag:
+                            # past the top, the address is left unmasked, as
+                            # `tag_check` leaves it
+                            fault_address = (address if g == first
+                                             else (address & ~PAGE_MASK) + (g << GRANULE_SHIFT))
                             counters.faults_delivered += 1
+                            self.pc = pc
                             if mode is _SYNC:
                                 if not detector.pass_benign_mismatch(
                                         pc, fault_address, address, size, addrtag, overread_ok,
                                         mem, self, executed < stop):
                                     return RunEnd("BugReported", detector.handle_tag_mismatch(
-                                        fault or self._fault(fault_address, address, size,
-                                                             addrtag),
+                                        self._fault(fault_address, address, size, addrtag),
                                         mem, allocator, self))
                                 # benign: resume, the access commits fully
                             elif self.pending_async is None:
                                 # silent corruption until drained; the first fault wins
-                                self.pending_async = fault or self._fault(
-                                    fault_address, address, size, addrtag)
+                                self.pending_async = self._fault(fault_address, address, size,
+                                                                 addrtag)
                     # An access within a page is one struct move on the page.
                     # One across a page edge, or past the top of the address
                     # space, moves through one `read_bytes`/`write_bytes` call

@@ -58,18 +58,20 @@ if TYPE_CHECKING:
 # `Allocator.free` zeroes the metadata bytes with `clear_metadata`.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
-# of the granule tag and the metadata bytes.  The operations look the
-# granule's tag page and data page up once each and index them, as the
-# machine's tag check does: a method call per byte costs more than the event
-# itself.  `pages.get(i) or mem.tag_page(i)` makes a page only when none
-# exists (a page is never empty, so never false).  Reads and clears make no
-# page.  `granule` is the base address of a granule; its last byte sits at
-# page offset `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
+# of the granule tag and the metadata bytes.  Only the events with traffic,
+# the arm, the clear and the benign hit, look the granule's tag page and
+# data page up once each and index them, as the machine's tag check does: a
+# method call per byte costs more than the event itself.
+# `pages.get(i) or mem.tag_page(i)` makes a page only when none exists (a
+# page is never empty, so never false), and the clear makes no page.  The
+# revocation at a trap and the reads (the bug report's `read_tripwire` and
+# `access_count`) go through `TaggedMemory`'s methods.  `granule` is the
+# base address of a granule; its last byte sits at page offset
+# `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
 #
 # A benign hit is one call, `Detector.pass_benign_mismatch`: the read, the
 # benign/bug rule (`check_access`, or the allow-listed overread rule), the
-# count and the rearm/delegate/retire write.  The bug report reads the
-# granule with `read_tripwire`.
+# count and the rearm/delegate/retire write.
 
 
 def metadata_span(granule: int, addressable: int) -> range:
@@ -105,22 +107,16 @@ def check_access(f: int, start: int, size: int, addrtag: int, memtag: int,
 def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
     """Memory tag of the granule holding `address`, and the low nibble of the
     granule's last byte: the addressable count and the real tag while armed."""
-    a = address & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    tags, data = mem.tags.get(index), mem.data.get(index)
-    return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
-            0 if data is None else data[offset | GRANULE_OFFSET_MASK] & 0xF)
+    return (mem.get_granule_tag(address),
+            mem.read_byte(address | GRANULE_OFFSET_MASK) & 0xF)
 
 
 def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
-    a = granule & ADDRESS_MASK
-    data = mem.data.get(a >> PAGE_SHIFT)
-    if data is None:
-        return 0
-    last = a & PAGE_MASK | GRANULE_OFFSET_MASK
-    word = data[last]
-    if addressable <= 14:
-        word |= data[last - 1] << 8
+    """The counter of the short granule at `granule`: its metadata bytes,
+    read as one big-endian word, above the stashed tag."""
+    word = 0
+    for a in metadata_span(granule, addressable):
+        word = word << 8 | mem.read_byte(a)
     return word >> 4
 
 
@@ -152,14 +148,10 @@ def clear_metadata(mem: TaggedMemory, granule: int, addressable: int) -> None:
 
 def revoke_tripwire(mem: TaggedMemory, granule: int) -> None:
     """Swap the granule tag with the stashed nibble, rearming a delegated tripwire."""
-    a = granule & ADDRESS_MASK
-    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-    tags = mem.tags.get(index) or mem.tag_page(index)
-    data = mem.data.get(index) or mem.data_page(index)
-    g, last = offset >> GRANULE_SHIFT, offset | GRANULE_OFFSET_MASK
-    byte = data[last]
-    data[last] = byte & 0xF0 | tags[g]
-    tags[g] = byte & 0xF
+    last = granule | GRANULE_OFFSET_MASK
+    byte = mem.read_byte(last)
+    mem.write_byte(last, byte & 0xF0 | mem.get_granule_tag(granule))
+    mem.set_granule_tag(granule, byte & 0xF)
 
 
 def tripwire_armed(mem: TaggedMemory, rec: AllocationRecord) -> bool:
@@ -287,19 +279,21 @@ class Detector:
 
         The access at `pc` spans `size` bytes from untagged `start` under
         `addrtag`; `address` is its lowest address in the first
-        mismatching granule.  An allow-listed overread (`overread_ok` under
-        `overread_skip`) on this pointer's tripwire passes uncounted and
-        unchecked; otherwise `check_access` decides.  A counted hit bumps
-        the counter and retires the tripwire, zeroing its metadata, once
-        the count reaches `access_threshold` or the counter's capacity.
-        Else, with no trap slot at `pc + 1`, it retires at the ret edge
-        (real tag on, metadata as the hit left it).  Else, when slot
-        `pc + 1` runs in the same `run` call (`next_in_call`), it is
-        rearmed in place: only the counter is written and the trap is
-        counted now, since the access ends within the addressable bytes
-        and delegate-then-revoke would swap the tag there and straight
-        back.  Otherwise it is delegated until the trap at `pc + 1`.  An
-        uncounted hit is never rearmed: the overread may read the padding.
+        mismatching granule.  A hit is counted unless it is an
+        allow-listed overread (`overread_ok` under `overread_skip`).
+        `check_access` decides a counted hit; an uncounted one passes
+        unchecked when it hits this pointer's tripwire.  A counted hit
+        bumps the counter and retires the tripwire, zeroing its metadata,
+        once the count reaches `access_threshold` or the counter's
+        capacity.  Else, with no trap slot at `pc + 1`, the hit retires the
+        tripwire at the ret edge (real tag on, metadata as the hit left
+        it).  Else, when slot `pc + 1` runs in the same `run` call
+        (`next_in_call`), a counted hit is rearmed in place: only the
+        counter is written and the trap is counted now, since the access
+        ends within the addressable bytes and delegate-then-revoke would
+        swap the tag there and straight back.  Otherwise the hit is
+        delegated until the trap at `pc + 1`.  An uncounted hit is never
+        rearmed: the overread may read the padding.
         """
         config = self.config
         if not config.tripwires:
@@ -311,28 +305,21 @@ class Detector:
         memtag = 0 if tags is None else tags[g]
         low = 0 if data is None else data[last]
         metadata = low & 0xF
-        if (overread_ok and config.overread_skip
-                and memtag != 0 and addrtag != 0 and metadata == addrtag):
-            # uncounted: the counter is left alone, and no threshold retires it
-            tags[g] = metadata
-            if machine.can_trap(pc + 1):
-                data[last] = low & 0xF0 | memtag
-                self.delegations[pc + 1] = a & GRANULE_MASK
-            else:
-                self.counters.tripwires_removed_by_ret_edge += 1
-            return True
-        if not check_access(a, start, size, addrtag, memtag, metadata):
+        counted = not (overread_ok and config.overread_skip)
+        if not (check_access(a, start, size, addrtag, memtag, metadata) if counted
+                else memtag != 0 and addrtag != 0 and metadata == addrtag):
             return False
         # benign: memtag and the stashed nibble are nonzero, so both pages exist
         two = memtag <= 14
-        word = (data[last - 1] << 8 | low if two else low) + (1 << 4)
-        if word >> 4 >= config.access_threshold or word >> 4 >= metadata_capacity(memtag):
+        word = (data[last - 1] << 8 | low if two else low) + (counted << 4)
+        if counted and (word >> 4 >= config.access_threshold
+                        or word >> 4 >= metadata_capacity(memtag)):
             tags[g], word = metadata, 0
             self.counters.tripwires_removed_by_threshold += 1
         elif not machine.can_trap(pc + 1):
             tags[g] = metadata   # no slot for the revocation trap (ret/halt/end)
             self.counters.tripwires_removed_by_ret_edge += 1
-        elif next_in_call:
+        elif counted and next_in_call:
             self.counters.traps_delivered += 1   # the trap at pc + 1, taken with the hit
         else:
             tags[g], word = metadata, word & ~0xF | memtag

@@ -103,11 +103,10 @@ class TaggedMemory:
 
     `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
     `tags` maps the same index to the page's granule tags, one byte each.
-    Outside this class only the machine's tag check, the detector's
-    short-granule metadata operations (`arm_tripwire`, `clear_metadata`,
-    `read_tripwire`, `revoke_tripwire`, `access_count` and
-    `Detector.pass_benign_mismatch`) and the allocator's retag at free index
-    pages; everything else reads memory through the methods,
+    Outside this class pages are indexed only on paths with traffic:
+    `Machine.run`, the detector's `arm_tripwire`, `clear_metadata` and
+    `Detector.pass_benign_mismatch`, and the retag in `Allocator.free`.
+    Everything else reads and writes memory through the methods,
     `nonzero_bytes`, `nonzero_tags` and `snapshot`.
     """
 

@@ -6,9 +6,11 @@ metadata at the threshold) or swap the granule tag with the stashed nibble.
 The tests hold the fused one-pass operations of mtesim.detector, which
 owns the padding layout, to these steps: the arm (`arm_tripwire`, called by
 `Allocator.allocate`), the clear (`clear_metadata`, called by
-`Allocator.free`), the benign hit (`Detector.pass_benign_mismatch`) and the
-revocation (`revoke_tripwire`).  They also use `ref_arm` and `ref_pass` to
-put a tripwire into a given state.
+`Allocator.free`) and the benign hit (`Detector.pass_benign_mismatch`).
+The revocation (`revoke_tripwire`) is not fused: it makes the same
+`TaggedMemory` calls as `ref_swap`, and a test still holds the two equal.
+The tests also use `ref_arm` and `ref_pass` to put a tripwire into a given
+state.
 """
 
 

@@ -480,6 +480,21 @@ def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
                                    (top - 4, 1), (top - 3, 2), (top - 2, 3), (top - 1, 4)]
 
 
+@pytest.mark.parametrize("mode", [Mode.SYNC, Mode.ASYNC])
+def test_bug_past_top_of_address_space_reports_the_unmasked_address(mode):
+    # the load's second granule wraps to granule 0, which wears another
+    # tag; the fault address is left unmasked, as `tag_check` leaves it
+    m = machine_for("ld r4 [r1, #0] w16 p1\nhalt", mode)
+    mem = TaggedMemory()
+    mem.set_granule_tag(_TOP - 16, 0xA)
+    mem.set_granule_tag(0x0, 0x8)
+    m.regs[1] = 0x0AFF_FFFF_FFFF_FFF8
+    end = m.run(mem, None, Detector(SimConfig(mode=mode.value)), 2)
+    assert end.outcome == "BugReported" and m.counters.faults_delivered == 1
+    assert end.report.fault_address == 1 << 56
+    assert end.report.fault_address == m.tag_check(m.decode(m.program[0]), mem).fault_address
+
+
 # property: one `Machine.step` of a checked load or store matches a
 # reference that builds the fault with `tag_check(decode(instr))`, takes the
 # benign verdict from `pass_benign_mismatch` and hands a bug to
@@ -576,8 +591,9 @@ def test_step_matches_tag_check_and_handler_reference(
 
 
 class TestSlowPathReach:
-    """Which accesses build a descriptor, walk the granules with
-    `tag_check`, take the benign verdict or reach `handle_tag_mismatch`."""
+    """Which accesses take the benign verdict or reach `handle_tag_mismatch`.
+    `Machine.run` walks every access's granules itself, so none calls
+    `decode` or `tag_check`."""
 
     @pytest.fixture
     def slow_calls(self, monkeypatch):
@@ -623,9 +639,9 @@ class TestSlowPathReach:
         assert slow_calls == ["pass_benign_mismatch"]
         assert det.delegations == {1: 0x2120}
 
-    def test_access_across_a_page_edge_walks_with_tag_check(self, slow_calls):
-        end, _, _ = self.run_access(0x1FF8, 8, 2)        # 0x1ff8..0x2007
-        assert end is None and slow_calls == ["decode", "tag_check"]
+    def test_access_across_a_page_edge_walks_inline(self, slow_calls):
+        end, m, _ = self.run_access(0x1FF8, 8, 2)        # 0x1ff8..0x2007
+        assert end is None and m.counters.faults_delivered == 0 and slow_calls == []
 
     def test_bug_within_a_page_takes_the_benign_verdict_once(self, slow_calls):
         end, m, _ = self.run_access(0x211C, 16, 1)       # 0x211c..0x212b: 12 bytes of 8
@@ -633,22 +649,32 @@ class TestSlowPathReach:
         assert end.report.fault_address == 0x2120 and m.counters.faults_delivered == 1
         assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
 
-    def test_bug_reaches_the_handler_through_tag_check(self, slow_calls):
+    def test_bug_across_a_page_edge_takes_the_benign_verdict_once(self, slow_calls):
         end, _, _ = self.run_access(0x2FFC, 16, 1)       # 0x2ffc..0x300b: 12 bytes of 8
         assert end.report.kind.value == "IntraGranuleOverflow"
-        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch",
-                              "handle_tag_mismatch"]
+        assert end.report.fault_address == 0x3000
+        assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
 
-    def test_plain_tag_checks_report_through_tag_check(self, slow_calls):
+    def test_plain_tag_check_across_a_page_edge_reports_the_bug(self, slow_calls):
         end, _, _ = self.run_access(0x2FF8, 8, 2, tripwires=False)   # 0x2ff8..0x3007
         assert end.report.kind.value == "UseAfterFreeOrWild"
-        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch",
-                              "handle_tag_mismatch"]
+        assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
 
-    def test_async_mismatch_is_queued_through_tag_check(self, slow_calls):
+    def test_async_mismatch_across_a_page_edge_is_queued(self, slow_calls):
         end, m, _ = self.run_access(0x2FF8, 8, 2, mode=Mode.ASYNC)
         assert end is None and m.pending_async.fault_address == 0x3000
-        assert slow_calls == ["decode", "tag_check"]
+        assert slow_calls == []
+
+    def test_no_access_calls_decode_or_tag_check(self, slow_calls):
+        # within one granule, across granules in a page, across a page edge
+        # and past the top of the address space; passing and faulting
+        shapes = ((0x2008, 8, 1), (0x2128, 8, 1), (0x20F8, 16, 2), (0x211C, 16, 1),
+                  (0x1FF8, 8, 2), (0x2FF8, 8, 2), (_TOP - 8, 16, 1))
+        for mode in (Mode.SYNC, Mode.ASYNC):
+            for start, width, pair in shapes:
+                self.run_access(start, width, pair, mode=mode)
+        assert "pass_benign_mismatch" in slow_calls   # the spies are in place
+        assert "decode" not in slow_calls and "tag_check" not in slow_calls
 
     def test_benign_hit_across_a_page_edge_resumes_and_delegates(self, slow_calls):
         # the short granule of the 20-byte buffer starts page 0x101000, and
@@ -658,7 +684,7 @@ class TestSlowPathReach:
                          SimConfig(alloc_threshold=ALWAYS_ARM, sampling_rate=1))
         assert sim.machine.run(sim.mem, sim.allocator, sim.detector, 3) is None
         assert sim.detector.delegations == {3: 0x10_1000}
-        assert slow_calls == ["decode", "tag_check", "pass_benign_mismatch"]
+        assert slow_calls == ["pass_benign_mismatch"]
         report = sim.run()
         assert report.outcome == "CleanHalt" and sim.protocol_quiescent()
         assert report.counters["faults_delivered"] == 1
