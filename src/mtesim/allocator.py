@@ -7,7 +7,9 @@ parity must differ from the left neighbor's.  Allocations above the
 threshold take an untagged large path (tag 0, never armed).
 
 Tag exclusions are 16-bit masks: bit t set means tag t may not be drawn.
-`Allocator._tag_exclusion` builds the mask of every region's tag draw.
+Nothing is reserved past the bump pointer, so `allocate` builds a new
+region's mask from its live left neighbour alone, and
+`Allocator._tag_exclusion` builds the mask of a redraw on reuse.
 
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
@@ -22,15 +24,15 @@ must not depend on whether the sampler armed so that runs with and without
 tripwires see identical tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
-tag) and clears the short granule's metadata bytes.  `free` retags a
-region within one tag page itself, with one fill.  A new region, a region
-that crosses a page edge and a redraw on reuse are tagged through
-`TaggedMemory.set_tag_range`.  Freed regions queue in a FIFO per size
-class and are reused with their free-time tag unchanged: a reuse draws no
-tag and writes no granule tag, since the granules already carry it.  The
-one exception is a free-time tag equal to the new allocation's addressable
-count: the region then gets a fresh draw under the same exclusions as a
-new region.
+tag) and clears the short granule's metadata bytes.  `allocate` tags a
+new region, and `free` retags a region, within one tag page itself, with
+one fill.  A region that crosses a page edge and a redraw on reuse are
+tagged through `TaggedMemory.set_tag_range`.  Freed regions queue in a
+FIFO per size class and are reused with their free-time tag unchanged: a
+reuse draws no tag and writes no granule tag, since the granules already
+carry it.  The one exception is a free-time tag equal to the new
+allocation's addressable count: the region then gets a fresh draw under
+the same exclusions as a new region.
 The tripwire state itself lives only in memory (see
 `mtesim.detector.tripwire_armed`).
 One record stands for one region for its whole life: it sits in `live`
@@ -234,10 +236,29 @@ class Allocator:
                 tag = rec.tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
                 mem.set_tag_range(base, usable, tag)
         else:
-            base = self._reserve_fresh(usable)
-            tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
-            mem.set_tag_range(base, usable, tag)
-            rec = self._by_end[base + usable] = AllocationRecord(base, requested, usable, tag)
+            # a fresh region at the bump pointer.  Nothing is reserved past it,
+            # so its draw excludes only a live left neighbour's tag and parity.
+            base = self._bump
+            end = base + usable
+            if end > HEAP_CEILING:
+                raise AllocationError("out of simulated address space")
+            self._bump = end
+            config = self.config
+            exclude = 0 if config.include_zero_tag else ZERO_TAG
+            left = self._by_end.get(base)
+            if left is not None and left.tag and left.base in self.live:
+                exclude |= 1 << left.tag
+                if config.odd_even:
+                    exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
+            tag = generate_tag(exclude | 1 << short if short else exclude, self.rng)
+            offset = base & PAGE_MASK
+            if offset + usable <= PAGE_SIZE:
+                i, n = base >> PAGE_SHIFT, usable >> GRANULE_SHIFT
+                (_FILLERS[n] or _make_filler(n))(mem.tags.get(i) or mem.tag_page(i),
+                                                 offset >> GRANULE_SHIFT, _TAG_FILLS[tag])
+            else:
+                mem.set_tag_range(base, usable, tag)
+            rec = self._by_end[end] = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(mem, base + usable - GRANULE_SIZE, short, tag)
@@ -253,7 +274,9 @@ class Allocator:
         canary bits are set, no live allocation starts at its address, or its
         tag is stale."""
         rec = self.live.get(raw & ADDRESS_MASK)
-        if (raw >> 60) & 0xF or rec is None or (raw >> TAG_SHIFT) & 0xF != rec.tag:
+        # a register holds 64 bits: a canary bit in 60-63 puts the top byte
+        # above every tag
+        if rec is None or raw >> TAG_SHIFT != rec.tag:
             return False
 
         self.counters.frees += 1

@@ -10,8 +10,8 @@ per page they touch; the machine moves an access within one page on the
 page itself and calls them only for the rest.  Tagging a region
 (`set_tag_range`, as Scudo's `storeTags` tags an allocation) is one fill
 per page: one `pack_into` of the run's granule count from a 256-byte run
-of the tag.  The allocator's `free` retags a region within one page with
-that fill itself.
+of the tag.  The allocator tags a new region in `allocate`, and retags a
+freed one in `free`, with that fill itself when the region is within one page.
 
 The simulator spends a whole byte on each tag, where the modelled hardware
 spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
@@ -105,7 +105,8 @@ class TaggedMemory:
     `tags` maps the same index to the page's granule tags, one byte each.
     Outside this class pages are indexed only on paths with traffic:
     `Machine.run`, the detector's `arm_tripwire`, `clear_metadata` and
-    `Detector.pass_benign_mismatch`, and the retag in `Allocator.free`.
+    `Detector.pass_benign_mismatch`, the fresh-region fill in
+    `Allocator.allocate` and the retag in `Allocator.free`.
     Everything else reads and writes memory through the methods,
     `nonzero_bytes`, `nonzero_tags` and `snapshot`.
     """

@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .allocator import LARGE_THRESHOLD, size_class
+from .allocator import LARGE_THRESHOLD
 from .cpu import PAIRS, WIDTHS, Instruction, Opcode
-from .memory import GRANULE_SIZE
+from .memory import GRANULE_MASK, GRANULE_OFFSET_MASK, GRANULE_SIZE
 
 # A program is its instructions, ending with `halt`.
 Program = Tuple[Instruction, ...]
@@ -370,11 +370,14 @@ _SHAPES_FITTING = tuple(tuple((w, p) for w, p in _SHAPES if w * p <= n)
 _GRANULE_WIDTHS = tuple(w for w in WIDTHS if w <= GRANULE_SIZE)
 
 
-# One emitter per opcode appends one instruction, built with `tuple.__new__`
-# from all ten fields in `Instruction` order: keyword forwarding cost twice
-# the construction itself.  Fields an opcode does not use keep the
-# `Instruction` defaults.
+# Instructions are built with `tuple.__new__` from all ten fields in
+# `Instruction` order: keyword forwarding cost twice the construction
+# itself.  Fields an opcode does not use keep the `Instruction` defaults.
+# The preamble and the generators of the bug kinds build their
+# instructions inline; the emitters below serve the rest.  Instructions are
+# immutable, so every program ends with the one shared `_HALT`.
 _new_instruction = tuple.__new__
+_HALT = Instruction(Opcode.HALT)
 
 
 def _alloc(out: List[Instruction], dst: int, size: int) -> None:
@@ -385,11 +388,6 @@ def _alloc(out: List[Instruction], dst: int, size: int) -> None:
 def _free(out: List[Instruction], src: int) -> None:
     out.append(_new_instruction(Instruction, (
         Opcode.FREE, 0, src, 0, None, 0, 8, 1, 0, False)))
-
-
-def _mov(out: List[Instruction], dst: int, imm: int) -> None:
-    out.append(_new_instruction(Instruction, (
-        Opcode.MOV, dst, 0, 0, None, 0, 8, 1, imm, False)))
 
 
 def _load(out: List[Instruction], dst: int, base: int, offset: int, width: int,
@@ -404,11 +402,6 @@ def _store(out: List[Instruction], src: int, base: int, offset: int, width: int,
         Opcode.STORE, 0, src, base, None, offset, width, pair, 0, False)))
 
 
-def _halt(out: List[Instruction]) -> None:
-    out.append(_new_instruction(Instruction, (
-        Opcode.HALT, 0, 0, 0, None, 0, 8, 1, 0, False)))
-
-
 def _below(getrandbits, n: int) -> int:
     """`Random._randbelow(n)` for n >= 1: the same `getrandbits(k)` calls."""
     k = n.bit_length()
@@ -419,8 +412,10 @@ def _below(getrandbits, n: int) -> int:
 
 
 def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
+    append, alloc = out.append, Opcode.ALLOC
     for i in range(spec.preamble_allocs):
-        _alloc(out, _PREAMBLE + (i % 8), _draw_size(spec, rng))
+        append(_new_instruction(Instruction, (
+            alloc, _PREAMBLE + (i % 8), 0, 0, None, 0, 8, 1, _draw_size(spec, rng), False)))
 
 
 def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -446,35 +441,43 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
 
 
 def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
+    # sizes are >= 1 (`check_size_distribution`), so each size class is
+    # `(s + GRANULE_OFFSET_MASK) & GRANULE_MASK`
+    append, alloc = out.append, Opcode.ALLOC
     attacker = _draw_size(spec, rng)
-    victim = size_class(_draw_size(spec, rng))  # full granules only
-    _alloc(out, _PTR, attacker)
-    skip = size_class(attacker)
+    victim = (_draw_size(spec, rng) + GRANULE_OFFSET_MASK) & GRANULE_MASK  # full granules only
+    append(_new_instruction(Instruction, (alloc, _PTR, 0, 0, None, 0, 8, 1, attacker, False)))
+    skip = (attacker + GRANULE_OFFSET_MASK) & GRANULE_MASK
     if not spec.adjacent:
         # past the default large threshold: the untagged path breaks the
         # tag-exclusion chain
         spacer = LARGE_THRESHOLD + 1
-        _alloc(out, _VICTIM + 1, spacer)
-        skip += size_class(spacer)
-    _alloc(out, _VICTIM, victim)
+        append(_new_instruction(Instruction, (
+            alloc, _VICTIM + 1, 0, 0, None, 0, 8, 1, spacer, False)))
+        skip += (spacer + GRANULE_OFFSET_MASK) & GRANULE_MASK
+    append(_new_instruction(Instruction, (alloc, _VICTIM, 0, 0, None, 0, 8, 1, victim, False)))
     width = _GRANULE_WIDTHS[_below(rng.getrandbits, len(_GRANULE_WIDTHS))]
     # inside the victim's first granule
     off = skip + _below(rng.getrandbits, GRANULE_SIZE - width + 1)
-    _store(out, _VAL, _PTR, off, width)
+    append(_new_instruction(Instruction, (
+        Opcode.STORE, 0, _VAL, _PTR, None, off, width, 1, 0, False)))
 
 
 def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    _alloc(out, _PTR, size)
-    _mov(out, _VAL, _below(rng.getrandbits, 2**32 + 1))
-    _store(out, _VAL, _PTR, 0, 1)
-    _free(out, _PTR)
+    alloc, free = Opcode.ALLOC, Opcode.FREE
+    out += (
+        _new_instruction(Instruction, (alloc, _PTR, 0, 0, None, 0, 8, 1, size, False)),
+        _new_instruction(Instruction, (
+            Opcode.MOV, _VAL, 0, 0, None, 0, 8, 1, _below(rng.getrandbits, 2**32 + 1), False)),
+        _new_instruction(Instruction, (Opcode.STORE, 0, _VAL, _PTR, None, 0, 1, 1, 0, False)),
+        _new_instruction(Instruction, (free, 0, _PTR, 0, None, 0, 8, 1, 0, False)))
     # instructions are immutable: every cycle appends the same pair
-    cycle: List[Instruction] = []
-    _alloc(cycle, _CYCLE, size)
-    _free(cycle, _CYCLE)
-    out += cycle * spec.reuse_cycles
-    _load(out, _VAL + 1, _PTR, 0, 1)
+    out += (_new_instruction(Instruction, (alloc, _CYCLE, 0, 0, None, 0, 8, 1, size, False)),
+            _new_instruction(Instruction, (free, 0, _CYCLE, 0, None, 0, 8, 1, 0, False))
+            ) * spec.reuse_cycles
+    out.append(_new_instruction(Instruction, (
+        Opcode.LOAD, _VAL + 1, 0, _PTR, None, 0, 1, 1, 0, False)))
 
 
 def _gen_double_free(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -531,7 +534,7 @@ def generate_program(spec: WorkloadSpec, index: int) -> Program:
     out: List[Instruction] = []
     _preamble(spec, rng, out)
     _GENERATORS[spec.kind](spec, rng, out)
-    _halt(out)
+    out.append(_HALT)
     return tuple(out)
 
 

@@ -3,8 +3,10 @@
 Several rules are stated twice in the library: once plainly, and once
 inlined on a path with measured traffic (the machine's granule walk, the
 benign verdict, its counter and its rearm in place, the metadata arm and
-clear, the region tag fills, the generator's `_below`).  Each mutant below
-breaks one such copy and names the tests that must catch it.
+clear, a fresh region's tag exclusion, the region tag fills, `free`'s tag
+compare, the generator's `_below`).  Each mutant below breaks one such
+copy and names the tests that must catch it.  A few more break the trace
+parser's grammar table and `set_tag_range`'s multi-page loop.
 
     python tests/mutants.py
 
@@ -55,12 +57,14 @@ MUTANTS = (
      "else (address & ~PAGE_MASK) + (g << GRANULE_SHIFT))",
      "else ((address & ~PAGE_MASK) + (g << GRANULE_SHIFT)) & ADDRESS_MASK)",
      (f"{CPU}::test_bug_past_top_of_address_space_reports_the_unmasked_address[Mode.SYNC]",
-      f"{CPU}::test_bug_past_top_of_address_space_reports_the_unmasked_address[Mode.ASYNC]")),
+      f"{CPU}::test_bug_past_top_of_address_space_reports_the_unmasked_address[Mode.ASYNC]",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference")),
     # the benign hit
     ("uncounted hit retires by threshold", "detector.py",
      "if counted and (word >> 4 >= config.access_threshold",
      "if (word >> 4 >= config.access_threshold",
-     (f"{DET}::test_fused_benign_hit_matches_stepwise_reference",)),
+     (f"{DET}::test_fused_benign_hit_matches_stepwise_reference",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference")),
     ("uncounted hit rearmed in place", "detector.py",
      "elif counted and next_in_call:",
      "elif next_in_call:",
@@ -92,7 +96,29 @@ MUTANTS = (
      "if False:\n            clear_metadata(",
      (f"{ALLOC}::TestFree::test_free_clears_short_granule_metadata",
       f"{ALLOC}::test_arm_and_free_clear_match_stepwise_reference")),
-    # the region tag fills: in-page retag at free, and set_tag_range within a page
+    # a fresh region's draw: only a live left neighbour's tag and parity
+    ("fresh draw leaves out the left neighbour's parity", "allocator.py",
+     "\n                    exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS",
+     "\n                    exclude |= 0",
+     (f"{ALLOC}::TestAllocate::test_adjacent_allocations_have_opposite_parity",)),
+    ("fresh draw excludes a freed left neighbour", "allocator.py",
+     "\n            if left is not None and left.tag and left.base in self.live:",
+     "\n            if left is not None and left.tag:",
+     (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",
+      f"{ALLOC}::test_allocator_matches_reference_allocator")),
+    # free's one compare
+    ("free ignores the canary bits", "allocator.py",
+     "raw >> TAG_SHIFT != rec.tag",
+     "raw >> TAG_SHIFT & 0xF != rec.tag",
+     (f"{ALLOC}::TestFree::test_free_with_canary_bits_is_mismatch",)),
+    # the region tag fills: a fresh region and the retag at free within a
+    # page, and set_tag_range within a page and across pages
+    ("fresh in-page fill one granule short", "allocator.py",
+     "i, n = base >> PAGE_SHIFT, usable >> GRANULE_SHIFT",
+     "i, n = base >> PAGE_SHIFT, (usable >> GRANULE_SHIFT) - 1",
+     (f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[1]",
+      f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[64]",
+      f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[256]")),
     ("in-page retag one granule short", "allocator.py",
      "n = usable >> GRANULE_SHIFT",
      "n = (usable >> GRANULE_SHIFT) - 1",
@@ -105,6 +131,16 @@ MUTANTS = (
      "n = end - first - 1\n",
      (f"{MEMORY}::test_set_tag_range_equals_per_granule_loop",
       f"{MEMORY}::TestSetTagRange::test_partial_last_granule_is_covered")),
+    ("set_tag_range across pages one granule short", "memory.py",
+     "(_FILLERS[n] or _make_filler(n))(page, first, fill)\n            g += n",
+     "(_FILLERS[n - 1] or _make_filler(n - 1))(page, first, fill)\n            g += n",
+     (f"{MEMORY}::test_set_tag_range_equals_per_granule_loop",
+      f"{MEMORY}::test_pages_match_per_byte_and_per_granule_dicts")),
+    ("set_tag_range across pages one granule early", "memory.py",
+     "(page, first, fill)\n            g += n",
+     "(page, first - 1, fill)\n            g += n",
+     (f"{MEMORY}::test_set_tag_range_equals_per_granule_loop",
+      f"{MEMORY}::test_pages_match_per_byte_and_per_granule_dicts")),
     # the generator's draw
     ("_below keeps a draw equal to n", "trace.py",
      "while r >= n:",
@@ -113,6 +149,23 @@ MUTANTS = (
       f"{TRACE}::test_below_draws_what_random_draws[choice]",
       f"{TRACE}::test_below_draws_what_random_draws[randint]",
       f"{GOLDEN}::test_program_digest_unchanged[benign48]")),
+    # the parser's grammar table
+    ("add's operands swapped", "trace.py",
+     'Opcode.ADD: (("dst", "r<d>"), ("src", "r<a>"), ("imm", "<imm>")),',
+     'Opcode.ADD: (("src", "r<a>"), ("dst", "r<d>"), ("imm", "<imm>")),',
+     (f"{TRACE}::test_canonical_line_parses_to_its_instruction_and_back[add]",
+      f"{TRACE}::TestParse::test_arity_error_names_the_expected_form[add r0 r1-add r<d> r<a> <imm>]")),
+    ("overread_ok dropped", "trace.py",
+     "overread_ok=len(tokens) == 7)",
+     "overread_ok=False)",
+     (f"{TRACE}::test_canonical_line_parses_to_its_instruction_and_back[st]",
+      f"{TRACE}::TestParse::test_register_offset_and_flags")),
+    ("width and pair positions swapped", "trace.py",
+     'tokens[4][:1] != "w" or tokens[5][:1] != "p"',
+     'tokens[4][:1] != "p" or tokens[5][:1] != "w"',
+     (f"{TRACE}::test_canonical_line_parses_to_its_instruction_and_back[ld]",
+      f"{TRACE}::test_canonical_line_parses_to_its_instruction_and_back[st]",
+      f"{TRACE}::TestParse::test_access_tokens_out_of_order_or_repeated[ld r0 [r1, #8] p1 w8]")),
 )
 
 # Loaded into pytest with `-p`: derandomized, no shrink phase, no database.
@@ -135,8 +188,11 @@ def failed_tests(src: Path, tests, plugins: Path) -> set:
         [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
          "-p", "mutant_profile", "-o", f"pythonpath={src}", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
-    failed = {line.split()[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))}
+    # a summary line is "FAILED <id>" or "FAILED <id> - <message>", and an
+    # id may hold spaces
+    summary = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()
+               if line.startswith(("FAILED ", "ERROR "))]
+    failed = {t for t in tests for line in summary if line == t or line.startswith(t + " ")}
     if proc.returncode not in (0, 1) or (proc.returncode == 1 and not failed):
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
     return failed

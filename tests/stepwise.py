@@ -10,8 +10,11 @@ owns the padding layout, to these steps: the arm (`arm_tripwire`, called by
 The revocation (`revoke_tripwire`) is not fused: it makes the same
 `TaggedMemory` calls as `ref_swap`, and a test still holds the two equal.
 The tests also use `ref_arm` and `ref_pass` to put a tripwire into a given
-state.
+state.  `stepwise_hit` states the whole benign verdict and hit one step at
+a time.
 """
+
+from mtesim.detector import check_access, read_tripwire
 
 
 def _span(granule, addressable):
@@ -84,3 +87,28 @@ def ref_pass(mem, granule, addressable, threshold, delegate):
         return 0
     (ref_swap if delegate else _retire)(mem, granule)
     return word >> 4
+
+
+def stepwise_hit(config, counters, delegations, pc, address, start, size, addrtag,
+                 overread_ok, mem, machine):
+    """None for a bug; otherwise True when the hit was counted."""
+    if not config.tripwires:
+        return None
+    memtag, metadata = read_tripwire(mem, address)
+    if (config.overread_skip and overread_ok
+            and memtag != 0 and addrtag != 0 and metadata == addrtag):
+        threshold = None
+    elif check_access(address, start, size, addrtag, memtag, metadata):
+        threshold = config.access_threshold
+    else:
+        return None
+    granule = address & ~15
+    delegate = machine.can_trap(pc + 1)
+    count = ref_pass(mem, granule, memtag, threshold, delegate)
+    if count == 0 and threshold is not None:
+        counters.tripwires_removed_by_threshold += 1
+    elif delegate:
+        delegations[pc + 1] = granule
+    else:
+        counters.tripwires_removed_by_ret_edge += 1
+    return threshold is not None

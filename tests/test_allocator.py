@@ -195,6 +195,22 @@ class TestAllocate:
         rec = alloc.live[base]
         assert rec.usable_size == 48 and tripwire_armed(mem, rec)
 
+    @pytest.mark.parametrize("granules", [1, 64, 256])
+    def test_in_page_fresh_region_matches_per_granule_loop(self, granules):
+        # a fresh region within one tag page is tagged with one fill:
+        # mid-page for 1 and 64 granules, a whole page (at HEAP_BASE) for 256
+        mem, alloc = make_allocator(seed=8)
+        if granules < 256:
+            alloc.allocate(48)
+        expected = TaggedMemory()
+        expected.tags = {i: bytearray(p) for i, p in mem.tags.items()}
+        ptr = alloc.allocate(16 * granules)
+        base = untagged(ptr)
+        assert (base & 0xFFF) + 16 * granules <= 0x1000
+        for g in range(base, base + 16 * granules, 16):
+            expected.set_granule_tag(g, address_tag(ptr))
+        assert mem.snapshot() == expected.snapshot()
+
     def test_multiple_of_16_never_consults_sampler(self):
         sampler = NeverArm()
         mem, alloc = make_allocator(seed=2, sampler=sampler)

@@ -370,11 +370,14 @@ _OOM_ARGV = {
 def test_out_of_host_memory_exits_2_with_one_line(argv, trace_file, tmp_path, capsys,
                                                   monkeypatch):
     # stand in for tagging a region, or generating a corpus, too large for
-    # the host, without one
+    # the host, without one.  A region's tags take host memory where a tag
+    # page is made: in `set_tag_range`, or in `tag_page` when `allocate`
+    # fills a new region within one page itself.
     def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(TaggedMemory, "set_tag_range", exhausted)
+    monkeypatch.setattr(TaggedMemory, "tag_page", exhausted)
     if argv[0] == "gen":
         monkeypatch.setattr(cli, "generate_workload", exhausted)
     argv = [trace_file(BENIGN) if a == "TRACE" else str(tmp_path) if a == "OUT" else a

@@ -2,7 +2,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtesim import (
@@ -20,7 +20,7 @@ from mtesim import (
 from mtesim import cpu
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
 from mtesim.detector import Detector
-from stepwise import ref_arm, ref_pass
+from stepwise import ref_arm, ref_pass, stepwise_hit
 
 
 def machine_for(text, mode=Mode.SYNC):
@@ -497,12 +497,17 @@ def test_bug_past_top_of_address_space_reports_the_unmasked_address(mode):
 
 # property: one `Machine.step` of a checked load or store matches a
 # reference that builds the fault with `tag_check(decode(instr))`, takes the
-# benign verdict from `pass_benign_mismatch` and hands a bug to
+# benign verdict and hit from `stepwise_hit` (tests/stepwise.py) at the
+# fault address masked as the library masks it, and hands a bug to
 # `handle_tag_mismatch`, then commits a resumed access with the unchecked
-# path.  The access ends `reach` bytes past the start of a
-# granule that may hold a short granule's tripwire: within it (most draws
-# of the first range), or up to two granules past it or before it, near a
-# page edge or the top or bottom of the address space.
+# path.  A step ends at its access, so no hit is rearmed in place.  The
+# access ends `reach` bytes past the start of a granule that may hold a
+# short granule's tripwire: within it (most draws of the first range), or
+# up to two granules past it or before it, near a page edge or the top or
+# bottom of the address space.  The examples reach a mismatch that wraps
+# from the top granule to a differently tagged granule 0, and an
+# allow-listed overread, uncounted, of a delegated tripwire whose count has
+# reached the threshold.
 
 _ANCHORS = (0x10_0000, 0x10_0800, 0x10_0FF0, 0x10_1000, 0, _TOP - 16, _TOP - 32)
 _NEXT = {"mov": Instruction(Opcode.MOV, dst=6, imm=1), "ret": Instruction(Opcode.RET)}
@@ -525,6 +530,14 @@ _NEXT = {"mov": Instruction(Opcode.MOV, dst=6, imm=1), "ret": Instruction(Opcode
        mode=st.sampled_from([Mode.SYNC, Mode.SYNC, Mode.SYNC, Mode.ASYNC]),
        tripwires=st.sampled_from([True, True, True, False]), overread_skip=st.booleans(),
        threshold=st.integers(1, 3))
+@example(anchor=_TOP - 16, skew=0, reach=24, store=False, width=16, pair=1, overread_ok=False,
+         addrtag=None, real_tag=3, tags=[None, None, 5, None], state="plain", addressable=1,
+         fill=bytes(80), forge=False, values=[0, 0], after="halt", mode=Mode.SYNC,
+         tripwires=True, overread_skip=False, threshold=1)
+@example(anchor=0x10_0000, skew=0, reach=8, store=False, width=8, pair=1, overread_ok=True,
+         addrtag=5, real_tag=9, tags=[None] * 4, state="delegated", addressable=5,
+         fill=bytes(80), forge=False, values=[0, 0], after="mov", mode=Mode.SYNC,
+         tripwires=True, overread_skip=True, threshold=1)
 def test_step_matches_tag_check_and_handler_reference(
         anchor, skew, reach, store, width, pair, overread_ok, addrtag, real_tag, tags, state,
         addressable, fill, forge, values, after, mode, tripwires, overread_skip, threshold):
@@ -570,9 +583,9 @@ def test_step_matches_tag_check_and_handler_reference(
         desc = fault.access
         if mode is Mode.ASYNC:
             ref_m.pending_async = fault
-        elif not ref_det.pass_benign_mismatch(0, fault.fault_address, desc.start, desc.size,
-                                              desc.addrtag, overread_ok, ref_mem, ref_m,
-                                              False):   # a step ends at the access
+        elif stepwise_hit(ref_det.config, ref_det.counters, ref_det.delegations, 0,
+                          fault.fault_address & (_TOP - 1), desc.start, desc.size, desc.addrtag,
+                          overread_ok, ref_mem, ref_m) is None:
             expected = ref_det.handle_tag_mismatch(fault, ref_mem, None, ref_m)
     if expected is None:            # the access commits, as an unchecked one does
         ref_m.mode = Mode.OFF

@@ -24,7 +24,7 @@ from mtesim.detector import (Detector, ProtocolError, access_count, metadata_spa
 from mtesim.memory import untagged
 from mtesim.runner import ALWAYS_ARM
 from mtesim.trace import generate_program
-from stepwise import ref_arm, ref_pass
+from stepwise import ref_arm, ref_pass, stepwise_hit
 
 GBASE = 0x1000
 
@@ -400,9 +400,9 @@ class TestOverreadSkip:
 
 
 # property: a benign hit taken in one call (`Detector.pass_benign_mismatch`)
-# and its trap match the stepwise reference below,
-# `read_tripwire` -> `check_access` (or the overread-skip rule) ->
-# `can_trap` -> `ref_pass` (tests/stepwise.py), then `revoke_tripwire` at
+# and its trap match the stepwise reference `stepwise_hit`
+# (tests/stepwise.py), `read_tripwire` -> `check_access` (or the
+# overread-skip rule) -> `can_trap` -> `ref_pass`, then `revoke_tripwire` at
 # the trap.  When slot pc + 1 runs in the same `run` call, a counted hit
 # leaves the state the reference has after its revocation, with the trap
 # counted and no delegation open; an uncounted one still delegates.  The
@@ -410,31 +410,6 @@ class TestOverreadSkip:
 # declined hit must leave memory, counters and delegations untouched.
 
 _TOP = 1 << 56
-
-
-def stepwise_hit(config, counters, delegations, pc, address, start, size, addrtag,
-                 overread_ok, mem, machine):
-    """None for a bug; otherwise True when the hit was counted."""
-    if not config.tripwires:
-        return None
-    memtag, metadata = read_tripwire(mem, address)
-    if (config.overread_skip and overread_ok
-            and memtag != 0 and addrtag != 0 and metadata == addrtag):
-        threshold = None
-    elif check_access(address, start, size, addrtag, memtag, metadata):
-        threshold = config.access_threshold
-    else:
-        return None
-    granule = address & ~15
-    delegate = machine.can_trap(pc + 1)
-    count = ref_pass(mem, granule, memtag, threshold, delegate)
-    if count == 0 and threshold is not None:
-        counters.tripwires_removed_by_threshold += 1
-    elif delegate:
-        delegations[pc + 1] = granule
-    else:
-        counters.tripwires_removed_by_ret_edge += 1
-    return threshold is not None
 
 
 @settings(max_examples=400, deadline=None)
