@@ -5,9 +5,9 @@ pointer), a linear program, and one of three check modes:
 
   off    no tag checks at all
   sync   a mismatch faults precisely, before any byte of the access commits
-  async  a mismatch is queued and the access executes anyway; queued faults
-         surface at the next kernel entry (syscall or halt) with the pc of
-         that entry, not of the access
+  async  a mismatch sets a pending flag and the access executes anyway; the
+         next kernel entry (syscall or halt) reports only its own pc and
+         registers, as hardware's status bit names no address or tag
 
 Only loads and stores can fault.  Traps model breakpoints patched over an
 instruction slot: a trap fires before its instruction executes, and the
@@ -39,9 +39,8 @@ whether slot `pc + 1` runs in the same call (the budget has not ended at
 fire in the same call is taken whole at that site, the detector counting
 its trap, so the loop's trap dispatch sees only the delegations of an
 allow-listed overread or of a machine paused right after a hit;
-`Detector.handle_trap` counts each trap it revokes.  In async mode the
-first mismatch becomes the pending fault.  A later one before the next
-kernel entry is counted but not reported, so it builds no `Fault`.
+`Detector.handle_trap` counts each trap it revokes.  In async mode a
+mismatch is counted and sets `async_fault_pending`, and builds no `Fault`.
 `self.pc` is brought up to date whenever the loop calls out, because the
 handlers read it.
 
@@ -199,9 +198,8 @@ class Machine:
         self.regs: List[int] = [0] * NUM_REGS
         self.pc = 0
         self.mode = mode
-        # the first async fault since the last kernel entry; later ones are
-        # not reported, so they are not kept
-        self.pending_async: Optional[Fault] = None
+        # an async mismatch since the last kernel entry: one status bit
+        self.async_fault_pending = False
         self.counters = counters or RunCounters()
 
     # -- decoding and checking ------------------------------------------
@@ -323,13 +321,13 @@ class Machine:
                         while g < last and page[g] == addrtag:
                             g += 1
                         if page[g] != addrtag:
-                            # past the top, the address is left unmasked, as
-                            # `tag_check` leaves it
-                            fault_address = (address if g == first
-                                             else (address & ~PAGE_MASK) + (g << GRANULE_SHIFT))
                             counters.faults_delivered += 1
-                            self.pc = pc
                             if mode is _SYNC:
+                                # past the top, the address is left unmasked,
+                                # as `tag_check` leaves it
+                                fault_address = (address if g == first else
+                                                 (address & ~PAGE_MASK) + (g << GRANULE_SHIFT))
+                                self.pc = pc
                                 if not detector.pass_benign_mismatch(
                                         pc, fault_address, address, size, addrtag, overread_ok,
                                         mem, self, executed < stop):
@@ -337,10 +335,8 @@ class Machine:
                                         self._fault(fault_address, address, size, addrtag),
                                         mem, allocator, self))
                                 # benign: resume, the access commits fully
-                            elif self.pending_async is None:
-                                # silent corruption until drained; the first fault wins
-                                self.pending_async = self._fault(fault_address, address, size,
-                                                                 addrtag)
+                            else:   # silent corruption until the next kernel entry
+                                self.async_fault_pending = True
                     # An access within a page is one struct move on the page.
                     # One across a page edge, or past the top of the address
                     # space, moves through one `read_bytes`/`write_bytes` call
@@ -385,12 +381,10 @@ class Machine:
                         report = detector.report_free_mismatch(regs[src], pc, tuple(regs), mem)
                         return RunEnd("BugReported", report)
                 elif kind is _SYSCALL or kind is _HALT:
-                    # a kernel entry surfaces the fault that only async mode queues
-                    fault = self.pending_async
-                    if fault is not None:
-                        self.pending_async = None
-                        return RunEnd("BugReported",
-                                      detector.report_async(fault, pc, mem, allocator))
+                    # a kernel entry surfaces the flag that only async mode sets
+                    if self.async_fault_pending:
+                        self.async_fault_pending = False
+                        return RunEnd("BugReported", detector.report_async(pc, tuple(regs)))
                     if kind is _HALT:
                         return _CLEAN_HALT
                 # `ret` is a function-boundary marker: execution falls through

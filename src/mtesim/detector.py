@@ -31,7 +31,9 @@ trap (see `Detector.pass_benign_mismatch`).
 plain values; that one method takes the verdict, writes its result and
 counts it, so the rule in `check_access` is taken once per mismatch.  Only
 a declined hit becomes a `Fault` for `handle_tag_mismatch`, which labels
-and reports the bug.
+and reports the bug.  An async-mode mismatch reaches the detector only as
+a pending flag at the next kernel entry: `report_async` reads no memory
+and no registry.
 """
 
 from __future__ import annotations
@@ -176,27 +178,26 @@ class BugKind(enum.Enum):
     CROSS_GRANULE_OVERFLOW = "CrossGranuleOverflow"
     USE_AFTER_FREE_OR_WILD = "UseAfterFreeOrWild"
     ZERO_TAG = "ZeroTag"
+    ASYNC_TAG_CHECK_FAULT = "AsyncTagCheckFault"
 
 
 @dataclass
 class BugReport:
     kind: BugKind
     pc: int
-    fault_address: int
-    addrtag: int
-    memtag: int
+    fault_address: Optional[int]   # None, with both tags, in an async report
+    addrtag: Optional[int]
+    memtag: Optional[int]
     regs: Tuple[int, ...]          # 32 registers; pc is appended on serialization
     addressable_bytes: Optional[int] = None
     accessed_bytes_in_granule: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind.value,
-            "pc": self.pc,
-            "fault_address": f"0x{self.fault_address:x}",
-            "addrtag": self.addrtag,
-            "memtag": self.memtag,
-        }
+        out = {"kind": self.kind.value, "pc": self.pc}
+        if self.fault_address is not None:
+            out["fault_address"] = f"0x{self.fault_address:x}"
+            out["addrtag"] = self.addrtag
+            out["memtag"] = self.memtag
         if self.addressable_bytes is not None:
             out["addressable_bytes"] = self.addressable_bytes
         if self.accessed_bytes_in_granule is not None:
@@ -245,17 +246,13 @@ class Detector:
             report.accessed_bytes_in_granule = fault.access.start + fault.access.size - granule
         return report
 
-    def report_async(self, fault: Fault, drain_pc: int, mem: TaggedMemory, allocator) -> BugReport:
-        """Imprecise report for a queued fault, surfaced at a kernel entry.
-
-        Tripwires require sync mode, so an async mismatch is always a
-        genuine bug under plain tag-check semantics: no benign analysis, and
-        never an intra-granule label.  The memory tag is read at drain time
-        and may be stale.
+    def report_async(self, pc: int, regs: Tuple[int, ...]) -> BugReport:
+        """Report for the pending async flag, drained at the kernel entry at
+        `pc` with registers `regs`.  Like Linux's `SEGV_MTEAERR` (si_addr
+        0), it names no address, tag or access; its kind says only that a
+        tag check failed.
         """
-        memtag = mem.get_granule_tag(fault.fault_address)
-        kind = self._classify(fault.access.addrtag, memtag, 0xFF, allocator)
-        return self.make_bug_report(fault._replace(pc=drain_pc), kind, memtag)
+        return BugReport(BugKind.ASYNC_TAG_CHECK_FAULT, pc, None, None, None, regs)
 
     def report_free_mismatch(self, raw: int, pc: int, regs: Tuple[int, ...],
                              mem: TaggedMemory) -> BugReport:
@@ -279,8 +276,9 @@ class Detector:
 
         The access at `pc` spans `size` bytes from untagged `start` under
         `addrtag`; `address` is its lowest address in the first
-        mismatching granule.  A hit is counted unless it is an
-        allow-listed overread (`overread_ok` under `overread_skip`).
+        mismatching granule, both unmasked past the top of the address
+        space.  A hit is counted unless it is an allow-listed overread
+        (`overread_ok` under `overread_skip`).
         `check_access` decides a counted hit; an uncounted one passes
         unchecked when it hits this pointer's tripwire.  A counted hit
         bumps the counter and retires the tripwire, zeroing its metadata,
@@ -306,7 +304,7 @@ class Detector:
         low = 0 if data is None else data[last]
         metadata = low & 0xF
         counted = not (overread_ok and config.overread_skip)
-        if not (check_access(a, start, size, addrtag, memtag, metadata) if counted
+        if not (check_access(address, start, size, addrtag, memtag, metadata) if counted
                 else memtag != 0 and addrtag != 0 and metadata == addrtag):
             return False
         # benign: memtag and the stashed nibble are nonzero, so both pages exist

@@ -1,11 +1,11 @@
 """Mutants that guard the inline copies of a rule.
 
 Several rules are stated twice in the library: once plainly, and once
-inlined on a path with measured traffic (the machine's granule walk, the
-benign verdict, its counter and its rearm in place, the metadata arm and
-clear, a fresh region's tag exclusion, the region tag fills, `free`'s tag
-compare, the generator's `_below`).  Each mutant below breaks one such
-copy and names the tests that must catch it.  A few more break the trace
+inlined on a path with measured traffic (the machine's granule walk and
+its async flag, the benign verdict, its counter and its rearm in place,
+the metadata arm and clear, a fresh region's tag exclusion, the region
+tag fills, `free`'s tag compare, the generator's `_below`).  Each mutant
+below breaks one such copy and names the tests that must catch it.  A few more break the trace
 parser's grammar table and `set_tag_range`'s multi-page loop.
 
     python tests/mutants.py
@@ -54,12 +54,23 @@ MUTANTS = (
       f"{SLOW}::test_async_mismatch_across_a_page_edge_is_queued",
       f"{SLOW}::test_benign_hit_across_a_page_edge_resumes_and_delegates")),
     ("fault address masked past the top", "cpu.py",
-     "else (address & ~PAGE_MASK) + (g << GRANULE_SHIFT))",
-     "else ((address & ~PAGE_MASK) + (g << GRANULE_SHIFT)) & ADDRESS_MASK)",
+     "(address & ~PAGE_MASK) + (g << GRANULE_SHIFT))",
+     "((address & ~PAGE_MASK) + (g << GRANULE_SHIFT)) & ADDRESS_MASK)",
      (f"{CPU}::test_bug_past_top_of_address_space_reports_the_unmasked_address[Mode.SYNC]",
-      f"{CPU}::test_bug_past_top_of_address_space_reports_the_unmasked_address[Mode.ASYNC]",
       f"{CPU}::test_step_matches_tag_check_and_handler_reference")),
+    ("async mismatch sets no flag", "cpu.py",
+     "self.async_fault_pending = True",
+     "self.async_fault_pending = False",
+     (f"{CPU}::TestStepSemantics::test_async_fault_executes_access_and_reports_at_kernel_entry",
+      f"{SLOW}::test_async_mismatch_across_a_page_edge_is_queued",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference",
+      f"{DET}::TestReports::test_async_report_json_is_golden")),
     # the benign hit
+    ("benign verdict masks the fault address past the top", "detector.py",
+     "check_access(address, start, size",
+     "check_access(a, start, size",
+     (f"{CPU}::test_load_wrapping_into_armed_granule_0_passes_as_across_a_page_edge",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference")),
     ("uncounted hit retires by threshold", "detector.py",
      "if counted and (word >> 4 >= config.access_threshold",
      "if (word >> 4 >= config.access_threshold",

@@ -15,6 +15,7 @@ a time.
 """
 
 from mtesim.detector import check_access, read_tripwire
+from mtesim.memory import ADDRESS_MASK
 
 
 def _span(granule, addressable):
@@ -91,7 +92,11 @@ def ref_pass(mem, granule, addressable, threshold, delegate):
 
 def stepwise_hit(config, counters, delegations, pc, address, start, size, addrtag,
                  overread_ok, mem, machine):
-    """None for a bug; otherwise True when the hit was counted."""
+    """None for a bug; otherwise True when the hit was counted.
+
+    `address` and `start` are left unmasked past the top of the address
+    space, as the machine leaves them; the granule is masked.
+    """
     if not config.tripwires:
         return None
     memtag, metadata = read_tripwire(mem, address)
@@ -102,7 +107,7 @@ def stepwise_hit(config, counters, delegations, pc, address, start, size, addrta
         threshold = config.access_threshold
     else:
         return None
-    granule = address & ~15
+    granule = address & ADDRESS_MASK & ~15
     delegate = machine.can_trap(pc + 1)
     count = ref_pass(mem, granule, memtag, threshold, delegate)
     if count == 0 and threshold is not None:

@@ -18,7 +18,7 @@ from mtesim import (
     parse_program,
 )
 from mtesim import cpu
-from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor
+from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor, RunCounters
 from mtesim.detector import Detector
 from stepwise import ref_arm, ref_pass, stepwise_hit
 
@@ -48,8 +48,8 @@ class NullDetector:
     def handle_trap(self, machine, mem, allocator):
         raise AssertionError("no trap expected")
 
-    def report_async(self, fault, pc, mem, allocator):
-        self.drained = (fault, pc)
+    def report_async(self, pc, regs):
+        self.drained = (pc, regs)
         return object()
 
     def report_free_mismatch(self, raw, pc, regs, mem):
@@ -413,11 +413,12 @@ class TestStepSemantics:
             end = m.step(mem, None, det)
         assert end.outcome == "BugReported"
         assert mem.read_byte(0x1000) == 7  # silent corruption committed
-        fault, drain_pc = det.drained
-        assert fault.pc == 2 and drain_pc == 3
-        assert drain_pc >= fault.pc
+        # the flag is all that was kept: the report gets the syscall's pc
+        # and registers, not the store's
+        assert det.drained == (3, tuple(m.regs)) and m.pc == 3
+        assert m.counters.faults_delivered == 1 and not m.async_fault_pending
 
-    def test_async_report_carries_registers_at_fault_time(self):
+    def test_async_report_carries_registers_at_kernel_entry(self):
         mem = TaggedMemory()
         mem.set_granule_tag(0x1000, 5)
         m = machine_for("mov r1 4096\nmov r2 7\nst r2 [r1, #0] w1 p1\n"
@@ -427,8 +428,10 @@ class TestStepSemantics:
         while end is None:
             end = m.step(mem, None, det)
         assert end.outcome == "BugReported"
-        assert end.report.pc == 4 and m.regs[3] == 99
-        assert end.report.regs[2] == 7 and end.report.regs[3] == 0
+        assert end.report.kind.value == "AsyncTagCheckFault"
+        assert end.report.pc == 4 and end.report.regs == tuple(m.regs)
+        assert end.report.regs[2] == 7 and end.report.regs[3] == 99
+        assert end.report.fault_address is None
 
     def test_alloc_and_free_route_to_allocator(self):
         mem = TaggedMemory()
@@ -483,7 +486,8 @@ def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
 @pytest.mark.parametrize("mode", [Mode.SYNC, Mode.ASYNC])
 def test_bug_past_top_of_address_space_reports_the_unmasked_address(mode):
     # the load's second granule wraps to granule 0, which wears another
-    # tag; the fault address is left unmasked, as `tag_check` leaves it
+    # tag; the sync fault address is left unmasked, as `tag_check` leaves
+    # it, and an async report names no address at all
     m = machine_for("ld r4 [r1, #0] w16 p1\nhalt", mode)
     mem = TaggedMemory()
     mem.set_granule_tag(_TOP - 16, 0xA)
@@ -491,23 +495,45 @@ def test_bug_past_top_of_address_space_reports_the_unmasked_address(mode):
     m.regs[1] = 0x0AFF_FFFF_FFFF_FFF8
     end = m.run(mem, None, Detector(SimConfig(mode=mode.value)), 2)
     assert end.outcome == "BugReported" and m.counters.faults_delivered == 1
-    assert end.report.fault_address == 1 << 56
-    assert end.report.fault_address == m.tag_check(m.decode(m.program[0]), mem).fault_address
+    if mode is Mode.SYNC:
+        assert end.report.fault_address == 1 << 56
+        assert end.report.fault_address == m.tag_check(m.decode(m.program[0]), mem).fault_address
+    else:
+        assert end.report.fault_address is None and end.report.pc == 1
+
+
+def test_load_wrapping_into_armed_granule_0_passes_as_across_a_page_edge():
+    # a 16-byte load from 8 bytes below the top ends within the 8
+    # addressable bytes of granule 0's armed tripwire: a benign hit, as the
+    # same load across the page edge at 0x2000 is
+    runs = []
+    for below in (_TOP - 16, 0x1FF0):
+        mem = TaggedMemory()
+        mem.set_granule_tag(below, 3)
+        ref_arm(mem, (below + 16) & (_TOP - 1), 8, 3)
+        counters = RunCounters()
+        m = Machine(parse_program("ld r4 [r1, #0] w16 p1\nmov r6 1\nhalt"), Mode.SYNC,
+                    counters)
+        m.regs[1] = 3 << 56 | below + 8
+        runs.append((m.run(mem, None, Detector(SimConfig(), counters), 3), counters))
+    assert runs[0] == runs[1]
+    assert runs[0][0].outcome == "CleanHalt" and runs[0][1].faults_delivered == 1
 
 
 # property: one `Machine.step` of a checked load or store matches a
 # reference that builds the fault with `tag_check(decode(instr))`, takes the
 # benign verdict and hit from `stepwise_hit` (tests/stepwise.py) at the
-# fault address masked as the library masks it, and hands a bug to
+# unmasked fault address, and hands a bug to
 # `handle_tag_mismatch`, then commits a resumed access with the unchecked
 # path.  A step ends at its access, so no hit is rearmed in place.  The
 # access ends `reach` bytes past the start of a granule that may hold a
 # short granule's tripwire: within it (most draws of the first range), or
 # up to two granules past it or before it, near a page edge or the top or
 # bottom of the address space.  The examples reach a mismatch that wraps
-# from the top granule to a differently tagged granule 0, and an
-# allow-listed overread, uncounted, of a delegated tripwire whose count has
-# reached the threshold.
+# from the top granule to a differently tagged granule 0, a load that
+# wraps from the top granule into granule 0's armed tripwire and ends
+# within its addressable bytes, and an allow-listed overread, uncounted, of
+# a delegated tripwire whose count has reached the threshold.
 
 _ANCHORS = (0x10_0000, 0x10_0800, 0x10_0FF0, 0x10_1000, 0, _TOP - 16, _TOP - 32)
 _NEXT = {"mov": Instruction(Opcode.MOV, dst=6, imm=1), "ret": Instruction(Opcode.RET)}
@@ -534,6 +560,10 @@ _NEXT = {"mov": Instruction(Opcode.MOV, dst=6, imm=1), "ret": Instruction(Opcode
          addrtag=None, real_tag=3, tags=[None, None, 5, None], state="plain", addressable=1,
          fill=bytes(80), forge=False, values=[0, 0], after="halt", mode=Mode.SYNC,
          tripwires=True, overread_skip=False, threshold=1)
+@example(anchor=0, skew=0, reach=8, store=False, width=16, pair=1, overread_ok=False,
+         addrtag=None, real_tag=3, tags=[None] * 4, state="armed", addressable=8,
+         fill=bytes(80), forge=False, values=[0, 0], after="mov", mode=Mode.SYNC,
+         tripwires=True, overread_skip=False, threshold=2)
 @example(anchor=0x10_0000, skew=0, reach=8, store=False, width=8, pair=1, overread_ok=True,
          addrtag=5, real_tag=9, tags=[None] * 4, state="delegated", addressable=5,
          fill=bytes(80), forge=False, values=[0, 0], after="mov", mode=Mode.SYNC,
@@ -582,9 +612,9 @@ def test_step_matches_tag_check_and_handler_reference(
         ref_m.counters.faults_delivered += 1
         desc = fault.access
         if mode is Mode.ASYNC:
-            ref_m.pending_async = fault
+            ref_m.async_fault_pending = True
         elif stepwise_hit(ref_det.config, ref_det.counters, ref_det.delegations, 0,
-                          fault.fault_address & (_TOP - 1), desc.start, desc.size, desc.addrtag,
+                          fault.fault_address, desc.start, desc.size, desc.addrtag,
                           overread_ok, ref_mem, ref_m) is None:
             expected = ref_det.handle_tag_mismatch(fault, ref_mem, None, ref_m)
     if expected is None:            # the access commits, as an unchecked one does
@@ -595,7 +625,7 @@ def test_step_matches_tag_check_and_handler_reference(
     assert (None if end is None else end.report) == expected
     assert m.counters.faults_delivered == ref_m.counters.faults_delivered
     assert m.counters.traps_delivered == 0
-    assert m.pending_async == ref_m.pending_async
+    assert m.async_fault_pending == ref_m.async_fault_pending
     assert det.delegations == ref_det.delegations
     assert det.counters == ref_det.counters
     assert mem.snapshot() == ref_mem.snapshot()
@@ -674,8 +704,9 @@ class TestSlowPathReach:
         assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
 
     def test_async_mismatch_across_a_page_edge_is_queued(self, slow_calls):
+        # 0x2ff8..0x3007: only the armed tripwire past the edge mismatches
         end, m, _ = self.run_access(0x2FF8, 8, 2, mode=Mode.ASYNC)
-        assert end is None and m.pending_async.fault_address == 0x3000
+        assert end is None and m.async_fault_pending and m.counters.faults_delivered == 1
         assert slow_calls == []
 
     def test_no_access_calls_decode_or_tag_check(self, slow_calls):
@@ -703,7 +734,7 @@ class TestSlowPathReach:
         assert report.counters["faults_delivered"] == 1
         assert report.counters["traps_delivered"] == 1
 
-    def test_async_mismatches_before_a_drain_build_one_fault(self, monkeypatch):
+    def test_async_mismatches_before_a_drain_build_no_fault(self, monkeypatch):
         built = []
 
         def new_fault(cls, values):
@@ -714,6 +745,6 @@ class TestSlowPathReach:
         m.regs[1] = 0x0A00_0000_0000_2130                 # memory tag 0x5
         m.regs[2] = 0x0A00_0000_0000_2128                 # the armed tripwire
         end = m.run(self.memory(), None, Detector(SimConfig(mode="async")), 3)
-        assert end.outcome == "BugReported" and end.report.fault_address == 0x2130
-        assert m.counters.faults_delivered == 2 and built == [0x2130]
-        assert m.pending_async is None
+        assert end.outcome == "BugReported" and end.report.pc == 2
+        assert m.counters.faults_delivered == 2 and built == []
+        assert not m.async_fault_pending

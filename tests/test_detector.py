@@ -293,6 +293,22 @@ class TestReports:
         assert report.bug.to_json() == expected
         assert len(report.bug.to_json_dict()["regs"]) == 33
 
+    def test_async_report_json_is_golden(self):
+        # the seed-1 uaf program loads through its freed pointer at pc 8 and
+        # halts at pc 9; the report names the halt, its registers (r5 holds
+        # the byte the load committed) and no address or tag
+        program = generate_program(WorkloadSpec(kind="uaf", seed=1, count=1), 0)
+        sim = Simulation(program, SimConfig(seed=1, mode="async"))
+        report = sim.run()
+        regs = [0] * 32
+        regs[0], regs[4], regs[5] = 0xF000000001000A0, 0x537FC2EF, 0xEF
+        regs[20:24] = [0xB00000000100000, 0x200000000100020, 0xB00000000100050,
+                       0x600000000100080]
+        assert report.bug.to_json() == json.dumps(
+            {"kind": "AsyncTagCheckFault", "pc": 9,
+             "regs": [f"0x{r:x}" for r in regs] + ["0x9"]})
+        assert sim.machine.regs == regs
+
     # One refused free per cause, run with seed 1 and the default arming, so
     # the region at 0x100000 draws tag 11 and a 40-byte region's short
     # granule is armed (memory tag 8).  The report names the untagged
@@ -325,25 +341,29 @@ class TestReports:
             {"kind": "UseAfterFreeOrWild", "pc": pc, "fault_address": fault_address,
              "addrtag": addrtag, "memtag": memtag, "regs": dump})
 
-    # a sync bug, an async bug drained at a kernel entry and a refused free
-    @pytest.mark.parametrize("program, config", [
+    # A sync bug and a refused free are each built once by `make_bug_report`.
+    # An async bug drained at a kernel entry names no fault, so
+    # `report_async` builds it, and `make_bug_report` builds nothing.
+    @pytest.mark.parametrize("program, config, builder", [
         (parse_program("alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt"),
-         SimConfig(seed=1, alloc_threshold=ALWAYS_ARM)),
+         SimConfig(seed=1, alloc_threshold=ALWAYS_ARM), "make_bug_report"),
         (generate_program(WorkloadSpec(kind="uaf", seed=1, count=1), 0),
-         SimConfig(seed=1, mode="async")),
-        (parse_program("alloc r0 40\nfree r0\nfree r0\nhalt"), SimConfig(seed=1)),
+         SimConfig(seed=1, mode="async"), "report_async"),
+        (parse_program("alloc r0 40\nfree r0\nfree r0\nhalt"), SimConfig(seed=1),
+         "make_bug_report"),
     ], ids=["intra", "async-uaf", "double-free"])
-    def test_every_report_is_built_by_make_bug_report(self, program, config, monkeypatch):
-        built = []
-        make = Detector.make_bug_report
-
-        def spy(self, fault, kind, memtag):
-            built.append(make(self, fault, kind, memtag))
-            return built[-1]
-        monkeypatch.setattr(Detector, "make_bug_report", spy)
+    def test_every_report_is_built_by_make_bug_report(self, program, config, builder,
+                                                      monkeypatch):
+        built = {"make_bug_report": [], "report_async": []}
+        for name in built:
+            def spy(self, *args, _original=getattr(Detector, name), _name=name):
+                built[_name].append(_original(self, *args))
+                return built[_name][-1]
+            monkeypatch.setattr(Detector, name, spy)
         report = Simulation(program, config).run()
         assert report.outcome == "BugReported"
-        assert [id(b) for b in built] == [id(report.bug)]
+        assert {name: [id(b) for b in reports] for name, reports in built.items()} == {
+            name: [id(report.bug)] if name == builder else [] for name in built}
 
 
 class TestSpanningStorePrecision:
