@@ -14,16 +14,19 @@ instruction slot: a trap fires before its instruction executes, and the
 instruction runs normally afterwards.  Trap slots cannot be placed on
 `ret` or `halt`, nor past the end of the program.
 
-`Machine.run` is the interpreter: one loop that executes the program until
-it halts, reports a bug or uses up its instruction budget.
-`Simulation.run` calls it once per run, and `step` is `run` with a budget
-of one, so single-stepping executes the same code.  The loop keeps the
-program, registers, trap slots, memory pages and mode in locals, and
-inlines the access path: the address and tag of a load or store, the tag
-check of every granule an access touches, and the byte move.  A load or
-store within one page moves all its bytes, both registers of a pair
-included, with one page lookup and one `struct` call (`<Q`, `<QQ`,
-`<Q8xQ8x`, ... by width and pair).
+`Machine.run` is the interpreter: one `for` over the program's slice from
+pc to the end of the instruction budget, which executes it until it halts,
+reports a bug or uses up the budget.  Programs are straight-line, so pc
+alone gives the budget and the instruction count: a call that starts at
+`start` and ends at `pc` executed `pc - start` instructions, plus the one
+that ended the run with a verdict.  `Simulation.run` calls it once per
+run, and `step` is `run` with a budget of one, so single-stepping executes
+the same code.  The loop keeps registers, trap slots, memory pages and
+mode in locals, and inlines the access path: the address and tag of a
+load or store, the tag check of every granule an access touches, and the
+byte move.  A load or store within one page moves all its bytes, both
+registers of a pair included, with one page lookup and one `struct` call
+(`<Q`, `<QQ`, `<Q8xQ8x`, ... by width and pair).
 
 A checked access finds its first mismatching address by one walk over the
 granules it touches on its tag page.  An access is at most 32 bytes, so
@@ -32,17 +35,20 @@ touches two pages, and the walk takes the next tag page with it.  A
 mismatch reaches one site in the loop, which counts the fault once.  In
 sync mode that site takes the one benign verdict from
 `Detector.pass_benign_mismatch`, given the access as plain values and
-whether slot `pc + 1` runs in the same call (the budget has not ended at
-`pc`): a benign tripwire hit resumes the access without a descriptor or a
-`Fault`, and anything else is a bug, whose `Fault` goes to
+whether slot `pc + 1` runs in the same call (`pc + 1 < stop`: the budget
+has not ended at `pc`): a benign tripwire hit resumes the access without a
+descriptor or a `Fault`, and anything else is a bug, whose `Fault` goes to
 `Detector.handle_tag_mismatch` for its report.  A hit whose trap would
 fire in the same call is taken whole at that site, the detector counting
 its trap, so the loop's trap dispatch sees only the delegations of an
 allow-listed overread or of a machine paused right after a hit;
 `Detector.handle_trap` counts each trap it revokes.  In async mode a
 mismatch is counted and sets `async_fault_pending`, and builds no `Fault`.
-`self.pc` is brought up to date whenever the loop calls out, because the
-handlers read it.
+The loop keeps pc in a local.  It writes `self.pc` before each call into
+the detector that is given the machine (`handle_trap`,
+`pass_benign_mismatch`, and `handle_tag_mismatch` through the `Fault`),
+because the detector and the benchmark's tracer read it there, and once
+more when the call ends, however it ends.  The allocator never reads it.
 
 An access across a page edge, or past the top of the address space,
 moves its bytes through one `TaggedMemory.read_bytes` or `write_bytes`
@@ -263,35 +269,37 @@ class Machine:
 
     def step(self, mem: TaggedMemory, allocator, detector) -> Optional[RunEnd]:
         """Execute one instruction, as `run` with a budget of one; None
-        means keep going."""
+        means keep going.  The counting and pc rules are `run`'s."""
         return self.run(mem, allocator, detector, 1)
 
     def run(self, mem: TaggedMemory, allocator, detector, max_steps: int) -> Optional[RunEnd]:
         """Execute until the program halts or reports a bug, or until
         `max_steps` instructions have executed; None means the budget ran
-        out first, with `pc` at the next instruction."""
-        pc = self.pc
+        out first, with `pc` at the next instruction.
+
+        `instructions_executed` grows by the instructions that completed
+        plus the one that ended the run with a verdict, which leaves `pc`
+        on it.  An instruction that raises, such as an `alloc` past the heap
+        ceiling, is not counted, and `pc` stays on it.  Running past the
+        last instruction, or starting at a negative pc, raises
+        `TraceRuntimeError` naming that pc.
+        """
+        pc = start = self.pc
         if pc < 0:
             raise TraceRuntimeError(f"pc {pc} outside program")
-        instructions = self.program
+        stop = pc + max_steps
         regs = self.regs
         delegations = detector.delegations
         tags, data = mem.tags, mem.data
         mode = self.mode
         checking = mode is not _OFF
         counters = self.counters
-        executed = counters.instructions_executed
-        stop = executed + max_steps
+        end = None
         try:
-            while executed < stop:
-                try:
-                    instr = instructions[pc]
-                except IndexError:
-                    raise TraceRuntimeError(f"pc {pc} outside program") from None
-                if pc in delegations:
+            for instr in self.program[start:stop]:
+                if delegations and pc in delegations:
                     self.pc = pc
                     detector.handle_trap(self, mem, allocator)
-                executed += 1
                 kind, dst, src, base, offset_reg, offset, width, pair, imm, overread_ok = instr
 
                 if kind is _LOAD or kind is _STORE:
@@ -330,10 +338,11 @@ class Machine:
                                 self.pc = pc
                                 if not detector.pass_benign_mismatch(
                                         pc, fault_address, address, size, addrtag, overread_ok,
-                                        mem, self, executed < stop):
-                                    return RunEnd("BugReported", detector.handle_tag_mismatch(
+                                        mem, self, pc + 1 < stop):
+                                    end = RunEnd("BugReported", detector.handle_tag_mismatch(
                                         self._fault(fault_address, address, size, addrtag),
                                         mem, allocator, self))
+                                    break
                                 # benign: resume, the access commits fully
                             else:   # silent corruption until the next kernel entry
                                 self.async_fault_pending = True
@@ -373,23 +382,27 @@ class Machine:
                 elif kind is _ADD:
                     regs[dst] = (regs[src] + imm) & MASK64
                 elif kind is _ALLOC:
-                    self.pc = pc
                     regs[dst] = allocator.allocate(imm)
                 elif kind is _FREE:
-                    self.pc = pc
                     if not allocator.free(regs[src]):
-                        report = detector.report_free_mismatch(regs[src], pc, tuple(regs), mem)
-                        return RunEnd("BugReported", report)
+                        end = RunEnd("BugReported", detector.report_free_mismatch(
+                            regs[src], pc, tuple(regs), mem))
+                        break
                 elif kind is _SYSCALL or kind is _HALT:
                     # a kernel entry surfaces the flag that only async mode sets
                     if self.async_fault_pending:
                         self.async_fault_pending = False
-                        return RunEnd("BugReported", detector.report_async(pc, tuple(regs)))
+                        end = RunEnd("BugReported", detector.report_async(pc, tuple(regs)))
+                        break
                     if kind is _HALT:
-                        return _CLEAN_HALT
+                        end = _CLEAN_HALT
+                        break
                 # `ret` is a function-boundary marker: execution falls through
                 pc += 1
-            return None
+            else:
+                if pc < stop:
+                    raise TraceRuntimeError(f"pc {pc} outside program")
+            return end
         finally:
             self.pc = pc
-            counters.instructions_executed = executed
+            counters.instructions_executed += pc - start + (end is not None)

@@ -186,11 +186,12 @@ def exp_recovery_transparency(programs: Sequence[Program], config: SimConfig,
     no armed trap).
     """
     diffs: List[str] = []
+    off_config = replace(config, mode="off", tripwires=False)
+    sync_config = replace(config, mode="sync", tripwires=True, alloc_threshold=ALWAYS_ARM)
     for idx, program in enumerate(programs):
         run_seed = f"{seed}/transparency/{idx}"
-        off = Simulation(program, replace(config, mode="off", tripwires=False, seed=run_seed))
-        sync = Simulation(program, replace(config, mode="sync", tripwires=True,
-                                           alloc_threshold=ALWAYS_ARM, seed=run_seed))
+        off = Simulation(program, off_config.with_seed(run_seed))
+        sync = Simulation(program, sync_config.with_seed(run_seed))
         off_report = off.run()
         sync_report = sync.run()
         if off_report.outcome != "CleanHalt" or sync_report.outcome != "CleanHalt":

@@ -6,7 +6,8 @@ its async flag, the benign verdict, its counter and its rearm in place,
 the metadata arm and clear, a fresh region's tag exclusion, the region
 tag fills, `free`'s tag compare, the generator's `_below`).  Each mutant
 below breaks one such copy and names the tests that must catch it.  A few more break the trace
-parser's grammar table and `set_tag_range`'s multi-page loop.
+parser's grammar table, `set_tag_range`'s multi-page loop, and the budget and
+instruction count that the machine's loop derives from pc.
 
     python tests/mutants.py
 
@@ -65,6 +66,26 @@ MUTANTS = (
       f"{SLOW}::test_async_mismatch_across_a_page_edge_is_queued",
       f"{CPU}::test_step_matches_tag_check_and_handler_reference",
       f"{DET}::TestReports::test_async_report_json_is_golden")),
+    # the loop's budget and instruction count, derived from pc
+    ("run end leaves its last instruction uncounted", "cpu.py",
+     "+ (end is not None)",
+     "+ 0",
+     (f"{CPU}::TestLoopEdges::test_the_instruction_that_ends_the_run_is_counted[halt]",
+      f"{CPU}::TestLoopEdges::test_the_instruction_that_ends_the_run_is_counted[sync-bug]",
+      f"{RUNNER}::test_run_stops_after_exactly_max_steps",
+      f"{GOLDEN}::test_corpus_digest_unchanged[benign48]")),
+    ("running off the end of the program pauses", "cpu.py",
+     "if pc < stop:\n                    raise TraceRuntimeError",
+     "if False:\n                    raise TraceRuntimeError",
+     (f"{CPU}::TestLoopEdges::test_running_off_the_end_names_the_pc_past_the_program[one-run]",
+      f"{CPU}::TestLoopEdges::test_running_off_the_end_names_the_pc_past_the_program[stepping]",
+      f"{CPU}::TestLoopEdges::test_a_budget_ending_at_the_end_of_the_program_pauses")),
+    ("slot pc + 1 runs in the call even when the budget ends at pc", "cpu.py",
+     "mem, self, pc + 1 < stop):",
+     "mem, self, pc < stop):",
+     (f"{RUNNER}::test_pausing_anywhere_matches_one_run",
+      f"{SLOW}::test_benign_hit_across_a_page_edge_resumes_and_delegates",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference")),
     # the benign hit
     ("benign verdict masks the fault address past the top", "detector.py",
      "check_access(address, start, size",

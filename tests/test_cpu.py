@@ -18,6 +18,7 @@ from mtesim import (
     parse_program,
 )
 from mtesim import cpu
+from mtesim.allocator import AllocationError
 from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor, RunCounters
 from mtesim.detector import Detector
 from stepwise import ref_arm, ref_pass, stepwise_hit
@@ -464,6 +465,66 @@ class TestStepSemantics:
         while end is None:
             end = m.step(mem, None, det)
         assert m.regs[0] == 2
+
+
+# the parser requires a final halt; a machine can still be given a program without one
+NO_HALT = parse_program("mov r0 1\nmov r1 2\nhalt")[:2]
+
+
+class TestLoopEdges:
+    """`run` derives its budget and its instruction count from pc: the
+    count is the instructions completed plus the one that ends the run."""
+
+    @pytest.mark.parametrize("mode, text, mem_tag, end_pc", [
+        (Mode.OFF, "mov r0 1\nhalt", None, 1),
+        (Mode.SYNC, "alloc r0 16\nfree r0\nfree r0\nhalt", None, 2),
+        (Mode.SYNC, "mov r1 4096\nld r0 [r1, #0] w8 p1\nhalt", 5, 1),
+        (Mode.ASYNC, "mov r1 4096\nst r2 [r1, #0] w1 p1\nsyscall\nhalt", 5, 2),
+    ], ids=["halt", "refused-free", "sync-bug", "async-drain"])
+    def test_the_instruction_that_ends_the_run_is_counted(self, mode, text, mem_tag, end_pc):
+        mem = TaggedMemory()
+        if mem_tag is not None:
+            mem.set_granule_tag(0x1000, mem_tag)
+        m = machine_for(text, mode)
+        end = m.run(mem, Allocator(mem, random.Random(0), SimConfig()), NullDetector(), 100)
+        assert end is not None and m.pc == end_pc
+        assert m.counters.instructions_executed == end_pc + 1
+
+    @pytest.mark.parametrize("budget", [100, 1], ids=["one-run", "stepping"])
+    def test_running_off_the_end_names_the_pc_past_the_program(self, budget):
+        m = Machine(NO_HALT, Mode.OFF)
+        with pytest.raises(cpu.TraceRuntimeError, match="^pc 2 outside program$"):
+            for _ in range(3):   # one run, or three steps
+                assert m.run(TaggedMemory(), None, NullDetector(), budget) is None
+        assert m.pc == 2 and m.counters.instructions_executed == 2
+        assert m.regs[:2] == [1, 2]
+
+    def test_a_budget_ending_at_the_end_of_the_program_pauses(self):
+        m = Machine(NO_HALT, Mode.OFF)
+        assert m.run(TaggedMemory(), None, NullDetector(), 2) is None
+        assert m.pc == 2 and m.counters.instructions_executed == 2
+        with pytest.raises(cpu.TraceRuntimeError, match="^pc 2 outside program$"):
+            m.run(TaggedMemory(), None, NullDetector(), 1)
+
+    def test_negative_pc_raises(self):
+        m = machine_for("mov r0 1\nhalt", mode=Mode.OFF)
+        m.pc = -1
+        with pytest.raises(cpu.TraceRuntimeError, match="^pc -1 outside program$"):
+            m.run(TaggedMemory(), None, NullDetector(), 100)
+        assert m.counters.instructions_executed == 0 and m.regs[0] == 0
+
+    def test_zero_budget_executes_nothing(self):
+        m = machine_for("mov r0 1\nhalt", mode=Mode.OFF)
+        assert m.run(TaggedMemory(), None, NullDetector(), 0) is None
+        assert m.pc == 0 and m.counters.instructions_executed == 0 and m.regs[0] == 0
+
+    def test_an_instruction_that_raises_stays_at_pc_uncounted(self):
+        # past HEAP_CEILING (1 << 48): the allocator raises, no verdict ends the run
+        mem = TaggedMemory()
+        m = machine_for("mov r0 1\nalloc r0 281474976710656\nhalt", mode=Mode.OFF)
+        with pytest.raises(AllocationError):
+            m.run(mem, Allocator(mem, random.Random(0), SimConfig()), NullDetector(), 100)
+        assert m.pc == 1 and m.counters.instructions_executed == 1 and m.regs[0] == 1
 
 
 def test_store_past_top_of_address_space_commits_where_granule_0_is_checked():
