@@ -7,9 +7,9 @@ parity must differ from the left neighbor's.  Allocations above the
 threshold take an untagged large path (tag 0, never armed).
 
 Tag exclusions are 16-bit masks: bit t set means tag t may not be drawn.
-Nothing is reserved past the bump pointer, so `allocate` builds a new
-region's mask from its live left neighbour alone, and
-`Allocator._tag_exclusion` builds the mask of a redraw on reuse.
+`allocate` builds one mask for a new region and for a redraw on reuse
+alike; nothing is reserved past the bump pointer, so a new region's right
+neighbour is never live.
 
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
@@ -25,9 +25,9 @@ tripwires see identical tags.
 
 Freeing retags the whole region with a fresh tag (excluding 0 and the old
 tag) and clears the short granule's metadata bytes.  `allocate` tags a
-new region, and `free` retags a region, within one tag page itself, with
-one fill.  A region that crosses a page edge and a redraw on reuse are
-tagged through `TaggedMemory.set_tag_range`.  Freed regions queue in a
+region, and `free` retags one, within one tag page itself, with one fill;
+only a region that crosses a page edge is tagged through
+`TaggedMemory.set_tag_range`.  Freed regions queue in a
 FIFO per size class and are reused with their free-time tag unchanged: a
 reuse draws no tag and writes no granule tag, since the granules already
 carry it.  The one exception is a free-time tag equal to the new
@@ -183,74 +183,53 @@ class Allocator:
 
     # -- allocation ----------------------------------------------------
 
-    def _tag_exclusion(self, base: int, usable: int, short: int) -> int:
-        """Exclusion mask of a tag draw for the region at `base`: its live tagged
-        neighbours' tags (and the left one's parity), the tripwire value
-        `short`, and tag 0 unless `include_zero_tag`."""
-        config = self.config
-        exclude = 0 if config.include_zero_tag else ZERO_TAG
-        left = self._by_end.get(base)
-        if left is not None and left.tag and left.base in self.live:
-            exclude |= 1 << left.tag
-            if config.odd_even:
-                # new tag's parity must differ from the left neighbor's
-                exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
-        right = self.live.get(base + usable)
-        if right is not None and right.tag:
-            exclude |= 1 << right.tag
-        if short:
-            exclude |= 1 << short  # tag == tripwire value would never fault
-        return exclude
-
-    def _reserve_fresh(self, usable: int) -> int:
-        base = self._bump
-        if base + usable > HEAP_CEILING:
-            raise AllocationError("out of simulated address space")
-        self._bump += usable
-        return base
-
     def allocate(self, requested: int) -> int:
         """Allocate `requested` bytes; returns the tagged 64-bit pointer value."""
         # `size_class`, inline for the common case
         usable = ((requested + GRANULE_OFFSET_MASK) & GRANULE_MASK if requested > 0
                   else size_class(requested))
         self.counters.allocations += 1
-
-        if usable > self.config.large_threshold:
-            # Untagged large path: no tag draw, no tripwire.
-            base = self._reserve_fresh(usable)
-            self.live[base] = self._by_end[base + usable] = AllocationRecord(
-                base, requested, usable, tag=0)
-            return base
-
         short = requested & GRANULE_OFFSET_MASK
-        mem = self.mem
         fifo = self._free_lists.get(usable)
         if fifo:
-            # the region's own record, with its free-time tag served unchanged
-            # (granules already carry it) unless it equals the tripwire value
+            # the region's own record; its granules carry its free-time tag
             rec = fifo.popleft()
             rec.requested_size = requested
-            base, tag = rec.base, rec.tag
-            if tag == short:
-                tag = rec.tag = generate_tag(self._tag_exclusion(base, usable, short), self.rng)
-                mem.set_tag_range(base, usable, tag)
         else:
-            # a fresh region at the bump pointer.  Nothing is reserved past it,
-            # so its draw excludes only a live left neighbour's tag and parity.
+            # a fresh region at the bump pointer, as every large region is:
+            # none is ever queued for reuse
             base = self._bump
             end = base + usable
             if end > HEAP_CEILING:
                 raise AllocationError("out of simulated address space")
             self._bump = end
+            if usable > self.config.large_threshold:
+                # untagged large path: no tag draw, no tripwire
+                self.live[base] = self._by_end[end] = AllocationRecord(base, requested, usable, 0)
+                return base
+            # its record starts with the tripwire value as its tag, so it
+            # takes the draw below as a reuse with that free-time tag does
+            rec = self._by_end[end] = AllocationRecord(base, requested, usable, short)
+
+        base, tag = rec.base, rec.tag
+        mem = self.mem
+        if tag == short:
+            # a fresh region, or a free-time tag equal to the tripwire value
+            # (which would never fault): draw a tag and fill the region.  A
+            # neighbour counts only while live; a fresh region has none on
+            # its right, since nothing is reserved past the bump pointer.
             config = self.config
             exclude = 0 if config.include_zero_tag else ZERO_TAG
             left = self._by_end.get(base)
             if left is not None and left.tag and left.base in self.live:
                 exclude |= 1 << left.tag
                 if config.odd_even:
+                    # new tag's parity must differ from the left neighbor's
                     exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
-            tag = generate_tag(exclude | 1 << short if short else exclude, self.rng)
+            right = self.live.get(base + usable)
+            if right is not None and right.tag:
+                exclude |= 1 << right.tag
+            tag = rec.tag = generate_tag(exclude | 1 << short if short else exclude, self.rng)
             offset = base & PAGE_MASK
             if offset + usable <= PAGE_SIZE:
                 i, n = base >> PAGE_SHIFT, usable >> GRANULE_SHIFT
@@ -258,7 +237,6 @@ class Allocator:
                                                  offset >> GRANULE_SHIFT, _TAG_FILLS[tag])
             else:
                 mem.set_tag_range(base, usable, tag)
-            rec = self._by_end[end] = AllocationRecord(base, requested, usable, tag)
 
         if short and self.sampler is not None and self.sampler.should_arm():
             arm_tripwire(mem, base + usable - GRANULE_SIZE, short, tag)

@@ -161,7 +161,8 @@ def _config_from_args(args) -> SimConfig:
     return SimConfig(**values)
 
 
-def _add_sizes_flag(p: argparse.ArgumentParser) -> None:
+def _add_sizes_flag(p) -> None:
+    """`--sizes` on a parser or an argument group."""
     p.add_argument("--sizes", type=_sizes, default=_DEFAULT_SIZES)
 
 
@@ -326,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_vul = experiments.add_parser("vulnerable-fraction",
                                    help="share of allocation sizes that leave a short granule")
     p_vul.add_argument("--seed", type=int, default=None)
-    _add_sizes_flag(p_vul)
-    p_vul.add_argument("--uniform", type=_uniform,
-                       help="uniform size range lo:hi, instead of --sizes")
+    dist = p_vul.add_mutually_exclusive_group()
+    _add_sizes_flag(dist)
+    dist.add_argument("--uniform", type=_uniform,
+                      help="uniform size range lo:hi, instead of --sizes")
     p_tra = experiments.add_parser(
         "transparency", help="benign programs end alike with checks off and every tripwire armed")
     _add_sizes_flag(p_tra)

@@ -10,8 +10,9 @@ per page they touch; the machine moves an access within one page on the
 page itself and calls them only for the rest.  Tagging a region
 (`set_tag_range`, as Scudo's `storeTags` tags an allocation) is one fill
 per page: one `pack_into` of the run's granule count from a 256-byte run
-of the tag.  The allocator tags a new region in `allocate`, and retags a
-freed one in `free`, with that fill itself when the region is within one page.
+of the tag.  The allocator makes that fill itself, in `allocate` and in
+`free`, for a region within one page, and calls `set_tag_range` only for a
+region that crosses a page edge.
 
 The simulator spends a whole byte on each tag, where the modelled hardware
 spends 4 bits; `tag_storage_overhead` reports the hardware's cost.
@@ -105,7 +106,7 @@ class TaggedMemory:
     `tags` maps the same index to the page's granule tags, one byte each.
     Outside this class pages are indexed only on paths with traffic:
     `Machine.run`, the detector's `arm_tripwire`, `clear_metadata` and
-    `Detector.pass_benign_mismatch`, the fresh-region fill in
+    `Detector.pass_benign_mismatch`, the region fill in
     `Allocator.allocate` and the retag in `Allocator.free`.
     Everything else reads and writes memory through the methods,
     `nonzero_bytes`, `nonzero_tags` and `snapshot`.
@@ -148,19 +149,7 @@ class TaggedMemory:
         if not 0 <= tag <= 0xF:
             raise ValueError(f"tag out of range: {tag}")
         start = addr & ADDRESS_MASK
-        offset = start & PAGE_MASK
-        first = offset >> GRANULE_SHIFT
-        end = (offset + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
         fill = _TAG_FILLS[tag]
-        if end <= GRANULES_PER_PAGE:
-            # within one page: one fill
-            index = start >> PAGE_SHIFT
-            page = self.tags.get(index)
-            if page is None:
-                page = self.tags[index] = _BLANK_TAG_PAGE.copy()
-            n = end - first
-            (_FILLERS[n] or _make_filler(n))(page, first, fill)
-            return
         g = start >> GRANULE_SHIFT
         end = (start + size + GRANULE_SIZE - 1) >> GRANULE_SHIFT
         while g < end:

@@ -1,12 +1,13 @@
 """Mutants that guard the inline copies of a rule.
 
 Several rules are stated twice in the library: once plainly, and once
-inlined on a path with measured traffic (the machine's granule walk and
-its async flag, the benign verdict, its counter and its rearm in place,
-the metadata arm and clear, a fresh region's tag exclusion, the region
-tag fills, `free`'s tag compare, the generator's `_below`).  Each mutant
-below breaks one such copy and names the tests that must catch it.  A few more break the trace
-parser's grammar table, `set_tag_range`'s multi-page loop, and the budget and
+inlined on a path with measured traffic (the machine's one-granule fast
+path, its granule walk and its async flag, the benign verdict, its counter
+and its rearm in place, the metadata arm and clear, `allocate`'s tag
+exclusion, the in-page region tag fills in `allocate` and `free`, `free`'s
+tag compare, the generator's `_below`).  Each mutant below breaks one such
+copy and names the tests that must catch it.  A few more break the trace
+parser's grammar table, `set_tag_range`'s page loop, and the budget and
 instruction count that the machine's loop derives from pc.
 
     python tests/mutants.py
@@ -15,8 +16,10 @@ For each mutant the script copies `src/` to a temporary directory,
 replaces the mutant's old text (which must occur exactly once in its file)
 with the new text, and runs only the named tests against the copy.  A
 mutant survives unless every named test fails.  The named tests must first
-pass on the unmutated copy.  The script exits 1 when a mutant survives,
-when its old text no longer matches, or when a named test fails on the
+pass on the unmutated copy.  Each pytest run has `TIMEOUT_S` seconds; a run
+that takes longer is killed and reported as `TIMEOUT`, naming the mutant.
+The script exits 1 when a mutant survives or times out, when its old text
+no longer matches, or when a named test fails or times out on the
 unmutated copy: a change to a guarded copy updates its mutant here.
 
 Hypothesis runs derandomized and without its shrink phase, so each run
@@ -33,6 +36,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,9 +49,20 @@ TRACE = "tests/test_trace.py"
 RUNNER = "tests/test_runner.py"
 GOLDEN = "tests/test_golden.py"
 
+# Seconds one pytest run may take.  On a 2-core Xeon under Python 3.11 the
+# unmutated run of every named test takes about 10 s, the slowest single
+# mutant about 5 s, and the whole script about 70 s.
+TIMEOUT_S = 30
+
 # (name, file under src/mtesim, exact old text, new text, test ids that must fail)
 MUTANTS = (
-    # the machine's granule walk
+    # the machine's one-granule fast path and its granule walk
+    ("fast path takes an access one byte into the next granule", "cpu.py",
+     "(address & GRANULE_OFFSET_MASK) + size > GRANULE_SIZE",
+     "(address & GRANULE_OFFSET_MASK) + size > GRANULE_SIZE + 1",
+     tuple(f"{SLOW}::test_access_one_byte_into_the_next_granule_faults_there[{case}]"
+           for case in ("1-2", "2-1", "4-1", "8-1", "8-2", "16-1"))
+     + (f"{CPU}::test_step_matches_tag_check_and_handler_reference",)),
     ("walk leaves out the next page", "cpu.py",
      "if last >= GRANULES_PER_PAGE:",
      "if last > GRANULES_PER_PAGE:",
@@ -128,14 +143,17 @@ MUTANTS = (
      "if False:\n            clear_metadata(",
      (f"{ALLOC}::TestFree::test_free_clears_short_granule_metadata",
       f"{ALLOC}::test_arm_and_free_clear_match_stepwise_reference")),
-    # a fresh region's draw: only a live left neighbour's tag and parity
-    ("fresh draw leaves out the left neighbour's parity", "allocator.py",
-     "\n                    exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS",
-     "\n                    exclude |= 0",
-     (f"{ALLOC}::TestAllocate::test_adjacent_allocations_have_opposite_parity",)),
-    ("fresh draw excludes a freed left neighbour", "allocator.py",
-     "\n            if left is not None and left.tag and left.base in self.live:",
-     "\n            if left is not None and left.tag:",
+    # allocate's one draw, for a fresh region and a redraw on reuse: a live
+    # left neighbour's tag and parity
+    ("draw leaves out the left neighbour's parity", "allocator.py",
+     "exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS",
+     "exclude |= 0",
+     (f"{ALLOC}::TestAllocate::test_adjacent_allocations_have_opposite_parity",
+      f"{ALLOC}::test_odd_even_mask_equals_parity_set[1]",
+      f"{ALLOC}::test_odd_even_mask_equals_parity_set[2]")),
+    ("draw excludes a freed left neighbour", "allocator.py",
+     "if left is not None and left.tag and left.base in self.live:",
+     "if left is not None and left.tag:",
      (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",
       f"{ALLOC}::test_allocator_matches_reference_allocator")),
     # free's one compare
@@ -143,14 +161,17 @@ MUTANTS = (
      "raw >> TAG_SHIFT != rec.tag",
      "raw >> TAG_SHIFT & 0xF != rec.tag",
      (f"{ALLOC}::TestFree::test_free_with_canary_bits_is_mismatch",)),
-    # the region tag fills: a fresh region and the retag at free within a
-    # page, and set_tag_range within a page and across pages
-    ("fresh in-page fill one granule short", "allocator.py",
+    # the region tag fills: allocate's and free's within a page, and
+    # set_tag_range's page loop
+    ("allocate's in-page fill one granule short", "allocator.py",
      "i, n = base >> PAGE_SHIFT, usable >> GRANULE_SHIFT",
      "i, n = base >> PAGE_SHIFT, (usable >> GRANULE_SHIFT) - 1",
      (f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[1]",
       f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[64]",
-      f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[256]")),
+      f"{ALLOC}::TestAllocate::test_in_page_fresh_region_matches_per_granule_loop[256]",
+      f"{ALLOC}::TestAllocate::test_in_page_redraw_matches_per_granule_loop[1]",
+      f"{ALLOC}::TestAllocate::test_in_page_redraw_matches_per_granule_loop[64]",
+      f"{ALLOC}::TestAllocate::test_in_page_redraw_matches_per_granule_loop[256]")),
     ("in-page retag one granule short", "allocator.py",
      "n = usable >> GRANULE_SHIFT",
      "n = (usable >> GRANULE_SHIFT) - 1",
@@ -158,11 +179,6 @@ MUTANTS = (
       f"{ALLOC}::TestFree::test_in_page_retag_matches_per_granule_loop[64]",
       f"{ALLOC}::TestFree::test_in_page_retag_matches_per_granule_loop[256]",
       f"{ALLOC}::TestFree::test_retag_at_free_changes_every_granule")),
-    ("set_tag_range within a page one granule short", "memory.py",
-     "n = end - first\n",
-     "n = end - first - 1\n",
-     (f"{MEMORY}::test_set_tag_range_equals_per_granule_loop",
-      f"{MEMORY}::TestSetTagRange::test_partial_last_granule_is_covered")),
     ("set_tag_range across pages one granule short", "memory.py",
      "(_FILLERS[n] or _make_filler(n))(page, first, fill)\n            g += n",
      "(_FILLERS[n - 1] or _make_filler(n - 1))(page, first, fill)\n            g += n",
@@ -210,16 +226,20 @@ settings.load_profile("mutants")
 """
 
 
-def failed_tests(src: Path, tests, plugins: Path) -> set:
-    """Ids of `tests` that fail against the library in `src`."""
+def failed_tests(src: Path, tests, plugins: Path) -> Optional[set]:
+    """Ids of `tests` that fail against the library in `src`; None when the
+    run takes more than `TIMEOUT_S` seconds."""
     # No bytecode cache: a mutant of the same length written within the
     # second of the last compile would otherwise run as the stale .pyc.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(plugins))),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-         "-p", "mutant_profile", "-o", f"pythonpath={src}", *tests],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
+             "-p", "mutant_profile", "-o", f"pythonpath={src}", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     # a summary line is "FAILED <id>" or "FAILED <id> - <message>", and an
     # id may hold spaces
     summary = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()
@@ -231,6 +251,7 @@ def failed_tests(src: Path, tests, plugins: Path) -> set:
 
 
 def main() -> int:
+    began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mtesim-mutants-") as tmp:
         src, plugins = Path(tmp) / "src", Path(tmp) / "plugins"
         plugins.mkdir()
@@ -249,6 +270,9 @@ def main() -> int:
             return 1
         every_test = sorted({t for m in MUTANTS for t in m[4]})
         broken = failed_tests(src, every_test, plugins)
+        if broken is None:
+            print(f"TIMEOUT   the unmutated source, after {TIMEOUT_S} s")
+            return 1
         for test in sorted(broken):
             print(f"BROKEN    {test} fails on the unmutated source")
         if broken:
@@ -259,15 +283,17 @@ def main() -> int:
             path = src / "mtesim" / file
             path.write_text(sources[file].replace(old, new))
             try:
-                survivors = set(tests) - failed_tests(src, tests, plugins)
+                failed = failed_tests(src, tests, plugins)
             finally:
                 path.write_text(sources[file])
-            verdict = "SURVIVED" if survivors else "killed"
+            survivors = set() if failed is None else set(tests) - failed
+            verdict = "TIMEOUT" if failed is None else "SURVIVED" if survivors else "killed"
             print(f"{verdict:9} {name} ({file}, {time.perf_counter() - start:.1f} s)")
             for test in sorted(survivors):
                 print(f"          passes: {test}")
-            problems += bool(survivors)
-        print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants killed")
+            problems += failed is None or bool(survivors)
+        print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants killed "
+              f"in {time.perf_counter() - began:.0f} s")
         return 1 if problems else 0
 
 

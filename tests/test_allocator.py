@@ -20,6 +20,7 @@ from mtesim.allocator import (
     HEAP_BASE,
     HEAP_CEILING,
     ZERO_TAG,
+    AllocationError,
     AllocationRecord,
     TagSpaceExhausted,
 )
@@ -144,19 +145,8 @@ def test_exhausted_mask_leaves_the_generator_untouched():
     assert rng.getstate() == state
 
 
-@pytest.mark.parametrize("left_tag", range(1, 16))
-def test_odd_even_mask_equals_parity_set(left_tag):
-    _, alloc = make_allocator()
-    alloc.live[HEAP_BASE] = alloc._by_end[HEAP_BASE + 16] = AllocationRecord(
-        HEAP_BASE, 16, 16, left_tag)
-    parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
-    assert alloc._tag_exclusion(HEAP_BASE + 16, 16, 0) == exclusion_mask(parity, False)
-
-
-def test_freed_left_neighbour_is_not_excluded(monkeypatch):
-    # a freed region stays in the end map, so a draw finds it as the left
-    # neighbour; its tag and parity must not narrow a fresh region's draw
-    # next to it, nor a redraw on reuse next to it
+def spy_on_masks(monkeypatch):
+    """The exclusion mask of every `generate_tag` call the allocator makes."""
     masks, draw = [], mtesim.allocator.generate_tag
 
     def spy(exclude, rng):
@@ -164,6 +154,40 @@ def test_freed_left_neighbour_is_not_excluded(monkeypatch):
         return draw(exclude, rng)
 
     monkeypatch.setattr(mtesim.allocator, "generate_tag", spy)
+    return masks
+
+
+@pytest.mark.parametrize("left_tag", range(1, 16))
+def test_odd_even_mask_equals_parity_set(left_tag, monkeypatch):
+    # the draw of a fresh region and a redraw on reuse, each right of a live
+    # region tagged `left_tag`
+    masks = spy_on_masks(monkeypatch)
+    _, alloc = make_allocator()
+    alloc.live[HEAP_BASE] = alloc._by_end[HEAP_BASE + 16] = AllocationRecord(
+        HEAP_BASE, 16, 16, left_tag)
+    alloc._bump = HEAP_BASE + 16
+    parity = {left_tag} | {t for t in range(1, 16) if (t & 1) == (left_tag & 1)}
+    fresh = alloc.allocate(16)
+    assert untagged(fresh) == HEAP_BASE + 16
+    assert masks == [exclusion_mask(parity, False)]
+
+    # the region again, queued with a free-time tag of the other parity,
+    # reused under an addressable count equal to that tag
+    del alloc.live[HEAP_BASE + 16]
+    rec = alloc._by_end[HEAP_BASE + 32]
+    rec.tag = tripwire = 8 if left_tag & 1 else 7
+    alloc._free_lists[16] = deque([rec])
+    masks.clear()
+    reused = alloc.allocate(tripwire)
+    assert untagged(reused) == HEAP_BASE + 16
+    assert masks == [exclusion_mask(parity | {tripwire}, False)]
+
+
+def test_freed_left_neighbour_is_not_excluded(monkeypatch):
+    # a freed region stays in the end map, so a draw finds it as the left
+    # neighbour; its tag and parity must not narrow a fresh region's draw
+    # next to it, nor a redraw on reuse next to it
+    masks = spy_on_masks(monkeypatch)
     _, alloc = make_allocator(seed=3)
     a = alloc.allocate(32)
     b = alloc.allocate(32)
@@ -211,6 +235,27 @@ class TestAllocate:
             expected.set_granule_tag(g, address_tag(ptr))
         assert mem.snapshot() == expected.snapshot()
 
+    @pytest.mark.parametrize("granules", [1, 64, 256])
+    def test_in_page_redraw_matches_per_granule_loop(self, granules):
+        # a reused region whose free-time tag equals its addressable count
+        # is redrawn and refilled with one fill, with a live right neighbour
+        mem, alloc = make_allocator(seed=8)
+        if granules < 256:
+            alloc.allocate(48)
+        ptr = alloc.allocate(16 * granules)
+        alloc.allocate(16)
+        alloc.free(ptr)
+        free_tag = alloc._free_lists[16 * granules][0].tag
+        expected = TaggedMemory()
+        expected.tags = {i: bytearray(p) for i, p in mem.tags.items()}
+        reused = alloc.allocate(16 * granules - 16 + free_tag)
+        base = untagged(reused)
+        assert base == untagged(ptr) and address_tag(reused) != free_tag
+        assert (base & 0xFFF) + 16 * granules <= 0x1000
+        for g in range(base, base + 16 * granules, 16):
+            expected.set_granule_tag(g, address_tag(reused))
+        assert mem.snapshot() == expected.snapshot()
+
     def test_multiple_of_16_never_consults_sampler(self):
         sampler = NeverArm()
         mem, alloc = make_allocator(seed=2, sampler=sampler)
@@ -251,6 +296,20 @@ class TestAllocate:
         assert mem.get_granule_tag(untagged(ptr)) == 0
         assert not tripwire_armed(mem, alloc.live[untagged(ptr)])
         assert alloc.counters.tripwires_armed == 0
+
+    @pytest.mark.parametrize("requested", [32, 100_000], ids=["primary", "large"])
+    def test_reservation_past_the_ceiling_changes_nothing(self, requested):
+        mem, alloc = make_allocator(seed=7)
+        alloc.allocate(48)
+        alloc._bump = HEAP_CEILING - 16
+        before = (alloc._bump, dict(alloc.live), dict(alloc._by_end), mem.snapshot(),
+                  alloc.rng.getstate())
+        with pytest.raises(AllocationError):
+            alloc.allocate(requested)
+        assert before == (alloc._bump, alloc.live, alloc._by_end, mem.snapshot(),
+                          alloc.rng.getstate())
+        # a region ending exactly at the ceiling still fits
+        assert untagged(alloc.allocate(16)) == HEAP_CEILING - 16
 
     def test_zero_tag_reservation_for_primary_path(self):
         _, alloc = make_allocator(seed=7, sampler=AlwaysArm())

@@ -252,6 +252,11 @@ _BAD_ARGV = {
     "exp detection --sizes 24:0": ["exp", "detection", "--sizes", "24:0"],
     "exp transparency --trials x": ["exp", "transparency", "--trials", "x"],
     "gen --count 0": ["gen", "--kind", "benign", "--count", "0", "--out", "OUT"],
+    # two size distributions: the experiment would read only one
+    "exp vulnerable-fraction --uniform 1:256 --sizes 40": [
+        "exp", "vulnerable-fraction", "--uniform", "1:256", "--sizes", "40"],
+    "exp vulnerable-fraction --sizes 40 --uniform 1:256": [
+        "exp", "vulnerable-fraction", "--sizes", "40", "--uniform", "1:256"],
 }
 
 # Cases whose bad value is one flag's: the message names that flag.
@@ -266,6 +271,8 @@ _NAMED_FLAG = {
     "exp detection --sizes 24:0": "--sizes",
     "exp transparency --trials x": "--trials",
     "gen --count 0": "--count",
+    "exp vulnerable-fraction --uniform 1:256 --sizes 40": "--sizes",
+    "exp vulnerable-fraction --sizes 40 --uniform 1:256": "--uniform",
 }
 
 

@@ -759,6 +759,14 @@ class TestSlowPathReach:
         assert end.report.fault_address == 0x3000
         assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
 
+    @pytest.mark.parametrize("width, pair", [(1, 2), (2, 1), (4, 1), (8, 1), (8, 2), (16, 1)])
+    def test_access_one_byte_into_the_next_granule_faults_there(self, slow_calls, width,
+                                                                pair):
+        # the last byte is the first of granule 0x2120, whose tag is not 0xA
+        end, m, _ = self.run_access(0x2121 - width * pair, width, pair, tripwires=False)
+        assert end.report.fault_address == 0x2120 and m.counters.faults_delivered == 1
+        assert slow_calls == ["pass_benign_mismatch", "handle_tag_mismatch"]
+
     def test_plain_tag_check_across_a_page_edge_reports_the_bug(self, slow_calls):
         end, _, _ = self.run_access(0x2FF8, 8, 2, tripwires=False)   # 0x2ff8..0x3007
         assert end.report.kind.value == "UseAfterFreeOrWild"
