@@ -188,9 +188,12 @@ class Allocator:
         # `size_class`, inline for the common case
         usable = ((requested + GRANULE_OFFSET_MASK) & GRANULE_MASK if requested > 0
                   else size_class(requested))
-        self.counters.allocations += 1
         short = requested & GRANULE_OFFSET_MASK
         fifo = self._free_lists.get(usable)
+        # a reservation past the ceiling changes nothing, not even the count
+        if not fifo and self._bump + usable > HEAP_CEILING:
+            raise AllocationError("out of simulated address space")
+        self.counters.allocations += 1
         if fifo:
             # the region's own record; its granules carry its free-time tag
             rec = fifo.popleft()
@@ -199,10 +202,7 @@ class Allocator:
             # a fresh region at the bump pointer, as every large region is:
             # none is ever queued for reuse
             base = self._bump
-            end = base + usable
-            if end > HEAP_CEILING:
-                raise AllocationError("out of simulated address space")
-            self._bump = end
+            end = self._bump = base + usable
             if usable > self.config.large_threshold:
                 # untagged large path: no tag draw, no tripwire
                 self.live[base] = self._by_end[end] = AllocationRecord(base, requested, usable, 0)

@@ -2,8 +2,11 @@
 
 Exit codes: 0 for a clean halt, 1 when a bug is reported, 2 for usage,
 parse, configuration, or I/O errors, which print one `error:` line and no
-traceback.  The MTESIM_SEED environment variable supplies a default seed;
-an explicit --seed always wins.
+traceback.  Usage errors end in `_Parser.error`; every other exit 2 comes
+from the one handler in `main`, around whichever command runs, so the
+commands raise their errors and never print them.  The MTESIM_SEED
+environment variable supplies a default seed; an explicit --seed always
+wins.
 """
 
 from __future__ import annotations
@@ -43,20 +46,22 @@ EXIT_BUG = 1
 EXIT_USAGE = 2
 
 # A run that cannot go on: out of simulated address space, out of host
-# memory (a huge region's tags), malformed execution state, or broken
-# recovery bookkeeping.  Exit 2, not a verdict.
+# memory (a huge trace, corpus or region's tags), malformed execution state,
+# or broken recovery bookkeeping.  Exit 2, not a verdict.
 _RUN_ERRORS = (AllocationError, MemoryError, TraceRuntimeError, ProtocolError)
 
 
 def _reason(e: Exception) -> str:
     """One line for an error; a MemoryError usually carries no message.
 
-    Callers print it after their `except` block ends: until then the
+    `main` prints it after its `except` block ends: until then the
     traceback keeps the failed run's memory alive, and with the host out of
     memory the print itself could fail.
     """
     if isinstance(e, MemoryError):
         return "out of host memory"
+    if isinstance(e, UnicodeDecodeError):
+        return f"not UTF-8 text: {e}"
     return str(e)
 
 
@@ -183,83 +188,43 @@ def _workload_spec(args, **given) -> WorkloadSpec:
                         reuse_cycles=args.reuse_cycles, **given)
 
 
+class _TraceError(Exception):
+    """An error of `run` that belongs to its trace; the message names it."""
+
+
 def cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _config_from_args(args)
+    # An OSError of the read names the path itself.
     try:
         text = Path(args.trace).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnicodeDecodeError as e:
-        print(f"error: {args.trace}: not UTF-8 text: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = parse_program(text)
-    except TraceParseError as e:
-        print(f"error: {args.trace}: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    reason = None
-    try:
-        report = run_program(program, config)
-    except _RUN_ERRORS as e:
-        reason = _reason(e)
-    if reason is not None:
-        print(f"error: {args.trace}: {reason}", file=sys.stderr)
-        return EXIT_USAGE
+        report = run_program(parse_program(text), config)
+    except (UnicodeDecodeError, TraceParseError) + _RUN_ERRORS as e:
+        raise _TraceError(f"{args.trace}: {_reason(e)}") from None
     payload = report.to_json()
     if args.report:
-        try:
-            Path(args.report).write_text(payload + "\n")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        Path(args.report).write_text(payload + "\n")
     else:
         print(payload)
     return report.exit_code
 
 
 def cmd_gen(args) -> int:
-    reason = None
-    try:
-        spec = _workload_spec(args, count=args.count, preamble_allocs=args.preamble,
-                              accesses=args.accesses)
-        programs = generate_workload(spec)
-    except (WorkloadError, ValueError, MemoryError) as e:
-        reason = _reason(e)
-    if reason is not None:
-        print(f"error: {reason}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _workload_spec(args, count=args.count, preamble_allocs=args.preamble,
+                          accesses=args.accesses)
+    programs = generate_workload(spec)
     kind_dir = Path(args.out) / spec.kind
-    try:
-        kind_dir.mkdir(parents=True, exist_ok=True)
-        for i, program in enumerate(programs):
-            (kind_dir / f"{i:05d}.mtr").write_text(render_program(program))
-        # every field of the spec, so the manifest alone rebuilds the corpus
-        manifest = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
-        (kind_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except (OSError, MemoryError) as e:
-        reason = _reason(e)
-    if reason is not None:
-        print(f"error: {reason}", file=sys.stderr)
-        return EXIT_USAGE
+    kind_dir.mkdir(parents=True, exist_ok=True)
+    for i, program in enumerate(programs):
+        (kind_dir / f"{i:05d}.mtr").write_text(render_program(program))
+    # every field of the spec, so the manifest alone rebuilds the corpus
+    manifest = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+    (kind_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(programs)} programs to {kind_dir}")
     return EXIT_CLEAN
 
 
 def cmd_exp(args) -> int:
-    try:
-        return _run_experiment(args, _seed(args))
-    except (WorkloadError, ValueError) + _RUN_ERRORS as e:
-        reason = _reason(e)
-    print(f"error: {reason}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _run_experiment(args, seed: int) -> int:
+    seed = _seed(args)
     if args.experiment == "detection":
         spec = _workload_spec(args)
         print(exp_detection_rate(args.kind, _config_from_args(args), args.trials, seed,
@@ -348,7 +313,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, WorkloadError, TraceParseError, _TraceError) + _RUN_ERRORS as e:
+        reason = _reason(e)
+    print(f"error: {reason}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -112,10 +112,15 @@ class Simulation:
         self.detector = Detector(config, counters)
         self.machine = Machine(program, mode, counters)
 
-    def run(self, max_steps: int = 10_000_000) -> RunReport:
-        end = self.machine.run(self.mem, self.allocator, self.detector, max_steps)
-        if end is None:
-            raise RuntimeError(f"program did not halt within {max_steps} steps")
+    def run(self) -> RunReport:
+        """Run the program on to its verdict, from wherever the machine is.
+
+        Execution is straight-line, so each slot runs at most once, and a
+        budget of one more step than the program has slots always ends in
+        a verdict: a program with no `halt` runs off its end and raises
+        `TraceRuntimeError`, where one of exactly `len` steps would pause.
+        """
+        end = self.machine.run(self.mem, self.allocator, self.detector, len(self.program) + 1)
         return RunReport(
             outcome=end.outcome,
             bug=end.report,

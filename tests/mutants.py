@@ -7,17 +7,20 @@ and its rearm in place, the metadata arm and clear, `allocate`'s tag
 exclusion, the in-page region tag fills in `allocate` and `free`, `free`'s
 tag compare, the generator's `_below`).  Each mutant below breaks one such
 copy and names the tests that must catch it.  A few more break the trace
-parser's grammar table, `set_tag_range`'s page loop, and the budget and
+parser's grammar table, `set_tag_range`'s page loop, the benign counter's
+carry, the store's lane mask, the sampler's slow start, and the budget and
 instruction count that the machine's loop derives from pc.
 
     python tests/mutants.py
 
-For each mutant the script copies `src/` to a temporary directory,
-replaces the mutant's old text (which must occur exactly once in its file)
-with the new text, and runs only the named tests against the copy.  A
-mutant survives unless every named test fails.  The named tests must first
-pass on the unmutated copy.  Each pytest run has `TIMEOUT_S` seconds; a run
-that takes longer is killed and reported as `TIMEOUT`, naming the mutant.
+For each mutant the script copies `src/` to a temporary directory of its
+own, replaces the mutant's old text (which must occur exactly once in its
+file) with the new text, and runs only the named tests against the copy.
+The mutants run on `os.cpu_count()` workers at once, and their verdicts
+print in `MUTANTS` order.  A mutant survives unless every named test fails.
+The named tests must first pass on the unmutated copy.  Each pytest run has
+`TIMEOUT_S` seconds; a run that takes longer is killed and reported as
+`TIMEOUT`, naming the mutant.
 The script exits 1 when a mutant survives or times out, when its old text
 no longer matches, or when a named test fails or times out on the
 unmutated copy: a change to a guarded copy updates its mutant here.
@@ -35,8 +38,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,10 +52,12 @@ MEMORY = "tests/test_memory.py"
 TRACE = "tests/test_trace.py"
 RUNNER = "tests/test_runner.py"
 GOLDEN = "tests/test_golden.py"
+SAMPLER = "tests/test_sampler.py"
 
 # Seconds one pytest run may take.  On a 2-core Xeon under Python 3.11 the
 # unmutated run of every named test takes about 10 s, the slowest single
-# mutant about 5 s, and the whole script about 70 s.
+# mutant about 6 s with a second one running beside it, and the whole
+# script, on two workers, about 48 s.
 TIMEOUT_S = 30
 
 # (name, file under src/mtesim, exact old text, new text, test ids that must fail)
@@ -95,6 +101,10 @@ MUTANTS = (
      (f"{CPU}::TestLoopEdges::test_running_off_the_end_names_the_pc_past_the_program[one-run]",
       f"{CPU}::TestLoopEdges::test_running_off_the_end_names_the_pc_past_the_program[stepping]",
       f"{CPU}::TestLoopEdges::test_a_budget_ending_at_the_end_of_the_program_pauses")),
+    ("a whole run's budget ends at the program's end", "runner.py",
+     "len(self.program) + 1)",
+     "len(self.program))",
+     (f"{RUNNER}::test_a_whole_run_without_halt_runs_off_the_end",)),
     ("slot pc + 1 runs in the call even when the budget ends at pc", "cpu.py",
      "mem, self, pc + 1 < stop):",
      "mem, self, pc < stop):",
@@ -123,6 +133,10 @@ MUTANTS = (
      (f"{DET}::TestOverreadSkip::test_skip_on_delegates_without_counting",
       f"{DET}::test_fused_benign_hit_matches_stepwise_reference",
       f"{GOLDEN}::test_memory_digest_unchanged[overread]")),
+    ("benign counter drops its carry into the second byte", "detector.py",
+     "data[last - 1] = word >> 8 & 0xFF",
+     "data[last - 1] = data[last - 1]",
+     (f"{DET}::test_fused_benign_hit_matches_stepwise_reference",)),
     ("rearm in place leaves its trap uncounted", "detector.py",
      "self.counters.traps_delivered += 1   # the trap at pc + 1",
      "self.counters.traps_delivered += 0   # the trap at pc + 1",
@@ -189,6 +203,18 @@ MUTANTS = (
      "(page, first - 1, fill)\n            g += n",
      (f"{MEMORY}::test_set_tag_range_equals_per_granule_loop",
       f"{MEMORY}::test_pages_match_per_byte_and_per_granule_dicts")),
+    # the store's lanes
+    ("store drops each lane's top bit", "cpu.py",
+     "lane_mask = _LANE_MASK[width]",
+     "lane_mask = _LANE_MASK[width] >> 1",
+     (f"{CPU}::test_store_then_load_matches_byte_reference",)),
+    # the sampler's slow start
+    ("slow start arms one call too few", "sampler.py",
+     "if self.slow_start:",
+     "if self.slow_start > 1:",
+     (f"{SAMPLER}::test_slow_start_arms_everything",
+      f"{SAMPLER}::test_exactly_threshold_calls_always_arm",
+      f"{SAMPLER}::test_arm_positions_are_partial_sums_of_uniform_draws")),
     # the generator's draw
     ("_below keeps a draw equal to n", "trace.py",
      "while r >= n:",
@@ -250,10 +276,22 @@ def failed_tests(src: Path, tests, plugins: Path) -> Optional[set]:
     return failed
 
 
+def run_mutant(root: Path, index: int) -> Tuple[Optional[set], float]:
+    """The failed tests of mutant `index`, run on a copy of `root / "src"`
+    of its own, and the seconds they took."""
+    start = time.perf_counter()
+    _, file, old, new, tests = MUTANTS[index]
+    src = shutil.copytree(root / "src", root / f"mutant{index}")
+    path = src / "mtesim" / file
+    path.write_text(path.read_text().replace(old, new))
+    return failed_tests(src, tests, root / "plugins"), time.perf_counter() - start
+
+
 def main() -> int:
     began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mtesim-mutants-") as tmp:
-        src, plugins = Path(tmp) / "src", Path(tmp) / "plugins"
+        root = Path(tmp)
+        src, plugins = root / "src", root / "plugins"
         plugins.mkdir()
         (plugins / "mutant_profile.py").write_text(_PROFILE)
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -278,20 +316,18 @@ def main() -> int:
         if broken:
             return 1
 
-        for name, file, old, new, tests in MUTANTS:
-            start = time.perf_counter()
-            path = src / "mtesim" / file
-            path.write_text(sources[file].replace(old, new))
-            try:
-                failed = failed_tests(src, tests, plugins)
-            finally:
-                path.write_text(sources[file])
-            survivors = set() if failed is None else set(tests) - failed
-            verdict = "TIMEOUT" if failed is None else "SURVIVED" if survivors else "killed"
-            print(f"{verdict:9} {name} ({file}, {time.perf_counter() - start:.1f} s)")
-            for test in sorted(survivors):
-                print(f"          passes: {test}")
-            problems += failed is None or bool(survivors)
+        pool = ThreadPoolExecutor(os.cpu_count() or 1)
+        try:
+            runs = pool.map(lambda i: run_mutant(root, i), range(len(MUTANTS)))
+            for (name, file, _, _, tests), (failed, seconds) in zip(MUTANTS, runs):
+                survivors = set() if failed is None else set(tests) - failed
+                verdict = "TIMEOUT" if failed is None else "SURVIVED" if survivors else "killed"
+                print(f"{verdict:9} {name} ({file}, {seconds:.1f} s)", flush=True)
+                for test in sorted(survivors):
+                    print(f"          passes: {test}")
+                problems += failed is None or bool(survivors)
+        finally:
+            pool.shutdown(cancel_futures=True)
         print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants killed "
               f"in {time.perf_counter() - began:.0f} s")
         return 1 if problems else 0

@@ -303,11 +303,11 @@ class TestAllocate:
         alloc.allocate(48)
         alloc._bump = HEAP_CEILING - 16
         before = (alloc._bump, dict(alloc.live), dict(alloc._by_end), mem.snapshot(),
-                  alloc.rng.getstate())
+                  alloc.rng.getstate(), dict(vars(alloc.counters)))
         with pytest.raises(AllocationError):
             alloc.allocate(requested)
         assert before == (alloc._bump, alloc.live, alloc._by_end, mem.snapshot(),
-                          alloc.rng.getstate())
+                          alloc.rng.getstate(), vars(alloc.counters))
         # a region ending exactly at the ceiling still fits
         assert untagged(alloc.allocate(16)) == HEAP_CEILING - 16
 

@@ -409,6 +409,34 @@ def test_gen_out_of_host_memory_while_writing_exits_2_with_one_line(tmp_path, ca
     assert captured.err.splitlines() == ["error: out of host memory"]
 
 
+@pytest.mark.parametrize("stage", ["read", "parse"])
+def test_run_out_of_host_memory_before_the_run_exits_2_naming_the_trace(stage, trace_file,
+                                                                         capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    path = trace_file(BENIGN)
+    if stage == "read":
+        monkeypatch.setattr(Path, "read_text", exhausted)
+    else:
+        monkeypatch.setattr(cli, "parse_program", exhausted)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: out of host memory"]
+
+
+def test_value_error_inside_a_run_exits_2_with_one_line(trace_file, capsys, monkeypatch):
+    def bad(program, config):
+        raise ValueError("tag out of range: 16")
+
+    monkeypatch.setattr(cli, "run_program", bad)
+    assert main(["run", trace_file(BENIGN)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: tag out of range: 16"]
+
+
 # -- property: any argv exits 0, 1 or 2, and exit 2 is one `error:` line ----
 # Arguments are drawn from grammar-shaped pools of good and bad tokens.  Flags
 # that set a loop count (trials, programs, accesses, cycles) draw only small

@@ -14,6 +14,7 @@ from mtesim import (
     run_program,
 )
 from mtesim import runner
+from mtesim.cpu import TraceRuntimeError
 from mtesim.detector import Detector, revoke_tripwire
 from mtesim.experiments import exp_recovery_transparency
 from mtesim.runner import RunReport
@@ -141,13 +142,20 @@ def test_run_stops_after_exactly_max_steps():
     assert expected.counters["instructions_executed"] == len(program)
     for k in (0, 1, 9, len(program) - 1):
         sim = Simulation(program, config)
-        with pytest.raises(RuntimeError, match=f"within {k} steps"):
-            sim.run(max_steps=k)
+        assert sim.machine.run(sim.mem, sim.allocator, sim.detector, k) is None
         # straight-line code: k instructions executed, the next one not yet
         assert sim.machine.counters.instructions_executed == k
         assert sim.machine.pc == k
         # the budget only pauses the machine; running on finishes the program
         assert sim.run().to_json_dict() == expected.to_json_dict()
+
+
+def test_a_whole_run_without_halt_runs_off_the_end():
+    # a budget of one step past the last slot: never a pause
+    sim = Simulation(parse_program("mov r0 1\nmov r1 2\nhalt")[:2])
+    with pytest.raises(TraceRuntimeError, match="^pc 2 outside program$"):
+        sim.run()
+    assert sim.machine.counters.instructions_executed == 2
 
 
 def test_pausing_anywhere_matches_one_run(monkeypatch):
