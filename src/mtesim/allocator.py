@@ -7,9 +7,9 @@ parity must differ from the left neighbor's.  Allocations above the
 threshold take an untagged large path (tag 0, never armed).
 
 Tag exclusions are 16-bit masks: bit t set means tag t may not be drawn.
-`allocate` builds one mask for a new region and for a redraw on reuse
-alike; nothing is reserved past the bump pointer, so a new region's right
-neighbour is never live.
+`allocate` draws from one mask for a new region and for a redraw on reuse
+alike.  Only a redraw looks up a right neighbour: nothing is reserved past
+the bump pointer, so a new region has none.
 
 Short-granule allocations (requested size not a multiple of 16) may get a
 tripwire: the final granule's memory tag is set to its addressable byte
@@ -190,45 +190,52 @@ class Allocator:
                   else size_class(requested))
         short = requested & GRANULE_OFFSET_MASK
         fifo = self._free_lists.get(usable)
-        # a reservation past the ceiling changes nothing, not even the count
-        if not fifo and self._bump + usable > HEAP_CEILING:
-            raise AllocationError("out of simulated address space")
-        self.counters.allocations += 1
         if fifo:
             # the region's own record; its granules carry its free-time tag
             rec = fifo.popleft()
             rec.requested_size = requested
+            base, tag = rec.base, rec.tag
+            exclude = 0
+            if tag == short:
+                # redrawn below: a live right neighbour's tag is excluded
+                right = self.live.get(base + usable)
+                if right is not None and right.tag:
+                    exclude = 1 << right.tag
         else:
             # a fresh region at the bump pointer, as every large region is:
-            # none is ever queued for reuse
+            # none is ever queued for reuse; one past the ceiling changes
+            # nothing, not even the count
             base = self._bump
-            end = self._bump = base + usable
+            end = base + usable
+            if end > HEAP_CEILING:
+                raise AllocationError("out of simulated address space")
+            self._bump = end
             if usable > self.config.large_threshold:
                 # untagged large path: no tag draw, no tripwire
+                self.counters.allocations += 1
                 self.live[base] = self._by_end[end] = AllocationRecord(base, requested, usable, 0)
                 return base
             # its record starts with the tripwire value as its tag, so it
-            # takes the draw below as a reuse with that free-time tag does
+            # takes the draw below as a reuse with that free-time tag does;
+            # it has no right neighbour
+            tag, exclude = short, 0
             rec = self._by_end[end] = AllocationRecord(base, requested, usable, short)
+        self.counters.allocations += 1
 
-        base, tag = rec.base, rec.tag
         mem = self.mem
         if tag == short:
             # a fresh region, or a free-time tag equal to the tripwire value
             # (which would never fault): draw a tag and fill the region.  A
-            # neighbour counts only while live; a fresh region has none on
-            # its right, since nothing is reserved past the bump pointer.
+            # neighbour counts only while live.
             config = self.config
-            exclude = 0 if config.include_zero_tag else ZERO_TAG
+            if not config.include_zero_tag:
+                exclude |= ZERO_TAG
             left = self._by_end.get(base)
             if left is not None and left.tag and left.base in self.live:
                 exclude |= 1 << left.tag
                 if config.odd_even:
                     # new tag's parity must differ from the left neighbor's
                     exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS
-            right = self.live.get(base + usable)
-            if right is not None and right.tag:
-                exclude |= 1 << right.tag
             tag = rec.tag = generate_tag(exclude | 1 << short if short else exclude, self.rng)
             offset = base & PAGE_MASK
             if offset + usable <= PAGE_SIZE:

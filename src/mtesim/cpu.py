@@ -37,7 +37,9 @@ sync mode that site takes the one benign verdict from
 `Detector.pass_benign_mismatch`, given the access as plain values and
 whether slot `pc + 1` runs in the same call (`pc + 1 < stop`: the budget
 has not ended at `pc`): a benign tripwire hit resumes the access without a
-descriptor or a `Fault`, and anything else is a bug, whose `Fault` goes to
+descriptor or a `Fault`, and anything else is a bug.  The loop builds the
+bug's `Fault` itself, and the `RunEnd` of every bug, each with one
+`tuple.__new__` call, and the `Fault` goes to
 `Detector.handle_tag_mismatch` for its report.  A hit whose trap would
 fire in the same call is taken whole at that site, the detector counting
 its trap, so the loop's trap dispatch sees only the delegations of an
@@ -55,9 +57,9 @@ moves its bytes through one `TaggedMemory.read_bytes` or `write_bytes`
 call, which the same `struct` call unpacks from or packs into a buffer.
 `decode` and `tag_check` have no caller in the library: they state the
 address and the check plainly, one granule at a time through
-`TaggedMemory.get_granule_tag`, the tests hold the loop to them, and the
-benchmark's tracer wraps them by name.  They go with the next change to
-the benchmark.
+`TaggedMemory.get_granule_tag`, the step property holds the loop to them,
+and the benchmark's tracer wraps them by name.  They go with the next
+change to the benchmark.
 """
 
 from __future__ import annotations
@@ -176,6 +178,8 @@ class RunEnd(NamedTuple):
 
 
 _CLEAN_HALT = RunEnd("CleanHalt")
+# as for `Fault`: the named tuple's own `__new__` is a Python function
+_new_end = tuple.__new__
 
 
 @dataclass
@@ -242,14 +246,9 @@ class Machine:
         first = start >> GRANULE_SHIFT
         for g in range(first, ((start + size - 1) >> GRANULE_SHIFT) + 1):
             if mem.get_granule_tag(g << GRANULE_SHIFT) != addrtag:
-                return self._fault(start if g == first else g << GRANULE_SHIFT, start, size,
-                                   addrtag)
+                return Fault(self.pc, start if g == first else g << GRANULE_SHIFT,
+                             tuple(self.regs), desc)
         return None
-
-    def _fault(self, address: int, start: int, size: int, addrtag: int) -> Fault:
-        """The fault at `address` of the access of `size` bytes from `start`."""
-        return _new_fault(Fault, (self.pc, address, tuple(self.regs), _new_descriptor(
-            AccessDescriptor, (start, size, addrtag))))
 
     # -- traps -----------------------------------------------------------
 
@@ -339,9 +338,12 @@ class Machine:
                                 if not detector.pass_benign_mismatch(
                                         pc, fault_address, address, size, addrtag, overread_ok,
                                         mem, self, pc + 1 < stop):
-                                    end = RunEnd("BugReported", detector.handle_tag_mismatch(
-                                        self._fault(fault_address, address, size, addrtag),
-                                        mem, allocator, self))
+                                    fault = _new_fault(Fault, (
+                                        pc, fault_address, tuple(regs), _new_descriptor(
+                                            AccessDescriptor, (address, size, addrtag))))
+                                    end = _new_end(RunEnd, (
+                                        "BugReported",
+                                        detector.handle_tag_mismatch(fault, mem, allocator, self)))
                                     break
                                 # benign: resume, the access commits fully
                             else:   # silent corruption until the next kernel entry
@@ -385,14 +387,15 @@ class Machine:
                     regs[dst] = allocator.allocate(imm)
                 elif kind is _FREE:
                     if not allocator.free(regs[src]):
-                        end = RunEnd("BugReported", detector.report_free_mismatch(
-                            regs[src], pc, tuple(regs), mem))
+                        end = _new_end(RunEnd, ("BugReported", detector.report_free_mismatch(
+                            regs[src], pc, tuple(regs), mem)))
                         break
                 elif kind is _SYSCALL or kind is _HALT:
                     # a kernel entry surfaces the flag that only async mode sets
                     if self.async_fault_pending:
                         self.async_fault_pending = False
-                        end = RunEnd("BugReported", detector.report_async(pc, tuple(regs)))
+                        end = _new_end(RunEnd, (
+                            "BugReported", detector.report_async(pc, tuple(regs))))
                         break
                     if kind is _HALT:
                         end = _CLEAN_HALT

@@ -30,10 +30,11 @@ trap (see `Detector.pass_benign_mismatch`).
 `Machine.run` hands each sync-mode mismatch to `pass_benign_mismatch` as
 plain values; that one method takes the verdict, writes its result and
 counts it, so the rule in `check_access` is taken once per mismatch.  Only
-a declined hit becomes a `Fault` for `handle_tag_mismatch`, which labels
-and reports the bug.  An async-mode mismatch reaches the detector only as
-a pending flag at the next kernel entry: `report_async` reads no memory
-and no registry.
+a declined hit becomes a `Fault`, which the machine builds inline, and
+`handle_tag_mismatch` labels and reports the bug: the label indexes the
+granule's tag page and data page, as the benign check does.  An async-mode
+mismatch reaches the detector only as a pending flag at the next kernel
+entry: `report_async` reads no memory and no registry.
 """
 
 from __future__ import annotations
@@ -55,21 +56,22 @@ if TYPE_CHECKING:
 # -- short-granule metadata: the padding layout ---------------------------
 # The last padding byte, plus the one before it when there are two or more,
 # read as one big-endian word: counter bits above a 4-bit stashed tag.  This
-# section and `Detector.pass_benign_mismatch` are the only code that knows
-# it: `Allocator.allocate` arms a tripwire with `arm_tripwire` and
+# section, `Detector.pass_benign_mismatch` and the bug label in
+# `Detector.handle_tag_mismatch` are the only code that knows it:
+# `Allocator.allocate` arms a tripwire with `arm_tripwire` and
 # `Allocator.free` zeroes the metadata bytes with `clear_metadata`.
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
-# of the granule tag and the metadata bytes.  Only the events with traffic,
-# the arm, the clear and the benign hit, look the granule's tag page and
-# data page up once each and index them, as the machine's tag check does: a
-# method call per byte costs more than the event itself.
+# of the granule tag and the metadata bytes.  The events with traffic (the
+# arm, the clear and the benign hit) and the bug label look the granule's
+# tag page and data page up once each and index them, as the machine's tag
+# check does: a method call per byte costs more than the event itself.
 # `pages.get(i) or mem.tag_page(i)` makes a page only when none exists (a
-# page is never empty, so never false), and the clear makes no page.  The
-# revocation at a trap and the reads (the bug report's `read_tripwire` and
-# `access_count`) go through `TaggedMemory`'s methods.  `granule` is the
-# base address of a granule; its last byte sits at page offset
-# `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
+# page is never empty, so never false); the clear and the label make no
+# page.  The revocation at a trap goes through `TaggedMemory`'s methods, as
+# do the plain reads, `read_tripwire` and `access_count`, which no run
+# calls.  `granule` is the base address of a granule; its last byte sits at
+# page offset `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
 #
 # A benign hit is one call, `Detector.pass_benign_mismatch`: the read, the
 # benign/bug rule (`check_access`, or the allow-listed overread rule), the
@@ -181,6 +183,13 @@ class BugKind(enum.Enum):
     ASYNC_TAG_CHECK_FAULT = "AsyncTagCheckFault"
 
 
+# Module globals: a load of `BugKind.ZERO_TAG` goes through the enum class,
+# and labelling and building a bug report read one or two members.
+_ZERO_TAG, _INTRA, _CROSS, _USE_AFTER_FREE = (BugKind.ZERO_TAG, BugKind.INTRA_GRANULE_OVERFLOW,
+                                              BugKind.CROSS_GRANULE_OVERFLOW,
+                                              BugKind.USE_AFTER_FREE_OR_WILD)
+
+
 @dataclass
 class BugReport:
     kind: BugKind
@@ -230,17 +239,17 @@ class Detector:
 
     def _classify(self, addrtag: int, memtag: int, metadata: int, allocator) -> BugKind:
         if memtag == 0 or addrtag == 0:
-            return BugKind.ZERO_TAG
+            return _ZERO_TAG
         if metadata == addrtag:
-            return BugKind.INTRA_GRANULE_OVERFLOW
+            return _INTRA
         if allocator is not None and allocator.is_live_tag(addrtag):
-            return BugKind.CROSS_GRANULE_OVERFLOW
-        return BugKind.USE_AFTER_FREE_OR_WILD
+            return _CROSS
+        return _USE_AFTER_FREE
 
     def make_bug_report(self, fault: Fault, kind: BugKind, memtag: int) -> BugReport:
         report = BugReport(kind, fault.pc, fault.fault_address, fault.access.addrtag, memtag,
                            fault.regs_snapshot)
-        if kind is BugKind.INTRA_GRANULE_OVERFLOW:
+        if kind is _INTRA:
             granule = fault.fault_address & GRANULE_MASK
             report.addressable_bytes = memtag
             report.accessed_bytes_in_granule = fault.access.start + fault.access.size - granule
@@ -336,7 +345,12 @@ class Detector:
         benchmark's tracer (`bench/tracer.py`, `_wrap_mismatch`) wraps this
         method and calls it with these five arguments positionally.
         """
-        memtag, metadata = read_tripwire(mem, fault.fault_address)
+        # `read_tripwire`, indexing the pages as `pass_benign_mismatch` does
+        a = fault.fault_address & ADDRESS_MASK
+        index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+        tags, data = mem.tags.get(index), mem.data.get(index)
+        memtag = 0 if tags is None else tags[offset >> GRANULE_SHIFT]
+        metadata = 0 if data is None else data[offset | GRANULE_OFFSET_MASK] & 0xF
         if not self.config.tripwires:
             metadata = 0xFF  # no tripwire can be this pointer's: never intra-granule
         kind = self._classify(fault.access.addrtag, memtag, metadata, allocator)

@@ -105,8 +105,8 @@ class TaggedMemory:
     `data` maps page index (address >> PAGE_SHIFT) to the page's bytes and
     `tags` maps the same index to the page's granule tags, one byte each.
     Outside this class pages are indexed only on paths with traffic:
-    `Machine.run`, the detector's `arm_tripwire`, `clear_metadata` and
-    `Detector.pass_benign_mismatch`, the region fill in
+    `Machine.run`, the detector's `arm_tripwire`, `clear_metadata`,
+    `Detector.pass_benign_mismatch` and its bug label, the region fill in
     `Allocator.allocate` and the retag in `Allocator.free`.
     Everything else reads and writes memory through the methods,
     `nonzero_bytes`, `nonzero_tags` and `snapshot`.

@@ -24,6 +24,7 @@ from .trace import Program
 ALWAYS_ARM = 1 << 62
 # a tagged region costs the host one tag byte per granule
 MAX_LARGE_THRESHOLD = 1 << 20
+_SYNC = Mode.SYNC
 
 
 def substream(seed, name: str) -> random.Random:
@@ -102,7 +103,7 @@ class Simulation:
         self.mem = TaggedMemory()
         mode = MODES[config.mode]
         sampler = None
-        if config.tripwires and mode is Mode.SYNC:
+        if config.tripwires and mode is _SYNC:
             seed = config.seed
             sampler = TripwireSampler(lambda: substream(seed, "sampler"),
                                       config.alloc_threshold, config.sampling_rate)
@@ -121,12 +122,7 @@ class Simulation:
         `TraceRuntimeError`, where one of exactly `len` steps would pause.
         """
         end = self.machine.run(self.mem, self.allocator, self.detector, len(self.program) + 1)
-        return RunReport(
-            outcome=end.outcome,
-            bug=end.report,
-            counters=self.counters(),
-            config_echo=self.config.echo(),
-        )
+        return RunReport(end.outcome, end.report, self.counters(), self.config.echo())
 
     def counters(self) -> dict:
         return dict(vars(self.machine.counters))

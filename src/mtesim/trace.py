@@ -378,28 +378,32 @@ _GRANULE_WIDTHS = tuple(w for w in WIDTHS if w <= GRANULE_SIZE)
 # immutable, so every program ends with the one shared `_HALT`.
 _new_instruction = tuple.__new__
 _HALT = Instruction(Opcode.HALT)
+# Opcodes as module globals, as in `mtesim.cpu`: a load of `Opcode.ALLOC`
+# goes through the enum class.
+_ALLOC, _FREE, _MOV, _LOAD, _STORE = (Opcode.ALLOC, Opcode.FREE, Opcode.MOV, Opcode.LOAD,
+                                      Opcode.STORE)
 
 
 def _alloc(out: List[Instruction], dst: int, size: int) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.ALLOC, dst, 0, 0, None, 0, 8, 1, size, False)))
+        _ALLOC, dst, 0, 0, None, 0, 8, 1, size, False)))
 
 
 def _free(out: List[Instruction], src: int) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.FREE, 0, src, 0, None, 0, 8, 1, 0, False)))
+        _FREE, 0, src, 0, None, 0, 8, 1, 0, False)))
 
 
 def _load(out: List[Instruction], dst: int, base: int, offset: int, width: int,
           pair: int = 1) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.LOAD, dst, 0, base, None, offset, width, pair, 0, False)))
+        _LOAD, dst, 0, base, None, offset, width, pair, 0, False)))
 
 
 def _store(out: List[Instruction], src: int, base: int, offset: int, width: int,
            pair: int = 1) -> None:
     out.append(_new_instruction(Instruction, (
-        Opcode.STORE, 0, src, base, None, offset, width, pair, 0, False)))
+        _STORE, 0, src, base, None, offset, width, pair, 0, False)))
 
 
 def _below(getrandbits, n: int) -> int:
@@ -412,10 +416,14 @@ def _below(getrandbits, n: int) -> int:
 
 
 def _preamble(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
-    append, alloc = out.append, Opcode.ALLOC
+    # each size is `_draw_size`'s draw, with the spec's tables bound once
+    append, random_ = out.append, rng.random
+    sizes, cum_weights = spec._sizes, spec._cum_weights
+    total, hi = cum_weights[-1], len(cum_weights) - 1
     for i in range(spec.preamble_allocs):
         append(_new_instruction(Instruction, (
-            alloc, _PREAMBLE + (i % 8), 0, 0, None, 0, 8, 1, _draw_size(spec, rng), False)))
+            _ALLOC, _PREAMBLE + (i % 8), 0, 0, None, 0, 8, 1,
+            sizes[bisect(cum_weights, random_() * total, 0, hi)], False)))
 
 
 def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
@@ -443,41 +451,40 @@ def _gen_intra(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -
 def _gen_cross(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     # sizes are >= 1 (`check_size_distribution`), so each size class is
     # `(s + GRANULE_OFFSET_MASK) & GRANULE_MASK`
-    append, alloc = out.append, Opcode.ALLOC
+    append = out.append
     attacker = _draw_size(spec, rng)
     victim = (_draw_size(spec, rng) + GRANULE_OFFSET_MASK) & GRANULE_MASK  # full granules only
-    append(_new_instruction(Instruction, (alloc, _PTR, 0, 0, None, 0, 8, 1, attacker, False)))
+    append(_new_instruction(Instruction, (_ALLOC, _PTR, 0, 0, None, 0, 8, 1, attacker, False)))
     skip = (attacker + GRANULE_OFFSET_MASK) & GRANULE_MASK
     if not spec.adjacent:
         # past the default large threshold: the untagged path breaks the
         # tag-exclusion chain
         spacer = LARGE_THRESHOLD + 1
         append(_new_instruction(Instruction, (
-            alloc, _VICTIM + 1, 0, 0, None, 0, 8, 1, spacer, False)))
+            _ALLOC, _VICTIM + 1, 0, 0, None, 0, 8, 1, spacer, False)))
         skip += (spacer + GRANULE_OFFSET_MASK) & GRANULE_MASK
-    append(_new_instruction(Instruction, (alloc, _VICTIM, 0, 0, None, 0, 8, 1, victim, False)))
+    append(_new_instruction(Instruction, (_ALLOC, _VICTIM, 0, 0, None, 0, 8, 1, victim, False)))
     width = _GRANULE_WIDTHS[_below(rng.getrandbits, len(_GRANULE_WIDTHS))]
     # inside the victim's first granule
     off = skip + _below(rng.getrandbits, GRANULE_SIZE - width + 1)
     append(_new_instruction(Instruction, (
-        Opcode.STORE, 0, _VAL, _PTR, None, off, width, 1, 0, False)))
+        _STORE, 0, _VAL, _PTR, None, off, width, 1, 0, False)))
 
 
 def _gen_uaf(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:
     size = _draw_size(spec, rng)
-    alloc, free = Opcode.ALLOC, Opcode.FREE
     out += (
-        _new_instruction(Instruction, (alloc, _PTR, 0, 0, None, 0, 8, 1, size, False)),
+        _new_instruction(Instruction, (_ALLOC, _PTR, 0, 0, None, 0, 8, 1, size, False)),
         _new_instruction(Instruction, (
-            Opcode.MOV, _VAL, 0, 0, None, 0, 8, 1, _below(rng.getrandbits, 2**32 + 1), False)),
-        _new_instruction(Instruction, (Opcode.STORE, 0, _VAL, _PTR, None, 0, 1, 1, 0, False)),
-        _new_instruction(Instruction, (free, 0, _PTR, 0, None, 0, 8, 1, 0, False)))
+            _MOV, _VAL, 0, 0, None, 0, 8, 1, _below(rng.getrandbits, 2**32 + 1), False)),
+        _new_instruction(Instruction, (_STORE, 0, _VAL, _PTR, None, 0, 1, 1, 0, False)),
+        _new_instruction(Instruction, (_FREE, 0, _PTR, 0, None, 0, 8, 1, 0, False)))
     # instructions are immutable: every cycle appends the same pair
-    out += (_new_instruction(Instruction, (alloc, _CYCLE, 0, 0, None, 0, 8, 1, size, False)),
-            _new_instruction(Instruction, (free, 0, _CYCLE, 0, None, 0, 8, 1, 0, False))
+    out += (_new_instruction(Instruction, (_ALLOC, _CYCLE, 0, 0, None, 0, 8, 1, size, False)),
+            _new_instruction(Instruction, (_FREE, 0, _CYCLE, 0, None, 0, 8, 1, 0, False))
             ) * spec.reuse_cycles
     out.append(_new_instruction(Instruction, (
-        Opcode.LOAD, _VAL + 1, 0, _PTR, None, 0, 1, 1, 0, False)))
+        _LOAD, _VAL + 1, 0, _PTR, None, 0, 1, 1, 0, False)))
 
 
 def _gen_double_free(spec: WorkloadSpec, rng: random.Random, out: List[Instruction]) -> None:

@@ -2,11 +2,12 @@
 
 Several rules are stated twice in the library: once plainly, and once
 inlined on a path with measured traffic (the machine's one-granule fast
-path, its granule walk and its async flag, the benign verdict, its counter
-and its rearm in place, the metadata arm and clear, `allocate`'s tag
-exclusion, the in-page region tag fills in `allocate` and `free`, `free`'s
-tag compare, the generator's `_below`).  Each mutant below breaks one such
-copy and names the tests that must catch it.  A few more break the trace
+path, its granule walk, the bug `Fault` it builds and its async flag, the
+benign verdict, its counter and its rearm in place, the bug label's read of
+the granule, the metadata arm and clear, `allocate`'s tag exclusion, the
+in-page region tag fills in `allocate` and `free`, `free`'s tag compare,
+the generator's `_below` and its preamble's size draw).  Each mutant below
+breaks one such copy and names the tests that must catch it.  A few more break the trace
 parser's grammar table, `set_tag_range`'s page loop, the benign counter's
 carry, the store's lane mask, the sampler's slow start, and the budget and
 instruction count that the machine's loop derives from pc.
@@ -18,7 +19,9 @@ own, replaces the mutant's old text (which must occur exactly once in its
 file) with the new text, and runs only the named tests against the copy.
 The mutants run on `os.cpu_count()` workers at once, and their verdicts
 print in `MUTANTS` order.  A mutant survives unless every named test fails.
-The named tests must first pass on the unmutated copy.  Each pytest run has
+The named tests must also pass on the unmutated copy: split into one chunk
+per worker, they go first into the same pool, and no verdict prints until
+every chunk has passed.  Each pytest run has
 `TIMEOUT_S` seconds; a run that takes longer is killed and reported as
 `TIMEOUT`, naming the mutant.
 The script exits 1 when a mutant survives or times out, when its old text
@@ -55,9 +58,10 @@ GOLDEN = "tests/test_golden.py"
 SAMPLER = "tests/test_sampler.py"
 
 # Seconds one pytest run may take.  On a 2-core Xeon under Python 3.11 the
-# unmutated run of every named test takes about 10 s, the slowest single
-# mutant about 6 s with a second one running beside it, and the whole
-# script, on two workers, about 48 s.
+# unmutated check of every named test, in two chunks side by side, takes
+# about 5 s (7 s in one process), the slowest single mutant about 4 s with
+# a second one running beside it, and the whole script, on two workers,
+# about 34 s.
 TIMEOUT_S = 30
 
 # (name, file under src/mtesim, exact old text, new text, test ids that must fail)
@@ -105,6 +109,12 @@ MUTANTS = (
      "len(self.program) + 1)",
      "len(self.program))",
      (f"{RUNNER}::test_a_whole_run_without_halt_runs_off_the_end",)),
+    ("bug fault's access starts at its fault address", "cpu.py",
+     "AccessDescriptor, (address, size, addrtag))))",
+     "AccessDescriptor, (fault_address, size, addrtag))))",
+     (f"{CPU}::test_decode_and_tag_check_match_reference",
+      f"{CPU}::test_step_matches_tag_check_and_handler_reference",
+      f"{GOLDEN}::test_corpus_digest_unchanged[intra]")),
     ("slot pc + 1 runs in the call even when the budget ends at pc", "cpu.py",
      "mem, self, pc + 1 < stop):",
      "mem, self, pc < stop):",
@@ -142,6 +152,15 @@ MUTANTS = (
      "self.counters.traps_delivered += 0   # the trap at pc + 1",
      (f"{DET}::TestRecoveryProtocol::test_benign_hit_delegates_then_revokes",
       f"{RUNNER}::test_run_end_counter_identities")),
+    # the bug label's read of the granule
+    ("bug label reads the nibble from the granule's first byte", "detector.py",
+     "data[offset | GRANULE_OFFSET_MASK] & 0xF",
+     "data[offset] & 0xF",
+     (f"{DET}::TestReports::test_bug_label_reads_the_granule_once[intra]",
+      f"{DET}::TestReports::test_bug_label_reads_the_granule_once[page-edge-intra]",
+      f"{DET}::TestReports::test_report_json_is_golden",
+      f"{SLOW}::test_bug_across_a_page_edge_takes_the_benign_verdict_once",
+      f"{GOLDEN}::test_corpus_digest_unchanged[intra]")),
     # the arm and the clear
     ("arm leaves the counter's high byte", "detector.py",
      "data[last] = tag\n    if addressable <= 14:",
@@ -158,7 +177,7 @@ MUTANTS = (
      (f"{ALLOC}::TestFree::test_free_clears_short_granule_metadata",
       f"{ALLOC}::test_arm_and_free_clear_match_stepwise_reference")),
     # allocate's one draw, for a fresh region and a redraw on reuse: a live
-    # left neighbour's tag and parity
+    # left neighbour's tag and parity, and a redraw's live right neighbour
     ("draw leaves out the left neighbour's parity", "allocator.py",
      "exclude |= _ODD_TAGS if left.tag & 1 else _EVEN_TAGS",
      "exclude |= 0",
@@ -170,6 +189,10 @@ MUTANTS = (
      "if left is not None and left.tag:",
      (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",
       f"{ALLOC}::test_allocator_matches_reference_allocator")),
+    ("redraw on reuse leaves out its right neighbour", "allocator.py",
+     "exclude = 1 << right.tag",
+     "exclude = 0",
+     (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",)),
     # free's one compare
     ("free ignores the canary bits", "allocator.py",
      "raw >> TAG_SHIFT != rec.tag",
@@ -222,6 +245,12 @@ MUTANTS = (
      (f"{TRACE}::test_below_draws_what_random_draws[_randbelow]",
       f"{TRACE}::test_below_draws_what_random_draws[choice]",
       f"{TRACE}::test_below_draws_what_random_draws[randint]",
+      f"{GOLDEN}::test_program_digest_unchanged[benign48]")),
+    ("preamble's size draw leaves out the total weight", "trace.py",
+     "random_() * total",
+     "random_()",
+     (f"{TRACE}::test_draw_size_matches_choices_with_weights",
+      f"{GOLDEN}::test_program_digest_unchanged[cross_non_adjacent]",
       f"{GOLDEN}::test_program_digest_unchanged[benign48]")),
     # the parser's grammar table
     ("add's operands swapped", "trace.py",
@@ -306,20 +335,24 @@ def main() -> int:
                 problems += 1
         if problems:
             return 1
+        workers = os.cpu_count() or 1
         every_test = sorted({t for m in MUTANTS for t in m[4]})
-        broken = failed_tests(src, every_test, plugins)
-        if broken is None:
-            print(f"TIMEOUT   the unmutated source, after {TIMEOUT_S} s")
-            return 1
-        for test in sorted(broken):
-            print(f"BROKEN    {test} fails on the unmutated source")
-        if broken:
-            return 1
-
-        pool = ThreadPoolExecutor(os.cpu_count() or 1)
+        pool = ThreadPoolExecutor(workers)
         try:
-            runs = pool.map(lambda i: run_mutant(root, i), range(len(MUTANTS)))
-            for (name, file, _, _, tests), (failed, seconds) in zip(MUTANTS, runs):
+            # the pool takes tasks in order, so the chunks start first
+            checks = [pool.submit(failed_tests, src, every_test[i::workers], plugins)
+                      for i in range(min(workers, len(every_test)))]
+            runs = [pool.submit(run_mutant, root, i) for i in range(len(MUTANTS))]
+            broken = [check.result() for check in checks]
+            if None in broken:
+                print(f"TIMEOUT   the unmutated source, after {TIMEOUT_S} s")
+                return 1
+            for test in sorted(set().union(*broken)):
+                print(f"BROKEN    {test} fails on the unmutated source")
+            if any(broken):
+                return 1
+            for (name, file, _, _, tests), run in zip(MUTANTS, runs):
+                failed, seconds = run.result()
                 survivors = set() if failed is None else set(tests) - failed
                 verdict = "TIMEOUT" if failed is None else "SURVIVED" if survivors else "killed"
                 print(f"{verdict:9} {name} ({file}, {seconds:.1f} s)", flush=True)

@@ -19,7 +19,7 @@ from mtesim import (
 )
 from mtesim import cpu
 from mtesim.allocator import AllocationError
-from mtesim.cpu import PAIRS, WIDTHS, AccessDescriptor, RunCounters
+from mtesim.cpu import PAIRS, WIDTHS, RunCounters
 from mtesim.detector import Detector
 from stepwise import ref_arm, ref_pass, stepwise_hit
 
@@ -164,8 +164,9 @@ class TestTagCheck:
         assert m.tag_check(desc, mem).fault_address == 1 << 56  # address left unmasked
 
 
-# property: decode and tag_check match a reference that wraps the address
-# sum to 64 bits and walks the granules one at a time
+# property: the address, tag and first mismatching address that `Machine.run`
+# forms for a load match a reference that wraps the address sum to 64 bits
+# and walks the granules one at a time
 
 _MASK64 = (1 << 64) - 1
 
@@ -179,38 +180,50 @@ def reference_fault_address(start, size, addrtag, mem):
     return None
 
 
+def run_one_load(mem, regs, **load):
+    """The `Fault` that one sync-mode load, run by `Machine.run`, hands the
+    detector, or None when the load passes its tag check and the run halts."""
+    m = Machine((ld(0, **load), Instruction(Opcode.HALT)), Mode.SYNC)
+    m.regs[:len(regs)] = regs
+    detector = NullDetector()
+    end = m.run(mem, None, detector, 2)
+    if end.outcome == "CleanHalt":
+        return None
+    assert m.pc == 0 and m.regs[:len(regs)] == regs   # the faulting load committed nothing
+    return detector.fault
+
+
 @given(base=st.integers(0, _MASK64), offset=st.integers(-64, 64),
        offset_reg_value=st.one_of(st.none(), st.integers(0, _MASK64)),
        width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
        matches=st.lists(st.booleans(), min_size=3, max_size=3), other=st.integers(1, 15))
 def test_decode_and_tag_check_match_reference(base, offset, offset_reg_value, width, pair,
                                               matches, other):
-    m = machine_for("halt")
-    m.regs[1] = base
+    regs = [0, base]
     offset_reg = None
     if offset_reg_value is not None:
-        m.regs[2], offset_reg, offset = offset_reg_value, 2, 0
-    desc = m.decode(ld(0, base=1, offset=offset, width=width, pair=pair,
-                       offset_reg=offset_reg))
+        regs.append(offset_reg_value)
+        offset_reg, offset = 2, 0
     effective = (base + (offset if offset_reg is None else offset_reg_value)) & _MASK64
-    start = effective & ((1 << 56) - 1)
-    assert (desc.start, desc.size, desc.addrtag) == (start, width * pair,
-                                                     (effective >> 56) & 0xF)
+    start, addrtag = effective & ((1 << 56) - 1), (effective >> 56) & 0xF
     # an access of at most 32 bytes touches at most 3 granules; the
     # granules on either side never match
     mem = TaggedMemory()
     first = start // 16 * 16
     for i, match in enumerate([False] + matches + [False]):
-        mem.set_granule_tag(first + 16 * (i - 1), desc.addrtag ^ (0 if match else other))
-    fault = m.tag_check(desc, mem)
-    expected = reference_fault_address(start, width * pair, desc.addrtag, mem)
+        mem.set_granule_tag(first + 16 * (i - 1), addrtag ^ (0 if match else other))
+    fault = run_one_load(mem, regs, base=1, offset=offset, width=width, pair=pair,
+                         offset_reg=offset_reg)
+    expected = reference_fault_address(start, width * pair, addrtag, mem)
     assert (None if fault is None else fault.fault_address) == expected
     if fault is not None:
-        assert fault.access == desc and fault.regs_snapshot == tuple(m.regs)
+        assert fault.pc == 0 and fault.access == (start, width * pair, addrtag)
+        assert fault.regs_snapshot == tuple(regs + [0] * (32 - len(regs)))
 
 
-# the tag check over pages against a per-granule dict of tags, for accesses
-# across granule edges, page edges and the top of the address space
+# `Machine.run`'s tag check over pages against a per-granule dict of tags,
+# for accesses across granule edges, page edges and the top of the address
+# space
 
 _TOP = 1 << 56
 _GRANULE_INDEX_MASK = (_TOP - 1) >> 4
@@ -218,9 +231,10 @@ _GRANULE_INDEX_MASK = (_TOP - 1) >> 4
 
 @given(start=st.one_of(st.integers(0x0FD0, 0x1010), st.integers(_TOP - 48, _TOP - 1),
                        st.integers(0, _TOP - 1)),
-       size=st.integers(1, 32), addrtag=st.integers(0, 15), other=st.integers(1, 15),
+       width=st.sampled_from(WIDTHS), pair=st.sampled_from(PAIRS),
+       addrtag=st.integers(0, 15), other=st.integers(1, 15),
        matches=st.lists(st.one_of(st.none(), st.booleans()), min_size=3, max_size=3))
-def test_tag_check_matches_per_granule_dict(start, size, addrtag, other, matches):
+def test_tag_check_matches_per_granule_dict(start, width, pair, addrtag, other, matches):
     # each granule the access can touch matches, mismatches, or is never tagged
     mem, ref = TaggedMemory(), {}
     first = start >> 4
@@ -230,14 +244,13 @@ def test_tag_check_matches_per_granule_dict(start, size, addrtag, other, matches
             tag = addrtag if match else addrtag ^ other
             mem.set_granule_tag(g << 4, tag)
             ref[g] = tag
+    size = width * pair
     expected = None
     for g in range(first, ((start + size - 1) >> 4) + 1):
         if ref.get(g & _GRANULE_INDEX_MASK, 0) != addrtag:
             expected = start if g == first else g << 4
             break
-    m = machine_for("halt")
-    desc = AccessDescriptor(start, size, addrtag)
-    fault = m.tag_check(desc, mem)
+    fault = run_one_load(mem, [0, addrtag << 56 | start], base=1, width=width, pair=pair)
     assert (None if fault is None else fault.fault_address) == expected
 
 

@@ -18,6 +18,7 @@ from mtesim import (
     parse_program,
     tripwire_armed,
 )
+from mtesim import detector
 from mtesim.cpu import RunCounters
 from mtesim.detector import (Detector, ProtocolError, access_count, metadata_span, read_tripwire,
                              revoke_tripwire)
@@ -364,6 +365,31 @@ class TestReports:
         assert report.outcome == "BugReported"
         assert {name: [id(b) for b in reports] for name, reports in built.items()} == {
             name: [id(report.bug)] if name == builder else [] for name in built}
+
+
+    # A sync bug's label reads the granule's tag and stashed nibble from the
+    # pages, as the benign check does: one read per report, where a call to
+    # `read_tripwire` would read the granule a second time.  A bug commits
+    # nothing, so `read_tripwire` after the run reads what the label read.
+    @pytest.mark.parametrize("program", [
+        parse_program("alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt"),
+        parse_program("alloc r9 4080\nalloc r0 20\nld r4 [r0, #14] w8 p1\nmov r6 1\nhalt"),
+        generate_program(WorkloadSpec(kind="cross", adjacent=False, seed=1), 0),
+    ], ids=["intra", "page-edge-intra", "far-cross"])
+    def test_bug_label_reads_the_granule_once(self, program, monkeypatch):
+        calls = []
+
+        def spy(*args, _original=read_tripwire):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(detector, "read_tripwire", spy)
+        sim = Simulation(program, SimConfig(seed=1, alloc_threshold=ALWAYS_ARM))
+        report = sim.run()
+        assert report.outcome == "BugReported" and calls == []
+        bug = report.bug
+        memtag, metadata = read_tripwire(sim.mem, bug.fault_address)
+        assert bug.memtag == memtag
+        assert bug.kind is sim.detector._classify(bug.addrtag, memtag, metadata, sim.allocator)
 
 
 class TestSpanningStorePrecision:

@@ -15,7 +15,7 @@ from mtesim import (
     parse_program,
     render_program,
 )
-from mtesim.trace import (WorkloadError, _below, _draw_size, generate_program,
+from mtesim.trace import (WorkloadError, _below, _draw_size, _preamble, generate_program,
                           render_instruction)
 
 
@@ -254,14 +254,20 @@ class TestWorkloadSpec:
 @example([(1, 0.1), (2, 0.2), (3, 0.3), (4, 0.4)], 1)      # weights that sum inexactly
 @example([(s, 1 + s % 5) for s in range(1, 200)], 2)      # a long distribution
 def test_draw_size_matches_choices_with_weights(distribution, seed):
-    """`_draw_size` draws what `random.choices` draws, draw for draw, and
-    leaves the generator in the same state."""
-    spec = WorkloadSpec(kind="benign", size_distribution=tuple(distribution))
+    """`_draw_size`, and the preamble's inline copy of it, draw what
+    `random.choices` draws, draw for draw, and leave the generator in the
+    same state."""
+    spec = WorkloadSpec(kind="benign", size_distribution=tuple(distribution),
+                        preamble_allocs=20)
     sizes = [s for s, _ in distribution]
     weights = [w for _, w in distribution]
     cached, reference = random.Random(seed), random.Random(seed)
     for _ in range(50):
         assert _draw_size(spec, cached) == reference.choices(sizes, weights=weights)[0]
+    out = []
+    _preamble(spec, cached, out)
+    assert [i.imm for i in out] == [reference.choices(sizes, weights=weights)[0]
+                                    for _ in range(20)]
     assert cached.getstate() == reference.getstate()
 
 
