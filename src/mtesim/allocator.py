@@ -171,16 +171,6 @@ class Allocator:
         self._by_end: Dict[int, AllocationRecord] = {}
         self._free_lists: Dict[int, deque] = {}
 
-    # -- registry views ------------------------------------------------
-
-    def is_live_tag(self, tag: int) -> bool:
-        # a plain loop: it labels every bug report, and `any` over a
-        # generator costs about three times as much per record
-        for r in self.live.values():
-            if r.tag == tag:
-                return True
-        return False
-
     # -- allocation ----------------------------------------------------
 
     def allocate(self, requested: int) -> int:

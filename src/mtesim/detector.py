@@ -31,10 +31,10 @@ trap (see `Detector.pass_benign_mismatch`).
 plain values; that one method takes the verdict, writes its result and
 counts it, so the rule in `check_access` is taken once per mismatch.  Only
 a declined hit becomes a `Fault`, which the machine builds inline, and
-`handle_tag_mismatch` labels and reports the bug: the label indexes the
-granule's tag page and data page, as the benign check does.  An async-mode
+`handle_tag_mismatch` labels and reports the bug from the faulting granule
+and the pointer's base granule, both read from the pages.  An async-mode
 mismatch reaches the detector only as a pending flag at the next kernel
-entry: `report_async` reads no memory and no registry.
+entry: `report_async` reads no memory.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .cpu import AccessDescriptor, Fault, Machine, RunCounters
 from .memory import (ADDRESS_MASK, GRANULE_MASK, GRANULE_OFFSET_MASK, GRANULE_SHIFT, PAGE_MASK,
-                     PAGE_SHIFT, TaggedMemory, address_tag, untagged)
+                     PAGE_SHIFT, TAG_SHIFT, TaggedMemory, address_tag, untagged)
 
 if TYPE_CHECKING:
     from .allocator import AllocationRecord
@@ -67,11 +67,11 @@ if TYPE_CHECKING:
 # tag page and data page up once each and index them, as the machine's tag
 # check does: a method call per byte costs more than the event itself.
 # `pages.get(i) or mem.tag_page(i)` makes a page only when none exists (a
-# page is never empty, so never false); the clear and the label make no
-# page.  The revocation at a trap goes through `TaggedMemory`'s methods, as
-# do the plain reads, `read_tripwire` and `access_count`, which no run
-# calls.  `granule` is the base address of a granule; its last byte sits at
-# page offset `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
+# page is never empty, so never false); the clear and the label
+# (`_read_granule`) make none.  The trap's revocation, `read_tripwire` and
+# `access_count` (which no run calls) use `TaggedMemory`'s methods.
+# `granule` is the base address of a granule; its last byte sits at page
+# offset `granule & PAGE_MASK | GRANULE_OFFSET_MASK`.
 #
 # A benign hit is one call, `Detector.pass_benign_mismatch`: the read, the
 # benign/bug rule (`check_access`, or the allow-listed overread rule), the
@@ -113,6 +113,15 @@ def read_tripwire(mem: TaggedMemory, address: int) -> Tuple[int, int]:
     granule's last byte: the addressable count and the real tag while armed."""
     return (mem.get_granule_tag(address),
             mem.read_byte(address | GRANULE_OFFSET_MASK) & 0xF)
+
+
+def _read_granule(mem: TaggedMemory, address: int) -> Tuple[int, int]:
+    """`read_tripwire` for the bug label, indexing the pages as the benign check does."""
+    a = address & ADDRESS_MASK
+    index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
+    tags, data = mem.tags.get(index), mem.data.get(index)
+    return (0 if tags is None else tags[offset >> GRANULE_SHIFT],
+            0 if data is None else data[offset | GRANULE_OFFSET_MASK] & 0xF)
 
 
 def access_count(mem: TaggedMemory, granule: int, addressable: int) -> int:
@@ -220,13 +229,11 @@ class BugReport:
 
 
 class Detector:
-    """Per-machine mismatch handler.  All decisions use in-band data only;
-    the allocator registry, when present, is consulted only to label bug
-    kinds.  `config` is the run's `SimConfig`; the detector reads its
-    `tripwires`, `overread_skip` and `access_threshold`.  It bumps
-    `traps_delivered`, `tripwires_removed_by_threshold` and
-    `tripwires_removed_by_ret_edge` in `counters`, a record of its own
-    unless one is given."""
+    """Per-machine mismatch handler; every verdict and bug label reads memory
+    and registers only, never the allocator.  It reads `tripwires`,
+    `overread_skip` and `access_threshold` from `config`, the run's
+    `SimConfig`, and bumps `traps_delivered`, `tripwires_removed_by_threshold`
+    and `tripwires_removed_by_ret_edge` in `counters`, its own unless given."""
 
     def __init__(self, config: SimConfig, counters: Optional[RunCounters] = None):
         self.config = config
@@ -237,12 +244,13 @@ class Detector:
 
     # -- report construction -------------------------------------------
 
-    def _classify(self, addrtag: int, memtag: int, metadata: int, allocator) -> BugKind:
+    def _classify(self, addrtag: int, memtag: int, metadata: int, base: int, btag: int,
+                  bstash: int) -> BugKind:
         if memtag == 0 or addrtag == 0:
             return _ZERO_TAG
         if metadata == addrtag:
             return _INTRA
-        if allocator is not None and allocator.is_live_tag(addrtag):
+        if btag == addrtag or check_access(base, base, 1, addrtag, btag, bstash):
             return _CROSS
         return _USE_AFTER_FREE
 
@@ -339,31 +347,32 @@ class Detector:
     def handle_tag_mismatch(self, fault: Fault, mem: TaggedMemory, allocator,
                             machine: Machine) -> BugReport:
         """Label and report a sync-mode mismatch that `pass_benign_mismatch`
-        declined.
+        declined, from memory and the faulting instruction's registers only.
 
-        `machine` is unused.  The signature stays as it is because the
-        benchmark's tracer (`bench/tracer.py`, `_wrap_mismatch`) wraps this
-        method and calls it with these five arguments positionally.
+        The pointer is the access's base register, or its offset register
+        when the base's tag nibble is not the access's.  If the granule at
+        the pointer's address passes a 1-byte access under its tag (without
+        tripwires: wears its tag), the pointer still owns its region and
+        overflowed out of it; else it is stale or wild.  `allocator` is
+        unused; `bench/tracer.py` passes all five arguments positionally.
         """
-        # `read_tripwire`, indexing the pages as `pass_benign_mismatch` does
-        a = fault.fault_address & ADDRESS_MASK
-        index, offset = a >> PAGE_SHIFT, a & PAGE_MASK
-        tags, data = mem.tags.get(index), mem.data.get(index)
-        memtag = 0 if tags is None else tags[offset >> GRANULE_SHIFT]
-        metadata = 0 if data is None else data[offset | GRANULE_OFFSET_MASK] & 0xF
+        regs, addrtag = fault.regs_snapshot, fault.access.addrtag
+        instr = machine.program[fault.pc]
+        pointer = regs[instr.base]
+        if instr.offset_reg is not None and pointer >> TAG_SHIFT & 0xF != addrtag:
+            pointer = regs[instr.offset_reg]
+        memtag, metadata = _read_granule(mem, fault.fault_address)
+        btag, bstash = _read_granule(mem, pointer)
         if not self.config.tripwires:
-            metadata = 0xFF  # no tripwire can be this pointer's: never intra-granule
-        kind = self._classify(fault.access.addrtag, memtag, metadata, allocator)
+            metadata = bstash = 0xFF  # no tripwire can be this pointer's
+        kind = self._classify(addrtag, memtag, metadata, pointer & ADDRESS_MASK, btag, bstash)
         return self.make_bug_report(fault, kind, memtag)
 
     def handle_trap(self, machine: Machine, mem: TaggedMemory, allocator) -> None:
         """Revocation: count the trap, restore the tripwire and release the
-        trap slot by dropping its delegation.
-
-        Needs only the delegation entry and memory; `allocator` is unused.
-        The signature stays as it is because the benchmark's tracer
-        (`bench/tracer.py`, `_wrap_trap`) wraps this method and calls it with
-        these four arguments positionally.
+        trap slot by dropping its delegation.  `allocator` is unused: the
+        benchmark's tracer (`bench/tracer.py`) calls this with these four
+        arguments positionally.
         """
         pc = machine.pc
         granule = self.delegations.pop(pc, None)

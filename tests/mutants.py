@@ -3,8 +3,8 @@
 Several rules are stated twice in the library: once plainly, and once
 inlined on a path with measured traffic (the machine's one-granule fast
 path, its granule walk, the bug `Fault` it builds and its async flag, the
-benign verdict, its counter and its rearm in place, the bug label's read of
-the granule, the metadata arm and clear, `allocate`'s tag exclusion, the
+benign verdict, its counter and its rearm in place, the bug label's reads
+of the faulting and base granules, the metadata arm and clear, `allocate`'s tag exclusion, the
 in-page region tag fills in `allocate` and `free`, `free`'s tag compare,
 the generator's `_below` and its preamble's size draw).  Each mutant below
 breaks one such copy and names the tests that must catch it.  A few more break the trace
@@ -61,7 +61,7 @@ SAMPLER = "tests/test_sampler.py"
 # unmutated check of every named test, in two chunks side by side, takes
 # about 5 s (7 s in one process), the slowest single mutant about 4 s with
 # a second one running beside it, and the whole script, on two workers,
-# about 34 s.
+# about 36 s.
 TIMEOUT_S = 30
 
 # (name, file under src/mtesim, exact old text, new text, test ids that must fail)
@@ -152,7 +152,8 @@ MUTANTS = (
      "self.counters.traps_delivered += 0   # the trap at pc + 1",
      (f"{DET}::TestRecoveryProtocol::test_benign_hit_delegates_then_revokes",
       f"{RUNNER}::test_run_end_counter_identities")),
-    # the bug label's read of the granule
+    # the bug label: its reads of the faulting granule and the pointer's
+    # base granule, and the pointer it takes from the instruction
     ("bug label reads the nibble from the granule's first byte", "detector.py",
      "data[offset | GRANULE_OFFSET_MASK] & 0xF",
      "data[offset] & 0xF",
@@ -161,6 +162,27 @@ MUTANTS = (
       f"{DET}::TestReports::test_report_json_is_golden",
       f"{SLOW}::test_bug_across_a_page_edge_takes_the_benign_verdict_once",
       f"{GOLDEN}::test_corpus_digest_unchanged[intra]")),
+    ("bug label reads the faulting granule in place of the base granule", "detector.py",
+     "btag, bstash = _read_granule(mem, pointer)",
+     "btag, bstash = _read_granule(mem, fault.fault_address)",
+     (f"{DET}::TestReports::test_bug_label_reads_the_granule_once[far-cross]",
+      f"{DET}::TestReports::test_register_offset_pointer_is_the_tagged_operand",
+      f"{DET}::test_every_bug_label_is_the_generated_kind[cross-default]",
+      f"{DET}::test_every_bug_label_is_the_generated_kind[cross-far-no-tripwires]",
+      f"{SLOW}::test_plain_tag_check_across_a_page_edge_reports_the_bug")),
+    ("bug label drops the armed base granule", "detector.py",
+     "if btag == addrtag or check_access(base, base, 1, addrtag, btag, bstash):",
+     "if btag == addrtag:",
+     (f"{DET}::TestReports::test_overflow_out_of_an_armed_region_under_16_bytes_is_cross[default]",
+      f"{DET}::TestReports::test_overflow_out_of_an_armed_region_under_16_bytes_is_cross"
+      "[always-arm]",
+      f"{DET}::test_every_bug_label_is_the_generated_kind[cross-8-12-24-default]",
+      f"{DET}::test_every_bug_label_is_the_generated_kind[cross-8-24-40-always-arm]",
+      f"{DET}::test_every_bug_label_is_the_generated_kind[cross-far-8-12-24-always-arm]")),
+    ("bug label takes a register-offset pointer from its base register", "detector.py",
+     "if instr.offset_reg is not None and pointer",
+     "if False and pointer",
+     (f"{DET}::TestReports::test_register_offset_pointer_is_the_tagged_operand",)),
     # the arm and the clear
     ("arm leaves the counter's high byte", "detector.py",
      "data[last] = tag\n    if addressable <= 14:",
@@ -192,7 +214,8 @@ MUTANTS = (
     ("redraw on reuse leaves out its right neighbour", "allocator.py",
      "exclude = 1 << right.tag",
      "exclude = 0",
-     (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",)),
+     (f"{ALLOC}::test_freed_left_neighbour_is_not_excluded",
+      f"{ALLOC}::test_allocator_matches_reference_allocator")),
     # free's one compare
     ("free ignores the canary bits", "allocator.py",
      "raw >> TAG_SHIFT != rec.tag",

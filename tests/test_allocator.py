@@ -765,7 +765,9 @@ def _edge_case(*sizes):
 # and redrawn on reuse: one that ends exactly at an edge, the largest region
 # a free retags with one slice; one that straddles an edge; and a short
 # granule first in its page, in a region of its own and at the end of a
-# straddling one.
+# straddling one.  Then the middle of three regions, freed and redrawn on
+# reuse while both neighbours are live: odd-even is off, so only the
+# exclusion of the right neighbour's tag keeps that tag out of the draw.
 @settings(max_examples=150, deadline=None)
 @example(ops=_edge_case(1024, 1024, 1024, 1020), odd_even=True, include_zero_tag=False,
          large_threshold=1024, sampler="always", seed=1)
@@ -775,6 +777,8 @@ def _edge_case(*sizes):
          large_threshold=1024, sampler="always", seed=1)
 @example(ops=_edge_case(1024, 1024, 1024, 1008, 20), odd_even=True, include_zero_tag=False,
          large_threshold=1024, sampler="always", seed=1)
+@example(ops=[("alloc", 32)] * 3 + [("free", 1, 0), ("tag", 0), ("free", 3, 0)], odd_even=False,
+         include_zero_tag=False, large_threshold=1024, sampler="always", seed=1)
 @given(ops=st.lists(st.one_of(_alloc_op(), _free_op()), max_size=50),
        odd_even=st.booleans(), include_zero_tag=st.booleans(),
        large_threshold=st.sampled_from(_THRESHOLDS),

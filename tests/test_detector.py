@@ -367,10 +367,11 @@ class TestReports:
             name: [id(report.bug)] if name == builder else [] for name in built}
 
 
-    # A sync bug's label reads the granule's tag and stashed nibble from the
-    # pages, as the benign check does: one read per report, where a call to
-    # `read_tripwire` would read the granule a second time.  A bug commits
-    # nothing, so `read_tripwire` after the run reads what the label read.
+    # A sync bug's label reads the tag and stashed nibble of the faulting
+    # granule and of the pointer's base granule from the pages, as the
+    # benign check does, where a call to `read_tripwire` would read each
+    # through `TaggedMemory`'s methods.  A bug commits nothing, so
+    # `read_tripwire` after the run reads what the label read.
     @pytest.mark.parametrize("program", [
         parse_program("alloc r0 40\nst r1 [r0, #36] w8 p1\nhalt"),
         parse_program("alloc r9 4080\nalloc r0 20\nld r4 [r0, #14] w8 p1\nmov r6 1\nhalt"),
@@ -388,8 +389,83 @@ class TestReports:
         assert report.outcome == "BugReported" and calls == []
         bug = report.bug
         memtag, metadata = read_tripwire(sim.mem, bug.fault_address)
+        base = untagged(bug.regs[program[bug.pc].base])   # each access has an immediate offset
         assert bug.memtag == memtag
-        assert bug.kind is sim.detector._classify(bug.addrtag, memtag, metadata, sim.allocator)
+        assert bug.kind is sim.detector._classify(bug.addrtag, memtag, metadata, base,
+                                                  *read_tripwire(sim.mem, base))
+
+    # The label asks whether the pointer still owns the granule at its base,
+    # and reads nothing but memory and the faulting instruction's registers.
+    def test_stale_pointer_is_use_after_free_while_a_live_region_wears_its_tag(self):
+        program = parse_program("alloc r0 32\nalloc r1 32\nalloc r2 32\nalloc r3 32\n"
+                                "free r0\nld r4 [r0, #0] w1 p1\nhalt")
+        shared = 0
+        for seed in range(20):
+            sim = Simulation(program, SimConfig(seed=seed))
+            report = sim.run()
+            stale = sim.machine.regs[0] >> 56
+            shared += any(rec.tag == stale for rec in sim.allocator.live.values())
+            assert report.bug.kind is BugKind.USE_AFTER_FREE_OR_WILD, seed
+        assert shared > 0   # seeds where another live region wears the stale tag
+
+    @pytest.mark.parametrize("config", [SimConfig(seed=1),
+                                        SimConfig(seed=1, alloc_threshold=ALWAYS_ARM)],
+                             ids=["default", "always-arm"])
+    def test_overflow_out_of_an_armed_region_under_16_bytes_is_cross(self, config):
+        # r0's one granule is its armed short granule: it wears the
+        # addressable count and stashes r0's tag, so only `check_access`
+        # on it tells that r0 still owns it
+        sim = Simulation(parse_program("alloc r0 8\nalloc r1 32\nst r2 [r0, #16] w8 p1\nhalt"),
+                         config)
+        report = sim.run()
+        assert tripwire_armed(sim.mem, r0_record(sim))
+        assert report.bug.kind is BugKind.CROSS_GRANULE_OVERFLOW
+
+    def test_register_offset_pointer_is_the_tagged_operand(self):
+        # the base register r5 holds a plain 48 with tag 0: the pointer is r0,
+        # whose base granule wears its tag, overflowing into r2
+        _, report = run_sim("alloc r0 40\nalloc r2 40\nmov r5 48\nst r1 [r5, r0] w8 p1\nhalt")
+        assert report.bug.fault_address == untagged(report.bug.regs[2])
+        assert report.bug.kind is BugKind.CROSS_GRANULE_OVERFLOW
+
+
+# Every detected bug's label against the kind its generator wrote: the bug
+# workloads, the far overflow and use-after-free after 32 reuse cycles, and
+# uaf and adjacent and far overflows over small sizes, whose regions under
+# 16 bytes have their armed short granule at their base.
+SMALL_SIZES = {"8-12-24": ((8, 1), (12, 1), (24, 1)), "8-24-40": ((8, 1), (24, 1), (40, 1))}
+LABEL_ROWS = {
+    "uaf": WorkloadSpec(kind="uaf", seed=1),
+    "uaf-reuse32": WorkloadSpec(kind="uaf", reuse_cycles=32, seed=1),
+    "cross": WorkloadSpec(kind="cross", seed=1),
+    "cross-far": WorkloadSpec(kind="cross", adjacent=False, seed=1),
+    "intra": WorkloadSpec(kind="intra", seed=1),
+    "double-free": WorkloadSpec(kind="double_free", seed=1),
+    **{f"uaf-{name}": WorkloadSpec(kind="uaf", size_distribution=sizes, seed=1)
+       for name, sizes in SMALL_SIZES.items()},
+    **{f"cross-{name}": WorkloadSpec(kind="cross", size_distribution=sizes, seed=1)
+       for name, sizes in SMALL_SIZES.items()},
+    **{f"cross-far-{name}": WorkloadSpec(kind="cross", adjacent=False, size_distribution=sizes,
+                                         seed=1)
+       for name, sizes in SMALL_SIZES.items()},
+}
+GENERATED_KIND = {"uaf": BugKind.USE_AFTER_FREE_OR_WILD, "cross": BugKind.CROSS_GRANULE_OVERFLOW,
+                  "intra": BugKind.INTRA_GRANULE_OVERFLOW,
+                  "double_free": BugKind.USE_AFTER_FREE_OR_WILD}
+
+
+@pytest.mark.parametrize("config", [SimConfig(), SimConfig(alloc_threshold=ALWAYS_ARM),
+                                    SimConfig(tripwires=False)],
+                         ids=["default", "always-arm", "no-tripwires"])
+@pytest.mark.parametrize("row", list(LABEL_ROWS))
+def test_every_bug_label_is_the_generated_kind(row, config):
+    spec = LABEL_ROWS[row]
+    labels = {}
+    for i in range(200):
+        bug = Simulation(generate_program(spec, i), config.with_seed(i)).run().bug
+        if bug is not None:
+            labels[bug.kind] = labels.get(bug.kind, 0) + 1
+    assert set(labels) <= {GENERATED_KIND[spec.kind]}, labels
 
 
 class TestSpanningStorePrecision:
