@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 #
 # Every tripwire event (arm, benign hit, trap, free) is one read-modify-write
 # of the granule tag and the metadata bytes.  The events with traffic (the
-# arm, the clear and the benign hit) and the bug label look the granule's
+# arm, the clear and the benign hit) and the bug label look each granule's
 # tag page and data page up once each and index them, as the machine's tag
 # check does: a method call per byte costs more than the event itself.
 # `pages.get(i) or mem.tag_page(i)` makes a page only when none exists (a

@@ -4,13 +4,14 @@ Several rules are stated twice in the library: once plainly, and once
 inlined on a path with measured traffic (the machine's one-granule fast
 path, its granule walk, the bug `Fault` it builds and its async flag, the
 benign verdict, its counter and its rearm in place, the bug label's reads
-of the faulting and base granules, the metadata arm and clear, `allocate`'s tag exclusion, the
-in-page region tag fills in `allocate` and `free`, `free`'s tag compare,
-the generator's `_below` and its preamble's size draw).  Each mutant below
-breaks one such copy and names the tests that must catch it.  A few more break the trace
-parser's grammar table, `set_tag_range`'s page loop, the benign counter's
-carry, the store's lane mask, the sampler's slow start, and the budget and
-instruction count that the machine's loop derives from pc.
+of the faulting and base granules, the metadata arm and clear,
+`allocate`'s tag exclusion, the in-page region tag fills in `allocate` and
+`free`, `free`'s tag compare, the generator's `_below` and its preamble's
+size draw).  Each mutant below breaks one such copy and names the tests
+that must catch it.  A few more break the trace parser's grammar table,
+`set_tag_range`'s page loop, the benign counter's carry, the store's lane
+mask, the sampler's slow start, and the budget and instruction count that
+the machine's loop derives from pc.
 
     python tests/mutants.py
 
